@@ -22,6 +22,7 @@ E_CHARGE = 1.602176634e-19  # C
 R_K = PLANCK_H / E_CHARGE**2  # von Klitzing resistance h/e^2, ohm
 
 SQUID_COS_EPS = 1e-6
+ZEROED_COUPLINGS = 4   # B entries dropped by the single-mode-per-port simplification
 
 
 class FluxDivergenceError(ValueError):
@@ -99,16 +100,16 @@ class ThermalChain:
         object.__setattr__(self, "stages", stages)
 
 
-def squid_inductance(flux_ratio: float, L_s0: float, cos_eps: float = SQUID_COS_EPS) -> float:
+def squid_inductance(flux_ratio: float, L_s0: float) -> float:
     """SQUID inductance L_s0 / |cos(pi * flux_ratio)|.
 
-    Raises FluxDivergenceError within ``cos_eps`` of a half-integer flux,
+    Raises FluxDivergenceError within SQUID_COS_EPS of a half-integer flux,
     where the lumped model diverges.
     """
     if L_s0 <= 0:
         raise ValueError(f"L_s0 must be > 0, got {L_s0}")
     c = abs(math.cos(math.pi * flux_ratio))
-    if c < cos_eps:
+    if c < SQUID_COS_EPS:
         raise FluxDivergenceError(
             f"flux_ratio {flux_ratio} is within eps of a half-integer flux quantum"
         )
@@ -152,15 +153,15 @@ def port_rates(cm: CouplingMatrix) -> list[PortRate]:
     return rates
 
 
-def zero_smallest_elements(B: np.ndarray, n_zeroed: int = 4) -> np.ndarray:
-    """Copy of B with the n_zeroed smallest |elements| set to zero.
+def zero_smallest_elements(B: np.ndarray) -> np.ndarray:
+    """Copy of B with the ZEROED_COUPLINGS smallest |elements| set to zero.
 
     This is the simplification under which each port couples to a single
     mode and the jump operators reduce to plain a or b.
     """
     B = np.asarray(B, dtype=float).copy()
     flat = np.argsort(np.abs(B), axis=None)
-    B.flat[flat[:n_zeroed]] = 0.0
+    B.flat[flat[:ZEROED_COUPLINGS]] = 0.0
     return B
 
 
@@ -224,8 +225,7 @@ def hybridized_thermal_population(delta: float, kappa: float, J: float,
     return w_a * n_th_a + w_b * n_th_b
 
 
-def fit_flux_tuning(flux_ratios, omegas, C: float,
-                    cos_eps: float = SQUID_COS_EPS) -> tuple[float, float]:
+def fit_flux_tuning(flux_ratios, omegas, C: float) -> tuple[float, float]:
     """Least-squares (L, L_s0) from flux-tuning samples at fixed capacitance.
 
     Levenberg-Marquardt on the residuals in angular frequency.  The start
@@ -237,7 +237,7 @@ def fit_flux_tuning(flux_ratios, omegas, C: float,
     if phi.shape != om.shape or phi.size < 2:
         raise ValueError("need matching flux and frequency arrays with >= 2 samples")
     inv_cos = 1.0 / np.abs(np.cos(np.pi * phi))
-    if np.any(np.abs(np.cos(np.pi * phi)) < cos_eps):
+    if np.any(np.abs(np.cos(np.pi * phi)) < SQUID_COS_EPS):
         raise FluxDivergenceError("flux samples too close to half-integer flux")
     y = 1.0 / (om**2 * C)
     design = np.column_stack([np.ones_like(inv_cos), inv_cos])

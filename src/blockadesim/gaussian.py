@@ -8,7 +8,9 @@ is
     g2(0) = 1 + [2|alpha|^2 (n + |s| cos phi) + |s|^2 + n^2] / (|alpha|^2 + n)^2
 
 with phi the argument of s / alpha^2; the time-dependent generalization
-follows from Wick's theorem for Gaussian fields.
+follows from Wick's theorem for Gaussian fields.  Every g2(0) in the package
+goes through g2_from_normal_moments, which expands <a'a'aa> of a = alpha + d
+in the moments of the fluctuation d.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PHYSICALITY_TOL = 1e-9
+CALIBRATION_SIGMA_FLAG = 5.0   # n this many standard errors below 0 is a calibration failure
 
 
 class ZeroPopulationError(ValueError):
@@ -54,15 +57,34 @@ class GaussianState:
         return abs(self.alpha) ** 2 + self.n
 
 
-def g2_zero(g: GaussianState) -> float:
-    """Zero-delay second-order correlation of a Gaussian state."""
-    a2 = abs(g.alpha) ** 2
-    n_tot = a2 + g.n
+def g2_from_normal_moments(alpha: complex, n: float, s: complex, m12: complex,
+                           m22: float) -> float:
+    """<a'a'aa> / <a'a>^2 for a = alpha + d with <d> = 0.
+
+    n = <d'd>, s = <dd>, m12 = <d'dd> and m22 = <d'd'dd>; the normally
+    ordered expansion is
+
+        <a'a'aa> = |alpha|^4 + 4|alpha|^2 n + 2 Re(conj(alpha)^2 s)
+                   + 4 Re(conj(alpha) m12) + m22,
+
+    where 2 |alpha|^2 |s| cos(phi) appears as 2 Re(conj(alpha)^2 s), which
+    has no branch cut at alpha = 0.
+    """
+    a2 = abs(alpha) ** 2
+    n_tot = a2 + n
     if n_tot <= 0:
         raise ZeroPopulationError("total population must be > 0")
-    # 2 a2 |s| cos(phi) written as 2 Re(conj(alpha)^2 s): no branch cut at alpha = 0
-    num = 2.0 * (a2 * g.n + (np.conj(g.alpha) ** 2 * g.s).real) + abs(g.s) ** 2 + g.n ** 2
-    return 1.0 + num / n_tot**2
+    num = (a2 * a2 + 4.0 * a2 * n + 2.0 * (np.conj(alpha) ** 2 * s).real
+           + 4.0 * (np.conj(alpha) * m12).real + m22)
+    return float(num / n_tot**2)
+
+
+def g2_zero(g: GaussianState) -> float:
+    """Zero-delay second-order correlation of a Gaussian state.
+
+    Wick's theorem gives <d'dd> = 0 and <d'd'dd> = 2 n^2 + |s|^2.
+    """
+    return g2_from_normal_moments(g.alpha, g.n, g.s, 0.0, 2.0 * g.n ** 2 + abs(g.s) ** 2)
 
 
 def g2_tau(alpha: complex, corr) -> np.ndarray:
@@ -104,14 +126,13 @@ def _moment_stderr(on, off) -> float:
     return math.sqrt(var)
 
 
-def gaussian_params_from_moments(on, off, n_th: float, n_h: float,
-                                 sigma_flag: float = 5.0) -> GaussianState:
+def gaussian_params_from_moments(on, off, n_th: float, n_h: float) -> GaussianState:
     """Invert calibrated quadrature moments into (alpha, n, s).
 
     Inputs are corrected MomentSets rescaled so the pump-off second moments
     are (n_h, n_h, 0).  The pump-off occupation offset n_th is added to n.
-    A reconstruction with n below -sigma_flag standard errors is flagged as
-    a calibration failure.
+    A reconstruction with n below -CALIBRATION_SIGMA_FLAG standard errors is
+    flagged as a calibration failure.
     """
     xbar, ybar = on.dc
     alpha = (xbar + 1j * ybar) / math.sqrt(2.0)
@@ -119,9 +140,9 @@ def gaussian_params_from_moments(on, off, n_th: float, n_h: float,
     xx0, _, yy0 = _second_moments(off)
     n = 0.5 * ((xx1 - xx0) + (yy1 - yy0)) + n_th
     s = 0.5 * ((xx1 - xx0) - (yy1 - yy0)) + 1j * xy1
-    if n < -sigma_flag * _moment_stderr(on, off):
-        raise CalibrationFailure(
-            f"reconstructed occupation n = {n:.3e} is more than {sigma_flag} sigma negative")
+    if n < -CALIBRATION_SIGMA_FLAG * _moment_stderr(on, off):
+        raise CalibrationFailure(f"reconstructed occupation n = {n:.3e} is more than "
+                                 f"{CALIBRATION_SIGMA_FLAG} sigma negative")
     return GaussianState(alpha, float(n), complex(s))
 
 
@@ -154,11 +175,7 @@ def g2prime_from_fourth_moments(on, off, alpha: complex, n_th: float = 0.0) -> f
     m12 = m12_1 - m12_0
     k22 = k22_1 - k22_0
 
-    a2 = abs(alpha) ** 2
-    n_tot = a2 + n
+    n_tot = abs(alpha) ** 2 + n
     if n_tot <= 0:
         raise CalibrationFailure(f"reconstructed <a'a> = {n_tot:.3e} is not positive")
-    fourth = k22 + 2.0 * n**2 + abs(s) ** 2
-    num = (a2 * a2 + 4.0 * a2 * n + 2.0 * (np.conj(alpha) ** 2 * s).real
-           + 4.0 * (np.conj(alpha) * m12).real + fourth)
-    return float(num / n_tot**2)
+    return g2_from_normal_moments(alpha, n, s, m12, k22 + 2.0 * n**2 + abs(s) ** 2)

@@ -1,10 +1,12 @@
-"""Truncated Fock-space linear algebra for one or two bosonic modes.
+"""Truncated Fock-space operators for one or two bosonic modes.
 
-Everything is dense: the displaced-frame calculations run at 4 Fock states
-per mode (joint dimension 16) and even the undisplaced oracle runs stay
-around 10-12 states per mode, where dense numpy is simplest and fast.
-The mode ordering is fixed as a (x) b everywhere; index (i_a, i_b) maps to
-row i_a * n_b + i_b, matching ``numpy.kron``.
+Operators are plain dense complex ndarrays; ``Operator`` only pairs one with
+its per-mode cutoffs and checks the shape.  Everything is dense: the
+displaced-frame calculations run at 4 Fock states per mode (joint dimension
+16) and even the undisplaced oracle runs stay around 10-12 states per mode,
+where dense numpy is simplest and fast.  The mode ordering is fixed as
+a (x) b everywhere; index (i_a, i_b) maps to row i_a * n_b + i_b, matching
+``numpy.kron``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ class Operator:
         side = int(np.prod(dims))
         if data.ndim != 2 or data.shape != (side, side):
             raise DimensionError(
-                f"operator data must be {side}x{side} for dims {dims}, got {data.shape}"
-            )
+                f"{type(self).__name__} data must be {side}x{side} for dims {dims}, "
+                f"got {data.shape}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
 
@@ -49,40 +51,9 @@ class Operator:
     def side(self) -> int:
         return self.data.shape[0]
 
-    def dag(self) -> "Operator":
-        return Operator(self.dims, self.data.conj().T)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same_dims(other)
-        return Operator(self.dims, self.data @ other.data)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same_dims(other)
-        return Operator(self.dims, self.data + other.data)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_dims(other)
-        return Operator(self.dims, self.data - other.data)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.dims, self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.dims, -self.data)
-
-    def shifted(self, offset: complex) -> "Operator":
-        """Return self + offset * identity (used for displaced-frame operators)."""
-        return Operator(self.dims, self.data + offset * np.eye(self.side))
-
-    def _check_same_dims(self, other: "Operator"):
-        if self.dims != other.dims:
-            raise DimensionError(f"dims mismatch: {self.dims} vs {other.dims}")
-
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Operator):
     """Density matrix on a truncated Fock space.
 
     Valid states are Hermitian with unit trace and eigenvalues above a small
@@ -90,35 +61,16 @@ class DensityMatrix:
     three.
     """
 
-    dims: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        data = np.ascontiguousarray(self.data, dtype=complex)
-        side = int(np.prod(dims))
-        if data.ndim != 2 or data.shape != (side, side):
-            raise DimensionError(
-                f"density matrix must be {side}x{side} for dims {dims}, got {data.shape}"
-            )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def side(self) -> int:
-        return self.data.shape[0]
-
-    def validate(self, herm_tol=HERMITICITY_TOL, trace_tol=TRACE_TOL,
-                 eig_floor=EIGENVALUE_FLOOR) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         scale = max(np.abs(self.data).max(), 1e-300)
         herm = np.abs(self.data - self.data.conj().T).max() / scale
-        if herm > herm_tol:
+        if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: deviation {herm:.2e}")
         tr = np.trace(self.data)
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} differs from 1")
         evals = np.linalg.eigvalsh(0.5 * (self.data + self.data.conj().T))
-        if evals.min() < eig_floor:
+        if evals.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {evals.min():.2e} below floor")
         return self
 
@@ -132,31 +84,12 @@ def annihilation(cutoff: int) -> Operator:
     return Operator((cutoff,), data)
 
 
-def identity(dims) -> Operator:
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    return Operator(dims, np.eye(int(np.prod(dims))))
-
-
-def dagger(op: Operator) -> Operator:
-    return op.dag()
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; dims concatenate in a (x) b order."""
-    return Operator(a.dims + b.dims, np.kron(a.data, b.data))
-
-
-def expectation(op: Operator, rho: DensityMatrix) -> complex:
-    if op.dims != rho.dims:
-        raise DimensionError(f"dims mismatch: {op.dims} vs {rho.dims}")
-    return complex(np.trace(op.data @ rho.data))
-
-
 def two_mode_annihilators(n_a: int, n_b: int) -> tuple[Operator, Operator]:
     """Joint-space (a, b) with the fixed a (x) b ordering."""
-    a = tensor(annihilation(n_a), identity(n_b))
-    b = tensor(identity(n_a), annihilation(n_b))
-    return a, b
+    n_a, n_b = int(n_a), int(n_b)
+    a = np.kron(annihilation(n_a).data, np.eye(n_b))
+    b = np.kron(np.eye(n_a), annihilation(n_b).data)
+    return Operator((n_a, n_b), a), Operator((n_a, n_b), b)
 
 
 def ptrace(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -174,20 +107,10 @@ def ptrace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     raise DimensionError(f"keep must be 0 or 1, got {keep}")
 
 
-def vacuum_state(dims) -> DensityMatrix:
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    side = int(np.prod(dims))
-    data = np.zeros((side, side), dtype=complex)
-    data[0, 0] = 1.0
-    return DensityMatrix(dims, data)
-
-
 def thermal_state(cutoff: int, nbar: float) -> DensityMatrix:
-    """Truncated single-mode thermal state, renormalized after truncation."""
+    """Truncated single-mode thermal state, renormalized after truncation (vacuum at nbar = 0)."""
     if nbar < 0:
         raise ValueError(f"thermal occupation must be >= 0, got {nbar}")
-    if nbar == 0:
-        return vacuum_state(cutoff)
     q = nbar / (nbar + 1.0)
     weights = q ** np.arange(cutoff)
     weights /= weights.sum()

@@ -29,6 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lu_factor, lu_solve
 
+from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
 from .hilbert import DensityMatrix, two_mode_annihilators
 
 _BLAS_LIMITED = False
@@ -203,13 +204,13 @@ def _real_jacobian(p: SystemParams, K: np.ndarray, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _newton(p: SystemParams, K: np.ndarray, x0: np.ndarray, scale: float,
-            tol: float, max_iter: int) -> tuple[np.ndarray, float, bool]:
+def _newton(p: SystemParams, K: np.ndarray, x0: np.ndarray,
+            scale: float) -> tuple[np.ndarray, float, bool]:
     x = x0.copy()
     f = _mean_field_rhs(p, K, x)
     res = np.linalg.norm(f) / scale
-    for _ in range(max_iter):
-        if res < tol:
+    for _ in range(MEAN_FIELD_MAX_ITER):
+        if res < MEAN_FIELD_TOL:
             return x, res, True
         jac = _real_jacobian(p, K, x)
         rhs = -np.array([f[0].real, f[0].imag, f[1].real, f[1].imag])
@@ -223,15 +224,14 @@ def _newton(p: SystemParams, K: np.ndarray, x0: np.ndarray, scale: float,
             x_new = x + damp * dx
             f_new = _mean_field_rhs(p, K, x_new)
             res_new = np.linalg.norm(f_new) / scale
-            if res_new <= res or res_new < tol:
+            if res_new <= res or res_new < MEAN_FIELD_TOL:
                 break
             damp *= 0.5
         x, f, res = x_new, f_new, res_new
-    return x, res, res < tol
+    return x, res, res < MEAN_FIELD_TOL
 
 
-def mean_field_steady_state(p: SystemParams, tol: float = MEAN_FIELD_TOL,
-                            max_iter: int = MEAN_FIELD_MAX_ITER) -> MeanFieldResult:
+def mean_field_steady_state(p: SystemParams) -> MeanFieldResult:
     """Fixed point of the classical equations of motion.
 
     Damped Newton iteration started from the U = 0 linear response.  If
@@ -246,33 +246,36 @@ def mean_field_steady_state(p: SystemParams, tol: float = MEAN_FIELD_TOL,
     scale = max(abs(p.eta_a), abs(p.eta_b),
                 p.kappa_a * (1.0 + abs(x_lin[0])), p.kappa_b * (1.0 + abs(x_lin[1])))
 
-    starts = [x_lin]
-    if p.U != 0 and p.delta_b < 0 and abs(x_lin[1]) > 0:
-        # above the fold only the high-amplitude branch survives; seed that
-        # basin at the fold amplitude over all four quadrature phases
+    def fold_seeds(x: np.ndarray) -> list[np.ndarray]:
+        # the Kerr fold sits near |beta|^2 = -delta_b / (2U); above it only the
+        # high-amplitude branch survives, so seed that basin over all four
+        # quadrature phases
+        if p.U == 0 or p.delta_b >= 0:
+            return []
         beta_fold = np.sqrt(-p.delta_b / (2.0 * p.U))
-        starts += [np.array([x_lin[0], beta_fold * ph]) for ph in (1.0, -1.0, 1.0j, -1.0j)]
+        return [np.array([x[0], beta_fold * ph]) for ph in (1.0, -1.0, 1.0j, -1.0j)]
+
+    starts = [x_lin]
+    if abs(x_lin[1]) > 0:
+        starts += fold_seeds(x_lin)
     starts += [0.3 * x_lin, 3.0 * x_lin]
 
     x = res = None
     for x0 in starts:
-        x, res, ok = _newton(p, K, x0, scale, tol, max_iter)
+        x, res, ok = _newton(p, K, x0, scale)
         if ok:
             break
     else:
         raise ConvergenceError(
-            f"mean-field Newton did not converge (residual {res:.2e} after {max_iter} iterations)")
+            f"mean-field Newton did not converge (residual {res:.2e} "
+            f"after {MEAN_FIELD_MAX_ITER} iterations)")
 
     warnings: list[str] = []
     if p.U != 0 and (abs(x[0]) + abs(x[1])) > 0:
-        probes = [x * factor for factor in (0.5, 1.5, 1.0j)]
-        if p.delta_b < 0:
-            # Kerr fold sits near |beta|^2 = -delta_b / (2U); probe that basin
-            beta_fold = np.sqrt(-p.delta_b / (2.0 * p.U))
-            probes += [np.array([x[0], beta_fold * ph]) for ph in (1.0, -1.0, 1.0j, -1.0j)]
+        probes = [x * factor for factor in (0.5, 1.5, 1.0j)] + fold_seeds(x)
         branches = [x]
         for x0 in probes:
-            x_alt, res_alt, ok_alt = _newton(p, K, x0, scale, tol, max_iter)
+            x_alt, res_alt, ok_alt = _newton(p, K, x0, scale)
             if ok_alt and not any(np.linalg.norm(x_alt - b) <= 1e-6 * (1 + np.linalg.norm(b))
                                   for b in branches):
                 branches.append(x_alt)
@@ -313,13 +316,11 @@ class Liouvillian:
     """Vectorized generator of the master equation.
 
     data is dense for small joint dimensions and CSR sparse above
-    DENSE_SUPEROP_MAX_JOINT_DIM; displacement records the mean-field frame
-    the generator was built in (None for the lab frame).
+    DENSE_SUPEROP_MAX_JOINT_DIM.
     """
 
     dims: tuple[int, int]
     data: object
-    displacement: tuple[complex, complex] | None = None
 
     def __post_init__(self):
         side = int(np.prod(self.dims)) ** 2
@@ -360,14 +361,13 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
         raise ValueError(
             f"superoperator side {joint * joint} exceeds the {MAX_SUPEROP_SIDE} guard")
     a_op, b_op = two_mode_annihilators(n_a, n_b)
+    eye = np.eye(joint)
+    A, B = a_op.data, b_op.data
     if displacement is not None:
-        al, be = displacement
-        A = a_op.shifted(al)
-        B = b_op.shifted(be)
-    else:
-        A, B = a_op, b_op
+        A = A + displacement[0] * eye
+        B = B + displacement[1] * eye
 
-    Ad, Bd = A.dag(), B.dag()
+    Ad, Bd = A.conj().T, B.conj().T
     H = (-p.delta_a * (Ad @ A) - p.delta_b * (Bd @ B)
          + p.J * (Ad @ B + Bd @ A)
          - p.U * (Bd @ Bd @ B @ B)
@@ -377,10 +377,8 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
     # Accumulate the left-acting and right-acting parts into one kron each;
     # each sandwich term c rho c' is a single kron(c'.T, c).
     sparse = joint > DENSE_SUPEROP_MAX_JOINT_DIM
-    Hm = H.data
-    eye = np.eye(joint)
-    left = -1j * Hm
-    right = 1j * Hm
+    left = -1j * H
+    right = 1j * H
     L = None
 
     def add(term):
@@ -388,7 +386,7 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
         L = term if L is None else L + term
 
     for rate, (ca, cb), n_th in p.baths():
-        C = (ca * A + cb * B).data
+        C = ca * A + cb * B
         Cd = C.conj().T
         CdC = Cd @ C
         half = 0.5 * rate
@@ -403,7 +401,7 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
 
     add(_kron(eye, left, sparse))
     add(_kron(right.T, eye, sparse))
-    return Liouvillian((n_a, n_b), L, displacement)
+    return Liouvillian((n_a, n_b), L)
 
 
 def steady_state(L: Liouvillian) -> DensityMatrix:
@@ -544,14 +542,11 @@ def observables(rho_displaced: DensityMatrix, alpha: complex) -> Observables:
     s = complex(np.trace(d @ d @ rho))
     q = np.trace(dd @ dd @ d @ d @ rho).real
 
-    a2 = abs(alpha) ** 2
-    n_tot = a2 + n
-    if n_tot <= 0:
-        raise ValueError("total population is zero; g2 undefined")
-    shared = 2.0 * (np.conj(alpha) ** 2 * s).real + 4.0 * a2 * n + a2 * a2
-    g2_prime = (q + shared) / n_tot**2
-    g2_gauss = (abs(s) ** 2 + 2.0 * n * n + shared) / n_tot**2
-    return Observables(float(n_tot), float(g2_gauss), float(g2_prime), float(n), s)
+    n_tot = abs(alpha) ** 2 + n
+    g2_gauss = g2_zero(GaussianState(alpha, n, s))
+    # m12 = 0.0 drops the solved state's <d'dd> (and its <d> terms), which matter at strong pump
+    g2_prime = g2_from_normal_moments(alpha, n, s, 0.0, q)
+    return Observables(float(n_tot), g2_gauss, g2_prime, float(n), s)
 
 
 @dataclass(frozen=True)
@@ -581,4 +576,4 @@ def mode_occupation(rho: DensityMatrix, mode: int) -> float:
     """<a'a> (mode 0) or <b'b> (mode 1) of a two-mode state."""
     a_op, b_op = two_mode_annihilators(*rho.dims)
     op = a_op if mode == 0 else b_op
-    return np.trace(op.dag().data @ op.data @ rho.data).real
+    return np.trace(op.data.conj().T @ op.data @ rho.data).real

@@ -20,11 +20,9 @@ order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
@@ -65,9 +63,7 @@ class RawTraceSet:
     Xbar_r: float
     Ybar_r: float
     pump_on: bool
-    sample_rate: float
     packet_size: int
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.X_r) != self.packet_size or len(self.Y_r) != self.packet_size:
@@ -134,9 +130,7 @@ def synth_traces(truth: GaussianState, cal: CalibrationConstants, packet_size: i
     y_r = sy * (y + cal.epsilon * x)
     xbar_r = sx * xbar
     ybar_r = sy * (ybar + cal.epsilon * xbar)
-    seed_int = int(seed) if np.isscalar(seed) and not isinstance(seed, np.random.SeedSequence) else None
-    return RawTraceSet(x_r, y_r, float(xbar_r), float(ybar_r), bool(pump_on),
-                       2.0 * cal.delta_f, packet_size, seed_int)
+    return RawTraceSet(x_r, y_r, float(xbar_r), float(ybar_r), bool(pump_on), packet_size)
 
 
 def estimate_moments(t: RawTraceSet) -> MomentSet:
@@ -312,50 +306,3 @@ def run_synthetic_experiment(truth: GaussianState, cal: CalibrationConstants,
     else:
         pairs = [_packet_pair_task(t) for t in tasks]
     return packet_statistics(pairs, n_th, cal.n_h)
-
-
-# --- serialization ---
-
-def moments_to_dict(ms: MomentSet) -> dict:
-    return {
-        "moments": {f"{i}_{j}": ms.m(i, j) for i, j in MOMENT_KEYS},
-        "dc": [ms.dc[0], ms.dc[1]],
-        "n_samples": ms.n_samples,
-    }
-
-
-def moments_from_dict(d: dict) -> MomentSet:
-    moments = {}
-    for key, value in d["moments"].items():
-        i, j = key.split("_")
-        moments[(int(i), int(j))] = float(value)
-    return MomentSet(moments, (float(d["dc"][0]), float(d["dc"][1])), int(d["n_samples"]))
-
-
-def save_trace_set(t: RawTraceSet, path_base) -> tuple[Path, Path]:
-    """Persist a packet as raw little-endian float64 (X then Y) plus a JSON sidecar."""
-    base = Path(path_base)
-    data_path = base.with_suffix(".f64")
-    meta_path = base.with_suffix(".json")
-    blob = np.concatenate([t.X_r, t.Y_r]).astype("<f8")
-    data_path.write_bytes(blob.tobytes())
-    meta = {
-        "layout": "x_then_y",
-        "sample_rate": t.sample_rate,
-        "packet_size": t.packet_size,
-        "pump_on": t.pump_on,
-        "seed": t.seed,
-        "dc": [t.Xbar_r, t.Ybar_r],
-    }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
-    return data_path, meta_path
-
-
-def load_trace_set(path_base) -> RawTraceSet:
-    base = Path(path_base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    blob = np.frombuffer(base.with_suffix(".f64").read_bytes(), dtype="<f8")
-    n = int(meta["packet_size"])
-    return RawTraceSet(blob[:n].copy(), blob[n:].copy(), float(meta["dc"][0]),
-                       float(meta["dc"][1]), bool(meta["pump_on"]),
-                       float(meta["sample_rate"]), n, meta["seed"])

@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import find_peaks
 
 from .lindblad import ConvergenceError, SteadyStateError, SystemParams, displaced_solution
 
 ETA_FIT_TOL = 1e-2
+ETA_FIT_MAX_ITER = 40
 NM_G2_TOL = 1e-4
 COARSE_GRID_POINTS = 11
 ENVELOPE_BINS_PER_DECADE = 10
@@ -73,8 +73,7 @@ def _solve_many(points: list[SystemParams], cutoffs, workers: int) -> list[Sweep
 
 
 def fit_eta_to_population(p: SystemParams, target_population: float,
-                          cutoffs: tuple[int, int] = (4, 4),
-                          tol: float = ETA_FIT_TOL, max_iter: int = 40) -> SystemParams:
+                          cutoffs: tuple[int, int] = (4, 4)) -> SystemParams:
     """Scale the pump so the on-resonance |alpha|^2 matches the target.
 
     Scalar secant iteration on the common scale factor of (eta_a, eta_b),
@@ -92,12 +91,12 @@ def fit_eta_to_population(p: SystemParams, target_population: float,
         return abs(sol.mean_field.alpha) ** 2
 
     c_prev, f_prev = 1.0, population(1.0)
-    if abs(f_prev - target_population) <= tol * target_population:
+    if abs(f_prev - target_population) <= ETA_FIT_TOL * target_population:
         return p
     c_cur = c_prev * math.sqrt(target_population / f_prev)
-    for _ in range(max_iter):
+    for _ in range(ETA_FIT_MAX_ITER):
         f_cur = population(c_cur)
-        if abs(f_cur - target_population) <= tol * target_population:
+        if abs(f_cur - target_population) <= ETA_FIT_TOL * target_population:
             return replace(p, eta_a=p.eta_a * c_cur, eta_b=p.eta_b * c_cur)
         slope = (f_cur - f_prev) / (c_cur - c_prev)
         c_prev, f_prev = c_cur, f_cur
@@ -107,7 +106,8 @@ def fit_eta_to_population(p: SystemParams, target_population: float,
             c_cur = c_cur + (target_population - f_cur) / slope
             if c_cur <= 0:
                 c_cur = c_prev * math.sqrt(target_population / f_prev)
-    raise ConvergenceError(f"eta fit did not reach target within {max_iter} secant steps")
+    raise ConvergenceError(
+        f"eta fit did not reach target within {ETA_FIT_MAX_ITER} secant steps")
 
 
 def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None = None,
@@ -143,26 +143,23 @@ class EnvelopePoint:
 
 
 def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
-                span: float | None = None, center: tuple[float, float] = (0.0, 0.0),
                 workers: int = 1, coarse_points: int = COARSE_GRID_POINTS) -> list[EnvelopePoint]:
     """Per pump strength, minimize g2(0) over (delta_a, delta_b).
 
     Nelder-Mead seeded from the best point of a coarse grid spanning
-    +/- span (default kappa_a) around the operating region.  Optimizer
-    stagnation is reported on the envelope point, with the best value found.
+    +/- kappa_a around zero detuning.  Optimizer stagnation is reported on
+    the envelope point, with the best value found.
     """
-    if span is None:
-        span = p.kappa_a
+    span = p.kappa_a
     etas = list(np.atleast_1d(eta_values))
     if not etas:
         raise ValueError("eta_values must be nonempty")
     grid = np.linspace(-span, span, coarse_points)
     out = []
     for eta in etas:
-        base = replace(p, eta_a=complex(eta), eta_b=p.eta_b)
-        coarse_points = [replace(base, delta_a=center[0] + da, delta_b=center[1] + db)
-                         for da in grid for db in grid]
-        records = _solve_many(coarse_points, cutoffs, workers)
+        base = replace(p, eta_a=complex(eta))
+        grid_points = [replace(base, delta_a=da, delta_b=db) for da in grid for db in grid]
+        records = _solve_many(grid_points, cutoffs, workers)
         ok = [r for r in records if r.status == "ok" and np.isfinite(r.g2)]
         if not ok:
             out.append(EnvelopePoint(complex(eta), math.nan, math.nan, math.nan,
@@ -190,19 +187,19 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
     return out
 
 
-def log_bin_index(n_tot: float, per_decade: int = ENVELOPE_BINS_PER_DECADE) -> int:
+def log_bin_index(n_tot: float) -> int:
     """Logarithmic population bin used to compare map clouds against the envelope."""
     if n_tot <= 0:
         raise ValueError("n_tot must be > 0")
-    return math.floor(math.log10(n_tot) * per_decade)
+    return math.floor(math.log10(n_tot) * ENVELOPE_BINS_PER_DECADE)
 
 
 def dominant_period(tau, values) -> float:
     """Dominant oscillation period of a sampled curve.
 
-    Mean spacing of parabola-refined local maxima of the detrended curve;
-    falls back to the zero-padded FFT peak when fewer than two maxima
-    exist.
+    Mean spacing of parabola-refined local maxima of the detrended curve
+    (a plateau counts once, at its first sample); falls back to the
+    zero-padded FFT peak when fewer than two maxima exist.
     """
     tau = np.asarray(tau, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -210,16 +207,15 @@ def dominant_period(tau, values) -> float:
         raise ValueError("need matching arrays with at least 8 samples")
     dt = tau[1] - tau[0]
     centered = y - y.mean()
-    peaks, _ = find_peaks(centered)
+    mid = centered[1:-1]
+    peaks = np.flatnonzero((mid > centered[:-2]) & (mid >= centered[2:])) + 1
     if len(peaks) >= 2:
         refined = []
         for k in peaks:
-            if 0 < k < len(y) - 1:
-                den = y[k - 1] - 2.0 * y[k] + y[k + 1]
-                shift = 0.5 * (y[k - 1] - y[k + 1]) / den if den != 0 else 0.0
-                refined.append(tau[k] + shift * dt)
-        if len(refined) >= 2:
-            return float(np.mean(np.diff(refined)))
+            den = y[k - 1] - 2.0 * y[k] + y[k + 1]
+            shift = 0.5 * (y[k - 1] - y[k + 1]) / den if den != 0 else 0.0
+            refined.append(tau[k] + shift * dt)
+        return float(np.mean(np.diff(refined)))
     n_fft = 16 * len(y)
     spectrum = np.abs(np.fft.rfft(centered, n=n_fft))
     freqs = np.fft.rfftfreq(n_fft, d=dt)

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockadesim
 from blockadesim.cli import (SWEEP_COLUMNS, default_config_path, derive_device, main,
                              system_params_from_config)
 from blockadesim.config import ConfigError, load_config, parse_run_config
@@ -41,6 +46,16 @@ J = 25.1 MHz_over_2pi
 U = 0.25 MHz_over_2pi
 eta_a = 15 MHz_over_2pi
 """
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal costs about half a second of import; the CLI must not pull it in
+    src = str(Path(blockadesim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, blockadesim.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- config parsing ---

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -73,6 +74,19 @@ def test_g2_nonnegative_for_physical_states(g):
     if g.n_tot < 1e-9:
         return
     assert g2_zero(g) >= -1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(physical_state_strategy)
+def test_g2_zero_matches_closed_form(g):
+    # module docstring: g2 = 1 + [2|alpha|^2 (n + |s| cos phi) + |s|^2 + n^2] / (|alpha|^2 + n)^2
+    if g.n_tot < 1e-9:
+        return
+    a2 = abs(g.alpha) ** 2
+    phi = cmath.phase(g.s) - 2.0 * cmath.phase(g.alpha)   # arg(s / alpha^2)
+    closed = 1.0 + (2.0 * a2 * (g.n + abs(g.s) * math.cos(phi)) + abs(g.s) ** 2
+                    + g.n ** 2) / (a2 + g.n) ** 2
+    assert g2_zero(g) == pytest.approx(closed, rel=1e-12)
 
 
 def test_physicality_guard():

@@ -7,9 +7,8 @@ from blockadesim.gaussian import CalibrationFailure, GaussianState, g2_zero
 from blockadesim.measurement import (MOMENT_KEYS, CalibrationConstants, MomentSet,
                                      RawTraceSet, apply_mixer_to_moments, average_moments,
                                      calibrate, correct_moments, estimate_moments,
-                                     load_trace_set, moments_from_dict, moments_to_dict,
                                      packet_statistics, run_synthetic_experiment,
-                                     save_trace_set, synth_traces)
+                                     synth_traces)
 
 N_H = 12.5
 
@@ -82,7 +81,7 @@ def test_synth_dc_measures_displacement():
 
 def test_estimate_moments_constant_trace():
     c = 0.7
-    t = RawTraceSet(np.full(100, c), np.full(100, c), c, c, True, 48e6, 100)
+    t = RawTraceSet(np.full(100, c), np.full(100, c), c, c, True, 100)
     ms = estimate_moments(t)
     assert ms.m(1, 0) == pytest.approx(c)
     assert ms.m(2, 0) == pytest.approx(c * c)
@@ -93,7 +92,7 @@ def test_estimate_moments_constant_trace():
 def test_estimate_moments_gaussian_kurtosis():
     rng = np.random.default_rng(4)
     n = 400_000
-    t = RawTraceSet(rng.standard_normal(n), rng.standard_normal(n), 0.0, 0.0, True, 48e6, n)
+    t = RawTraceSet(rng.standard_normal(n), rng.standard_normal(n), 0.0, 0.0, True, n)
     ms = estimate_moments(t)
     sigma = math.sqrt(96.0 / n)  # var of the kurtosis estimator for a unit normal
     assert abs(ms.m(4, 0) - 3.0) < 5 * sigma
@@ -335,28 +334,6 @@ def test_end_to_end_recovers_gaussian_state():
     assert abs(stats.state.s.imag - truth.s.imag) < 5 * stats.s_stderr.imag
     g2_t = g2_zero(truth)
     assert abs(stats.g2_mean - g2_t) < 5 * stats.g2_stderr
-
-
-# --- serialization ---
-
-def test_moments_json_roundtrip():
-    rng = np.random.default_rng(70)
-    ms = empirical_moment_set(rng)
-    back = moments_from_dict(moments_to_dict(ms))
-    assert back == ms
-
-
-def test_trace_set_file_roundtrip(tmp_path):
-    cal = CalibrationConstants(1.2, 0.9, 0.03, N_H)
-    t = synth_traces(GaussianState(0.2, 1e-3, 0.0), cal, 512, True, seed=71)
-    save_trace_set(t, tmp_path / "packet0")
-    back = load_trace_set(tmp_path / "packet0")
-    assert np.array_equal(back.X_r, t.X_r)
-    assert np.array_equal(back.Y_r, t.Y_r)
-    assert back.Xbar_r == t.Xbar_r
-    assert back.pump_on == t.pump_on
-    assert back.sample_rate == t.sample_rate
-    assert back.seed == t.seed
 
 
 def test_average_moments():
