@@ -2,7 +2,10 @@
 
 Commands: device, g2-sweep, g2-tau, map, envelope, measure-demo.  Every run
 writes its data files atomically (temp file + rename) plus a JSON manifest
-recording the resolved parameters, grids, seed and toolkit version.  Exit
+recording the resolved parameters, grids, seed, toolkit version and the
+BLAS thread counts in effect.  A command runs with every loaded BLAS pinned
+to one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set; the previous counts are restored on return.  Exit
 codes: 0 success, 2 configuration error, 3 pipeline failure.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 import tempfile
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .config import ConfigError, RunConfig, load_config
 from .device import (CircuitParams, CouplingMatrix, attenuation_chain_population,
                      capacitance_from_resonance, kerr_nonlinearity,
@@ -42,6 +46,8 @@ TAU_COLUMNS = ("delta_a_rad_per_s", "tau_s", "g2", "n_tau_re", "n_tau_im",
 ENVELOPE_COLUMNS = ("eta_a_rad_per_s", "n_tot", "g2_min",
                     "delta_a_rad_per_s", "delta_b_rad_per_s", "warnings")
 FLUX_COLUMNS = ("flux_ratio", "omega_b_Hz", "omega_lower_Hz", "omega_upper_Hz")
+
+log = logging.getLogger(__name__)
 
 
 def default_config_path() -> Path:
@@ -86,6 +92,8 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, args, outputs,
         "workers": args.workers,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "version": __version__,
+        "blas": {"threads": blas.thread_counts(),
+                 "pinned_by": args.blas_pinned_by},
         "system": {
             "J_rad_per_s": cfg.system.J,
             "U_rad_per_s": cfg.system.U,
@@ -349,14 +357,20 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        return COMMANDS[args.command](cfg, args, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (CalibrationFailure, ConvergenceError, SteadyStateError, ValueError) as exc:
-        print(f"pipeline failure: {exc}", file=sys.stderr)
-        return 3
+    with blas.single_threaded() as pinned_by:
+        args.blas_pinned_by = pinned_by
+        threads = blas.thread_counts()
+        if any(n > 1 for n in threads.values()):
+            log.warning("BLAS runs multi-threaded (%s, pinned by %s); the small dense "
+                        "solves are slower that way", threads, pinned_by)
+        try:
+            return COMMANDS[args.command](cfg, args, out_dir)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (CalibrationFailure, ConvergenceError, SteadyStateError, ValueError) as exc:
+            print(f"pipeline failure: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -21,8 +21,7 @@ drive terms and lets tiny Fock cutoffs (4 per mode) represent the state.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,28 +30,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
 from .hilbert import DensityMatrix, two_mode_annihilators
-
-_BLAS_LIMITED = False
-
-
-def _limit_blas_threads():
-    """Pin BLAS pools to one thread unless the user configured them.
-
-    The dense problems here are 256x256; multi-threaded OpenBLAS spends far
-    more time spin-waiting between these tiny calls than computing.
-    """
-    global _BLAS_LIMITED
-    if _BLAS_LIMITED:
-        return
-    _BLAS_LIMITED = True
-    if any(v in os.environ for v in
-           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=1, user_api="blas")
-    except Exception:
-        pass
 
 TRACE_PRESERVATION_TOL = 1e-8
 STEADY_STATE_RESIDUAL_TOL = 1e-9
@@ -298,13 +275,6 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((side, side), order="F")
 
 
-def _kron(A: np.ndarray, B: np.ndarray, sparse: bool):
-    # column-stacking convention: vec(A rho B) = kron(B.T, A) vec(rho)
-    if sparse:
-        return sp.kron(sp.csr_matrix(A), sp.csr_matrix(B), format="csr")
-    return np.kron(A, B)
-
-
 def _trace_row(side_joint: int) -> np.ndarray:
     row = np.zeros(side_joint * side_joint, dtype=complex)
     row[np.arange(side_joint) * (side_joint + 1)] = 1.0
@@ -316,19 +286,22 @@ class Liouvillian:
     """Vectorized generator of the master equation.
 
     data is dense for small joint dimensions and CSR sparse above
-    DENSE_SUPEROP_MAX_JOINT_DIM.
+    DENSE_SUPEROP_MAX_JOINT_DIM; max_abs is max|data|, computed once.
     """
 
     dims: tuple[int, int]
     data: object
+    max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        side = int(np.prod(self.dims)) ** 2
+        joint = int(np.prod(self.dims))
+        side = joint * joint
         if self.data.shape != (side, side):
             raise ValueError(f"superoperator must be {side}x{side}, got {self.data.shape}")
-        t = _trace_row(int(np.prod(self.dims)))
-        leak = t @ self.data if not self.is_sparse else self.data.T.dot(t)
         scale = _max_abs(self.data)
+        object.__setattr__(self, "max_abs", scale)
+        # the rows of L at the diagonal entries of rho sum to d Tr(rho)/dt
+        leak = self.data[np.arange(joint) * (joint + 1)].sum(axis=0)
         if np.abs(leak).max() > TRACE_PRESERVATION_TOL * scale:
             raise ValueError("Liouvillian is not trace preserving")
 
@@ -351,89 +324,138 @@ def _max_abs(m) -> float:
     return float(np.abs(m).max())
 
 
-def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
-                      cutoffs: tuple[int, int] = (4, 4)) -> Liouvillian:
-    """Assemble the (optionally displaced) Liouvillian at the given Fock cutoffs."""
-    _limit_blas_threads()
-    n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
-    joint = n_a * n_b
-    if joint * joint > MAX_SUPEROP_SIDE:
-        raise ValueError(
-            f"superoperator side {joint * joint} exceeds the {MAX_SUPEROP_SIDE} guard")
-    a_op, b_op = two_mode_annihilators(n_a, n_b)
-    eye = np.eye(joint)
-    A, B = a_op.data, b_op.data
-    if displacement is not None:
-        A = A + displacement[0] * eye
-        B = B + displacement[1] * eye
+def _generator_terms(p: SystemParams, A: np.ndarray,
+                     B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, weights, jumps) of L rho = K rho + rho K' + sum_m w_m C_m rho C_m'.
 
+    K = -iH - 1/2 sum_m w_m C_m' C_m; jumps stacks the C_m (c of each bath,
+    plus c' where n_th > 0) as a (J, n, n) array.
+    """
     Ad, Bd = A.conj().T, B.conj().T
     H = (-p.delta_a * (Ad @ A) - p.delta_b * (Bd @ B)
          + p.J * (Ad @ B + Bd @ A)
          - p.U * (Bd @ Bd @ B @ B)
          + p.eta_a * Ad + np.conj(p.eta_a) * A
          + p.eta_b * Bd + np.conj(p.eta_b) * B)
-
-    # Accumulate the left-acting and right-acting parts into one kron each;
-    # each sandwich term c rho c' is a single kron(c'.T, c).
-    sparse = joint > DENSE_SUPEROP_MAX_JOINT_DIM
-    left = -1j * H
-    right = 1j * H
-    L = None
-
-    def add(term):
-        nonlocal L
-        L = term if L is None else L + term
-
+    K = -1j * H
+    weights, jumps = [], []
     for rate, (ca, cb), n_th in p.baths():
         C = ca * A + cb * B
-        Cd = C.conj().T
-        CdC = Cd @ C
-        half = 0.5 * rate
-        left = left - half * (n_th + 1.0) * CdC
-        right = right - half * (n_th + 1.0) * CdC
-        add((rate * (n_th + 1.0)) * _kron(Cd.T, C, sparse))
+        pairs = [(rate * (n_th + 1.0), C)]
         if n_th > 0:
-            CCd = C @ Cd
-            left = left - half * n_th * CCd
-            right = right - half * n_th * CCd
-            add((rate * n_th) * _kron(C.T, Cd, sparse))
+            pairs.append((rate * n_th, C.conj().T))
+        for w, c in pairs:
+            K = K - (0.5 * w) * (c.conj().T @ c)
+            weights.append(w)
+            jumps.append(c)
+    return K, np.array(weights), np.array(jumps, dtype=complex)
 
-    add(_kron(eye, left, sparse))
-    add(_kron(right.T, eye, sparse))
-    return Liouvillian((n_a, n_b), L)
+
+def _assemble_dense(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    # column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
+    # L = kron(I, K) + kron(conj K, I) + sum_m w_m kron(conj C_m, C_m).
+    # The jump sum is the (J x n^2)^T (J x n^2) product of the flattened
+    # w_m conj(C_m) and C_m with its axes swapped into the kron layout,
+    # L4[i, k, j, l] = sum_m w_m conj(C_m[i, j]) C_m[k, l].  It is written
+    # straight into that layout as a matmul batched over (i, k), which spares
+    # a second n^4 buffer.
+    n = K.shape[0]
+    left = (weights[:, None, None] * jumps.conj()).transpose(1, 2, 0)[:, None]
+    L4 = np.matmul(left, jumps.transpose(1, 0, 2)[None])
+    np.einsum("ikil->ikl", L4)[...] += K                      # kron(I, K): i = j
+    np.einsum("ikjk->ijk", L4)[...] += K.conj()[:, :, None]   # kron(conj K, I): k = l
+    return L4.reshape(n * n, n * n)
+
+
+def _assemble_sparse(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> sp.csr_matrix:
+    # the same formula as _assemble_dense in CSR storage
+    n = K.shape[0]
+    flat = sp.csr_matrix(jumps.reshape(len(weights), n * n))
+    G = (sp.diags(weights) @ flat.conj()).T.dot(flat).tocoo()
+    i, j = np.divmod(G.row, n)
+    k, l = np.divmod(G.col, n)
+    jump_sum = sp.coo_matrix((G.data, (i * n + k, j * n + l)), shape=(n * n, n * n))
+    eye = sp.identity(n, dtype=complex, format="csr")
+    K_sp = sp.csr_matrix(K)
+    return (jump_sum.tocsr() + sp.kron(eye, K_sp, format="csr")
+            + sp.kron(K_sp.conj(), eye, format="csr"))
+
+
+def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
+                      cutoffs: tuple[int, int] = (4, 4)) -> Liouvillian:
+    """Assemble the (optionally displaced) Liouvillian at the given Fock cutoffs."""
+    n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
+    joint = n_a * n_b
+    if joint * joint > MAX_SUPEROP_SIDE:
+        raise ValueError(
+            f"superoperator side {joint * joint} exceeds the {MAX_SUPEROP_SIDE} guard")
+    a_op, b_op = two_mode_annihilators(n_a, n_b)
+    A, B = a_op.data, b_op.data
+    if displacement is not None:
+        eye = np.eye(joint)
+        A = A + displacement[0] * eye
+        B = B + displacement[1] * eye
+    terms = _generator_terms(p, A, B)
+    if joint > DENSE_SUPEROP_MAX_JOINT_DIM:
+        return Liouvillian((n_a, n_b), _assemble_sparse(*terms))
+    return Liouvillian((n_a, n_b), _assemble_dense(*terms))
+
+
+def _solve_hermitian(data: np.ndarray, joint: int, scale: float) -> np.ndarray:
+    """vec of the unit-trace null vector of a dense Hermiticity-preserving L.
+
+    Hermitian rho = ((1+i) Z + (1-i) Z.T) / 2 for real Z; the map is an
+    isometry (the basis E_ii, (E_ij+E_ji)/sqrt2, i(E_ij-E_ji)/sqrt2 rotated
+    by 45 degrees within each (ij, ji) pair).  In it L becomes the real
+    matrix M = Re L + Im L P, P the transpose permutation, so one strided
+    add replaces the change of basis and the LU runs on joint^2 real
+    unknowns.  Row 0 is replaced by the trace, sum_i Z_ii = 1.
+    """
+    side = joint * joint
+    M = np.empty((side, side))
+    np.add(data.real.reshape(side, joint, joint),
+           data.imag.reshape(side, joint, joint).transpose(0, 2, 1),
+           out=M.reshape(side, joint, joint))
+    M /= scale
+    M[0, :] = 0.0
+    M[0, ::joint + 1] = 1.0
+    rhs = np.zeros(side)
+    rhs[0] = 1.0
+    try:
+        # M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
+        # trans=1 then solves M z = rhs
+        z = lu_solve(lu_factor(M.T, overwrite_a=True, check_finite=False), rhs, trans=1)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SteadyStateError(f"LU solve failed: {exc}") from exc
+    Z = z.reshape(joint, joint, order="F")
+    return vec(0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.T))
 
 
 def steady_state(L: Liouvillian) -> DensityMatrix:
     """Null vector of L with unit trace, via LU with one row replaced by the trace.
 
-    Raises SteadyStateError when the solve is singular or the residual
-    indicates a degenerate null space.
+    Dense Liouvillians are solved as a real system in a Hermitian basis
+    (``_solve_hermitian``); sparse ones by a complex sparse LU.  Raises
+    SteadyStateError when the solve is singular or the residual against
+    the complex L indicates a degenerate null space.
     """
     joint = int(np.prod(L.dims))
-    side = L.side
-    scale = _max_abs(L.data)
+    scale = L.max_abs
     if scale == 0.0:
         raise SteadyStateError("zero Liouvillian has a degenerate null space")
-    t = _trace_row(joint)
-    rhs = np.zeros(side, dtype=complex)
-    rhs[0] = 1.0
 
     if L.is_sparse:
+        rhs = np.zeros(L.side, dtype=complex)
+        rhs[0] = 1.0
         M = (L.data / scale).tolil()
-        M[0, :] = t
+        M[0, :] = _trace_row(joint)
         try:
             lu = spla.splu(M.tocsc())
             x = lu.solve(rhs)
         except RuntimeError as exc:
             raise SteadyStateError(f"sparse LU failed: {exc}") from exc
     else:
-        M = L.data / scale
-        M[0, :] = t
-        try:
-            x = lu_solve(lu_factor(M, overwrite_a=True, check_finite=False), rhs)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SteadyStateError(f"LU solve failed: {exc}") from exc
+        x = _solve_hermitian(L.data, joint, scale)
 
     if not np.all(np.isfinite(x)):
         raise SteadyStateError("steady-state solve produced non-finite entries")
@@ -499,8 +521,7 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     rho = rho_ss.data
 
     evals, V = np.linalg.eig(L.data)
-    scale = _max_abs(L.data)
-    if evals.real.max() > 1e-6 * scale:
+    if evals.real.max() > 1e-6 * L.max_abs:
         raise SteadyStateError("Liouvillian has a significantly unstable eigenvalue")
     Vinv = np.linalg.inv(V)
     # row functional Tr[d . ] in the eigenbasis

@@ -26,6 +26,7 @@ from math import comb
 
 import numpy as np
 
+from .blas import worker_pool
 from .gaussian import (CalibrationFailure, GaussianState, g2_zero,
                        g2prime_from_fourth_moments, gaussian_params_from_moments)
 
@@ -300,8 +301,7 @@ def run_synthetic_experiment(truth: GaussianState, cal: CalibrationConstants,
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     tasks = [(truth, cal, n_th, packet_size, child) for child in root.spawn(int(n_packets))]
     if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with worker_pool(workers) as pool:
             pairs = list(pool.map(_packet_pair_task, tasks))
     else:
         pairs = [_packet_pair_task(t) for t in tasks]

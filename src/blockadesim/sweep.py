@@ -4,17 +4,22 @@ Every grid point is an independent displaced-frame steady-state solve, so
 sweeps parallelize over a process pool with deterministic aggregation by
 index.  Per-point failures are recorded in the output rows instead of
 aborting the whole sweep.
+
+The sweep functions (sweep_detuning, map2d, minimize_g2) run with BLAS pinned
+to one thread, as pool workers and CLI commands do: OpenBLAS's LU rounds
+differently at different thread counts, and a serial sweep must give the
+same rows as a pooled one or as the CLI.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
+from . import blas
 from .lindblad import ConvergenceError, SteadyStateError, SystemParams, displaced_solution
 
 ETA_FIT_TOL = 1e-2
@@ -48,10 +53,14 @@ def _failed_record(p: SystemParams, message: str) -> SweepRecord:
 
 
 def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepRecord:
-    """Displaced-frame solve wrapped so failures become flagged records."""
+    """Displaced-frame solve wrapped so failures become flagged records.
+
+    ValueError covers the checks of ``DensityMatrix.validate`` and
+    ``observables`` (and numpy's LinAlgError).
+    """
     try:
         sol = displaced_solution(p, cutoffs=cutoffs)
-    except (ConvergenceError, SteadyStateError) as exc:
+    except (ConvergenceError, SteadyStateError, ValueError) as exc:
         return _failed_record(p, str(exc))
     obs = sol.obs
     return SweepRecord(p.delta_a, p.delta_b, p.eta_a, obs.n_tot, obs.g2_gaussian,
@@ -67,7 +76,7 @@ def _solve_point_task(args) -> SweepRecord:
 def _solve_many(points: list[SystemParams], cutoffs, workers: int) -> list[SweepRecord]:
     if workers <= 1 or len(points) < 4:
         return [solve_point(p, cutoffs) for p in points]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with blas.worker_pool(workers) as pool:
         return list(pool.map(_solve_point_task, [(p, cutoffs) for p in points],
                              chunksize=max(1, len(points) // (4 * workers))))
 
@@ -110,6 +119,7 @@ def fit_eta_to_population(p: SystemParams, target_population: float,
         f"eta fit did not reach target within {ETA_FIT_MAX_ITER} secant steps")
 
 
+@blas.single_threaded()
 def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None = None,
                    cutoffs: tuple[int, int] = (4, 4), workers: int = 1) -> list[SweepRecord]:
     """Scan delta_a with the lock delta_b = delta_a."""
@@ -119,6 +129,7 @@ def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None =
     return _solve_many(points, cutoffs, workers)
 
 
+@blas.single_threaded()
 def map2d(p: SystemParams, delta_a_grid, delta_diff_grid,
           cutoffs: tuple[int, int] = (4, 4), workers: int = 1) -> list[list[SweepRecord]]:
     """Outer-product map over delta_a (rows) and delta_b - delta_a (columns)."""
@@ -142,6 +153,7 @@ class EnvelopePoint:
     warnings: tuple[str, ...] = ()
 
 
+@blas.single_threaded()
 def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
                 workers: int = 1, coarse_points: int = COARSE_GRID_POINTS) -> list[EnvelopePoint]:
     """Per pump strength, minimize g2(0) over (delta_a, delta_b).

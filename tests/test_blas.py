@@ -1,0 +1,90 @@
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import blockadesim
+from blockadesim import blas
+from blockadesim.cli import main
+
+
+@pytest.fixture
+def unpinned_env(monkeypatch):
+    for var in blas.BLAS_ENV:
+        monkeypatch.delenv(var, raising=False)
+
+
+def test_cli_pins_every_openblas_in_fresh_interpreter(tmp_path):
+    src = str(Path(blockadesim.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in blas.BLAS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-m", "blockadesim.cli", "device", "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    manifest = json.loads((tmp_path / "device_manifest.json").read_text())
+    threads = manifest["blas"]["threads"]
+    assert threads, "no BLAS library reported"
+    assert all(n == 1 for name, n in threads.items() if "openblas" in name.lower())
+    assert manifest["blas"]["pinned_by"] == "cli"
+
+
+def test_cli_leaves_caller_blas_threads_as_found(tmp_path, unpinned_env):
+    entry_points = blas._openblas_entry_points()
+    original = {name: get() for name, (get, _) in entry_points.items()}
+    try:
+        # a caller running multi-threaded BLAS gets it back after the command
+        for _, set_threads in entry_points.values():
+            set_threads(2)
+        before = blas.thread_counts()
+        assert main(["device", "--out", str(tmp_path)]) == 0
+        assert blas.thread_counts() == before
+        manifest = json.loads((tmp_path / "device_manifest.json").read_text())
+        assert all(n == 1 for n in manifest["blas"]["threads"].values())
+    finally:
+        for name, count in original.items():
+            entry_points[name][1](count)
+
+
+def test_env_override_is_reported_and_warned(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(blas, "thread_counts", lambda: {"libopenblas.so": 2})
+    assert main(["device", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "device_manifest.json").read_text())
+    assert manifest["blas"] == {"threads": {"libopenblas.so": 2}, "pinned_by": "env"}
+    assert any(r.levelname == "WARNING" and "multi-threaded" in r.message
+               for r in caplog.records)
+
+
+def test_pool_workers_run_single_threaded_blas(unpinned_env):
+    if not blas.thread_counts():
+        pytest.skip("no controllable BLAS library loaded")
+    with blas.worker_pool(2) as pool:
+        counts = pool.submit(blas.thread_counts).result()
+    assert counts and all(n == 1 for n in counts.values())
+
+
+def test_threadpoolctl_is_used_when_it_imports(monkeypatch, unpinned_env):
+    calls = []
+
+    class threadpool_limits:
+        def __init__(self, limits, user_api):
+            calls.append((limits, user_api))
+
+        def restore_original_limits(self):
+            calls.append("restored")
+
+    stub = types.SimpleNamespace(
+        threadpool_info=lambda: [{"user_api": "blas", "num_threads": 3,
+                                  "filepath": "/lib/libopenblas.so"},
+                                 {"user_api": "openmp", "num_threads": 3,
+                                  "filepath": "/lib/libgomp.so"}],
+        threadpool_limits=threadpool_limits)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+    assert blas.thread_counts() == {"libopenblas.so": 3}
+    with blas.single_threaded() as pinned_by:
+        assert pinned_by == "cli"
+        assert calls == [(1, "blas")]
+    assert calls == [(1, "blas"), "restored"]

@@ -164,6 +164,21 @@ delta_a_points = 7 count
         assert row["status"] == "ok"
 
 
+
+def test_cmd_g2_sweep_survives_one_bad_point(tmp_path, fail_steady_state_on_call):
+    cfg = write_cfg(tmp_path, MINIMAL + """
+[sweep]
+delta_a_start = -6 MHz_over_2pi
+delta_a_stop = 6 MHz_over_2pi
+delta_a_points = 5 count
+""")
+    fail_steady_state_on_call(2)
+    out = tmp_path / "out"
+    assert main(["g2-sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    rows = list(csv.DictReader(open(out / "g2_sweep.csv")))
+    assert [r["status"] for r in rows] == ["ok", "failed", "ok", "ok", "ok"]
+    assert "forced invalid density matrix" in rows[1]["warnings"]
+
 def test_cmd_g2_sweep_deterministic_and_matches_api(tmp_path):
     cfg_text = MINIMAL + """
 [sweep]

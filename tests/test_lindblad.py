@@ -303,6 +303,74 @@ def test_sparse_path_matches_dense():
     assert n_sparse == pytest.approx(n_dense, rel=1e-6)
 
 
+
+def _real_form_params(mode: str, eta: float) -> SystemParams:
+    """Pumped parameters with thermal baths (n_th > 0 adds the C C' jumps)."""
+    if mode == "simplified":
+        return sample_params(eta=eta, da=1.5 * MHz, db=-0.5 * MHz, n_th_b=3e-3)
+    from blockadesim.device import CouplingMatrix, port_rates
+    B = 1e-3 * np.array([[14.2, -52.0, 0.8, 3.9], [-0.8, -3.4, -14.2, 54.0]])
+    rates = port_rates(CouplingMatrix(B, TWO_PI * 5.878e9))
+    return SystemParams(
+        delta_a=1.5 * MHz, delta_b=-0.5 * MHz, J=J, U=U, eta_a=eta, eta_b=0.2 * MHz,
+        gamma_ports=tuple(r.gamma for r in rates),
+        port_coeffs=tuple((r.alpha, r.beta) for r in rates),
+        n_th_ports=(1.5e-2, 6.5e-4, 1e-4, 2e-4), gamma_a=1.8 * MHz, gamma_b=0.3 * MHz,
+        n_th_box=5e-4, simplified=False)
+
+
+def _kron_sum_liouvillian(p, displacement, cutoffs):
+    """The generator as a plain sum of one kron per term (column stacking)."""
+    a_op, b_op = two_mode_annihilators(*cutoffs)
+    eye = np.eye(a_op.side)
+    A = a_op.data + (0 if displacement is None else displacement[0]) * eye
+    B = b_op.data + (0 if displacement is None else displacement[1]) * eye
+    Ad, Bd = A.conj().T, B.conj().T
+    H = (-p.delta_a * Ad @ A - p.delta_b * Bd @ B + p.J * (Ad @ B + Bd @ A)
+         - p.U * Bd @ Bd @ B @ B
+         + p.eta_a * Ad + np.conj(p.eta_a) * A + p.eta_b * Bd + np.conj(p.eta_b) * B)
+    L = np.kron(eye, -1j * H) + np.kron((1j * H).T, eye)
+    for rate, (ca, cb), nth in p.baths():
+        C = ca * A + cb * B
+        for w, c in ((rate * (nth + 1), C), (rate * nth, C.conj().T)):
+            cdc = c.conj().T @ c
+            L += w * (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye))
+    return L
+
+
+REAL_FORM_CASES = [(cut, mode, displaced)
+                   for cut in ((2, 3), (4, 4), (5, 3), (6, 6))
+                   for mode in ("simplified", "full")
+                   for displaced in (False, True)]
+
+
+@pytest.mark.parametrize("cutoffs,mode,displaced", REAL_FORM_CASES)
+def test_real_form_steady_state_matches_complex_solve(cutoffs, mode, displaced):
+    # undisplaced runs use a weak pump that the small cutoffs still hold
+    p = _real_form_params(mode, 15 * MHz if displaced else 1 * MHz)
+    disp = None
+    if displaced:
+        mf = mean_field_steady_state(p)
+        disp = (mf.alpha, mf.beta)
+    L = build_liouvillian(p, displacement=disp, cutoffs=cutoffs)
+    assert not L.is_sparse
+
+    kron_sum = _kron_sum_liouvillian(p, disp, cutoffs)
+    assert np.abs(L.data - kron_sum).max() <= 1e-14 * np.abs(kron_sum).max()
+
+    joint = cutoffs[0] * cutoffs[1]
+    M = L.data / np.abs(L.data).max()
+    M[0, :] = 0.0
+    M[0, ::joint + 1] = 1.0
+    rhs = np.zeros(joint * joint, dtype=complex)
+    rhs[0] = 1.0
+    want = unvec(np.linalg.solve(M, rhs), joint)
+    want = 0.5 * (want + want.conj().T)
+    want /= np.trace(want).real
+    got = steady_state(L).data
+    assert np.abs(got - want).max() <= 1e-12
+
+
 # --- two-time correlations ---
 
 def test_qrt_initial_value_and_decay():

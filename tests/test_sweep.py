@@ -42,6 +42,14 @@ def test_solver_failures_are_flagged(monkeypatch):
     assert math.isnan(rec.g2)
 
 
+
+def test_value_error_at_one_point_becomes_failed_row(fail_steady_state_on_call):
+    fail_steady_state_on_call(3)
+    records = sweep_detuning(sample_params(5 * MHz), np.linspace(-4, 4, 5) * MHz)
+    assert [r.status for r in records] == ["ok", "ok", "failed", "ok", "ok"]
+    assert "forced invalid density matrix" in records[2].warnings[0]
+    assert all(np.isfinite(r.g2) for i, r in enumerate(records) if i != 2)
+
 def test_weak_pump_is_thermal_everywhere():
     grid = np.linspace(-15, 15, 7) * MHz
     records = sweep_detuning(sample_params(0.01 * MHz), grid)
