@@ -282,7 +282,7 @@ def cmd_measure_demo(cfg: RunConfig, args, out_dir: Path) -> int:
     meas = cfg.measurement
     packet_size = args.packet_size or meas.packet_size
     truth = GaussianState(meas.truth_alpha, meas.truth_n, meas.truth_s)
-    cal = CalibrationConstants(meas.G_X, meas.G_Y, meas.epsilon, meas.n_h, meas.delta_f)
+    cal = CalibrationConstants(meas.G_X, meas.G_Y, meas.epsilon, meas.n_h)
     stats = run_synthetic_experiment(truth, cal, meas.n_th, meas.n_packets,
                                      packet_size, seed=args.seed, workers=args.workers)
     g2_truth = g2_zero(truth)

@@ -3,9 +3,8 @@
 Every dimensioned quantity must carry a unit suffix ("25.1 MHz_over_2pi",
 "337 pH", "20 dB @ 4 K"); loading fails with a line-numbered message when
 a unit is missing or has the wrong dimension.  Angular frequencies use the
-*_over_2pi suffixes (the stored value is 2*pi times the printed number),
-ordinary-frequency bandwidths use plain Hz suffixes, attenuations in dB
-convert to power factors 10^(-dB/10).
+*_over_2pi suffixes (the stored value is 2*pi times the printed number);
+attenuations in dB convert to power factors 10^(-dB/10).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ ANGULAR = {
     "MHz_over_2pi": 2.0 * math.pi * 1e6,
     "GHz_over_2pi": 2.0 * math.pi * 1e9,
 }
-FREQUENCY = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 INDUCTANCE = {"H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12}
 CAPACITANCE = {"F": 1.0, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12, "fF": 1e-15}
 TEMPERATURE = {"K": 1.0, "mK": 1e-3}
@@ -37,7 +35,6 @@ COUNT = {"count": 1.0}
 
 KIND_UNITS = {
     "angular": ANGULAR,
-    "frequency": FREQUENCY,
     "inductance": INDUCTANCE,
     "capacitance": CAPACITANCE,
     "temperature": TEMPERATURE,
@@ -188,7 +185,6 @@ class SystemConfig:
 @dataclass(frozen=True)
 class MeasurementConfig:
     n_h: float
-    delta_f: float
     G_X: float
     G_Y: float
     epsilon: float
@@ -326,7 +322,6 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     meas_sec = sec.get("measurement", {})
     measurement = MeasurementConfig(
         n_h=q("measurement", "n_h", "dimensionless", default=12.5),
-        delta_f=q("measurement", "delta_f", "frequency", default=24e6),
         G_X=q("measurement", "G_X", "dimensionless", default=1.0),
         G_Y=q("measurement", "G_Y", "dimensionless", default=1.0),
         epsilon=q("measurement", "epsilon", "dimensionless", default=0.0),

@@ -15,8 +15,10 @@ in simplified mode the jumps collapse to plain a and b with the total rates
 kappa_a, kappa_b and rate-weighted thermal occupations.
 
 Displaced-frame Liouvillians are built by substituting a -> alpha + a,
-b -> beta + b with the mean-field amplitudes, which cancels the linear
-drive terms and lets tiny Fock cutoffs (4 per mode) represent the state.
+b -> beta + b with the mean-field amplitudes (the classical fixed point,
+found in closed form from a real cubic in |beta|^2), which cancels the
+linear drive terms and lets tiny Fock cutoffs (4 per mode) represent the
+state.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from .hilbert import DensityMatrix, two_mode_annihilators
 TRACE_PRESERVATION_TOL = 1e-8
 STEADY_STATE_RESIDUAL_TOL = 1e-9
 MEAN_FIELD_TOL = 1e-12
-MEAN_FIELD_MAX_ITER = 200
 DENSE_SUPEROP_MAX_JOINT_DIM = 64   # above this the superoperator is stored sparse
 MAX_SUPEROP_SIDE = 25_000          # overflow guard, covers cutoffs up to 12 per mode
 
 
 class ConvergenceError(RuntimeError):
-    """Mean-field iteration failed to converge."""
+    """A fixed point or a fit did not meet its tolerance."""
 
 
 class SteadyStateError(RuntimeError):
@@ -146,12 +147,8 @@ class MeanFieldResult:
     residual: float
     warnings: tuple[str, ...] = ()
 
-    def __iter__(self):
-        return iter((self.alpha, self.beta))
 
-
-def _mean_field_rhs(p: SystemParams, K: np.ndarray, x: np.ndarray) -> np.ndarray:
-    al, be = x
+def _mean_field_rhs(p: SystemParams, K: np.ndarray, al: complex, be: complex) -> np.ndarray:
     f_a = ((1j * p.delta_a) * al - 1j * p.J * be - 1j * p.eta_a
            - 0.5 * (K[0, 0] * al + K[0, 1] * be))
     f_b = ((1j * p.delta_b) * be - 1j * p.J * al - 1j * p.eta_b
@@ -160,109 +157,56 @@ def _mean_field_rhs(p: SystemParams, K: np.ndarray, x: np.ndarray) -> np.ndarray
     return np.array([f_a, f_b])
 
 
-def _real_jacobian(p: SystemParams, K: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """4x4 real Jacobian of the fixed-point map in (Re a, Im a, Re b, Im b)."""
-    be = x[1]
+def mean_field_steady_state(p: SystemParams) -> MeanFieldResult:
+    """Fixed point of the classical equations of motion, in closed form.
+
+    Only mode b is nonlinear.  The a equation a11 alpha + a12 beta = i eta_a
+    gives alpha = (i eta_a - a12 beta) / a11, and the b equation becomes
+    (A + 2iU n) beta = B with n = |beta|^2, so n is a real root of the
+    Kerr-bistability cubic n ((Re A)^2 + (Im A + 2U n)^2) = |B|^2
+    (Drummond & Walls, J. Phys. A 13, 725 (1980)).  Every real root is
+    positive and the smallest is the low-amplitude branch; three real roots
+    mean bistability, and the low branch is returned with a warning.  With
+    mode a undamped on resonance (a11 = 0) the a equation fixes beta and
+    the b equation gives alpha.
+
+    Raises ConvergenceError when the drift at the returned point exceeds
+    MEAN_FIELD_TOL relative to the pump and damping scale.
+    """
+    K = p.damping_matrix()
     a11 = 1j * p.delta_a - 0.5 * K[0, 0]
     a12 = -1j * p.J - 0.5 * K[0, 1]
     a21 = -1j * p.J - 0.5 * K[1, 0]
-    a22 = 1j * p.delta_b - 0.5 * K[1, 1] + 4j * p.U * abs(be) ** 2
-    q22 = 2j * p.U * be ** 2   # d f_b / d conj(beta)
-
-    def block(pp, qq):
-        return np.array([[ (pp + qq).real, -(pp - qq).imag],
-                         [ (pp + qq).imag,  (pp - qq).real]])
-
-    jac = np.zeros((4, 4))
-    jac[0:2, 0:2] = block(a11, 0.0)
-    jac[0:2, 2:4] = block(a12, 0.0)
-    jac[2:4, 0:2] = block(a21, 0.0)
-    jac[2:4, 2:4] = block(a22, q22)
-    return jac
-
-
-def _newton(p: SystemParams, K: np.ndarray, x0: np.ndarray,
-            scale: float) -> tuple[np.ndarray, float, bool]:
-    x = x0.copy()
-    f = _mean_field_rhs(p, K, x)
-    res = np.linalg.norm(f) / scale
-    for _ in range(MEAN_FIELD_MAX_ITER):
-        if res < MEAN_FIELD_TOL:
-            return x, res, True
-        jac = _real_jacobian(p, K, x)
-        rhs = -np.array([f[0].real, f[0].imag, f[1].real, f[1].imag])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            return x, res, False
-        dx = np.array([step[0] + 1j * step[1], step[2] + 1j * step[3]])
-        damp = 1.0
-        for _ in range(30):
-            x_new = x + damp * dx
-            f_new = _mean_field_rhs(p, K, x_new)
-            res_new = np.linalg.norm(f_new) / scale
-            if res_new <= res or res_new < MEAN_FIELD_TOL:
-                break
-            damp *= 0.5
-        x, f, res = x_new, f_new, res_new
-    return x, res, res < MEAN_FIELD_TOL
-
-
-def mean_field_steady_state(p: SystemParams) -> MeanFieldResult:
-    """Fixed point of the classical equations of motion.
-
-    Damped Newton iteration started from the U = 0 linear response.  If
-    perturbed restarts land on a different fixed point, the low-amplitude
-    branch is returned and a bistability warning is attached.
-    """
-    K = p.damping_matrix()
-    eta = np.array([1j * p.eta_a, 1j * p.eta_b])
-    A = np.array([[1j * p.delta_a - 0.5 * K[0, 0], -1j * p.J - 0.5 * K[0, 1]],
-                  [-1j * p.J - 0.5 * K[1, 0], 1j * p.delta_b - 0.5 * K[1, 1]]])
-    x_lin = np.linalg.solve(A, eta)
-    scale = max(abs(p.eta_a), abs(p.eta_b),
-                p.kappa_a * (1.0 + abs(x_lin[0])), p.kappa_b * (1.0 + abs(x_lin[1])))
-
-    def fold_seeds(x: np.ndarray) -> list[np.ndarray]:
-        # the Kerr fold sits near |beta|^2 = -delta_b / (2U); above it only the
-        # high-amplitude branch survives, so seed that basin over all four
-        # quadrature phases
-        if p.U == 0 or p.delta_b >= 0:
-            return []
-        beta_fold = np.sqrt(-p.delta_b / (2.0 * p.U))
-        return [np.array([x[0], beta_fold * ph]) for ph in (1.0, -1.0, 1.0j, -1.0j)]
-
-    starts = [x_lin]
-    if abs(x_lin[1]) > 0:
-        starts += fold_seeds(x_lin)
-    starts += [0.3 * x_lin, 3.0 * x_lin]
-
-    x = res = None
-    for x0 in starts:
-        x, res, ok = _newton(p, K, x0, scale)
-        if ok:
-            break
+    a22 = 1j * p.delta_b - 0.5 * K[1, 1]
+    warnings: tuple[str, ...] = ()
+    if a11 == 0:
+        beta = 1j * p.eta_a / a12
+        alpha = (1j * p.eta_b - (a22 + 2j * p.U * abs(beta) ** 2) * beta) / a21
     else:
+        A = a22 - a21 * a12 / a11
+        B = 1j * p.eta_b - 1j * p.eta_a * a21 / a11
+        if p.U == 0 or B == 0:
+            beta = B / A
+        else:
+            # the cubic over 4U^2 is n^3 + c2 n^2 + c1 n + c0; its roots are the
+            # eigenvalues of the companion matrix, which is real, so LAPACK
+            # returns the real roots with an imaginary part of exactly zero
+            c2, c1, c0 = A.imag / p.U, (abs(A) / (2 * p.U)) ** 2, -(abs(B) / (2 * p.U)) ** 2
+            roots = np.linalg.eigvals([[-c2, -c1, -c0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            n = np.sort(roots[roots.imag == 0].real)
+            if len(n) == 3:
+                warnings = ("bistable mean field: selected low-amplitude branch",)
+            beta = B / (A + 2j * p.U * n[0])
+        alpha = (1j * p.eta_a - a12 * beta) / a11
+
+    scale = max(abs(p.eta_a), abs(p.eta_b),
+                p.kappa_a * (1.0 + abs(alpha)), p.kappa_b * (1.0 + abs(beta)))
+    res = float(np.linalg.norm(_mean_field_rhs(p, K, alpha, beta)) / scale)
+    if not res <= MEAN_FIELD_TOL:
         raise ConvergenceError(
-            f"mean-field Newton did not converge (residual {res:.2e} "
-            f"after {MEAN_FIELD_MAX_ITER} iterations)")
-
-    warnings: list[str] = []
-    if p.U != 0 and (abs(x[0]) + abs(x[1])) > 0:
-        probes = [x * factor for factor in (0.5, 1.5, 1.0j)] + fold_seeds(x)
-        branches = [x]
-        for x0 in probes:
-            x_alt, res_alt, ok_alt = _newton(p, K, x0, scale)
-            if ok_alt and not any(np.linalg.norm(x_alt - b) <= 1e-6 * (1 + np.linalg.norm(b))
-                                  for b in branches):
-                branches.append(x_alt)
-        if len(branches) > 1:
-            branches.sort(key=lambda b: abs(b[1]))
-            x = branches[0]
-            res = np.linalg.norm(_mean_field_rhs(p, K, x)) / scale
-            warnings.append("bistable mean field: selected low-amplitude branch")
-
-    return MeanFieldResult(complex(x[0]), complex(x[1]), float(res), tuple(warnings))
+            f"mean-field drift residual {res:.2e} at the closed-form fixed point "
+            f"exceeds {MEAN_FIELD_TOL:.0e}")
+    return MeanFieldResult(complex(alpha), complex(beta), res, warnings)
 
 
 # --- superoperator plumbing (column-stacking convention) ---

@@ -44,7 +44,6 @@ class CalibrationConstants:
     G_Y: float
     epsilon: float
     n_h: float
-    delta_f: float = 24e6
 
     def __post_init__(self):
         if self.G_X <= 0 or self.G_Y <= 0:
@@ -150,7 +149,7 @@ def estimate_moments(t: RawTraceSet) -> MomentSet:
     return MomentSet(moments, (t.Xbar_r, t.Ybar_r), t.packet_size)
 
 
-def calibrate(off_moments: MomentSet, n_h: float, delta_f: float = 24e6) -> CalibrationConstants:
+def calibrate(off_moments: MomentSet, n_h: float) -> CalibrationConstants:
     """Gains and phase deviation from pump-off moments.
 
     Defined so that corrected pump-off second moments come out exactly
@@ -166,7 +165,7 @@ def calibrate(off_moments: MomentSet, n_h: float, delta_f: float = 24e6) -> Cali
     g_x = xx / n_h
     g_y = disc / (n_h * xx)
     eps = xy / (n_h * math.sqrt(g_x * g_y))
-    return CalibrationConstants(g_x, g_y, eps, n_h, delta_f)
+    return CalibrationConstants(g_x, g_y, eps, n_h)
 
 
 def correct_moments(raw: MomentSet, cal: CalibrationConstants) -> MomentSet:
@@ -284,7 +283,7 @@ def _packet_pair_task(args) -> tuple[MomentSet, MomentSet]:
     raw_on = estimate_moments(synth_traces(truth, cal, packet_size, True, s_on))
     raw_off = estimate_moments(synth_traces(GaussianState(0.0, n_th, 0.0), cal,
                                             packet_size, False, s_off))
-    cal_est = calibrate(raw_off, cal.n_h, cal.delta_f)
+    cal_est = calibrate(raw_off, cal.n_h)
     return correct_moments(raw_on, cal_est), correct_moments(raw_off, cal_est)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import blas
-from .lindblad import ConvergenceError, SteadyStateError, SystemParams, displaced_solution
+from .lindblad import (ConvergenceError, SteadyStateError, SystemParams, displaced_solution,
+                       mean_field_steady_state)
 
 ETA_FIT_TOL = 1e-2
 ETA_FIT_MAX_ITER = 40
@@ -81,9 +82,8 @@ def _solve_many(points: list[SystemParams], cutoffs, workers: int) -> list[Sweep
                              chunksize=max(1, len(points) // (4 * workers))))
 
 
-def fit_eta_to_population(p: SystemParams, target_population: float,
-                          cutoffs: tuple[int, int] = (4, 4)) -> SystemParams:
-    """Scale the pump so the on-resonance |alpha|^2 matches the target.
+def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemParams:
+    """Scale the pump so the on-resonance mean-field |alpha|^2 matches the target.
 
     Scalar secant iteration on the common scale factor of (eta_a, eta_b),
     evaluated at delta_a = delta_b = 0.
@@ -96,8 +96,7 @@ def fit_eta_to_population(p: SystemParams, target_population: float,
     def population(scale: float) -> float:
         probe = replace(p, delta_a=0.0, delta_b=0.0,
                         eta_a=p.eta_a * scale, eta_b=p.eta_b * scale)
-        sol = displaced_solution(probe, cutoffs=cutoffs)
-        return abs(sol.mean_field.alpha) ** 2
+        return abs(mean_field_steady_state(probe).alpha) ** 2
 
     c_prev, f_prev = 1.0, population(1.0)
     if abs(f_prev - target_population) <= ETA_FIT_TOL * target_population:
@@ -124,7 +123,7 @@ def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None =
                    cutoffs: tuple[int, int] = (4, 4), workers: int = 1) -> list[SweepRecord]:
     """Scan delta_a with the lock delta_b = delta_a."""
     if eta_fit_target is not None:
-        p = fit_eta_to_population(p, eta_fit_target, cutoffs=cutoffs)
+        p = fit_eta_to_population(p, eta_fit_target)
     points = [replace(p, delta_a=float(d), delta_b=float(d)) for d in np.atleast_1d(delta_a_grid)]
     return _solve_many(points, cutoffs, workers)
 

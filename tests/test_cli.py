@@ -61,11 +61,13 @@ def test_cli_import_skips_scipy_signal():
 # --- config parsing ---
 
 def test_parse_units():
-    cfg = parse_run_config(MINIMAL)
-    assert cfg.system.J == pytest.approx(TWO_PI * 25.1e6)
-    assert cfg.device.L == pytest.approx(1.09e-9)
-    assert cfg.device.L_s0 == pytest.approx(81e-12)
-    assert cfg.device.kappa_b == pytest.approx(TWO_PI * 7e6)
+    # a key the parser no longer reads (delta_f) is ignored
+    for text in (MINIMAL, MINIMAL + "\n[measurement]\ndelta_f = 24 MHz\n"):
+        cfg = parse_run_config(text)
+        assert cfg.system.J == pytest.approx(TWO_PI * 25.1e6)
+        assert cfg.device.L == pytest.approx(1.09e-9)
+        assert cfg.device.L_s0 == pytest.approx(81e-12)
+        assert cfg.device.kappa_b == pytest.approx(TWO_PI * 7e6)
 
 
 def test_missing_unit_reports_line_number():

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from blockadesim.hilbert import DensityMatrix, ptrace, thermal_state, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
@@ -51,6 +53,43 @@ def direct_master_equation_rhs(p, rho, displacement, dims):
         out += 0.5 * rate * (nth + 1) * (2 * C @ rho @ Cd - Cd @ C @ rho - rho @ Cd @ C)
         out += 0.5 * rate * nth * (2 * Cd @ rho @ C - C @ Cd @ rho - rho @ C @ Cd)
     return out
+
+
+def mean_field_drift_terms(p, alpha, beta):
+    """The terms of d<a>/dt and d<b>/dt at amplitudes (alpha, beta), one
+    per Hamiltonian term and bath, written out from the master equation."""
+    terms_a = [1j * p.delta_a * alpha, -1j * p.J * beta, -1j * p.eta_a]
+    terms_b = [1j * p.delta_b * beta, -1j * p.J * alpha, -1j * p.eta_b,
+               2j * p.U * abs(beta) ** 2 * beta]
+    for rate, (ca, cb), _ in p.baths():
+        c_mean = ca * alpha + cb * beta
+        terms_a.append(-0.5 * rate * np.conj(ca) * c_mean)
+        terms_b.append(-0.5 * rate * np.conj(cb) * c_mean)
+    return terms_a, terms_b
+
+
+def mean_field_drift_residual(p, mf):
+    """Largest drift over the largest term of its equation."""
+    return max(abs(sum(terms)) / max(abs(t) for t in terms)
+               for terms in mean_field_drift_terms(p, mf.alpha, mf.beta))
+
+
+def kerr_fixed_point_populations(p, n_max, samples=20001):
+    """Every |beta|^2 of a fixed point below n_max: roots of
+    |beta(n)|^2 - n, where beta(n) solves the drift with the Kerr shift
+    frozen at 2Un."""
+    K = p.damping_matrix()
+
+    def excess(n):
+        M = np.array([[1j * p.delta_a - 0.5 * K[0, 0], -1j * p.J - 0.5 * K[0, 1]],
+                      [-1j * p.J - 0.5 * K[1, 0],
+                       1j * p.delta_b + 2j * p.U * n - 0.5 * K[1, 1]]])
+        return abs(np.linalg.solve(M, [1j * p.eta_a, 1j * p.eta_b])[1]) ** 2 - n
+
+    grid = np.linspace(0.0, n_max, samples)
+    values = [excess(n) for n in grid]
+    return [brentq(excess, grid[k], grid[k + 1], xtol=1e-14, rtol=1e-14)
+            for k in range(samples - 1) if values[k] * values[k + 1] < 0]
 
 
 # --- SystemParams ---
@@ -123,12 +162,47 @@ def test_mean_field_bistability_selects_low_branch():
 
     low = mean_field_steady_state(params(20 * MHz))
     assert not low.warnings
+    # the window edges, on either side
+    for eta_mhz, bistable in ((22.0, False), (22.1, True), (50.0, True), (50.5, False)):
+        edge = mean_field_steady_state(params(eta_mhz * MHz))
+        assert any("bistable" in w for w in edge.warnings) == bistable, eta_mhz
     mid = mean_field_steady_state(params(30 * MHz))
     assert any("bistable" in w for w in mid.warnings)
     assert abs(mid.beta) ** 2 < 15.0  # low-amplitude branch
     high = mean_field_steady_state(params(55 * MHz))
     assert not high.warnings
     assert abs(high.beta) ** 2 > 40.0  # only the upper branch survives
+
+
+@pytest.mark.parametrize("eta,da,db,branches", [
+    (90.5, 14.75, 7.26, 1),    # one fixed point, at |beta|^2 ~ 70, far from the linear response
+    (79.0, 28.13, -5.59, 3),   # bistable with both modes detuned
+], ids=["far-from-linear-response", "bistable-both-detuned"])
+def test_mean_field_returns_the_lowest_fixed_point(eta, da, db, branches):
+    p = sample_params(eta=eta * MHz, da=da * MHz, db=db * MHz)
+    mf = mean_field_steady_state(p)
+    assert mean_field_drift_residual(p, mf) <= 1e-12
+    assert any("bistable" in w for w in mf.warnings) == (branches == 3)
+    populations = kerr_fixed_point_populations(p, n_max=400.0)
+    assert len(populations) == branches
+    assert abs(mf.beta) ** 2 == pytest.approx(populations[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("a_undamped", [False, True],
+                         ids=["mixed-damping", "a-undamped-on-resonance"])
+def test_mean_field_full_mode_zeroes_the_drift(a_undamped):
+    p = _real_form_params("full", 15 * MHz)
+    if a_undamped:
+        # every jump on mode b alone and mode a on resonance: the a equation
+        # has no alpha term
+        p = replace(p, delta_a=0.0, gamma_a=0.0, port_coeffs=((0.0, 1.0),) * 4)
+        assert p.damping_matrix()[0, 0] == 0
+    else:
+        K = p.damping_matrix()
+        assert abs(K[0, 1]) > 0.05 * abs(K[0, 0])
+    mf = mean_field_steady_state(p)
+    assert abs(mf.alpha) > 0 and abs(mf.beta) > 0
+    assert mean_field_drift_residual(p, mf) <= 1e-12
 
 
 # --- Liouvillian construction ---

@@ -95,6 +95,19 @@ def test_eta_fit_reaches_target():
     assert abs(rec.alpha) ** 2 == pytest.approx(target, rel=0.01)
 
 
+def test_eta_fit_needs_no_quantum_solve(monkeypatch):
+    import blockadesim.lindblad as lindblad_mod
+
+    def no_liouvillian(*args, **kwargs):
+        raise AssertionError("the eta fit reads only the mean field")
+
+    monkeypatch.setattr(lindblad_mod, "build_liouvillian", no_liouvillian)
+    target = 7e-3
+    p_fit = fit_eta_to_population(sample_params(5 * MHz), target)
+    monkeypatch.undo()
+    assert abs(solve_point(p_fit).alpha) ** 2 == pytest.approx(target, rel=0.01)
+
+
 def test_sweep_with_eta_fit_target():
     grid = np.array([0.0, 2.0]) * MHz
     records = sweep_detuning(sample_params(5 * MHz), grid, eta_fit_target=7e-3)
