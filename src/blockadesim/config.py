@@ -44,40 +44,29 @@ KIND_UNITS = {
     "power_dbm": {"dBm": 1.0},
 }
 
+# the accepted spellings of a yes/no value, compared lower-cased
+BOOLEANS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
+
 
 class ConfigError(ValueError):
     """Configuration file problem, with file/line context in the message."""
 
 
 @dataclass(frozen=True)
-class Quantity:
-    """A parsed numeric value (or list) with its source location."""
+class Entry:
+    """The value text of one 'key = value' line and its line number."""
 
-    values: tuple[float, ...]
-    unit: str
+    text: str
     line: int
 
-    @property
-    def value(self) -> float:
-        if len(self.values) != 1:
-            raise ConfigError(f"line {self.line}: expected a scalar, got {len(self.values)} values")
-        return self.values[0]
 
+def parse_config_text(text: str, name: str = "<config>") -> dict[str, dict[str, Entry]]:
+    """Parse the sectioned key-value format into {section: {key: Entry}}.
 
-def _parse_number_list(tokens: list[str], line: int):
-    values = []
-    for tok in tokens:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            return None
-    return tuple(values)
-
-
-def parse_config_text(text: str, name: str = "<config>") -> dict[str, dict[str, Quantity | str]]:
-    """Parse the sectioned key-value format into {section: {key: Quantity | str}}."""
-    sections: dict[str, dict[str, Quantity | str]] = {}
-    current: dict[str, Quantity | str] | None = None
+    A key given twice in one section is an error.
+    """
+    sections: dict[str, dict[str, Entry]] = {}
+    current: dict[str, Entry] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,62 +84,27 @@ def parse_config_text(text: str, name: str = "<config>") -> dict[str, dict[str, 
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{name} line {lineno}: empty key or value")
-        tokens = value.split()
-        numbers = _parse_number_list(tokens[:-1], lineno) if len(tokens) >= 2 else None
-        if numbers is not None and len(tokens) >= 2:
-            current[key] = Quantity(numbers, tokens[-1], lineno)
-        else:
-            current[key] = value
+        if key in current:
+            raise ConfigError(f"{name} line {lineno}: [{section}] {key} is already given "
+                              f"on line {current[key].line}")
+        current[key] = Entry(value, lineno)
     return sections
 
 
-def _require_quantity(sections, section: str, key: str, kind: str,
-                      default: float | None = None, name: str = "<config>") -> float:
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"{name}: missing required key '{key}' in [{section}]")
-    return _convert(entry, kind, section, key, name)
-
-
-def _convert(entry, kind: str, section: str, key: str, name: str) -> float:
-    if not isinstance(entry, Quantity):
-        raise ConfigError(f"{name}: [{section}] {key} = {entry!r} has no unit suffix; "
-                          f"expected a {kind} unit")
-    units = KIND_UNITS[kind]
-    if entry.unit not in units:
-        raise ConfigError(
-            f"{name} line {entry.line}: [{section}] {key}: unit '{entry.unit}' is not a "
-            f"{kind} unit (expected one of {sorted(units)})")
-    return entry.value * units[entry.unit]
-
-
-def _convert_list(entry, kind: str, section: str, key: str, name: str) -> tuple[float, ...]:
-    if not isinstance(entry, Quantity):
-        raise ConfigError(f"{name}: [{section}] {key} has no unit suffix")
-    units = KIND_UNITS[kind]
-    if entry.unit not in units:
-        raise ConfigError(
-            f"{name} line {entry.line}: [{section}] {key}: unit '{entry.unit}' is not a "
-            f"{kind} unit (expected one of {sorted(units)})")
-    return tuple(v * units[entry.unit] for v in entry.values)
-
-
-def _parse_chain(text: str, lineno_hint: str, name: str) -> tuple[tuple[float, float], ...]:
-    """Stages like '20 dB @ 4 K | 20 dB @ 0.8 K'."""
+def _parse_chain(text: str, where: str) -> tuple[tuple[float, float], ...]:
+    """Stages like '20 dB @ 4 K | 20 dB @ 0.8 K'; where prefixes the error messages."""
     stages = []
     for part in text.split("|"):
         part = part.strip()
         if "@" not in part:
-            raise ConfigError(f"{name}: {lineno_hint}: chain stage '{part}' needs 'dB @ temperature'")
+            raise ConfigError(f"{where}: chain stage '{part}' needs 'dB @ temperature'")
         att_txt, temp_txt = (s.strip() for s in part.split("@", 1))
         att_tokens = att_txt.split()
         temp_tokens = temp_txt.split()
         if len(att_tokens) != 2 or att_tokens[1] != "dB":
-            raise ConfigError(f"{name}: {lineno_hint}: attenuation '{att_txt}' must be '<value> dB'")
+            raise ConfigError(f"{where}: attenuation '{att_txt}' must be '<value> dB'")
         if len(temp_tokens) != 2 or temp_tokens[1] not in TEMPERATURE:
-            raise ConfigError(f"{name}: {lineno_hint}: temperature '{temp_txt}' must carry K or mK")
+            raise ConfigError(f"{where}: temperature '{temp_txt}' must carry K or mK")
         d = 10.0 ** (-float(att_tokens[0]) / 10.0)
         t = float(temp_tokens[0]) * TEMPERATURE[temp_tokens[1]]
         stages.append((d, t))
@@ -234,21 +188,40 @@ def load_config(path) -> RunConfig:
 def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     sec = parse_config_text(text, name)
 
-    def q(section, key, kind, default=None):
-        return _require_quantity(sec, section, key, kind, default, name)
+    def values(section, key, kind, default=None, count=None) -> tuple[float, ...]:
+        """The SI values of 'key = <numbers> <unit>', unit-checked against kind."""
+        entry = sec.get(section, {}).get(key)
+        if entry is None:
+            if default is not None:
+                return default
+            raise ConfigError(f"{name}: missing required key '{key}' in [{section}]")
+        units = KIND_UNITS[kind]
+        where = f"{name} line {entry.line}: [{section}] {key}"
+        *tokens, unit = entry.text.split()
+        try:
+            numbers = [float(tok) for tok in tokens]
+        except ValueError:
+            numbers = []
+        if not numbers:
+            raise ConfigError(f"{where} = {entry.text!r} is not numbers with a unit suffix; "
+                              f"expected a {kind} unit (one of {sorted(units)})")
+        if unit not in units:
+            raise ConfigError(f"{where}: unit '{unit}' is not a {kind} unit "
+                              f"(expected one of {sorted(units)})")
+        if count is not None and len(numbers) != count:
+            raise ConfigError(f"{where} needs {count} value(s), got {len(numbers)}")
+        return tuple(v * units[unit] for v in numbers)
+
+    def q(section, key, kind, default=None) -> float:
+        return values(section, key, kind, None if default is None else (default,), count=1)[0]
+
+    def unit_of(section, key) -> str | None:
+        entry = sec.get(section, {}).get(key)
+        return None if entry is None else entry.text.split()[-1]
 
     dev_sec = sec.get("device", {})
     omega_a = q("device", "omega_a", "angular")
     omega_0 = q("device", "omega_0", "angular", default=omega_a)
-    b_rows = []
-    for row_key in ("B_row1", "B_row2"):
-        entry = dev_sec.get(row_key)
-        if entry is None:
-            raise ConfigError(f"{name}: missing '{row_key}' in [device]")
-        row = _convert_list(entry, "dimensionless", "device", row_key, name)
-        if len(row) != 4:
-            raise ConfigError(f"{name} line {entry.line}: {row_key} needs 4 entries, got {len(row)}")
-        b_rows.append(row)
 
     port_chains = {}
     n_th_fixed = {}
@@ -258,32 +231,27 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         fixed_key = f"n_th_port{port}"
         if chain_key in dev_sec:
             chain_entry = dev_sec[chain_key]
-            chain_text = chain_entry if isinstance(chain_entry, str) else " ".join(
-                [*map(str, chain_entry.values), chain_entry.unit])
-            stages = _parse_chain(chain_text, f"[device] {chain_key}", name)
-            source_entry = dev_sec.get(source_key)
-            if source_entry is None:
+            stages = _parse_chain(chain_entry.text,
+                                  f"{name} line {chain_entry.line}: [device] {chain_key}")
+            if source_key not in dev_sec:
                 raise ConfigError(f"{name}: [{chain_key}] given without {source_key}")
-            if isinstance(source_entry, Quantity) and source_entry.unit in TEMPERATURE:
-                n0 = bose_einstein(omega_0, source_entry.value * TEMPERATURE[source_entry.unit])
+            if unit_of("device", source_key) in TEMPERATURE:
+                n0 = bose_einstein(omega_0, q("device", source_key, "temperature"))
             else:
-                n0 = _convert(source_entry, "dimensionless", "device", source_key, name)
+                n0 = q("device", source_key, "dimensionless")
             port_chains[port] = ThermalChain(stages, n0)
         elif fixed_key in dev_sec:
             n_th_fixed[port] = q("device", fixed_key, "dimensionless")
         else:
             n_th_fixed[port] = 0.0
 
-    simplify = str(dev_sec.get("simplify_B", "yes")).strip().lower() in ("yes", "true", "1")
+    simplify_entry = dev_sec.get("simplify_B", Entry("yes", 0))
+    if simplify_entry.text.lower() not in BOOLEANS:
+        raise ConfigError(f"{name} line {simplify_entry.line}: [device] simplify_B = "
+                          f"{simplify_entry.text!r} is not one of yes/no/true/false/1/0")
 
-    flux_entry = dev_sec.get("flux_grid")
-    if flux_entry is None:
-        flux_grid = (0.0, 0.49, 99)
-    else:
-        vals = _convert_list(flux_entry, "dimensionless", "device", "flux_grid", name)
-        if len(vals) != 3:
-            raise ConfigError(f"{name} line {flux_entry.line}: flux_grid needs 'start stop points'")
-        flux_grid = (vals[0], vals[1], int(vals[2]))
+    flux_start, flux_stop, flux_points = values("device", "flux_grid", "dimensionless",
+                                                default=(0.0, 0.49, 99), count=3)
 
     device = DeviceConfig(
         L=q("device", "L", "inductance"),
@@ -291,23 +259,23 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         omega_a=omega_a,
         flux_ratio=q("device", "flux_ratio", "dimensionless"),
         omega_0=omega_0,
-        B=np.array(b_rows, dtype=float),
-        simplify_B=simplify,
+        B=np.array([values("device", row, "dimensionless", count=4)
+                    for row in ("B_row1", "B_row2")]),
+        simplify_B=BOOLEANS[simplify_entry.text.lower()],
         kappa_a=q("device", "kappa_a", "angular"),
         kappa_b=q("device", "kappa_b", "angular"),
         port_chains=port_chains,
         n_th_ports_fixed=n_th_fixed,
         n_th_box=q("device", "n_th_box", "dimensionless", default=0.0),
-        flux_grid=flux_grid,
+        flux_grid=(flux_start, flux_stop, int(flux_points)),
     )
 
-    eta_entry = sec.get("system", {}).get("eta_a")
-    if isinstance(eta_entry, Quantity) and eta_entry.unit == "dBm":
+    if unit_of("system", "eta_a") == "dBm":
         # incident power through the port-1 chain: |eta|^2 = gamma_1 P / (hbar omega_0);
         # the absolute calibration is approximate, fits usually rescale eta anyway
         b_eff = zero_smallest_elements(device.B) if device.simplify_B else device.B
         gamma1 = port_rates(CouplingMatrix(b_eff, device.omega_0))[0].gamma
-        power = 1e-3 * 10.0 ** (eta_entry.value / 10.0)
+        power = 1e-3 * 10.0 ** (q("system", "eta_a", "power_dbm") / 10.0)
         eta_a = math.sqrt(gamma1 * power / (HBAR * device.omega_0))
     else:
         eta_a = q("system", "eta_a", "angular")
@@ -319,7 +287,6 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         eta_b=q("system", "eta_b", "angular", default=0.0),
     )
 
-    meas_sec = sec.get("measurement", {})
     measurement = MeasurementConfig(
         n_h=q("measurement", "n_h", "dimensionless", default=12.5),
         G_X=q("measurement", "G_X", "dimensionless", default=1.0),
@@ -336,18 +303,6 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     )
 
     sweep_sec = sec.get("sweep", {})
-    eta_entry = sweep_sec.get("eta_values")
-    if eta_entry is None:
-        eta_values = ()
-    else:
-        eta_values = _convert_list(eta_entry, "angular", "sweep", "eta_values", name)
-
-    g2tau_entry = sweep_sec.get("g2tau_detunings")
-    if g2tau_entry is None:
-        g2tau_detunings = ()
-    else:
-        g2tau_detunings = _convert_list(g2tau_entry, "angular", "sweep", "g2tau_detunings", name)
-
     sweep = SweepConfig(
         delta_a_start=q("sweep", "delta_a_start", "angular", default=-2 * math.pi * 20e6),
         delta_a_stop=q("sweep", "delta_a_stop", "angular", default=2 * math.pi * 20e6),
@@ -355,12 +310,12 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         delta_diff_start=q("sweep", "delta_diff_start", "angular", default=-2 * math.pi * 6e6),
         delta_diff_stop=q("sweep", "delta_diff_stop", "angular", default=2 * math.pi * 6e6),
         delta_diff_points=int(q("sweep", "delta_diff_points", "count", default=13)),
-        eta_values=eta_values,
+        eta_values=values("sweep", "eta_values", "angular", default=()),
         eta_fit_target=(q("sweep", "eta_fit_target", "dimensionless")
                         if "eta_fit_target" in sweep_sec else None),
         tau_stop=q("sweep", "tau_stop", "time", default=200e-9),
         tau_points=int(q("sweep", "tau_points", "count", default=401)),
-        g2tau_detunings=g2tau_detunings,
+        g2tau_detunings=values("sweep", "g2tau_detunings", "angular", default=()),
         g2tau_eta=(q("sweep", "g2tau_eta", "angular")
                    if "g2tau_eta" in sweep_sec else None),
         cutoff=int(q("sweep", "cutoff", "count", default=4)),

@@ -219,12 +219,6 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((side, side), order="F")
 
 
-def _trace_row(side_joint: int) -> np.ndarray:
-    row = np.zeros(side_joint * side_joint, dtype=complex)
-    row[np.arange(side_joint) * (side_joint + 1)] = 1.0
-    return row
-
-
 @dataclass(frozen=True)
 class Liouvillian:
     """Vectorized generator of the master equation.
@@ -392,7 +386,8 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
         rhs = np.zeros(L.side, dtype=complex)
         rhs[0] = 1.0
         M = (L.data / scale).tolil()
-        M[0, :] = _trace_row(joint)
+        M[0, :] = 0.0
+        M[0, ::joint + 1] = 1.0
         try:
             lu = spla.splu(M.tocsc())
             x = lu.solve(rhs)
@@ -467,18 +462,11 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     evals, V = np.linalg.eig(L.data)
     if evals.real.max() > 1e-6 * L.max_abs:
         raise SteadyStateError("Liouvillian has a significantly unstable eigenvalue")
-    Vinv = np.linalg.inv(V)
-    # row functional Tr[d . ] in the eigenbasis
-    r = vec(d.T) @ V
-    E = np.exp(np.outer(tau, evals))
-
-    def correlator(initial: np.ndarray) -> np.ndarray:
-        c = Vinv @ vec(initial)
-        return E @ (r * c)
-
-    n_tau = correlator(rho @ dd)
-    s_tau = correlator(d @ rho)
-    s_alt = correlator(rho @ d)
+    # the initial states rho d', d rho, rho d in the eigenbasis, weighted by
+    # the row functional Tr[d . ] in that basis
+    X = np.column_stack([vec(rho @ dd), vec(d @ rho), vec(rho @ d)])
+    C = (vec(d.T) @ V)[:, None] * np.linalg.solve(V, X)
+    n_tau, s_tau, s_alt = (np.exp(np.outer(tau, evals)) @ C).T
     return TwoTimeCorrelation(tau, n_tau, s_tau, s_alt)
 
 

@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .blas import worker_pool
+from .blas import pool_map
 from .gaussian import (CalibrationFailure, GaussianState, g2_zero,
                        g2prime_from_fourth_moments, gaussian_params_from_moments)
 
@@ -294,14 +294,9 @@ def run_synthetic_experiment(truth: GaussianState, cal: CalibrationConstants,
 
     The calibration is re-estimated from every pump-off packet, mirroring
     the per-point recalibration that absorbs slow drifts.  Packets are
-    independent (one spawned seed each) and run on a process pool when
-    workers > 1; aggregation order is fixed by packet index either way.
+    independent (one spawned seed each) and run through ``blas.pool_map``;
+    aggregation order is fixed by packet index either way.
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     tasks = [(truth, cal, n_th, packet_size, child) for child in root.spawn(int(n_packets))]
-    if workers > 1 and len(tasks) > 1:
-        with worker_pool(workers) as pool:
-            pairs = list(pool.map(_packet_pair_task, tasks))
-    else:
-        pairs = [_packet_pair_task(t) for t in tasks]
-    return packet_statistics(pairs, n_th, cal.n_h)
+    return packet_statistics(pool_map(_packet_pair_task, tasks, workers), n_th, cal.n_h)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -69,19 +70,6 @@ def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepReco
                        sol.warnings)
 
 
-def _solve_point_task(args) -> SweepRecord:
-    p, cutoffs = args
-    return solve_point(p, cutoffs)
-
-
-def _solve_many(points: list[SystemParams], cutoffs, workers: int) -> list[SweepRecord]:
-    if workers <= 1 or len(points) < 4:
-        return [solve_point(p, cutoffs) for p in points]
-    with blas.worker_pool(workers) as pool:
-        return list(pool.map(_solve_point_task, [(p, cutoffs) for p in points],
-                             chunksize=max(1, len(points) // (4 * workers))))
-
-
 def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemParams:
     """Scale the pump so the on-resonance mean-field |alpha|^2 matches the target.
 
@@ -125,7 +113,7 @@ def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None =
     if eta_fit_target is not None:
         p = fit_eta_to_population(p, eta_fit_target)
     points = [replace(p, delta_a=float(d), delta_b=float(d)) for d in np.atleast_1d(delta_a_grid)]
-    return _solve_many(points, cutoffs, workers)
+    return blas.pool_map(partial(solve_point, cutoffs=cutoffs), points, workers)
 
 
 @blas.single_threaded()
@@ -135,7 +123,7 @@ def map2d(p: SystemParams, delta_a_grid, delta_diff_grid,
     da = np.atleast_1d(delta_a_grid).astype(float)
     dd = np.atleast_1d(delta_diff_grid).astype(float)
     points = [replace(p, delta_a=a, delta_b=a + d) for a in da for d in dd]
-    flat = _solve_many(points, cutoffs, workers)
+    flat = blas.pool_map(partial(solve_point, cutoffs=cutoffs), points, workers)
     n_cols = dd.size
     return [flat[r * n_cols:(r + 1) * n_cols] for r in range(da.size)]
 
@@ -166,11 +154,12 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
     if not etas:
         raise ValueError("eta_values must be nonempty")
     grid = np.linspace(-span, span, coarse_points)
+    solve = partial(solve_point, cutoffs=cutoffs)
     out = []
     for eta in etas:
         base = replace(p, eta_a=complex(eta))
         grid_points = [replace(base, delta_a=da, delta_b=db) for da in grid for db in grid]
-        records = _solve_many(grid_points, cutoffs, workers)
+        records = blas.pool_map(solve, grid_points, workers)
         ok = [r for r in records if r.status == "ok" and np.isfinite(r.g2)]
         if not ok:
             out.append(EnvelopePoint(complex(eta), math.nan, math.nan, math.nan,
@@ -179,7 +168,7 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
         best = min(ok, key=lambda r: r.g2)
 
         def objective(x) -> float:
-            rec = solve_point(replace(base, delta_a=x[0], delta_b=x[1]), cutoffs)
+            rec = solve(replace(base, delta_a=x[0], delta_b=x[1]))
             if rec.status != "ok" or not np.isfinite(rec.g2):
                 return 1e6
             return rec.g2
@@ -191,8 +180,7 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
         if not res.success:
             warnings = (f"optimizer stagnation: {res.message}",)
         x_opt = res.x if res.fun <= best.g2 else np.array([best.delta_a, best.delta_b])
-        final = solve_point(replace(base, delta_a=float(x_opt[0]), delta_b=float(x_opt[1])),
-                            cutoffs)
+        final = solve(replace(base, delta_a=float(x_opt[0]), delta_b=float(x_opt[1])))
         out.append(EnvelopePoint(complex(eta), final.n_tot, final.g2, final.delta_a,
                                  final.delta_b, warnings + final.warnings))
     return out

@@ -58,12 +58,25 @@ def test_env_override_is_reported_and_warned(tmp_path, monkeypatch, caplog):
                for r in caplog.records)
 
 
+def _worker_thread_counts(_):
+    return blas.thread_counts()
+
+
 def test_pool_workers_run_single_threaded_blas(unpinned_env):
     if not blas.thread_counts():
         pytest.skip("no controllable BLAS library loaded")
-    with blas.worker_pool(2) as pool:
-        counts = pool.submit(blas.thread_counts).result()
-    assert counts and all(n == 1 for n in counts.values())
+    for counts in blas.pool_map(_worker_thread_counts, range(4), 2):
+        assert counts and all(n == 1 for n in counts.values())
+
+
+@pytest.mark.parametrize("workers, n_items", [(1, 8), (2, 3)])
+def test_pool_map_runs_serially_without_a_pool(monkeypatch, workers, n_items):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(blas, "ProcessPoolExecutor", no_pool)
+    assert blas.pool_map(lambda x: x * x, range(n_items), workers) == [
+        x * x for x in range(n_items)]
 
 
 def test_threadpoolctl_is_used_when_it_imports(monkeypatch, unpinned_env):

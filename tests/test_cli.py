@@ -87,6 +87,44 @@ def test_key_outside_section():
         parse_run_config("J = 1 MHz_over_2pi\n")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("B_row1 = 14.2e-3 -52.0e-3 0.8e-3 3.9e-3 dimensionless",
+     "B_row1 = 14.2e-3 -52.0e-3 0.8e-3 dimensionless"),
+    ("flux_ratio = 0.4227 dimensionless",
+     "flux_ratio = 0.4227 dimensionless\nflux_grid = 0.0 0.47 dimensionless"),
+    ("J = 25.1 MHz_over_2pi", "J = 25.1 26 MHz_over_2pi"),
+], ids=["B_row1", "flux_grid", "J"])
+def test_value_count_is_checked(old, new):
+    bad = MINIMAL.replace(old, new)
+    bad_line = new.splitlines()[-1]
+    lineno = bad.splitlines().index(bad_line) + 1
+    key = bad_line.split(" =")[0]
+    with pytest.raises(ConfigError, match=rf"bad\.cfg line {lineno}: \[\w+\] {key} needs"):
+        parse_run_config(bad, "bad.cfg")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("yes", True), ("No", False), ("TRUE", True), ("false", False), ("1", True), ("0", False),
+    ("on", None), ("Y", None), ("enabled", None),
+])
+def test_simplify_B_accepts_only_yes_no_spellings(text, expected):
+    good = MINIMAL.replace("kappa_a =", f"simplify_B = {text}\nkappa_a =")
+    if expected is None:
+        lineno = good.splitlines().index(f"simplify_B = {text}") + 1
+        with pytest.raises(ConfigError, match=rf"bad\.cfg line {lineno}: .*simplify_B"):
+            parse_run_config(good, "bad.cfg")
+    else:
+        assert parse_run_config(good).device.simplify_B is expected
+
+
+def test_repeated_key_names_both_lines():
+    bad = MINIMAL + "J = 26 MHz_over_2pi\n"
+    lines = bad.splitlines()
+    first, second = lines.index("J = 25.1 MHz_over_2pi") + 1, len(lines)
+    with pytest.raises(ConfigError, match=rf"bad\.cfg line {second}: \[system\] J .* line {first}"):
+        parse_run_config(bad, "bad.cfg")
+
+
 def test_chain_parsing(default_cfg):
     chain = default_cfg.device.port_chains[1]
     assert len(chain.stages) == 3
