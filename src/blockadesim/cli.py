@@ -280,7 +280,7 @@ def cmd_envelope(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_measure_demo(cfg: RunConfig, args, out_dir: Path) -> int:
     meas = cfg.measurement
-    packet_size = args.packet_size or meas.packet_size
+    packet_size = meas.packet_size if args.packet_size is None else args.packet_size
     truth = GaussianState(meas.truth_alpha, meas.truth_n, meas.truth_s)
     cal = CalibrationConstants(meas.G_X, meas.G_Y, meas.epsilon, meas.n_h)
     stats = run_synthetic_experiment(truth, cal, meas.n_th, meas.n_packets,
@@ -349,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.packet_size is not None and args.packet_size < 1:
+        parser.error(f"--packet-size must be >= 1, got {args.packet_size}")
     try:
         cfg = load_config(args.config if args.config is not None else default_config_path())
     except ConfigError as exc:

@@ -9,6 +9,7 @@ attenuations in dB convert to power factors 10^(-dB/10).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,8 @@ import numpy as np
 
 from .device import (HBAR, CouplingMatrix, ThermalChain, bose_einstein, port_rates,
                      zero_smallest_elements)
+
+log = logging.getLogger(__name__)
 
 # unit token -> (kind, scale to SI)
 ANGULAR = {
@@ -186,11 +189,17 @@ def load_config(path) -> RunConfig:
 
 
 def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
+    """Build the run configuration; a key that is never read is logged as a WARNING."""
     sec = parse_config_text(text, name)
+    unread = {(section, key): e for section, keys in sec.items() for key, e in keys.items()}
+
+    def lookup(section, key) -> Entry | None:
+        unread.pop((section, key), None)
+        return sec.get(section, {}).get(key)
 
     def values(section, key, kind, default=None, count=None) -> tuple[float, ...]:
         """The SI values of 'key = <numbers> <unit>', unit-checked against kind."""
-        entry = sec.get(section, {}).get(key)
+        entry = lookup(section, key)
         if entry is None:
             if default is not None:
                 return default
@@ -216,10 +225,9 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         return values(section, key, kind, None if default is None else (default,), count=1)[0]
 
     def unit_of(section, key) -> str | None:
-        entry = sec.get(section, {}).get(key)
+        entry = lookup(section, key)
         return None if entry is None else entry.text.split()[-1]
 
-    dev_sec = sec.get("device", {})
     omega_a = q("device", "omega_a", "angular")
     omega_0 = q("device", "omega_0", "angular", default=omega_a)
 
@@ -229,23 +237,23 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         chain_key = f"port{port}_chain"
         source_key = f"port{port}_source"
         fixed_key = f"n_th_port{port}"
-        if chain_key in dev_sec:
-            chain_entry = dev_sec[chain_key]
+        chain_entry = lookup("device", chain_key)
+        if chain_entry is not None:
             stages = _parse_chain(chain_entry.text,
                                   f"{name} line {chain_entry.line}: [device] {chain_key}")
-            if source_key not in dev_sec:
+            if lookup("device", source_key) is None:
                 raise ConfigError(f"{name}: [{chain_key}] given without {source_key}")
             if unit_of("device", source_key) in TEMPERATURE:
                 n0 = bose_einstein(omega_0, q("device", source_key, "temperature"))
             else:
                 n0 = q("device", source_key, "dimensionless")
             port_chains[port] = ThermalChain(stages, n0)
-        elif fixed_key in dev_sec:
+        elif lookup("device", fixed_key) is not None:
             n_th_fixed[port] = q("device", fixed_key, "dimensionless")
         else:
             n_th_fixed[port] = 0.0
 
-    simplify_entry = dev_sec.get("simplify_B", Entry("yes", 0))
+    simplify_entry = lookup("device", "simplify_B") or Entry("yes", 0)
     if simplify_entry.text.lower() not in BOOLEANS:
         raise ConfigError(f"{name} line {simplify_entry.line}: [device] simplify_B = "
                           f"{simplify_entry.text!r} is not one of yes/no/true/false/1/0")
@@ -302,7 +310,6 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
                         q("measurement", "truth_s_im", "dimensionless", default=0.0)),
     )
 
-    sweep_sec = sec.get("sweep", {})
     sweep = SweepConfig(
         delta_a_start=q("sweep", "delta_a_start", "angular", default=-2 * math.pi * 20e6),
         delta_a_stop=q("sweep", "delta_a_stop", "angular", default=2 * math.pi * 20e6),
@@ -312,14 +319,17 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         delta_diff_points=int(q("sweep", "delta_diff_points", "count", default=13)),
         eta_values=values("sweep", "eta_values", "angular", default=()),
         eta_fit_target=(q("sweep", "eta_fit_target", "dimensionless")
-                        if "eta_fit_target" in sweep_sec else None),
+                        if lookup("sweep", "eta_fit_target") is not None else None),
         tau_stop=q("sweep", "tau_stop", "time", default=200e-9),
         tau_points=int(q("sweep", "tau_points", "count", default=401)),
         g2tau_detunings=values("sweep", "g2tau_detunings", "angular", default=()),
         g2tau_eta=(q("sweep", "g2tau_eta", "angular")
-                   if "g2tau_eta" in sweep_sec else None),
+                   if lookup("sweep", "g2tau_eta") is not None else None),
         cutoff=int(q("sweep", "cutoff", "count", default=4)),
     )
 
+    for (section, key), entry in unread.items():
+        log.warning("%s line %d: [%s] %s is not a known key and is ignored",
+                    name, entry.line, section, key)
     return RunConfig(device=device, system=system, measurement=measurement,
                      sweep=sweep, source=name)

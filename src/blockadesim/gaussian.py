@@ -110,7 +110,7 @@ def g2_tau(alpha: complex, corr) -> np.ndarray:
 
 
 def _second_moments(ms) -> tuple[float, float, float]:
-    return ms.m(2, 0), ms.m(1, 1), ms.m(0, 2)
+    return ms.m[2, 0], ms.m[1, 1], ms.m[0, 2]
 
 
 def _moment_stderr(on, off) -> float:
@@ -151,8 +151,8 @@ def _complex_central_moments(ms) -> tuple[float, complex, complex, float]:
     xx, xy, yy = _second_moments(ms)
     nw = 0.5 * (xx + yy)
     sw = 0.5 * (xx - yy) + 1j * xy
-    m12 = ((ms.m(3, 0) + ms.m(1, 2)) + 1j * (ms.m(2, 1) + ms.m(0, 3))) / (2.0 * math.sqrt(2.0))
-    m22 = 0.25 * (ms.m(4, 0) + 2.0 * ms.m(2, 2) + ms.m(0, 4))
+    m12 = ((ms.m[3, 0] + ms.m[1, 2]) + 1j * (ms.m[2, 1] + ms.m[0, 3])) / (2.0 * math.sqrt(2.0))
+    m22 = 0.25 * (ms.m[4, 0] + 2.0 * ms.m[2, 2] + ms.m[0, 4])
     return nw, sw, m12, m22
 
 

@@ -10,12 +10,12 @@ covariance
 the DC channel carries sqrt(2) Re alpha and sqrt(2) Im alpha, and the IQ
 mixer imperfection maps ideal quadratures to raw ones as
 
-    X_r = sqrt(G_X) X,   Y_r = sqrt(G_Y) (Y + eps X),
+    (X_r, Y_r) = T (X, Y),   T = [[sqrt(G_X), 0], [sqrt(G_Y) eps, sqrt(G_Y)]].
 
-which on moments reads <X_r^i Y_r^j> = G_X^(i/2) G_Y^(j/2) <X^i (Y+eps X)^j>.
-Calibration recovers (G_X, G_Y, eps) from pump-off data; the moment
-correction is the exact algebraic inverse of the mixer map through fourth
-order.
+Moments m[i, j] = <X^i Y^j> through fourth order form one 5x5 array, on
+which T acts by one binomial sum.  Calibration recovers (G_X, G_Y, eps)
+from pump-off data; the moment correction is the same map with T^-1, the
+exact algebraic inverse through fourth order.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .blas import pool_map
 from .gaussian import (CalibrationFailure, GaussianState, g2_zero,
                        g2prime_from_fourth_moments, gaussian_params_from_moments)
 
-MOMENT_KEYS: tuple[tuple[int, int], ...] = tuple(
-    (i, j) for order in range(1, 5) for i in range(order, -1, -1) for j in [order - i]
-)
+MAX_ORDER = 4
 MIN_PACKETS = 20
+MOMENT_BLOCK = 1 << 14   # samples per power-row product in estimate_moments
+_ORDER = np.add.outer(np.arange(MAX_ORDER + 1), np.arange(MAX_ORDER + 1))   # i + j at [i, j]
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,12 @@ class CalibrationConstants:
         if abs(self.epsilon) >= 0.5:
             raise ValueError("|epsilon| must be < 0.5")
 
+    @property
+    def mixer(self) -> np.ndarray:
+        """The mixer matrix T, (X_r, Y_r) = T (X, Y)."""
+        sx, sy = math.sqrt(self.G_X), math.sqrt(self.G_Y)
+        return np.array([[sx, 0.0], [sy * self.epsilon, sy]])
+
 
 @dataclass(frozen=True)
 class RawTraceSet:
@@ -62,7 +68,6 @@ class RawTraceSet:
     Y_r: np.ndarray
     Xbar_r: float
     Ybar_r: float
-    pump_on: bool
     packet_size: int
 
     def __post_init__(self):
@@ -72,21 +77,17 @@ class RawTraceSet:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Quadrature moments <X^i Y^j> for 1 <= i+j <= 4 plus the DC means."""
+    """Moments m[i, j] = <X^i Y^j> as a 5x5 array, zero where i + j > 4, plus DC means."""
 
-    moments: dict[tuple[int, int], float]
+    m: np.ndarray
     dc: tuple[float, float]
     n_samples: int
 
     def __post_init__(self):
-        missing = [k for k in MOMENT_KEYS if k not in self.moments]
-        if missing:
-            raise ValueError(f"moment set is missing keys {missing}")
-        if self.moments[2, 0] < 0 or self.moments[0, 2] < 0:
+        if np.shape(self.m) != _ORDER.shape:
+            raise ValueError(f"moment array must be 5x5, got shape {np.shape(self.m)}")
+        if self.m[2, 0] < 0 or self.m[0, 2] < 0:
             raise ValueError("pure second-order moments must be >= 0")
-
-    def m(self, i: int, j: int) -> float:
-        return self.moments[(i, j)]
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -102,7 +103,7 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
 
 
 def synth_traces(truth: GaussianState, cal: CalibrationConstants, packet_size: int,
-                 pump_on: bool, seed) -> RawTraceSet:
+                 seed) -> RawTraceSet:
     """Draw one raw packet from a true Gaussian state through the mixer model.
 
     For pump-off packets pass truth = GaussianState(0, n_th, 0).  The DC
@@ -116,37 +117,37 @@ def synth_traces(truth: GaussianState, cal: CalibrationConstants, packet_size: i
         [cal.n_h + truth.n + truth.s.real, truth.s.imag],
         [truth.s.imag, cal.n_h + truth.n - truth.s.real],
     ])
-    chol = _psd_sqrt(cov)
+    T = cal.mixer
     rng = np.random.default_rng(seed)
-    xy = rng.standard_normal((packet_size, 2)) @ chol.T
-    x, y = xy[:, 0], xy[:, 1]
+    x_r, y_r = (T @ _psd_sqrt(cov)) @ rng.standard_normal((packet_size, 2)).T
 
-    dc_sigma = math.sqrt(cal.n_h / packet_size)
-    xbar = math.sqrt(2.0) * truth.alpha.real + rng.normal(0.0, dc_sigma)
-    ybar = math.sqrt(2.0) * truth.alpha.imag + rng.normal(0.0, dc_sigma)
-
-    sx, sy = math.sqrt(cal.G_X), math.sqrt(cal.G_Y)
-    x_r = sx * x
-    y_r = sy * (y + cal.epsilon * x)
-    xbar_r = sx * xbar
-    ybar_r = sy * (ybar + cal.epsilon * xbar)
-    return RawTraceSet(x_r, y_r, float(xbar_r), float(ybar_r), bool(pump_on), packet_size)
+    dc = (math.sqrt(2.0) * np.array([truth.alpha.real, truth.alpha.imag])
+          + rng.normal(0.0, math.sqrt(cal.n_h / packet_size), 2))
+    xbar_r, ybar_r = (T @ dc).tolist()
+    return RawTraceSet(x_r, y_r, xbar_r, ybar_r, packet_size)
 
 
 def estimate_moments(t: RawTraceSet) -> MomentSet:
-    """Sample moments of the raw traces up to fourth order, plus DC means."""
+    """Sample moments of the raw traces up to fourth order, plus DC means.
+
+    Each block of MOMENT_BLOCK samples adds one product of power rows,
+    [1, x, ..., x^4] [1, y, ..., y^4]^T, to a 5x5 sum.
+    """
     x = np.asarray(t.X_r, dtype=float)
     y = np.asarray(t.Y_r, dtype=float)
     if x.size == 0:
         raise ValueError("cannot estimate moments from empty traces")
-    xp = {0: np.ones_like(x), 1: x, 2: x * x}
-    xp[3] = xp[2] * x
-    xp[4] = xp[2] * xp[2]
-    yp = {0: np.ones_like(y), 1: y, 2: y * y}
-    yp[3] = yp[2] * y
-    yp[4] = yp[2] * yp[2]
-    moments = {(i, j): float(np.mean(xp[i] * yp[j])) for i, j in MOMENT_KEYS}
-    return MomentSet(moments, (t.Xbar_r, t.Ybar_r), t.packet_size)
+    rows = np.ones((2, MAX_ORDER + 1, min(x.size, MOMENT_BLOCK)))   # x and y power rows
+    total = np.zeros(_ORDER.shape)
+    for start in range(0, x.size, MOMENT_BLOCK):
+        p = rows[:, :, :min(MOMENT_BLOCK, x.size - start)]
+        p[0, 1], p[1, 1] = x[start:start + MOMENT_BLOCK], y[start:start + MOMENT_BLOCK]
+        for k in range(2, MAX_ORDER + 1):
+            np.multiply(p[:, k - 1], p[:, 1], out=p[:, k])
+        total += p[0] @ p[1].T
+    total /= x.size
+    total[_ORDER > MAX_ORDER] = 0.0
+    return MomentSet(total, (t.Xbar_r, t.Ybar_r), t.packet_size)
 
 
 def calibrate(off_moments: MomentSet, n_h: float) -> CalibrationConstants:
@@ -155,63 +156,45 @@ def calibrate(off_moments: MomentSet, n_h: float) -> CalibrationConstants:
     Defined so that corrected pump-off second moments come out exactly
     (n_h, n_h, 0).
     """
-    xx = off_moments.m(2, 0)
-    xy = off_moments.m(1, 1)
-    yy = off_moments.m(0, 2)
+    xx, xy, yy = off_moments.m[2, 0], off_moments.m[1, 1], off_moments.m[0, 2]
     disc = yy * xx - xy * xy
     if xx <= 0 or disc <= 0:
         raise CalibrationFailure(
             f"pump-off moments are degenerate: <X2>={xx:.3e}, discriminant={disc:.3e}")
-    g_x = xx / n_h
-    g_y = disc / (n_h * xx)
-    eps = xy / (n_h * math.sqrt(g_x * g_y))
-    return CalibrationConstants(g_x, g_y, eps, n_h)
+    return CalibrationConstants(xx / n_h, disc / (n_h * xx), xy / math.sqrt(disc), n_h)
+
+
+def _mix(ms: MomentSet, T: np.ndarray) -> MomentSet:
+    """Moments of (X', Y') = T (X, Y) for a lower-triangular T = [[a, 0], [c, d]]:
+
+        <X'^i Y'^j> = <(aX)^i (cX + dY)^j>
+                    = a^i sum_k C(j,k) c^k d^(j-k) <X^(i+k) Y^(j-k)>.
+    """
+    (a, _), (c, d) = T
+    m = np.zeros_like(ms.m)
+    for i in range(MAX_ORDER + 1):
+        for j in range(MAX_ORDER + 1 - i):
+            m[i, j] = a**i * sum(comb(j, k) * c**k * d**(j - k) * ms.m[i + k, j - k]
+                                 for k in range(j + 1))
+    return MomentSet(m, tuple((T @ ms.dc).tolist()), ms.n_samples)
 
 
 def correct_moments(raw: MomentSet, cal: CalibrationConstants) -> MomentSet:
-    """Exact algebraic inversion of the mixer map on all moments through order 4.
-
-    Substituting X = X_r / sqrt(G_X), Y = Y_r / sqrt(G_Y) - eps X_r / sqrt(G_X)
-    gives the binomial form
-
-        <X^i Y^j> = sum_k C(j,k) (-eps)^k <X_r^(i+k) Y_r^(j-k)>
-                    / (G_X^((i+k)/2) G_Y^((j-k)/2)).
-    """
-    sx, sy = math.sqrt(cal.G_X), math.sqrt(cal.G_Y)
-    corrected = {}
-    for i, j in MOMENT_KEYS:
-        total = 0.0
-        for k in range(j + 1):
-            total += (comb(j, k) * (-cal.epsilon) ** k * raw.m(i + k, j - k)
-                      / (sx ** (i + k) * sy ** (j - k)))
-        corrected[(i, j)] = total
-    xbar_r, ybar_r = raw.dc
-    dc = (xbar_r / sx, ybar_r / sy - cal.epsilon * xbar_r / sx)
-    return MomentSet(corrected, dc, raw.n_samples)
+    """Exact algebraic inversion of the mixer map on all moments through order 4."""
+    return _mix(raw, np.linalg.inv(cal.mixer))
 
 
 def apply_mixer_to_moments(ideal: MomentSet, cal: CalibrationConstants) -> MomentSet:
     """Forward mixer map on moments, <X_r^i Y_r^j> = G_X^(i/2) G_Y^(j/2) <X^i (Y+eps X)^j>."""
-    sx, sy = math.sqrt(cal.G_X), math.sqrt(cal.G_Y)
-    raw = {}
-    for i, j in MOMENT_KEYS:
-        total = 0.0
-        for k in range(j + 1):
-            total += comb(j, k) * cal.epsilon ** k * ideal.m(i + k, j - k)
-        raw[(i, j)] = sx**i * sy**j * total
-    xbar, ybar = ideal.dc
-    dc = (sx * xbar, sy * (ybar + cal.epsilon * xbar))
-    return MomentSet(raw, dc, ideal.n_samples)
+    return _mix(ideal, cal.mixer)
 
 
 def average_moments(sets: list[MomentSet]) -> MomentSet:
     if not sets:
         raise ValueError("cannot average an empty list of moment sets")
-    moments = {k: float(np.mean([ms.m(*k) for ms in sets])) for k in MOMENT_KEYS}
-    dc = (float(np.mean([ms.dc[0] for ms in sets])),
-          float(np.mean([ms.dc[1] for ms in sets])))
-    n_samples = int(sum(ms.n_samples for ms in sets))
-    return MomentSet(moments, dc, n_samples)
+    return MomentSet(np.mean([ms.m for ms in sets], axis=0),
+                     tuple(np.mean([ms.dc for ms in sets], axis=0).tolist()),
+                     sum(ms.n_samples for ms in sets))
 
 
 @dataclass(frozen=True)
@@ -280,9 +263,9 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]], n_th: float,
 def _packet_pair_task(args) -> tuple[MomentSet, MomentSet]:
     truth, cal, n_th, packet_size, child = args
     s_on, s_off = child.spawn(2)
-    raw_on = estimate_moments(synth_traces(truth, cal, packet_size, True, s_on))
+    raw_on = estimate_moments(synth_traces(truth, cal, packet_size, s_on))
     raw_off = estimate_moments(synth_traces(GaussianState(0.0, n_th, 0.0), cal,
-                                            packet_size, False, s_off))
+                                            packet_size, s_off))
     cal_est = calibrate(raw_off, cal.n_h)
     return correct_moments(raw_on, cal_est), correct_moments(raw_off, cal_est)
 

@@ -145,9 +145,10 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
                 workers: int = 1, coarse_points: int = COARSE_GRID_POINTS) -> list[EnvelopePoint]:
     """Per pump strength, minimize g2(0) over (delta_a, delta_b).
 
-    Nelder-Mead seeded from the best point of a coarse grid spanning
-    +/- kappa_a around zero detuning.  Optimizer stagnation is reported on
-    the envelope point, with the best value found.
+    Nelder-Mead in units of kappa_a from a 0.1 kappa_a simplex, seeded from
+    the best point of a coarse grid spanning +/- kappa_a around zero
+    detuning.  Optimizer stagnation is reported on the envelope point, with
+    the best value found.
     """
     span = p.kappa_a
     etas = list(np.atleast_1d(eta_values))
@@ -168,19 +169,21 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
         best = min(ok, key=lambda r: r.g2)
 
         def objective(x) -> float:
-            rec = solve(replace(base, delta_a=x[0], delta_b=x[1]))
+            rec = solve(replace(base, delta_a=x[0] * span, delta_b=x[1] * span))
             if rec.status != "ok" or not np.isfinite(rec.g2):
                 return 1e6
             return rec.g2
 
-        res = minimize(objective, x0=[best.delta_a, best.delta_b], method="Nelder-Mead",
-                       options={"fatol": NM_G2_TOL, "xatol": 1e-4 * max(span, 1.0),
-                                "maxiter": 400})
+        x0 = np.array([best.delta_a, best.delta_b]) / span
+        res = minimize(objective, x0=x0, method="Nelder-Mead",
+                       options={"initial_simplex": np.vstack([x0, x0 + 0.1 * np.eye(2)]),
+                                "fatol": NM_G2_TOL, "xatol": 1e-4, "maxiter": 400})
         warnings: tuple[str, ...] = ()
         if not res.success:
             warnings = (f"optimizer stagnation: {res.message}",)
-        x_opt = res.x if res.fun <= best.g2 else np.array([best.delta_a, best.delta_b])
-        final = solve(replace(base, delta_a=float(x_opt[0]), delta_b=float(x_opt[1])))
+        # x0 is a simplex vertex, so res.x is never worse than the grid seed
+        da, db = (res.x * span).tolist()
+        final = solve(replace(base, delta_a=da, delta_b=db))
         out.append(EnvelopePoint(complex(eta), final.n_tot, final.g2, final.delta_a,
                                  final.delta_b, warnings + final.warnings))
     return out

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -61,13 +62,30 @@ def test_cli_import_skips_scipy_signal():
 # --- config parsing ---
 
 def test_parse_units():
-    # a key the parser no longer reads (delta_f) is ignored
+    # a key the parser no longer reads (delta_f) is ignored with a warning
     for text in (MINIMAL, MINIMAL + "\n[measurement]\ndelta_f = 24 MHz\n"):
         cfg = parse_run_config(text)
         assert cfg.system.J == pytest.approx(TWO_PI * 25.1e6)
         assert cfg.device.L == pytest.approx(1.09e-9)
         assert cfg.device.L_s0 == pytest.approx(81e-12)
         assert cfg.device.kappa_b == pytest.approx(TWO_PI * 7e6)
+
+
+def test_unknown_key_warns_with_line_and_key(caplog):
+    text = MINIMAL + "\n[sweep]\ncutof = 6 count\n"
+    line = text.splitlines().index("cutof = 6 count") + 1
+    with caplog.at_level(logging.WARNING, logger="blockadesim.config"):
+        cfg = parse_run_config(text, "typo.cfg")
+    assert cfg.sweep.cutoff == 4
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert f"typo.cfg line {line}: [sweep] cutof" in record.getMessage()
+
+
+def test_default_config_loads_without_warnings(caplog):
+    with caplog.at_level(logging.DEBUG):
+        load_config(default_config_path())
+    assert not caplog.records
 
 
 def test_missing_unit_reports_line_number():
@@ -268,6 +286,14 @@ def test_cmd_measure_demo_deterministic(tmp_path):
     assert r1 == r2
     report = json.loads(r1)
     assert abs(report["pulls"]["g2"]) < 5
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_packet_size_override_must_be_positive(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure-demo", "--packet-size", value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--packet-size" in capsys.readouterr().err
 
 
 def test_cmd_measure_demo_pipeline_failure_exit_code(tmp_path, capsys):

@@ -12,7 +12,7 @@ from blockadesim.gaussian import (CalibrationFailure, GaussianState, ZeroPopulat
 from blockadesim.hilbert import two_mode_annihilators
 from blockadesim.lindblad import (SystemParams, displaced_solution, two_time_correlations,
                                   vec)
-from blockadesim.measurement import MOMENT_KEYS, MomentSet
+from blockadesim.measurement import MomentSet
 
 TWO_PI = 2.0 * math.pi
 MHz = TWO_PI * 1e6
@@ -172,13 +172,14 @@ def test_g2_tau_matches_regression_oracle_at_sweep_conditions():
 # --- moment inversion ---
 
 def _moment_set(xx, xy, yy, dc=(0.0, 0.0), n=10**6, **higher):
-    moments = {k: 0.0 for k in MOMENT_KEYS}
-    moments[(2, 0)] = xx
-    moments[(1, 1)] = xy
-    moments[(0, 2)] = yy
+    moments = np.zeros((5, 5))
+    moments[0, 0] = 1.0
+    moments[2, 0] = xx
+    moments[1, 1] = xy
+    moments[0, 2] = yy
     for key, value in higher.items():
         i, j = key.split("_")[1:]
-        moments[(int(i), int(j))] = value
+        moments[int(i), int(j)] = value
     return MomentSet(moments, dc, n)
 
 
@@ -226,13 +227,14 @@ def _gaussian_moments(alpha, n, s, n_h, n_dc=True):
     sxx = n_h + n + s.real
     syy = n_h + n - s.real
     sxy = s.imag
-    m = {k: 0.0 for k in MOMENT_KEYS}
-    m[(2, 0)], m[(1, 1)], m[(0, 2)] = sxx, sxy, syy
-    m[(4, 0)] = 3 * sxx**2
-    m[(0, 4)] = 3 * syy**2
-    m[(3, 1)] = 3 * sxx * sxy
-    m[(1, 3)] = 3 * syy * sxy
-    m[(2, 2)] = sxx * syy + 2 * sxy**2
+    m = np.zeros((5, 5))
+    m[0, 0] = 1.0
+    m[2, 0], m[1, 1], m[0, 2] = sxx, sxy, syy
+    m[4, 0] = 3 * sxx**2
+    m[0, 4] = 3 * syy**2
+    m[3, 1] = 3 * sxx * sxy
+    m[1, 3] = 3 * syy * sxy
+    m[2, 2] = sxx * syy + 2 * sxy**2
     dc = (math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag)
     return MomentSet(m, dc, 10**6)
 

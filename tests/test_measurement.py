@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockadesim.gaussian import CalibrationFailure, GaussianState, g2_zero
-from blockadesim.measurement import (MOMENT_KEYS, CalibrationConstants, MomentSet,
+from blockadesim.measurement import (CalibrationConstants, MomentSet,
                                      RawTraceSet, apply_mixer_to_moments, average_moments,
                                      calibrate, correct_moments, estimate_moments,
                                      packet_statistics, run_synthetic_experiment,
@@ -13,12 +13,23 @@ from blockadesim.measurement import (MOMENT_KEYS, CalibrationConstants, MomentSe
 N_H = 12.5
 
 
+def moment_array(x, y):
+    """<x^i y^j> written out term by term, zero above fourth order."""
+    return np.array([[np.mean(x**i * y**j) if i + j <= 4 else 0.0 for j in range(5)]
+                     for i in range(5)])
+
+
+def second_moment_set(xx, xy, yy):
+    m = np.zeros((5, 5))
+    m[0, 0], m[2, 0], m[1, 1], m[0, 2] = 1.0, xx, xy, yy
+    return MomentSet(m, (0.0, 0.0), 100)
+
+
 def empirical_moment_set(rng, n_points=40):
     """Genuine moments of a random point cloud, so all moment inequalities hold."""
     pts = rng.normal(scale=rng.uniform(0.5, 3.0), size=(n_points, 2)) + rng.normal(size=2)
     x, y = pts[:, 0], pts[:, 1]
-    moments = {(i, j): float(np.mean(x**i * y**j)) for i, j in MOMENT_KEYS}
-    return MomentSet(moments, (rng.normal(), rng.normal()), n_points)
+    return MomentSet(moment_array(x, y), (rng.normal(), rng.normal()), n_points)
 
 
 def random_calibration(rng):
@@ -37,16 +48,17 @@ def test_calibration_validation():
         CalibrationConstants(1.0, 1.0, 0.0, 0.0)
 
 
-def test_moment_set_requires_all_keys():
-    with pytest.raises(ValueError):
-        MomentSet({(1, 0): 0.0}, (0.0, 0.0), 10)
+def test_moment_set_requires_5x5_array():
+    for shape in [(4, 4), (5, 4), (25,), (5, 5, 1)]:
+        with pytest.raises(ValueError, match="5x5"):
+            MomentSet(np.zeros(shape), (0.0, 0.0), 10)
 
 
 # --- synthesis ---
 
 def test_synth_zero_noise_gives_zero_traces():
     cal = CalibrationConstants(1.0, 1.0, 0.0, 1e-30)
-    t = synth_traces(GaussianState(0.0, 0.0, 0.0), cal, 1000, True, seed=0)
+    t = synth_traces(GaussianState(0.0, 0.0, 0.0), cal, 1000, seed=0)
     assert np.abs(t.X_r).max() < 1e-12
     assert np.abs(t.Y_r).max() < 1e-12
 
@@ -54,13 +66,13 @@ def test_synth_zero_noise_gives_zero_traces():
 def test_synth_rejects_unphysical_covariance():
     cal = CalibrationConstants(1.0, 1.0, 0.0, 0.01)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        synth_traces(GaussianState(0.0, 0.001, 0.5), cal, 100, True, seed=0)
+        synth_traces(GaussianState(0.0, 0.001, 0.5), cal, 100, seed=0)
 
 
 def test_synth_pump_off_variance_is_gain_times_nh():
     cal = CalibrationConstants(1.7, 0.8, 0.08, N_H)
     n = 200_000
-    t = synth_traces(GaussianState(0.0, 0.0, 0.0), cal, n, False, seed=3)
+    t = synth_traces(GaussianState(0.0, 0.0, 0.0), cal, n, seed=3)
     var = np.var(t.X_r)
     sigma = cal.G_X * N_H * math.sqrt(2.0 / n)
     assert abs(var - cal.G_X * N_H) < 5 * sigma
@@ -70,7 +82,7 @@ def test_synth_dc_measures_displacement():
     cal = CalibrationConstants(1.7, 0.8, 0.0, N_H)
     alpha = 1.0 + 0.0j
     n = 100_000
-    draws = [synth_traces(GaussianState(alpha, 0.0, 0.0), cal, n, True, seed=s).Xbar_r
+    draws = [synth_traces(GaussianState(alpha, 0.0, 0.0), cal, n, seed=s).Xbar_r
              for s in range(30)]
     mean = np.mean(draws) / math.sqrt(cal.G_X)
     sigma = math.sqrt(N_H / n / len(draws))
@@ -81,28 +93,41 @@ def test_synth_dc_measures_displacement():
 
 def test_estimate_moments_constant_trace():
     c = 0.7
-    t = RawTraceSet(np.full(100, c), np.full(100, c), c, c, True, 100)
+    t = RawTraceSet(np.full(100, c), np.full(100, c), c, c, 100)
     ms = estimate_moments(t)
-    assert ms.m(1, 0) == pytest.approx(c)
-    assert ms.m(2, 0) == pytest.approx(c * c)
-    assert ms.m(3, 1) == pytest.approx(c**4)
+    assert ms.m[1, 0] == pytest.approx(c)
+    assert ms.m[2, 0] == pytest.approx(c * c)
+    assert ms.m[3, 1] == pytest.approx(c**4)
     assert ms.dc == (c, c)
+
+
+@pytest.mark.parametrize("n", [17, 3 * 2**14 + 17])
+def test_estimate_moments_matches_direct_means(n):
+    # the blocked power-row product sums in another order than np.mean, so
+    # each entry is held to 1e-12 of the mean of |x^i y^j|, its summation scale
+    rng = np.random.default_rng(n)
+    x = 0.4 + 1.3 * rng.standard_normal(n)
+    y = -0.2 + 0.8 * rng.standard_normal(n) + 0.3 * x
+    ms = estimate_moments(RawTraceSet(x, y, 0.1, -0.2, n))
+    scale = np.array([[np.mean(np.abs(x**i * y**j)) for j in range(5)] for i in range(5)])
+    assert np.all(np.abs(ms.m - moment_array(x, y)) <= 1e-12 * scale)
+    assert ms.m[0, 0] == 1.0
 
 
 def test_estimate_moments_gaussian_kurtosis():
     rng = np.random.default_rng(4)
     n = 400_000
-    t = RawTraceSet(rng.standard_normal(n), rng.standard_normal(n), 0.0, 0.0, True, n)
+    t = RawTraceSet(rng.standard_normal(n), rng.standard_normal(n), 0.0, 0.0, n)
     ms = estimate_moments(t)
     sigma = math.sqrt(96.0 / n)  # var of the kurtosis estimator for a unit normal
-    assert abs(ms.m(4, 0) - 3.0) < 5 * sigma
+    assert abs(ms.m[4, 0] - 3.0) < 5 * sigma
 
 
 def test_forward_model_moments_match_analytic_covariance():
     truth = GaussianState(0.0, 2.0, 0.8 - 0.5j)
     cal = CalibrationConstants(1.5, 0.7, 0.1, 4.0)
     n = 400_000
-    ms = estimate_moments(synth_traces(truth, cal, n, True, seed=8))
+    ms = estimate_moments(synth_traces(truth, cal, n, seed=8))
     # analytic second moments through the mixer
     sxx = cal.n_h + truth.n + truth.s.real
     syy = cal.n_h + truth.n - truth.s.real
@@ -110,25 +135,22 @@ def test_forward_model_moments_match_analytic_covariance():
     want_xx = cal.G_X * sxx
     want_xy = math.sqrt(cal.G_X * cal.G_Y) * (sxy + cal.epsilon * sxx)
     want_yy = cal.G_Y * (syy + 2 * cal.epsilon * sxy + cal.epsilon**2 * sxx)
-    assert abs(ms.m(2, 0) - want_xx) < 5 * want_xx * math.sqrt(2 / n)
-    assert abs(ms.m(0, 2) - want_yy) < 5 * want_yy * math.sqrt(2 / n)
+    assert abs(ms.m[2, 0] - want_xx) < 5 * want_xx * math.sqrt(2 / n)
+    assert abs(ms.m[0, 2] - want_yy) < 5 * want_yy * math.sqrt(2 / n)
     scale_xy = math.sqrt(want_xx * want_yy / n) * 5
-    assert abs(ms.m(1, 1) - want_xy) < scale_xy
+    assert abs(ms.m[1, 1] - want_xy) < scale_xy
 
 
 # --- calibration ---
 
 def test_calibrate_identity_chain():
-    moments = {k: 0.0 for k in MOMENT_KEYS}
-    moments[(2, 0)] = N_H
-    moments[(0, 2)] = N_H
-    cal = calibrate(MomentSet(moments, (0.0, 0.0), 100), N_H)
+    cal = calibrate(second_moment_set(N_H, 0.0, N_H), N_H)
     assert (cal.G_X, cal.G_Y, cal.epsilon) == (1.0, 1.0, 0.0)
 
 
 def test_calibrate_recovers_truth():
     true_cal = CalibrationConstants(1.7, 0.8, 0.08, N_H)
-    t = synth_traces(GaussianState(0.0, 0.0, 0.0), true_cal, 10**6, False, seed=12)
+    t = synth_traces(GaussianState(0.0, 0.0, 0.0), true_cal, 10**6, seed=12)
     est = calibrate(estimate_moments(t), N_H)
     assert est.G_X == pytest.approx(true_cal.G_X, rel=0.01)
     assert est.G_Y == pytest.approx(true_cal.G_Y, rel=0.01)
@@ -137,18 +159,15 @@ def test_calibrate_recovers_truth():
 
 def test_calibrate_zero_epsilon_consistent():
     true_cal = CalibrationConstants(1.3, 1.1, 0.0, N_H)
-    t = synth_traces(GaussianState(0.0, 0.0, 0.0), true_cal, 10**6, False, seed=13)
+    t = synth_traces(GaussianState(0.0, 0.0, 0.0), true_cal, 10**6, seed=13)
     est = calibrate(estimate_moments(t), N_H)
     assert abs(est.epsilon) < 5.0 / math.sqrt(10**6)
 
 
 def test_calibrate_degenerate_failure():
-    moments = {k: 0.0 for k in MOMENT_KEYS}
-    moments[(2, 0)] = 1.0
-    moments[(0, 2)] = 1.0
-    moments[(1, 1)] = 1.0  # perfectly correlated quadratures
+    # perfectly correlated quadratures
     with pytest.raises(CalibrationFailure):
-        calibrate(MomentSet(moments, (0.0, 0.0), 100), N_H)
+        calibrate(second_moment_set(1.0, 1.0, 1.0), N_H)
 
 
 # --- moment correction ---
@@ -158,8 +177,7 @@ def test_correct_moments_identity_calibration():
     ms = empirical_moment_set(rng)
     cal = CalibrationConstants(1.0, 1.0, 0.0, N_H)
     back = correct_moments(ms, cal)
-    for key in MOMENT_KEYS:
-        assert back.m(*key) == pytest.approx(ms.m(*key), rel=1e-14)
+    assert back.m == pytest.approx(ms.m, rel=1e-14)
     assert back.dc == pytest.approx(ms.dc)
 
 
@@ -172,9 +190,8 @@ def test_roundtrip_identity_on_random_moments():
         ms = empirical_moment_set(rng, n_points=25)
         cal = random_calibration(rng)
         back = correct_moments(apply_mixer_to_moments(ms, cal), cal)
-        for key in MOMENT_KEYS:
-            ref = max(abs(ms.m(*key)), 1e-9)
-            worst = max(worst, abs(back.m(*key) - ms.m(*key)) / ref)
+        ref = np.maximum(np.abs(ms.m), 1e-9)
+        worst = max(worst, np.max(np.abs(back.m - ms.m) / ref))
         worst = max(worst, abs(back.dc[0] - ms.dc[0]) / max(abs(ms.dc[0]), 1e-9),
                     abs(back.dc[1] - ms.dc[1]) / max(abs(ms.dc[1]), 1e-9))
     assert worst < 1e-10
@@ -185,10 +202,10 @@ def test_second_order_correction_formula():
     rng = np.random.default_rng(22)
     raw = empirical_moment_set(rng)
     cal = random_calibration(rng)
-    a, b, c = raw.m(2, 0), raw.m(1, 1), raw.m(0, 2)
+    a, b, c = raw.m[2, 0], raw.m[1, 1], raw.m[0, 2]
     want = (c / cal.G_Y - 2 * cal.epsilon * b / math.sqrt(cal.G_X * cal.G_Y)
             + cal.epsilon**2 * a / cal.G_X)
-    assert correct_moments(raw, cal).m(0, 2) == pytest.approx(want, rel=1e-12)
+    assert correct_moments(raw, cal).m[0, 2] == pytest.approx(want, rel=1e-12)
 
 
 def test_full_inversion_table():
@@ -201,32 +218,32 @@ def test_full_inversion_table():
     sx, sy = math.sqrt(gx), math.sqrt(gy)
     r = raw.m
     want = {
-        (1, 0): r(1, 0) / sx,
-        (0, 1): r(0, 1) / sy - e * r(1, 0) / sx,
-        (2, 0): r(2, 0) / gx,
-        (1, 1): r(1, 1) / (sx * sy) - e * r(2, 0) / gx,
-        (0, 2): r(0, 2) / gy - 2 * e * r(1, 1) / (sx * sy) + e**2 * r(2, 0) / gx,
-        (3, 0): r(3, 0) / gx**1.5,
-        (2, 1): -(e * sy * r(3, 0) - sx * r(2, 1)) / (gx**1.5 * sy),
-        (1, 2): -(-e**2 * gy * r(3, 0) + 2 * e * sx * sy * r(2, 1) - gx * r(1, 2))
+        (1, 0): r[1, 0] / sx,
+        (0, 1): r[0, 1] / sy - e * r[1, 0] / sx,
+        (2, 0): r[2, 0] / gx,
+        (1, 1): r[1, 1] / (sx * sy) - e * r[2, 0] / gx,
+        (0, 2): r[0, 2] / gy - 2 * e * r[1, 1] / (sx * sy) + e**2 * r[2, 0] / gx,
+        (3, 0): r[3, 0] / gx**1.5,
+        (2, 1): -(e * sy * r[3, 0] - sx * r[2, 1]) / (gx**1.5 * sy),
+        (1, 2): -(-e**2 * gy * r[3, 0] + 2 * e * sx * sy * r[2, 1] - gx * r[1, 2])
                 / (gx**1.5 * gy),
-        (0, 3): -(e**3 * gy**1.5 * r(3, 0) - 3 * e**2 * sx * gy * r(2, 1)
-                  + 3 * e * gx * sy * r(1, 2) - gx**1.5 * r(0, 3)) / (gx**1.5 * gy**1.5),
-        (4, 0): r(4, 0) / gx**2,
-        (3, 1): -(e * sy * r(4, 0) - sx * r(3, 1)) / (gx**2 * sy),
-        (2, 2): -(-e**2 * gy * r(4, 0) + 2 * e * sx * sy * r(3, 1) - gx * r(2, 2))
+        (0, 3): -(e**3 * gy**1.5 * r[3, 0] - 3 * e**2 * sx * gy * r[2, 1]
+                  + 3 * e * gx * sy * r[1, 2] - gx**1.5 * r[0, 3]) / (gx**1.5 * gy**1.5),
+        (4, 0): r[4, 0] / gx**2,
+        (3, 1): -(e * sy * r[4, 0] - sx * r[3, 1]) / (gx**2 * sy),
+        (2, 2): -(-e**2 * gy * r[4, 0] + 2 * e * sx * sy * r[3, 1] - gx * r[2, 2])
                 / (gx**2 * gy),
-        (1, 3): -(e**3 * gy**1.5 * r(4, 0) - 3 * e**2 * sx * gy * r(3, 1)
-                  + 3 * e * gx * sy * r(2, 2) - gx**1.5 * r(1, 3)) / (gx**2 * gy**1.5),
+        (1, 3): -(e**3 * gy**1.5 * r[4, 0] - 3 * e**2 * sx * gy * r[3, 1]
+                  + 3 * e * gx * sy * r[2, 2] - gx**1.5 * r[1, 3]) / (gx**2 * gy**1.5),
         # single negated bracket through all five terms; a printed split of
         # this line with the last two signs flipped does not invert Eq. (13)
-        (0, 4): -(-e**4 * gy**2 * r(4, 0) + 4 * e**3 * sx * gy**1.5 * r(3, 1)
-                  - 6 * e**2 * gx * gy * r(2, 2)
-                  + 4 * e * gx**1.5 * sy * r(1, 3) - gx**2 * r(0, 4)) / (gx**2 * gy**2),
+        (0, 4): -(-e**4 * gy**2 * r[4, 0] + 4 * e**3 * sx * gy**1.5 * r[3, 1]
+                  - 6 * e**2 * gx * gy * r[2, 2]
+                  + 4 * e * gx**1.5 * sy * r[1, 3] - gx**2 * r[0, 4]) / (gx**2 * gy**2),
     }
     got = correct_moments(raw, cal)
     for key, value in want.items():
-        assert got.m(*key) == pytest.approx(value, rel=1e-11), key
+        assert got.m[key] == pytest.approx(value, rel=1e-11), key
 
 
 def test_calibrate_then_correct_normalizes_pump_off():
@@ -234,21 +251,21 @@ def test_calibrate_then_correct_normalizes_pump_off():
     # are exactly (n_h, n_h, 0)
     true_cal = CalibrationConstants(1.7, 0.8, 0.08, N_H)
     raw = estimate_moments(synth_traces(GaussianState(0.0, 7.8e-4, 0.0), true_cal,
-                                        10**5, False, seed=30))
+                                        10**5, seed=30))
     est = calibrate(raw, N_H)
     corrected = correct_moments(raw, est)
-    assert corrected.m(2, 0) == pytest.approx(N_H, rel=1e-12)
-    assert corrected.m(0, 2) == pytest.approx(N_H, rel=1e-12)
-    assert abs(corrected.m(1, 1)) < 1e-12 * N_H
+    assert corrected.m[2, 0] == pytest.approx(N_H, rel=1e-12)
+    assert corrected.m[0, 2] == pytest.approx(N_H, rel=1e-12)
+    assert abs(corrected.m[1, 1]) < 1e-12 * N_H
 
 
 # --- packet statistics ---
 
 def _corrected_pair(truth, cal, n_th, packet_size, seed_pair):
     s_on, s_off = seed_pair.spawn(2)
-    raw_on = estimate_moments(synth_traces(truth, cal, packet_size, True, s_on))
+    raw_on = estimate_moments(synth_traces(truth, cal, packet_size, s_on))
     raw_off = estimate_moments(synth_traces(GaussianState(0.0, n_th, 0.0), cal,
-                                            packet_size, False, s_off))
+                                            packet_size, s_off))
     est = calibrate(raw_off, cal.n_h)
     return correct_moments(raw_on, est), correct_moments(raw_off, est)
 
@@ -340,5 +357,5 @@ def test_average_moments():
     rng = np.random.default_rng(72)
     sets = [empirical_moment_set(rng) for _ in range(3)]
     avg = average_moments(sets)
-    assert avg.m(2, 0) == pytest.approx(np.mean([s.m(2, 0) for s in sets]))
+    assert avg.m[2, 0] == pytest.approx(np.mean([s.m[2, 0] for s in sets]))
     assert avg.n_samples == sum(s.n_samples for s in sets)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from blockadesim.lindblad import ConvergenceError, SystemParams
-from blockadesim.sweep import (EnvelopePoint, SweepRecord, dominant_period,
+from blockadesim.sweep import (NM_G2_TOL, EnvelopePoint, SweepRecord, dominant_period,
                                fit_eta_to_population, log_bin_index, map2d, minimize_g2,
                                solve_point, sweep_detuning)
 
@@ -177,6 +179,23 @@ def test_minimize_is_stable_under_grid_refinement():
 def test_strong_pump_tends_coherent():
     env = minimize_g2(sample_params(300 * MHz), [300 * MHz], coarse_points=7)
     assert env[0].g2_min == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("eta_mhz", [24, 32])
+def test_envelope_optimum_survives_a_restart(eta_mhz):
+    # a fresh Nelder-Mead in kappa_a units, started at the returned optimum
+    # with a 0.1 kappa_a simplex, must not find a better g2
+    p = sample_params(eta_mhz * MHz)
+    env = minimize_g2(p, [eta_mhz * MHz])[0]
+
+    def g2(x):
+        return solve_point(replace(p, delta_a=x[0] * KAPPA_A, delta_b=x[1] * KAPPA_A)).g2
+
+    x0 = np.array([env.delta_a, env.delta_b]) / KAPPA_A
+    res = minimize(g2, x0, method="Nelder-Mead",
+                   options={"initial_simplex": np.vstack([x0, x0 + 0.1 * np.eye(2)]),
+                            "fatol": 1e-7, "xatol": 1e-6})
+    assert env.g2_min - res.fun <= NM_G2_TOL
 
 
 @pytest.mark.slow
