@@ -224,6 +224,14 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     def q(section, key, kind, default=None) -> float:
         return values(section, key, kind, None if default is None else (default,), count=1)[0]
 
+    def positive_count(section, key, default) -> int:
+        value = int(q(section, key, "count", default=default))
+        if value < 1:
+            entry = sec[section][key]
+            raise ConfigError(f"{name} line {entry.line}: [{section}] {key} = {entry.text!r} "
+                              "must be at least 1")
+        return value
+
     def unit_of(section, key) -> str | None:
         entry = lookup(section, key)
         return None if entry is None else entry.text.split()[-1]
@@ -300,8 +308,8 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         G_X=q("measurement", "G_X", "dimensionless", default=1.0),
         G_Y=q("measurement", "G_Y", "dimensionless", default=1.0),
         epsilon=q("measurement", "epsilon", "dimensionless", default=0.0),
-        packet_size=int(q("measurement", "packet_size", "count", default=1_000_000)),
-        n_packets=int(q("measurement", "n_packets", "count", default=25)),
+        packet_size=positive_count("measurement", "packet_size", default=1_000_000),
+        n_packets=positive_count("measurement", "n_packets", default=25),
         n_th=q("measurement", "n_th", "dimensionless", default=7.8e-4),
         truth_alpha=complex(q("measurement", "truth_alpha_re", "dimensionless", default=0.1),
                             q("measurement", "truth_alpha_im", "dimensionless", default=0.0)),

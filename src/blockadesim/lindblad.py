@@ -19,16 +19,24 @@ b -> beta + b with the mean-field amplitudes (the classical fixed point,
 found in closed form from a real cubic in |beta|^2), which cancels the
 linear drive terms and lets tiny Fock cutoffs (4 per mode) represent the
 state.
+
+Which solver runs where: up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension
+64, the cutoff-4 production path) L is a dense superoperator and the steady
+state is one real LU in a Hermitian basis; above it L is applied matrix-free
+from its generator terms and the steady state comes from GMRES with a
+Sylvester preconditioner.  Two-time correlations propagate with
+``expm_multiply`` on the dense L.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lapack, lu_factor, lu_solve, schur
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
 from .hilbert import DensityMatrix, two_mode_annihilators
@@ -36,8 +44,12 @@ from .hilbert import DensityMatrix, two_mode_annihilators
 TRACE_PRESERVATION_TOL = 1e-8
 STEADY_STATE_RESIDUAL_TOL = 1e-9
 MEAN_FIELD_TOL = 1e-12
-DENSE_SUPEROP_MAX_JOINT_DIM = 64   # above this the superoperator is stored sparse
+DENSE_SUPEROP_MAX_JOINT_DIM = 64   # above this L is applied matrix-free
 MAX_SUPEROP_SIDE = 25_000          # overflow guard, covers cutoffs up to 12 per mode
+GMRES_RTOL = 1e-13                 # on the scaled, trace-fixed system
+GMRES_RESTART = 60
+GMRES_MAX_CYCLES = 20
+CAUCHY_SCHWARZ_TOL = 1e-9          # relative slack of the two-time correlator bounds
 
 
 class ConvergenceError(RuntimeError):
@@ -221,45 +233,74 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Vectorized generator of the master equation.
+    """Vectorized generator of the master equation (column stacking).
 
-    data is dense for small joint dimensions and CSR sparse above
-    DENSE_SUPEROP_MAX_JOINT_DIM; max_abs is max|data|, computed once.
+    Either ``data`` holds the dense superoperator, as build_liouvillian
+    stores it up to DENSE_SUPEROP_MAX_JOINT_DIM, or ``terms`` holds the
+    (K, weights, jumps) of L rho = K rho + rho K' + sum_m w_m C_m rho C_m'
+    and L is applied matrix-free at O(J n^3) per call.  max_abs is
+    max|L entry|, computed once.
     """
 
     dims: tuple[int, int]
-    data: object
+    data: np.ndarray | None = None
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
     max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         joint = int(np.prod(self.dims))
-        side = joint * joint
-        if self.data.shape != (side, side):
-            raise ValueError(f"superoperator must be {side}x{side}, got {self.data.shape}")
-        scale = _max_abs(self.data)
+        if (self.data is None) == (self.terms is None):
+            raise ValueError("a Liouvillian needs exactly one of data and terms")
+        if self.data is None:
+            K, weights, jumps = self.terms
+            scale = _superop_max_abs(K, weights, jumps)
+            # d Tr(rho)/dt = Tr[(K + K' + sum_m w_m C_m' C_m) rho]
+            leak = K + K.conj().T + np.tensordot(
+                weights, jumps.conj().transpose(0, 2, 1) @ jumps, 1)
+        else:
+            side = joint * joint
+            if self.data.shape != (side, side):
+                raise ValueError(f"superoperator must be {side}x{side}, got {self.data.shape}")
+            scale = float(np.abs(self.data).max())
+            # the rows of L at the diagonal entries of rho sum to d Tr(rho)/dt
+            leak = self.data[np.arange(joint) * (joint + 1)].sum(axis=0)
         object.__setattr__(self, "max_abs", scale)
-        # the rows of L at the diagonal entries of rho sum to d Tr(rho)/dt
-        leak = self.data[np.arange(joint) * (joint + 1)].sum(axis=0)
         if np.abs(leak).max() > TRACE_PRESERVATION_TOL * scale:
             raise ValueError("Liouvillian is not trace preserving")
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.data)
+        """True when L is applied matrix-free, with no superoperator stored."""
+        return self.data is None
 
     @property
     def side(self) -> int:
-        return self.data.shape[0]
+        return int(np.prod(self.dims)) ** 2
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        n = int(np.prod(self.dims))
-        return unvec(self.data @ vec(rho), n)
+        if self.data is not None:
+            return unvec(self.data @ vec(rho), int(np.prod(self.dims)))
+        K, weights, jumps = self.terms
+        jump_sum = np.tensordot(weights, jumps @ rho @ jumps.conj().transpose(0, 2, 1), 1)
+        return K @ rho + rho @ K.conj().T + jump_sum
 
 
-def _max_abs(m) -> float:
-    if sp.issparse(m):
-        return float(np.abs(m.data).max()) if m.nnz else 0.0
-    return float(np.abs(m).max())
+def _superop_max_abs(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> float:
+    """max|L entry| of the superoperator of (K, weights, jumps), never formed.
+
+    In the layout of _assemble_dense, L[i, k, j, l] = sum_m w_m conj(C_m[i, j])
+    C_m[k, l] + [i = j] K[k, l] + [k = l] conj(K[i, j]).  The k = l entries
+    are the complex conjugates of the i = j ones, the weights being real.
+    Any other entry is a jump term alone; with P_j = sum_m w_m
+    sum_{r != j} |C_m[r, j]|^2, Cauchy-Schwarz bounds it by
+    sqrt(P_j P_l) <= (P_j + P_l) / 2 <= |Re L[j, l, j, l]|, as the weights
+    are >= 0 and Re K[l, l] = -sum_m w_m |C_m e_l|^2 / 2.  So the maximum
+    lies among the n^3 entries with i = j.
+    """
+    M = np.einsum("m,mi,mkl->ikl", weights, np.einsum("mii->mi", jumps).conj(), jumps) + K
+    np.einsum("ikk->ik", M)[...] += np.diag(K).conj()[:, None]
+    return float(np.abs(M).max())
 
 
 def _generator_terms(p: SystemParams, A: np.ndarray,
@@ -305,23 +346,12 @@ def _assemble_dense(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> np
     return L4.reshape(n * n, n * n)
 
 
-def _assemble_sparse(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> sp.csr_matrix:
-    # the same formula as _assemble_dense in CSR storage
-    n = K.shape[0]
-    flat = sp.csr_matrix(jumps.reshape(len(weights), n * n))
-    G = (sp.diags(weights) @ flat.conj()).T.dot(flat).tocoo()
-    i, j = np.divmod(G.row, n)
-    k, l = np.divmod(G.col, n)
-    jump_sum = sp.coo_matrix((G.data, (i * n + k, j * n + l)), shape=(n * n, n * n))
-    eye = sp.identity(n, dtype=complex, format="csr")
-    K_sp = sp.csr_matrix(K)
-    return (jump_sum.tocsr() + sp.kron(eye, K_sp, format="csr")
-            + sp.kron(K_sp.conj(), eye, format="csr"))
-
-
 def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
                       cutoffs: tuple[int, int] = (4, 4)) -> Liouvillian:
-    """Assemble the (optionally displaced) Liouvillian at the given Fock cutoffs."""
+    """The (optionally displaced) Liouvillian at the given Fock cutoffs.
+
+    Dense up to DENSE_SUPEROP_MAX_JOINT_DIM, matrix-free above it.
+    """
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
     joint = n_a * n_b
     if joint * joint > MAX_SUPEROP_SIDE:
@@ -335,7 +365,7 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
         B = B + displacement[1] * eye
     terms = _generator_terms(p, A, B)
     if joint > DENSE_SUPEROP_MAX_JOINT_DIM:
-        return Liouvillian((n_a, n_b), _assemble_sparse(*terms))
+        return Liouvillian((n_a, n_b), terms=terms)
     return Liouvillian((n_a, n_b), _assemble_dense(*terms))
 
 
@@ -369,13 +399,49 @@ def _solve_hermitian(data: np.ndarray, joint: int, scale: float) -> np.ndarray:
     return vec(0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.T))
 
 
-def steady_state(L: Liouvillian) -> DensityMatrix:
-    """Null vector of L with unit trace, via LU with one row replaced by the trace.
+def _solve_matrix_free(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
+    """vec of the unit-trace null vector of a matrix-free L, by preconditioned GMRES.
 
-    Dense Liouvillians are solved as a real system in a Hermitian basis
-    (``_solve_hermitian``); sparse ones by a complex sparse LU.  Raises
-    SteadyStateError when the solve is singular or the residual against
-    the complex L indicates a degenerate null space.
+    With v = vec(I/n), solves L x / scale + v Tr(x) = v: Tr(L x) = 0 for a
+    trace-preserving L, so Tr(x) = 1 and L x = 0.  The preconditioner
+    inverts the Sylvester part K X + X K' of L / scale through one complex
+    Schur form K / scale = Q T Q' and LAPACK ztrsyl (Bartels & Stewart,
+    CACM 15, 820 (1972)); GMRES takes care of the jump and trace terms.
+    """
+    v = vec(np.eye(joint) / joint)
+    diagonal = np.arange(joint) * (joint + 1)
+
+    def matvec(x):
+        return vec(L.apply(unvec(x, joint))) / scale + v * x[diagonal].sum()
+
+    T, Q = schur(L.terms[0] / scale, output="complex")
+    Qh = Q.conj().T
+
+    def sylvester_solve(r):
+        # info 1 (T and -T' share a near eigenvalue, solved with a perturbed
+        # one) still gives a usable preconditioner, so it is not checked
+        Y, sylvester_scale, _ = lapack.ztrsyl(T, T, Qh @ unvec(r, joint) @ Q, tranb="C")
+        return vec(Q @ Y @ Qh) / sylvester_scale
+
+    side = joint * joint
+    x, info = gmres(LinearOperator((side, side), matvec, dtype=complex), v,
+                    rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES,
+                    M=LinearOperator((side, side), sylvester_solve, dtype=complex))
+    if info != 0:
+        raise SteadyStateError(f"GMRES did not reach rtol {GMRES_RTOL:.0e} "
+                               f"(info {info}) in {GMRES_MAX_CYCLES} restart cycles")
+    return x
+
+
+def steady_state(L: Liouvillian) -> DensityMatrix:
+    """Null vector of L with unit trace.
+
+    A dense L is solved as a real system in a Hermitian basis by one LU
+    with a row replaced by the trace (``_solve_hermitian``); a matrix-free
+    L by GMRES with a Sylvester preconditioner (``_solve_matrix_free``).
+    Raises SteadyStateError when the solve fails or the residual
+    |L x| / (max_abs |x|) exceeds STEADY_STATE_RESIDUAL_TOL, which
+    indicates a degenerate null space.
     """
     joint = int(np.prod(L.dims))
     scale = L.max_abs
@@ -383,28 +449,19 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
         raise SteadyStateError("zero Liouvillian has a degenerate null space")
 
     if L.is_sparse:
-        rhs = np.zeros(L.side, dtype=complex)
-        rhs[0] = 1.0
-        M = (L.data / scale).tolil()
-        M[0, :] = 0.0
-        M[0, ::joint + 1] = 1.0
-        try:
-            lu = spla.splu(M.tocsc())
-            x = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise SteadyStateError(f"sparse LU failed: {exc}") from exc
+        x = _solve_matrix_free(L, joint, scale)
     else:
         x = _solve_hermitian(L.data, joint, scale)
 
     if not np.all(np.isfinite(x)):
         raise SteadyStateError("steady-state solve produced non-finite entries")
-    residual = np.linalg.norm(L.data @ x) / (scale * np.linalg.norm(x))
+    rho = unvec(x, joint)
+    residual = np.linalg.norm(L.apply(rho)) / (scale * np.linalg.norm(x))
     if residual > STEADY_STATE_RESIDUAL_TOL:
         raise SteadyStateError(
             f"steady-state residual {residual:.2e} exceeds tolerance; "
             "the Liouvillian null space may be degenerate")
 
-    rho = unvec(x, joint)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return DensityMatrix(L.dims, rho).validate()
@@ -439,12 +496,32 @@ class TwoTimeCorrelation:
         return float(np.abs(self.s_tau - self.s_tau_alt).max())
 
 
+@contextmanager
+def _seeded_legacy_rng():
+    """Seed numpy's global RNG inside the block and restore its state after.
+
+    expm_multiply picks its Taylor degree and step count from onenormest,
+    which draws from the global RNG; a fixed seed makes the correlators
+    depend on their inputs alone.
+    """
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(state)
+
+
 def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
                           tau_grid) -> TwoTimeCorrelation:
-    """Quantum-regression evaluation of n(tau), s(tau) on the tau grid.
+    """Quantum-regression evaluation of n(tau), s(tau) on a uniform tau grid.
 
-    One eigendecomposition of the (dense, displaced-frame) Liouvillian is
-    reused for every tau and every correlator.
+    The initial states rho d', d rho and rho d are propagated together by
+    ``expm_multiply`` (Al-Mohy & Higham, SISC 33, 488 (2011)) on the CSR
+    form of the dense, displaced-frame L, then contracted with Tr[d . ].
+    Raises SteadyStateError when a correlator breaks its Cauchy-Schwarz
+    bound |n(tau)| <= n(0), |s(tau)|^2 <= n(0) (n(0) + 1) by more than
+    CAUCHY_SCHWARZ_TOL relative.
     """
     if L.is_sparse:
         raise ValueError("two-time correlations need a dense (displaced-frame) Liouvillian")
@@ -453,20 +530,29 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0 or tau[0] != 0.0:
         raise ValueError("tau grid must be 1-d and start at 0")
+    if tau[-1] < 0 or np.abs(tau - np.linspace(0.0, tau[-1], tau.size)).max() > 1e-12 * tau[-1]:
+        raise ValueError("tau grid must increase in equal steps")
 
     a_op, _ = two_mode_annihilators(*L.dims)
     d = a_op.data
     dd = d.conj().T
     rho = rho_ss.data
 
-    evals, V = np.linalg.eig(L.data)
-    if evals.real.max() > 1e-6 * L.max_abs:
-        raise SteadyStateError("Liouvillian has a significantly unstable eigenvalue")
-    # the initial states rho d', d rho, rho d in the eigenbasis, weighted by
-    # the row functional Tr[d . ] in that basis
     X = np.column_stack([vec(rho @ dd), vec(d @ rho), vec(rho @ d)])
-    C = (vec(d.T) @ V)[:, None] * np.linalg.solve(V, X)
-    n_tau, s_tau, s_alt = (np.exp(np.outer(tau, evals)) @ C).T
+    if tau.size == 1:   # expm_multiply needs two time points
+        states = X[None]
+    else:
+        with _seeded_legacy_rng():
+            states = expm_multiply(csr_array(L.data), X, start=0.0, stop=tau[-1],
+                                   num=tau.size, endpoint=True)
+    n_tau, s_tau, s_alt = (vec(d.T) @ states).T
+
+    n0 = n_tau[0].real
+    eps = np.finfo(float).eps
+    if (np.abs(n_tau).max() > (1.0 + CAUCHY_SCHWARZ_TOL) * n0 + eps
+            or max(np.abs(s_tau).max(), np.abs(s_alt).max()) ** 2
+            > (1.0 + CAUCHY_SCHWARZ_TOL) * n0 * (n0 + 1.0) + eps):
+        raise SteadyStateError("a two-time correlator exceeds its Cauchy-Schwarz bound")
     return TwoTimeCorrelation(tau, n_tau, s_tau, s_alt)
 
 

@@ -5,11 +5,15 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockadesim
 from blockadesim import blas
 from blockadesim.cli import main
+from blockadesim.lindblad import SystemParams, displaced_solution, two_time_correlations
+
+MHz = 2e6 * np.pi
 
 
 @pytest.fixture
@@ -101,3 +105,30 @@ def test_threadpoolctl_is_used_when_it_imports(monkeypatch, unpinned_env):
         assert pinned_by == "cli"
         assert calls == [(1, "blas")]
     assert calls == [(1, "blas"), "restored"]
+
+
+def test_g2_tau_correlators_do_not_depend_on_blas_threads(unpinned_env):
+    # the g2(tau) regression-oracle conditions, cutoff 6
+    entry_points = blas._openblas_entry_points()
+    if not entry_points:
+        pytest.skip("no controllable BLAS library loaded")
+    original = {name: get() for name, (get, _) in entry_points.items()}
+    tau = np.linspace(0.0, 120e-9, 241)
+    try:
+        for _, set_threads in entry_points.values():
+            set_threads(2)
+        for delta in (0.0, 7.0, 9.0, 11.0):
+            p = SystemParams.from_mode_rates(delta * MHz, delta * MHz, 25.1 * MHz, 0.25 * MHz,
+                                             8 * MHz, 0.0, 10.35 * MHz, 7.0 * MHz, 1.4e-3, 0.0)
+            sol = displaced_solution(p, cutoffs=(6, 6))
+            with blas.single_threaded() as pinned_by:
+                assert pinned_by == "cli"
+                one = two_time_correlations(sol.liouvillian, sol.rho, tau)
+            assert all(n == 2 for n in blas.thread_counts().values())
+            two = two_time_correlations(sol.liouvillian, sol.rho, tau)
+            for a, b in ((one.n_tau, two.n_tau), (one.s_tau, two.s_tau),
+                         (one.s_tau_alt, two.s_tau_alt)):
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max(), delta
+    finally:
+        for name, count in original.items():
+            entry_points[name][1](count)

@@ -296,6 +296,17 @@ def test_packet_size_override_must_be_positive(tmp_path, capsys, value):
     assert "--packet-size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["packet_size", "n_packets"])
+def test_measurement_count_below_one_is_a_config_error(tmp_path, capsys, key):
+    text = MINIMAL + f"\n[measurement]\n{key} = 0 count\n"
+    cfg = write_cfg(tmp_path, text)
+    line = text.splitlines().index(f"{key} = 0 count") + 1
+    rc = main(["measure-demo", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{cfg} line {line}: [measurement] {key}" in err
+
+
 def test_cmd_measure_demo_pipeline_failure_exit_code(tmp_path, capsys):
     # unphysical truth covariance is rejected by the synthesizer -> exit 3
     cfg = write_cfg(tmp_path, MINIMAL + """

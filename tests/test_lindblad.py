@@ -6,11 +6,13 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+import blockadesim.lindblad as lindblad_mod
 from blockadesim.hilbert import DensityMatrix, ptrace, thermal_state, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
-                                  _max_abs, build_liouvillian, displaced_solution,
-                                  mean_field_steady_state, mode_occupation, observables,
-                                  steady_state, two_time_correlations, unvec, vec)
+                                  _assemble_dense, _generator_terms, build_liouvillian,
+                                  displaced_solution, mean_field_steady_state,
+                                  mode_occupation, observables, steady_state,
+                                  two_time_correlations, unvec, vec)
 
 TWO_PI = 2.0 * math.pi
 MHz = TWO_PI * 1e6
@@ -283,7 +285,7 @@ def test_thermal_product_state_is_fixed_point():
     cut = 10
     L = build_liouvillian(p, cutoffs=(cut, cut))
     rho_th = np.kron(thermal_state(cut, nbar).data, thermal_state(cut, nbar).data)
-    resid = np.abs(L.apply(rho_th)).max() / (_max_abs(L.data) * np.abs(rho_th).max())
+    resid = np.abs(L.apply(rho_th)).max() / (L.max_abs * np.abs(rho_th).max())
     assert resid < 1e-8  # truncated thermal tail sets the floor
     rho_ss = steady_state(L)
     fidelity = np.trace(rho_ss.data @ rho_th).real / np.trace(rho_th @ rho_th).real
@@ -377,6 +379,59 @@ def test_sparse_path_matches_dense():
     assert n_sparse == pytest.approx(n_dense, rel=1e-6)
 
 
+def _terms_at(p, cutoffs, displacement=None):
+    a_op, b_op = two_mode_annihilators(*cutoffs)
+    eye = np.eye(a_op.side)
+    A, B = a_op.data, b_op.data
+    if displacement is not None:
+        A, B = A + displacement[0] * eye, B + displacement[1] * eye
+    return _generator_terms(p, A, B)
+
+
+@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("mode", ["simplified", "full", "damping-only"])
+@pytest.mark.parametrize("displaced", [False, True])
+def test_matrix_free_apply_matches_dense(cutoffs, mode, displaced):
+    # n_th > 0 in every mode, so the C' jumps are present; with H = 0 the
+    # largest entry of L is a diagonal one
+    eta = 15 * MHz if displaced else 1 * MHz
+    if mode == "damping-only":
+        p = replace(_real_form_params("simplified", eta), delta_a=0.0, delta_b=0.0,
+                    J=0.0, U=0.0)
+    else:
+        p = _real_form_params(mode, eta)
+    disp = None
+    if displaced:
+        mf = mean_field_steady_state(p)
+        disp = (mf.alpha, mf.beta)
+    terms = _terms_at(p, cutoffs, disp)
+    dense = _assemble_dense(*terms)
+    L = Liouvillian(cutoffs, terms=terms)
+    assert L.is_sparse and L.side == dense.shape[0]
+    assert L.max_abs == pytest.approx(np.abs(dense).max(), rel=1e-14)
+    rng = np.random.default_rng(3)
+    joint = cutoffs[0] * cutoffs[1]
+    for _ in range(3):
+        rho = random_density(rng, joint)
+        want = unvec(dense @ vec(rho), joint)
+        assert np.abs(L.apply(rho) - want).max() <= 1e-14 * L.max_abs
+
+
+def test_matrix_free_trace_preservation_guard():
+    K, weights, jumps = _terms_at(sample_params(), (3, 3))
+    broken = K.copy()
+    broken[1, 2] += np.abs(K).max()
+    with pytest.raises(ValueError, match="trace"):
+        Liouvillian((3, 3), terms=(broken, weights, jumps))
+
+
+def test_gmres_failure_raises(monkeypatch):
+    monkeypatch.setattr(lindblad_mod, "gmres", lambda A, b, **kwargs: (b, 7))
+    L = build_liouvillian(sample_params(eta=0.5 * MHz), cutoffs=(9, 8))
+    with pytest.raises(SteadyStateError, match="GMRES"):
+        steady_state(L)
+
+
 
 def _real_form_params(mode: str, eta: float) -> SystemParams:
     """Pumped parameters with thermal baths (n_th > 0 adds the C C' jumps)."""
@@ -462,7 +517,7 @@ def test_qrt_initial_value_and_decay():
 def test_qrt_matches_dense_expm():
     p = sample_params(eta=4 * MHz, da=1 * MHz, db=1 * MHz)
     sol = displaced_solution(p, cutoffs=(3, 3))
-    tau = np.array([0.0, 7e-9, 31e-9])
+    tau = np.linspace(0.0, 31e-9, 5)
     corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
     a_op, _ = two_mode_annihilators(3, 3)
     d = a_op.data
@@ -477,6 +532,48 @@ def test_qrt_requires_tau_from_zero():
     sol = displaced_solution(p)
     with pytest.raises(ValueError):
         two_time_correlations(sol.liouvillian, sol.rho, np.array([1e-9, 2e-9]))
+
+
+def test_qrt_requires_equal_tau_steps():
+    sol = displaced_solution(sample_params(eta=1 * MHz))
+    with pytest.raises(ValueError, match="equal steps"):
+        two_time_correlations(sol.liouvillian, sol.rho, np.array([0.0, 1e-9, 3e-9]))
+
+
+def test_qrt_on_the_zero_tau_point_alone():
+    sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
+    corr = two_time_correlations(sol.liouvillian, sol.rho, [0.0])
+    assert corr.n_tau[0].real == pytest.approx(sol.obs.n, rel=1e-12)
+    assert abs(corr.s_tau[0] - sol.obs.s) <= 1e-12 * abs(sol.obs.s)
+
+
+def test_qrt_output_ignores_global_rng():
+    # expm_multiply's norm estimates draw from numpy's legacy global RNG
+    p = sample_params(eta=8 * MHz, da=7 * MHz, db=7 * MHz)
+    sol = displaced_solution(p, cutoffs=(6, 6))
+    tau = np.linspace(0.0, 120e-9, 241)
+    runs = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
+        runs.append(np.array([corr.n_tau, corr.s_tau, corr.s_tau_alt]))
+        # and the caller's RNG stream is left where it was
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_qrt_cauchy_schwarz_violation_raises(monkeypatch):
+    real = lindblad_mod.expm_multiply
+
+    def growing(A, B, **kwargs):
+        return real(A, B, **kwargs) * np.linspace(1.0, 2.0, kwargs["num"])[:, None, None]
+
+    monkeypatch.setattr(lindblad_mod, "expm_multiply", growing)
+    sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
+    with pytest.raises(SteadyStateError, match="Cauchy-Schwarz"):
+        two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 1e-9, 11))
 
 
 def test_ordering_discrepancy_reported():
