@@ -156,9 +156,9 @@ def derive_device(cfg: RunConfig) -> dict:
 
 
 def system_params_from_config(cfg: RunConfig, eta_a: complex | None = None) -> SystemParams:
-    """Simplified-form SystemParams with thermal occupations from the chains."""
+    """Two-bath SystemParams with thermal occupations from the chains."""
     derived = derive_device(cfg)
-    return SystemParams.from_mode_rates(
+    return SystemParams(
         delta_a=0.0, delta_b=0.0, J=cfg.system.J, U=cfg.system.U,
         eta_a=cfg.system.eta_a if eta_a is None else eta_a, eta_b=cfg.system.eta_b,
         kappa_a=cfg.device.kappa_a, kappa_b=cfg.device.kappa_b,

@@ -224,13 +224,13 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     def q(section, key, kind, default=None) -> float:
         return values(section, key, kind, None if default is None else (default,), count=1)[0]
 
-    def positive_count(section, key, default) -> int:
-        value = int(q(section, key, "count", default=default))
-        if value < 1:
+    def positive_count(section, key, default, minimum=1) -> int:
+        value = float(q(section, key, "count", default=default))
+        if not value.is_integer() or value < minimum:
             entry = sec[section][key]
             raise ConfigError(f"{name} line {entry.line}: [{section}] {key} = {entry.text!r} "
-                              "must be at least 1")
-        return value
+                              f"must be a whole number of at least {minimum}")
+        return int(value)
 
     def unit_of(section, key) -> str | None:
         entry = lookup(section, key)
@@ -321,19 +321,21 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     sweep = SweepConfig(
         delta_a_start=q("sweep", "delta_a_start", "angular", default=-2 * math.pi * 20e6),
         delta_a_stop=q("sweep", "delta_a_stop", "angular", default=2 * math.pi * 20e6),
-        delta_a_points=int(q("sweep", "delta_a_points", "count", default=81)),
+        # an empty sweep is valid: g2-sweep then writes the header alone
+        delta_a_points=positive_count("sweep", "delta_a_points", default=81, minimum=0),
         delta_diff_start=q("sweep", "delta_diff_start", "angular", default=-2 * math.pi * 6e6),
         delta_diff_stop=q("sweep", "delta_diff_stop", "angular", default=2 * math.pi * 6e6),
-        delta_diff_points=int(q("sweep", "delta_diff_points", "count", default=13)),
+        delta_diff_points=positive_count("sweep", "delta_diff_points", default=13),
         eta_values=values("sweep", "eta_values", "angular", default=()),
         eta_fit_target=(q("sweep", "eta_fit_target", "dimensionless")
                         if lookup("sweep", "eta_fit_target") is not None else None),
         tau_stop=q("sweep", "tau_stop", "time", default=200e-9),
-        tau_points=int(q("sweep", "tau_points", "count", default=401)),
+        # dominant_period needs at least 8 samples
+        tau_points=positive_count("sweep", "tau_points", default=401, minimum=8),
         g2tau_detunings=values("sweep", "g2tau_detunings", "angular", default=()),
         g2tau_eta=(q("sweep", "g2tau_eta", "angular")
                    if lookup("sweep", "g2tau_eta") is not None else None),
-        cutoff=int(q("sweep", "cutoff", "count", default=4)),
+        cutoff=positive_count("sweep", "cutoff", default=4, minimum=2),
     )
 
     for (section, key), entry in unread.items():

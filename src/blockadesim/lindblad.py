@@ -5,14 +5,11 @@ The Hamiltonian in the frame rotating at the pump frequency is
     H = -delta_a a'a - delta_b b'b + J (a'b + b'a) - U b'b'bb
         + (eta_a a' + eta_a* a) + (eta_b b' + eta_b* b)
 
-with thermal dissipators (rate/2) D(c, n_th) per bath, where
+with the two thermal dissipators (kappa_a/2) D(a, n_th_a) and
+(kappa_b/2) D(b, n_th_b), where
 
     D(c, n) rho = (n+1)(2 c rho c' - c'c rho - rho c'c)
                 + n (2 c' rho c - c c' rho - rho c c').
-
-In full mode each port couples to the mixture c_j = alpha_j a + beta_j b;
-in simplified mode the jumps collapse to plain a and b with the total rates
-kappa_a, kappa_b and rate-weighted thermal occupations.
 
 Displaced-frame Liouvillians are built by substituting a -> alpha + a,
 b -> beta + b with the mean-field amplitudes (the classical fixed point,
@@ -20,12 +17,12 @@ found in closed form from a real cubic in |beta|^2), which cancels the
 linear drive terms and lets tiny Fock cutoffs (4 per mode) represent the
 state.
 
-Which solver runs where: up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension
-64, the cutoff-4 production path) L is a dense superoperator and the steady
-state is one real LU in a Hermitian basis; above it L is applied matrix-free
-from its generator terms and the steady state comes from GMRES with a
-Sylvester preconditioner.  Two-time correlations propagate with
-``expm_multiply`` on the dense L.
+L is kept as its generator terms (K, weights, jumps) and applied
+matrix-free.  It is made dense in two places only: up to
+DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 64, the cutoff-4 production
+path) the steady state is one real LU in a Hermitian basis, and two-time
+correlations propagate with ``expm_multiply``.  Above that dimension the
+steady state comes from GMRES with a Sylvester preconditioner.
 """
 
 from __future__ import annotations
@@ -64,92 +61,32 @@ class SteadyStateError(RuntimeError):
 class SystemParams:
     """All master-equation parameters, angular frequencies throughout.
 
-    gamma_ports / port_coeffs / n_th_ports describe the four port baths
-    (coefficients (alpha_j, beta_j) define the jump mixture); gamma_a and
-    gamma_b are the intrinsic channels at the box occupation.  With
-    ``simplified`` set, the jumps collapse to a and b at the total rates.
+    Two baths: mode a decays at kappa_a into occupation n_th_a, mode b at
+    kappa_b into n_th_b; eta_a and eta_b are the complex pump amplitudes.
     """
 
     delta_a: float
     delta_b: float
     J: float
     U: float
-    eta_a: complex = 0.0
-    eta_b: complex = 0.0
-    gamma_ports: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    port_coeffs: tuple[tuple[float, float], ...] = ((1, 0), (1, 0), (0, 1), (0, 1))
-    n_th_ports: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    gamma_a: float = 0.0
-    gamma_b: float = 0.0
-    n_th_box: float = 0.0
-    simplified: bool = True
+    eta_a: complex
+    eta_b: complex
+    kappa_a: float
+    kappa_b: float
+    n_th_a: float = 0.0
+    n_th_b: float = 0.0
 
     def __post_init__(self):
-        if len(self.gamma_ports) != 4 or len(self.n_th_ports) != 4 or len(self.port_coeffs) != 4:
-            raise ValueError("need exactly four ports")
-        if min(self.gamma_ports) < 0 or self.gamma_a < 0 or self.gamma_b < 0:
-            raise ValueError("rates must be >= 0")
-        if min(self.n_th_ports) < 0 or self.n_th_box < 0:
+        if not (self.kappa_a > 0 and self.kappa_b > 0):
+            raise ValueError("need kappa_a > 0 and kappa_b > 0")
+        if not (self.n_th_a >= 0 and self.n_th_b >= 0):
             raise ValueError("occupations must be >= 0")
-        if self.simplified and (self.kappa_a <= 0 or self.kappa_b <= 0):
-            raise ValueError("simplified mode needs kappa_a > 0 and kappa_b > 0")
-        if not self.simplified:
-            for g, (ca, cb) in zip(self.gamma_ports, self.port_coeffs):
-                if g > 0 and abs(ca * ca + cb * cb - 1.0) > 1e-9:
-                    raise ValueError("port coefficients must be normalized where gamma > 0")
 
     @classmethod
     def from_mode_rates(cls, delta_a, delta_b, J, U, eta_a, eta_b,
                         kappa_a, kappa_b, n_th_a=0.0, n_th_b=0.0) -> "SystemParams":
-        """Simplified-form parameters straight from per-mode rates and occupations."""
-        return cls(delta_a=delta_a, delta_b=delta_b, J=J, U=U,
-                   eta_a=eta_a, eta_b=eta_b,
-                   gamma_ports=(kappa_a, 0.0, kappa_b, 0.0),
-                   n_th_ports=(n_th_a, 0.0, n_th_b, 0.0),
-                   simplified=True)
-
-    @property
-    def kappa_a(self) -> float:
-        return self.gamma_ports[0] + self.gamma_ports[1] + self.gamma_a
-
-    @property
-    def kappa_b(self) -> float:
-        return self.gamma_ports[2] + self.gamma_ports[3] + self.gamma_b
-
-    @property
-    def n_th_a(self) -> float:
-        g = self.gamma_ports
-        n = self.n_th_ports
-        return (g[0] * n[0] + g[1] * n[1] + self.gamma_a * self.n_th_box) / self.kappa_a
-
-    @property
-    def n_th_b(self) -> float:
-        g = self.gamma_ports
-        n = self.n_th_ports
-        return (g[2] * n[2] + g[3] * n[3] + self.gamma_b * self.n_th_box) / self.kappa_b
-
-    def baths(self) -> list[tuple[float, tuple[complex, complex], float]]:
-        """Jump channels as (rate, (c_a, c_b) mixture, n_th)."""
-        if self.simplified:
-            return [(self.kappa_a, (1.0, 0.0), self.n_th_a),
-                    (self.kappa_b, (0.0, 1.0), self.n_th_b)]
-        out = []
-        for g, coeff, n in zip(self.gamma_ports, self.port_coeffs, self.n_th_ports):
-            if g > 0:
-                out.append((g, (coeff[0], coeff[1]), n))
-        if self.gamma_a > 0:
-            out.append((self.gamma_a, (1.0, 0.0), self.n_th_box))
-        if self.gamma_b > 0:
-            out.append((self.gamma_b, (0.0, 1.0), self.n_th_box))
-        return out
-
-    def damping_matrix(self) -> np.ndarray:
-        """2x2 mean-field damping K = sum_j rate_j v_j v_j' (K/2 enters the drift)."""
-        K = np.zeros((2, 2), dtype=complex)
-        for rate, (ca, cb), _ in self.baths():
-            v = np.array([ca, cb], dtype=complex)
-            K += rate * np.outer(v, v.conj())
-        return K
+        """The positional constructor under the name its callers use."""
+        return cls(delta_a, delta_b, J, U, eta_a, eta_b, kappa_a, kappa_b, n_th_a, n_th_b)
 
 
 @dataclass(frozen=True)
@@ -160,60 +97,46 @@ class MeanFieldResult:
     warnings: tuple[str, ...] = ()
 
 
-def _mean_field_rhs(p: SystemParams, K: np.ndarray, al: complex, be: complex) -> np.ndarray:
-    f_a = ((1j * p.delta_a) * al - 1j * p.J * be - 1j * p.eta_a
-           - 0.5 * (K[0, 0] * al + K[0, 1] * be))
-    f_b = ((1j * p.delta_b) * be - 1j * p.J * al - 1j * p.eta_b
-           + 2j * p.U * abs(be) ** 2 * be
-           - 0.5 * (K[1, 0] * al + K[1, 1] * be))
-    return np.array([f_a, f_b])
-
-
 def mean_field_steady_state(p: SystemParams) -> MeanFieldResult:
     """Fixed point of the classical equations of motion, in closed form.
 
     Only mode b is nonlinear.  The a equation a11 alpha + a12 beta = i eta_a
-    gives alpha = (i eta_a - a12 beta) / a11, and the b equation becomes
-    (A + 2iU n) beta = B with n = |beta|^2, so n is a real root of the
-    Kerr-bistability cubic n ((Re A)^2 + (Im A + 2U n)^2) = |B|^2
-    (Drummond & Walls, J. Phys. A 13, 725 (1980)).  Every real root is
-    positive and the smallest is the low-amplitude branch; three real roots
-    mean bistability, and the low branch is returned with a warning.  With
-    mode a undamped on resonance (a11 = 0) the a equation fixes beta and
-    the b equation gives alpha.
+    gives alpha = (i eta_a - a12 beta) / a11 (a11 = i delta_a - kappa_a / 2
+    is never zero), and the b equation becomes (A + 2iU n) beta = B with
+    n = |beta|^2, so n is a real root of the Kerr-bistability cubic
+    n ((Re A)^2 + (Im A + 2U n)^2) = |B|^2 (Drummond & Walls, J. Phys. A
+    13, 725 (1980)).  Every real root is positive and the smallest is the
+    low-amplitude branch; three real roots mean bistability, and the low
+    branch is returned with a warning.
 
     Raises ConvergenceError when the drift at the returned point exceeds
     MEAN_FIELD_TOL relative to the pump and damping scale.
     """
-    K = p.damping_matrix()
-    a11 = 1j * p.delta_a - 0.5 * K[0, 0]
-    a12 = -1j * p.J - 0.5 * K[0, 1]
-    a21 = -1j * p.J - 0.5 * K[1, 0]
-    a22 = 1j * p.delta_b - 0.5 * K[1, 1]
+    a11 = 1j * p.delta_a - 0.5 * p.kappa_a
+    a12 = -1j * p.J
+    a22 = 1j * p.delta_b - 0.5 * p.kappa_b
     warnings: tuple[str, ...] = ()
-    if a11 == 0:
-        beta = 1j * p.eta_a / a12
-        alpha = (1j * p.eta_b - (a22 + 2j * p.U * abs(beta) ** 2) * beta) / a21
+    A = a22 - a12 * a12 / a11
+    B = 1j * p.eta_b - 1j * p.eta_a * a12 / a11
+    if p.U == 0 or B == 0:
+        beta = B / A
     else:
-        A = a22 - a21 * a12 / a11
-        B = 1j * p.eta_b - 1j * p.eta_a * a21 / a11
-        if p.U == 0 or B == 0:
-            beta = B / A
-        else:
-            # the cubic over 4U^2 is n^3 + c2 n^2 + c1 n + c0; its roots are the
-            # eigenvalues of the companion matrix, which is real, so LAPACK
-            # returns the real roots with an imaginary part of exactly zero
-            c2, c1, c0 = A.imag / p.U, (abs(A) / (2 * p.U)) ** 2, -(abs(B) / (2 * p.U)) ** 2
-            roots = np.linalg.eigvals([[-c2, -c1, -c0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-            n = np.sort(roots[roots.imag == 0].real)
-            if len(n) == 3:
-                warnings = ("bistable mean field: selected low-amplitude branch",)
-            beta = B / (A + 2j * p.U * n[0])
-        alpha = (1j * p.eta_a - a12 * beta) / a11
+        # the cubic over 4U^2 is n^3 + c2 n^2 + c1 n + c0; its roots are the
+        # eigenvalues of the companion matrix, which is real, so LAPACK
+        # returns the real roots with an imaginary part of exactly zero
+        c2, c1, c0 = A.imag / p.U, (abs(A) / (2 * p.U)) ** 2, -(abs(B) / (2 * p.U)) ** 2
+        roots = np.linalg.eigvals([[-c2, -c1, -c0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        n = np.sort(roots[roots.imag == 0].real)
+        if len(n) == 3:
+            warnings = ("bistable mean field: selected low-amplitude branch",)
+        beta = B / (A + 2j * p.U * n[0])
+    alpha = (1j * p.eta_a - a12 * beta) / a11
 
+    drift = [a11 * alpha + a12 * beta - 1j * p.eta_a,
+             (a22 + 2j * p.U * abs(beta) ** 2) * beta + a12 * alpha - 1j * p.eta_b]
     scale = max(abs(p.eta_a), abs(p.eta_b),
                 p.kappa_a * (1.0 + abs(alpha)), p.kappa_b * (1.0 + abs(beta)))
-    res = float(np.linalg.norm(_mean_field_rhs(p, K, alpha, beta)) / scale)
+    res = float(np.linalg.norm(drift) / scale)
     if not res <= MEAN_FIELD_TOL:
         raise ConvergenceError(
             f"mean-field drift residual {res:.2e} at the closed-form fixed point "
@@ -231,59 +154,47 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((side, side), order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Vectorized generator of the master equation (column stacking).
+    """Generator of the master equation, kept as its terms.
 
-    Either ``data`` holds the dense superoperator, as build_liouvillian
-    stores it up to DENSE_SUPEROP_MAX_JOINT_DIM, or ``terms`` holds the
-    (K, weights, jumps) of L rho = K rho + rho K' + sum_m w_m C_m rho C_m'
-    and L is applied matrix-free at O(J n^3) per call.  max_abs is
-    max|L entry|, computed once.
+    ``terms`` holds the (K, weights, jumps) of
+    L rho = K rho + rho K' + sum_m w_m C_m rho C_m'; L is applied
+    matrix-free at O(J n^3) per call, and ``dense()`` forms the
+    column-stacked superoperator for the solvers that need it.  max_abs
+    is max|L entry|, computed once without forming L.
     """
 
     dims: tuple[int, int]
-    data: np.ndarray | None = None
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-    max_abs: float = field(init=False, repr=False, compare=False)
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    max_abs: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        joint = int(np.prod(self.dims))
-        if (self.data is None) == (self.terms is None):
-            raise ValueError("a Liouvillian needs exactly one of data and terms")
-        if self.data is None:
-            K, weights, jumps = self.terms
-            scale = _superop_max_abs(K, weights, jumps)
-            # d Tr(rho)/dt = Tr[(K + K' + sum_m w_m C_m' C_m) rho]
-            leak = K + K.conj().T + np.tensordot(
-                weights, jumps.conj().transpose(0, 2, 1) @ jumps, 1)
-        else:
-            side = joint * joint
-            if self.data.shape != (side, side):
-                raise ValueError(f"superoperator must be {side}x{side}, got {self.data.shape}")
-            scale = float(np.abs(self.data).max())
-            # the rows of L at the diagonal entries of rho sum to d Tr(rho)/dt
-            leak = self.data[np.arange(joint) * (joint + 1)].sum(axis=0)
+        K, weights, jumps = self.terms
+        scale = _superop_max_abs(K, weights, jumps)
         object.__setattr__(self, "max_abs", scale)
+        # d Tr(rho)/dt = Tr[(K + K' + sum_m w_m C_m' C_m) rho]
+        leak = K + K.conj().T + np.tensordot(weights, jumps.conj().transpose(0, 2, 1) @ jumps, 1)
         if np.abs(leak).max() > TRACE_PRESERVATION_TOL * scale:
             raise ValueError("Liouvillian is not trace preserving")
 
     @property
     def is_sparse(self) -> bool:
-        """True when L is applied matrix-free, with no superoperator stored."""
-        return self.data is None
+        """True above DENSE_SUPEROP_MAX_JOINT_DIM, where no solver forms the superoperator."""
+        return int(np.prod(self.dims)) > DENSE_SUPEROP_MAX_JOINT_DIM
 
     @property
     def side(self) -> int:
         return int(np.prod(self.dims)) ** 2
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        if self.data is not None:
-            return unvec(self.data @ vec(rho), int(np.prod(self.dims)))
         K, weights, jumps = self.terms
         jump_sum = np.tensordot(weights, jumps @ rho @ jumps.conj().transpose(0, 2, 1), 1)
         return K @ rho + rho @ K.conj().T + jump_sum
+
+    def dense(self) -> np.ndarray:
+        """The side x side superoperator, formed anew on each call."""
+        return _assemble_dense(*self.terms)
 
 
 def _superop_max_abs(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> float:
@@ -307,8 +218,9 @@ def _generator_terms(p: SystemParams, A: np.ndarray,
                      B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, weights, jumps) of L rho = K rho + rho K' + sum_m w_m C_m rho C_m'.
 
-    K = -iH - 1/2 sum_m w_m C_m' C_m; jumps stacks the C_m (c of each bath,
-    plus c' where n_th > 0) as a (J, n, n) array.
+    K = -iH - 1/2 sum_m w_m C_m' C_m; jumps stacks the C_m (a at
+    kappa_a (n_th_a + 1), b at kappa_b (n_th_b + 1), plus a' and b' at
+    kappa n_th where n_th > 0) as a (J, n, n) array.
     """
     Ad, Bd = A.conj().T, B.conj().T
     H = (-p.delta_a * (Ad @ A) - p.delta_b * (Bd @ B)
@@ -318,8 +230,7 @@ def _generator_terms(p: SystemParams, A: np.ndarray,
          + p.eta_b * Bd + np.conj(p.eta_b) * B)
     K = -1j * H
     weights, jumps = [], []
-    for rate, (ca, cb), n_th in p.baths():
-        C = ca * A + cb * B
+    for rate, C, n_th in ((p.kappa_a, A, p.n_th_a), (p.kappa_b, B, p.n_th_b)):
         pairs = [(rate * (n_th + 1.0), C)]
         if n_th > 0:
             pairs.append((rate * n_th, C.conj().T))
@@ -348,10 +259,7 @@ def _assemble_dense(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> np
 
 def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
                       cutoffs: tuple[int, int] = (4, 4)) -> Liouvillian:
-    """The (optionally displaced) Liouvillian at the given Fock cutoffs.
-
-    Dense up to DENSE_SUPEROP_MAX_JOINT_DIM, matrix-free above it.
-    """
+    """The (optionally displaced) Liouvillian at the given Fock cutoffs."""
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
     joint = n_a * n_b
     if joint * joint > MAX_SUPEROP_SIDE:
@@ -363,10 +271,7 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
         eye = np.eye(joint)
         A = A + displacement[0] * eye
         B = B + displacement[1] * eye
-    terms = _generator_terms(p, A, B)
-    if joint > DENSE_SUPEROP_MAX_JOINT_DIM:
-        return Liouvillian((n_a, n_b), terms=terms)
-    return Liouvillian((n_a, n_b), _assemble_dense(*terms))
+    return Liouvillian((n_a, n_b), _generator_terms(p, A, B))
 
 
 def _solve_hermitian(data: np.ndarray, joint: int, scale: float) -> np.ndarray:
@@ -436,9 +341,10 @@ def _solve_matrix_free(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
 def steady_state(L: Liouvillian) -> DensityMatrix:
     """Null vector of L with unit trace.
 
-    A dense L is solved as a real system in a Hermitian basis by one LU
-    with a row replaced by the trace (``_solve_hermitian``); a matrix-free
-    L by GMRES with a Sylvester preconditioner (``_solve_matrix_free``).
+    Up to DENSE_SUPEROP_MAX_JOINT_DIM, L is made dense and solved as a
+    real system in a Hermitian basis by one LU with a row replaced by the
+    trace (``_solve_hermitian``); above it, L is applied matrix-free in
+    GMRES with a Sylvester preconditioner (``_solve_matrix_free``).
     Raises SteadyStateError when the solve fails or the residual
     |L x| / (max_abs |x|) exceeds STEADY_STATE_RESIDUAL_TOL, which
     indicates a degenerate null space.
@@ -451,7 +357,7 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     if L.is_sparse:
         x = _solve_matrix_free(L, joint, scale)
     else:
-        x = _solve_hermitian(L.data, joint, scale)
+        x = _solve_hermitian(L.dense(), joint, scale)
 
     if not np.all(np.isfinite(x)):
         raise SteadyStateError("steady-state solve produced non-finite entries")
@@ -518,13 +424,14 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
 
     The initial states rho d', d rho and rho d are propagated together by
     ``expm_multiply`` (Al-Mohy & Higham, SISC 33, 488 (2011)) on the CSR
-    form of the dense, displaced-frame L, then contracted with Tr[d . ].
+    form of the displaced-frame L made dense, then contracted with Tr[d . ].
     Raises SteadyStateError when a correlator breaks its Cauchy-Schwarz
     bound |n(tau)| <= n(0), |s(tau)|^2 <= n(0) (n(0) + 1) by more than
     CAUCHY_SCHWARZ_TOL relative.
     """
     if L.is_sparse:
-        raise ValueError("two-time correlations need a dense (displaced-frame) Liouvillian")
+        raise ValueError("two-time correlations need a joint dimension of at most "
+                         f"{DENSE_SUPEROP_MAX_JOINT_DIM} (a displaced-frame Liouvillian)")
     if L.dims != rho_ss.dims:
         raise ValueError(f"dims mismatch: {L.dims} vs {rho_ss.dims}")
     tau = np.asarray(tau_grid, dtype=float)
@@ -543,7 +450,7 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
         states = X[None]
     else:
         with _seeded_legacy_rng():
-            states = expm_multiply(csr_array(L.data), X, start=0.0, stop=tau[-1],
+            states = expm_multiply(csr_array(L.dense()), X, start=0.0, stop=tau[-1],
                                    num=tau.size, endpoint=True)
     n_tau, s_tau, s_alt = (vec(d.T) @ states).T
 

@@ -142,19 +142,19 @@ class EnvelopePoint:
 
 @blas.single_threaded()
 def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
-                workers: int = 1, coarse_points: int = COARSE_GRID_POINTS) -> list[EnvelopePoint]:
+                workers: int = 1) -> list[EnvelopePoint]:
     """Per pump strength, minimize g2(0) over (delta_a, delta_b).
 
     Nelder-Mead in units of kappa_a from a 0.1 kappa_a simplex, seeded from
-    the best point of a coarse grid spanning +/- kappa_a around zero
-    detuning.  Optimizer stagnation is reported on the envelope point, with
-    the best value found.
+    the best point of a COARSE_GRID_POINTS-square grid spanning +/- kappa_a
+    around zero detuning.  Optimizer stagnation is reported on the envelope
+    point, with the best value found.
     """
     span = p.kappa_a
     etas = list(np.atleast_1d(eta_values))
     if not etas:
         raise ValueError("eta_values must be nonempty")
-    grid = np.linspace(-span, span, coarse_points)
+    grid = np.linspace(-span, span, COARSE_GRID_POINTS)
     solve = partial(solve_point, cutoffs=cutoffs)
     out = []
     for eta in etas:

@@ -307,6 +307,22 @@ def test_measurement_count_below_one_is_a_config_error(tmp_path, capsys, key):
     assert f"{cfg} line {line}: [measurement] {key}" in err
 
 
+@pytest.mark.parametrize("command,line", [
+    ("g2-sweep", "cutoff = 4.7 count"),          # was run at cutoff 4
+    ("g2-sweep", "cutoff = 1 count"),            # was exit 3 with an empty message
+    ("g2-sweep", "delta_a_points = -3 count"),   # was exit 3 from numpy
+    ("g2-tau", "tau_points = 4 count"),          # was exit 3 from dominant_period
+], ids=["fractional-cutoff", "cutoff-1", "negative-points", "tau-points-4"])
+def test_sweep_count_must_be_a_whole_number_at_its_minimum(tmp_path, capsys, command, line):
+    text = MINIMAL + f"\n[sweep]\n{line}\n"
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index(line) + 1
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    key = line.split(" = ")[0]
+    assert f"{cfg} line {lineno}: [sweep] {key}" in capsys.readouterr().err
+
+
 def test_cmd_measure_demo_pipeline_failure_exit_code(tmp_path, capsys):
     # unphysical truth covariance is rejected by the synthesizer -> exit 3
     cfg = write_cfg(tmp_path, MINIMAL + """

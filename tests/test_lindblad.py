@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import blockadesim.lindblad as lindblad_mod
 from blockadesim.hilbert import DensityMatrix, ptrace, thermal_state, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
-                                  _assemble_dense, _generator_terms, build_liouvillian,
+                                  _generator_terms, build_liouvillian,
                                   displaced_solution, mean_field_steady_state,
                                   mode_occupation, observables, steady_state,
                                   two_time_correlations, unvec, vec)
@@ -49,8 +49,7 @@ def direct_master_equation_rhs(p, rho, displacement, dims):
          - p.U * Bd @ Bd @ B @ B
          + p.eta_a * Ad + np.conj(p.eta_a) * A + p.eta_b * Bd + np.conj(p.eta_b) * B)
     out = -1j * (H @ rho - rho @ H)
-    for rate, (ca, cb), nth in p.baths():
-        C = ca * A + cb * B
+    for rate, C, nth in ((p.kappa_a, A, p.n_th_a), (p.kappa_b, B, p.n_th_b)):
         Cd = C.conj().T
         out += 0.5 * rate * (nth + 1) * (2 * C @ rho @ Cd - Cd @ C @ rho - rho @ Cd @ C)
         out += 0.5 * rate * nth * (2 * Cd @ rho @ C - C @ Cd @ rho - rho @ C @ Cd)
@@ -60,13 +59,10 @@ def direct_master_equation_rhs(p, rho, displacement, dims):
 def mean_field_drift_terms(p, alpha, beta):
     """The terms of d<a>/dt and d<b>/dt at amplitudes (alpha, beta), one
     per Hamiltonian term and bath, written out from the master equation."""
-    terms_a = [1j * p.delta_a * alpha, -1j * p.J * beta, -1j * p.eta_a]
+    terms_a = [1j * p.delta_a * alpha, -1j * p.J * beta, -1j * p.eta_a,
+               -0.5 * p.kappa_a * alpha]
     terms_b = [1j * p.delta_b * beta, -1j * p.J * alpha, -1j * p.eta_b,
-               2j * p.U * abs(beta) ** 2 * beta]
-    for rate, (ca, cb), _ in p.baths():
-        c_mean = ca * alpha + cb * beta
-        terms_a.append(-0.5 * rate * np.conj(ca) * c_mean)
-        terms_b.append(-0.5 * rate * np.conj(cb) * c_mean)
+               2j * p.U * abs(beta) ** 2 * beta, -0.5 * p.kappa_b * beta]
     return terms_a, terms_b
 
 
@@ -80,12 +76,9 @@ def kerr_fixed_point_populations(p, n_max, samples=20001):
     """Every |beta|^2 of a fixed point below n_max: roots of
     |beta(n)|^2 - n, where beta(n) solves the drift with the Kerr shift
     frozen at 2Un."""
-    K = p.damping_matrix()
-
     def excess(n):
-        M = np.array([[1j * p.delta_a - 0.5 * K[0, 0], -1j * p.J - 0.5 * K[0, 1]],
-                      [-1j * p.J - 0.5 * K[1, 0],
-                       1j * p.delta_b + 2j * p.U * n - 0.5 * K[1, 1]]])
+        M = np.array([[1j * p.delta_a - 0.5 * p.kappa_a, -1j * p.J],
+                      [-1j * p.J, 1j * p.delta_b + 2j * p.U * n - 0.5 * p.kappa_b]])
         return abs(np.linalg.solve(M, [1j * p.eta_a, 1j * p.eta_b])[1]) ** 2 - n
 
     grid = np.linspace(0.0, n_max, samples)
@@ -97,34 +90,15 @@ def kerr_fixed_point_populations(p, n_max, samples=20001):
 # --- SystemParams ---
 
 def test_params_validation():
+    assert [f.name for f in fields(SystemParams)] == [
+        "delta_a", "delta_b", "J", "U", "eta_a", "eta_b", "kappa_a", "kappa_b",
+        "n_th_a", "n_th_b"]
     with pytest.raises(ValueError):
-        SystemParams(0, 0, J, U, gamma_ports=(-1.0, 0, 1.0, 0))
+        SystemParams(0, 0, J, U, 0, 0, KAPPA_A, KAPPA_B, -1e-3, 0.0)
     with pytest.raises(ValueError):
         SystemParams.from_mode_rates(0, 0, J, U, 0, 0, 0.0, KAPPA_B)
     p = sample_params()
-    assert p.kappa_a == pytest.approx(KAPPA_A)
-    assert p.n_th_a == pytest.approx(N_TH_A)
-
-
-def test_simplified_equals_full_with_zeroed_coupling_matrix():
-    """With the four smallest coupling elements zeroed, each port couples to
-    a single mode (up to a sign, which cancels in the dissipator) and the
-    full and simplified generators are the same operator by construction."""
-    from blockadesim.device import CouplingMatrix, port_rates, zero_smallest_elements
-
-    B = 1e-3 * np.array([[14.2, -52.0, 0.8, 3.9], [-0.8, -3.4, -14.2, 54.0]])
-    rates = port_rates(CouplingMatrix(zero_smallest_elements(B), TWO_PI * 5.878e9))
-    p_full = SystemParams(
-        delta_a=2 * MHz, delta_b=-1 * MHz, J=J, U=U, eta_a=0.3 * MHz, eta_b=0.0,
-        gamma_ports=tuple(r.gamma for r in rates),
-        port_coeffs=tuple((r.alpha, r.beta) for r in rates),
-        n_th_ports=(1.5e-2, 6.5e-4, 0.0, 0.0),
-        gamma_a=1.8 * MHz, gamma_b=0.0, n_th_box=0.0, simplified=False)
-    p_simp = SystemParams(**{**p_full.__dict__, "simplified": True})
-    L_full = build_liouvillian(p_full, cutoffs=(3, 3))
-    L_simp = build_liouvillian(p_simp, cutoffs=(3, 3))
-    scale = np.abs(L_full.data).max()
-    assert np.abs(L_full.data - L_simp.data).max() <= 1e-12 * scale
+    assert p == SystemParams(0.0, 0.0, J, U, 0.0, 0.0, KAPPA_A, KAPPA_B, N_TH_A, 0.0)
 
 
 # --- mean field ---
@@ -190,18 +164,9 @@ def test_mean_field_returns_the_lowest_fixed_point(eta, da, db, branches):
     assert abs(mf.beta) ** 2 == pytest.approx(populations[0], rel=1e-9)
 
 
-@pytest.mark.parametrize("a_undamped", [False, True],
-                         ids=["mixed-damping", "a-undamped-on-resonance"])
-def test_mean_field_full_mode_zeroes_the_drift(a_undamped):
+def test_mean_field_zeroes_the_drift_with_both_modes_pumped():
     p = _real_form_params("full", 15 * MHz)
-    if a_undamped:
-        # every jump on mode b alone and mode a on resonance: the a equation
-        # has no alpha term
-        p = replace(p, delta_a=0.0, gamma_a=0.0, port_coeffs=((0.0, 1.0),) * 4)
-        assert p.damping_matrix()[0, 0] == 0
-    else:
-        K = p.damping_matrix()
-        assert abs(K[0, 1]) > 0.05 * abs(K[0, 0])
+    assert p.eta_b != 0
     mf = mean_field_steady_state(p)
     assert abs(mf.alpha) > 0 and abs(mf.beta) > 0
     assert mean_field_drift_residual(p, mf) <= 1e-12
@@ -220,50 +185,6 @@ def test_liouvillian_matches_direct_evaluation():
             got = L.apply(rho)
             want = direct_master_equation_rhs(p, rho, disp, (3, 3))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_full_master_equation_against_portwise_evaluation():
-    """Full (unsimplified) generator checked against a port-by-port rewrite
-    of the master equation that does not share the bath-enumeration code."""
-    from blockadesim.device import CouplingMatrix, port_rates
-
-    B = 1e-3 * np.array([[14.2, -52.0, 0.8, 3.9], [-0.8, -3.4, -14.2, 54.0]])
-    rates = port_rates(CouplingMatrix(B, TWO_PI * 5.878e9))
-    n_ports = (1.5e-2, 6.5e-4, 1e-4, 2e-4)
-    p = SystemParams(
-        delta_a=2 * MHz, delta_b=-1 * MHz, J=J, U=U, eta_a=(0.4 - 0.2j) * MHz,
-        eta_b=0.1 * MHz, gamma_ports=tuple(r.gamma for r in rates),
-        port_coeffs=tuple((r.alpha, r.beta) for r in rates),
-        n_th_ports=n_ports, gamma_a=1.8 * MHz, gamma_b=0.3 * MHz,
-        n_th_box=5e-4, simplified=False)
-    L = build_liouvillian(p, cutoffs=(3, 3))
-
-    a_op, b_op = two_mode_annihilators(3, 3)
-    A, Bm = a_op.data, b_op.data
-    Ad, Bd = A.conj().T, Bm.conj().T
-    H = (-p.delta_a * Ad @ A - p.delta_b * Bd @ Bm + p.J * (Ad @ Bm + Bd @ A)
-         - p.U * Bd @ Bd @ Bm @ Bm
-         + p.eta_a * Ad + np.conj(p.eta_a) * A + p.eta_b * Bd + np.conj(p.eta_b) * Bm)
-
-    def dissipator(c, nth, rho):
-        cd = c.conj().T
-        return 0.5 * ((nth + 1) * (2 * c @ rho @ cd - cd @ c @ rho - rho @ cd @ c)
-                      + nth * (2 * cd @ rho @ c - c @ cd @ rho - rho @ c @ cd))
-
-    rng = np.random.default_rng(2)
-    for _ in range(3):
-        rho = random_density(rng, 9)
-        want = -1j * (H @ rho - rho @ H)
-        for j in range(4):
-            b1, b2 = B[0, j], B[1, j]
-            gamma_j = 0.5 * TWO_PI * 5.878e9 * (b1 * b1 + b2 * b2)
-            norm = math.sqrt(b1 * b1 + b2 * b2)
-            c_j = (b1 * A + b2 * Bm) / norm
-            want += gamma_j * dissipator(c_j, n_ports[j], rho)
-        want += p.gamma_a * dissipator(A, p.n_th_box, rho)
-        want += p.gamma_b * dissipator(Bm, p.n_th_box, rho)
-        got = L.apply(rho)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_liouvillian_trace_and_hermiticity_preservation():
@@ -296,7 +217,7 @@ def test_displaced_at_origin_equals_undisplaced():
     p = sample_params(eta=1 * MHz)
     L0 = build_liouvillian(p, displacement=None, cutoffs=(3, 3))
     L1 = build_liouvillian(p, displacement=(0.0, 0.0), cutoffs=(3, 3))
-    assert np.array_equal(L0.data, L1.data)
+    assert np.array_equal(L0.dense(), L1.dense())
 
 
 def test_displaced_frame_cancels_linear_drive():
@@ -313,12 +234,10 @@ def test_displaced_frame_cancels_linear_drive():
 
 
 def test_trace_preservation_guard():
-    p = sample_params()
-    L = build_liouvillian(p, cutoffs=(3, 3))
-    broken = L.data.copy()
-    broken[0, 0] += np.abs(L.data).max()
+    # jump weights that no longer match the damping folded into K
+    K, weights, jumps = build_liouvillian(sample_params(), cutoffs=(3, 3)).terms
     with pytest.raises(ValueError, match="trace"):
-        Liouvillian(L.dims, broken)
+        Liouvillian((3, 3), (K, 2.0 * weights, jumps))
 
 
 def test_cutoff_overflow_guard():
@@ -360,9 +279,8 @@ def test_detailed_balance_single_mode():
 
 
 def test_steady_state_reports_degenerate_null_space():
-    # two disconnected pure-dephasing-free subsystems: no unique steady state
-    side = 4
-    zero = np.zeros((side * side, side * side), dtype=complex)
+    # the zero generator: every state is stationary
+    zero = (np.zeros((4, 4), dtype=complex), np.zeros(0), np.zeros((0, 4, 4), dtype=complex))
     with pytest.raises(SteadyStateError):
         steady_state(Liouvillian((2, 2), zero))
 
@@ -404,10 +322,9 @@ def test_matrix_free_apply_matches_dense(cutoffs, mode, displaced):
     if displaced:
         mf = mean_field_steady_state(p)
         disp = (mf.alpha, mf.beta)
-    terms = _terms_at(p, cutoffs, disp)
-    dense = _assemble_dense(*terms)
-    L = Liouvillian(cutoffs, terms=terms)
-    assert L.is_sparse and L.side == dense.shape[0]
+    L = Liouvillian(cutoffs, _terms_at(p, cutoffs, disp))
+    dense = L.dense()
+    assert not L.is_sparse and L.side == dense.shape[0]
     assert L.max_abs == pytest.approx(np.abs(dense).max(), rel=1e-14)
     rng = np.random.default_rng(3)
     joint = cutoffs[0] * cutoffs[1]
@@ -422,7 +339,7 @@ def test_matrix_free_trace_preservation_guard():
     broken = K.copy()
     broken[1, 2] += np.abs(K).max()
     with pytest.raises(ValueError, match="trace"):
-        Liouvillian((3, 3), terms=(broken, weights, jumps))
+        Liouvillian((3, 3), (broken, weights, jumps))
 
 
 def test_gmres_failure_raises(monkeypatch):
@@ -434,18 +351,15 @@ def test_gmres_failure_raises(monkeypatch):
 
 
 def _real_form_params(mode: str, eta: float) -> SystemParams:
-    """Pumped parameters with thermal baths (n_th > 0 adds the C C' jumps)."""
+    """Pumped parameters with both baths thermal (n_th > 0 adds the C' jumps).
+
+    "simplified" pumps mode a alone; "full" switches on every drive and
+    bath term of the model, a complex pump on mode b included.
+    """
     if mode == "simplified":
         return sample_params(eta=eta, da=1.5 * MHz, db=-0.5 * MHz, n_th_b=3e-3)
-    from blockadesim.device import CouplingMatrix, port_rates
-    B = 1e-3 * np.array([[14.2, -52.0, 0.8, 3.9], [-0.8, -3.4, -14.2, 54.0]])
-    rates = port_rates(CouplingMatrix(B, TWO_PI * 5.878e9))
-    return SystemParams(
-        delta_a=1.5 * MHz, delta_b=-0.5 * MHz, J=J, U=U, eta_a=eta, eta_b=0.2 * MHz,
-        gamma_ports=tuple(r.gamma for r in rates),
-        port_coeffs=tuple((r.alpha, r.beta) for r in rates),
-        n_th_ports=(1.5e-2, 6.5e-4, 1e-4, 2e-4), gamma_a=1.8 * MHz, gamma_b=0.3 * MHz,
-        n_th_box=5e-4, simplified=False)
+    return SystemParams(1.5 * MHz, -0.5 * MHz, J, U, eta, (0.2 + 0.1j) * MHz,
+                        KAPPA_A, KAPPA_B, 1.5e-2, 5e-4)
 
 
 def _kron_sum_liouvillian(p, displacement, cutoffs):
@@ -459,8 +373,7 @@ def _kron_sum_liouvillian(p, displacement, cutoffs):
          - p.U * Bd @ Bd @ B @ B
          + p.eta_a * Ad + np.conj(p.eta_a) * A + p.eta_b * Bd + np.conj(p.eta_b) * B)
     L = np.kron(eye, -1j * H) + np.kron((1j * H).T, eye)
-    for rate, (ca, cb), nth in p.baths():
-        C = ca * A + cb * B
+    for rate, C, nth in ((p.kappa_a, A, p.n_th_a), (p.kappa_b, B, p.n_th_b)):
         for w, c in ((rate * (nth + 1), C), (rate * nth, C.conj().T)):
             cdc = c.conj().T @ c
             L += w * (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye))
@@ -484,11 +397,12 @@ def test_real_form_steady_state_matches_complex_solve(cutoffs, mode, displaced):
     L = build_liouvillian(p, displacement=disp, cutoffs=cutoffs)
     assert not L.is_sparse
 
+    dense = L.dense()
     kron_sum = _kron_sum_liouvillian(p, disp, cutoffs)
-    assert np.abs(L.data - kron_sum).max() <= 1e-14 * np.abs(kron_sum).max()
+    assert np.abs(dense - kron_sum).max() <= 1e-14 * np.abs(kron_sum).max()
 
     joint = cutoffs[0] * cutoffs[1]
-    M = L.data / np.abs(L.data).max()
+    M = dense / np.abs(dense).max()
     M[0, :] = 0.0
     M[0, ::joint + 1] = 1.0
     rhs = np.zeros(joint * joint, dtype=complex)
@@ -522,7 +436,7 @@ def test_qrt_matches_dense_expm():
     a_op, _ = two_mode_annihilators(3, 3)
     d = a_op.data
     for k, t in enumerate(tau):
-        prop = expm(sol.liouvillian.data * t)
+        prop = expm(sol.liouvillian.dense() * t)
         want = np.trace(d @ unvec(prop @ vec(sol.rho.data @ d.conj().T), 9))
         assert abs(corr.n_tau[k] - want) <= 1e-8 * max(abs(want), corr.n_tau[0].real)
 

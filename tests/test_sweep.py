@@ -168,23 +168,32 @@ def test_blockade_condition_reaches_deep_antibunching():
 
 
 @pytest.mark.slow
-def test_minimize_is_stable_under_grid_refinement():
+def test_minimize_is_stable_under_grid_refinement(monkeypatch):
+    import blockadesim.sweep as sweep_mod
+
     p = blockade_params(0.05 * MHz)
-    coarse = minimize_g2(p, [0.05 * MHz], coarse_points=11)[0]
-    fine = minimize_g2(p, [0.05 * MHz], coarse_points=21)[0]
+    monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 11)
+    coarse = minimize_g2(p, [0.05 * MHz])[0]
+    monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 21)
+    fine = minimize_g2(p, [0.05 * MHz])[0]
     # the Nelder-Mead polish should erase the seeding difference
     assert fine.g2_min == pytest.approx(coarse.g2_min, abs=0.02 * max(coarse.g2_min, 0.05))
 
 
-def test_strong_pump_tends_coherent():
-    env = minimize_g2(sample_params(300 * MHz), [300 * MHz], coarse_points=7)
+def test_strong_pump_tends_coherent(monkeypatch):
+    import blockadesim.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 7)
+    env = minimize_g2(sample_params(300 * MHz), [300 * MHz])
     assert env[0].g2_min == pytest.approx(1.0, abs=0.05)
 
 
-@pytest.mark.parametrize("eta_mhz", [24, 32])
+@pytest.mark.parametrize("eta_mhz", [24, 32, 48])
 def test_envelope_optimum_survives_a_restart(eta_mhz):
     # a fresh Nelder-Mead in kappa_a units, started at the returned optimum
-    # with a 0.1 kappa_a simplex, must not find a better g2
+    # with a 0.1 kappa_a simplex, must not find a better g2, and neither may
+    # a grid three times wider than the +/- kappa_a seeding grid (at 48 MHz
+    # the optimum lies outside the seeding grid)
     p = sample_params(eta_mhz * MHz)
     env = minimize_g2(p, [eta_mhz * MHz])[0]
 
@@ -196,6 +205,8 @@ def test_envelope_optimum_survives_a_restart(eta_mhz):
                    options={"initial_simplex": np.vstack([x0, x0 + 0.1 * np.eye(2)]),
                             "fatol": 1e-7, "xatol": 1e-6})
     assert env.g2_min - res.fun <= NM_G2_TOL
+    wide = np.linspace(-3.0, 3.0, 13)
+    assert np.nanmin([g2((a, b)) for a in wide for b in wide]) >= env.g2_min - NM_G2_TOL
 
 
 @pytest.mark.slow
