@@ -22,7 +22,8 @@ matrix-free.  It is made dense in two places only: up to
 DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 64, the cutoff-4 production
 path) the steady state is one real LU in a Hermitian basis, and two-time
 correlations propagate with ``expm_multiply``.  Above that dimension the
-steady state comes from GMRES with a Sylvester preconditioner.
+steady state comes from GMRES, preconditioned by the Sylvester part of L
+solved in the eigenbasis of K.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve, schur
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
@@ -47,6 +48,7 @@ GMRES_RTOL = 1e-13                 # on the scaled, trace-fixed system
 GMRES_RESTART = 60
 GMRES_MAX_CYCLES = 20
 CAUCHY_SCHWARZ_TOL = 1e-9          # relative slack of the two-time correlator bounds
+EIGENBASIS_TOL = 1e-8              # max|V diag(lam) V^-1 - K/s| the preconditioner accepts
 
 
 class ConvergenceError(RuntimeError):
@@ -309,9 +311,17 @@ def _solve_matrix_free(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
 
     With v = vec(I/n), solves L x / scale + v Tr(x) = v: Tr(L x) = 0 for a
     trace-preserving L, so Tr(x) = 1 and L x = 0.  The preconditioner
-    inverts the Sylvester part K X + X K' of L / scale through one complex
-    Schur form K / scale = Q T Q' and LAPACK ztrsyl (Bartels & Stewart,
-    CACM 15, 820 (1972)); GMRES takes care of the jump and trace terms.
+    inverts the Sylvester part S(X) = K X + X K' of L / scale in the
+    eigenbasis K / scale = V diag(lam) V^-1,
+    X = V [(V^-1 R V^-') / (lam_i + conj lam_j)] V', and refines X once by
+    the same solve applied to R - S(X): ten n x n products per call.  GMRES
+    takes care of the jump and trace terms.  Unrefined, the transforms'
+    rounding (about cond(V)^2 eps) reaches GMRES_RTOL and can cost a second
+    restart cycle.  A denominator below eps times the largest is raised to
+    that floor, the perturbation LAPACK's triangular Sylvester solver
+    makes, as the undriven vacuum puts an eigenvalue of K at 0.  Raises
+    SteadyStateError when V is singular, as the preconditioner would then
+    not invert the Sylvester part.
     """
     v = vec(np.eye(joint) / joint)
     diagonal = np.arange(joint) * (joint + 1)
@@ -319,14 +329,30 @@ def _solve_matrix_free(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
     def matvec(x):
         return vec(L.apply(unvec(x, joint))) / scale + v * x[diagonal].sum()
 
-    T, Q = schur(L.terms[0] / scale, output="complex")
-    Qh = Q.conj().T
+    A = L.terms[0] / scale
+    lam, V = np.linalg.eig(A)
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(
+            f"Sylvester preconditioner: the eigenvectors of K are singular ({exc})") from exc
+    defect = np.abs(V @ (lam[:, None] * V_inv) - A).max()   # NaN or inf if V_inv is not finite
+    if not defect <= EIGENBASIS_TOL * np.abs(A).max():
+        raise SteadyStateError(f"Sylvester preconditioner: the eigenbasis of K reproduces it only "
+                               f"to {defect:.1e}; its eigenvectors are near singular")
+    Vh, V_inv_h = V.conj().T, V_inv.conj().T
+    denom = lam[:, None] + lam.conj()[None, :]
+    floor = np.finfo(float).eps * np.abs(denom).max()
+    denom[np.abs(denom) < floor] = floor
+    Ah = A.conj().T
+
+    def eigenbasis_solve(R):
+        return V @ ((V_inv @ R @ V_inv_h) / denom) @ Vh
 
     def sylvester_solve(r):
-        # info 1 (T and -T' share a near eigenvalue, solved with a perturbed
-        # one) still gives a usable preconditioner, so it is not checked
-        Y, sylvester_scale, _ = lapack.ztrsyl(T, T, Qh @ unvec(r, joint) @ Q, tranb="C")
-        return vec(Q @ Y @ Qh) / sylvester_scale
+        R = unvec(r, joint)
+        X = eigenbasis_solve(R)
+        return vec(X + eigenbasis_solve(R - A @ X - X @ Ah))
 
     side = joint * joint
     x, info = gmres(LinearOperator((side, side), matvec, dtype=complex), v,
@@ -422,12 +448,14 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
                           tau_grid) -> TwoTimeCorrelation:
     """Quantum-regression evaluation of n(tau), s(tau) on a uniform tau grid.
 
-    The initial states rho d', d rho and rho d are propagated together by
-    ``expm_multiply`` (Al-Mohy & Higham, SISC 33, 488 (2011)) on the CSR
-    form of the displaced-frame L made dense, then contracted with Tr[d . ].
-    Raises SteadyStateError when a correlator breaks its Cauchy-Schwarz
-    bound |n(tau)| <= n(0), |s(tau)|^2 <= n(0) (n(0) + 1) by more than
-    CAUCHY_SCHWARZ_TOL relative.
+    The initial states d rho and rho d are propagated by ``expm_multiply``
+    (Al-Mohy & Higham, SISC 33, 488 (2011)), one call each, on the CSR
+    form of the displaced-frame L made dense: Y(tau) = e^{L tau}(d rho)
+    gives s(tau) = Tr[d Y] and, as L commutes with the adjoint and
+    rho d' = (d rho)', n(tau) = Tr[d Y']; the propagated rho d gives
+    s_alt(tau).  Raises SteadyStateError when a correlator breaks its
+    Cauchy-Schwarz bound |n(tau)| <= n(0), |s(tau)|^2 <= n(0) (n(0) + 1)
+    by more than CAUCHY_SCHWARZ_TOL relative.
     """
     if L.is_sparse:
         raise ValueError("two-time correlations need a joint dimension of at most "
@@ -442,17 +470,22 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
 
     a_op, _ = two_mode_annihilators(*L.dims)
     d = a_op.data
-    dd = d.conj().T
     rho = rho_ss.data
 
-    X = np.column_stack([vec(rho @ dd), vec(d @ rho), vec(rho @ d)])
-    if tau.size == 1:   # expm_multiply needs two time points
-        states = X[None]
-    else:
+    generator = csr_array(L.dense())
+
+    def propagate(x):
+        """vec of e^{L tau_k}(x) at every grid point, one row per tau_k."""
+        column = vec(x)[:, None]
+        if tau.size == 1:   # expm_multiply needs two time points
+            return column.T
         with _seeded_legacy_rng():
-            states = expm_multiply(csr_array(L.dense()), X, start=0.0, stop=tau[-1],
-                                   num=tau.size, endpoint=True)
-    n_tau, s_tau, s_alt = (vec(d.T) @ states).T
+            return expm_multiply(generator, column, start=0.0, stop=tau[-1],
+                                 num=tau.size, endpoint=True)[..., 0]
+
+    Y, Z = propagate(d @ rho), propagate(rho @ d)
+    n_tau = (Y @ vec(d.conj())).conj()
+    s_tau, s_alt = Y @ vec(d.T), Z @ vec(d.T)
 
     n0 = n_tau[0].real
     eps = np.finfo(float).eps

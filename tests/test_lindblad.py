@@ -349,6 +349,49 @@ def test_gmres_failure_raises(monkeypatch):
         steady_state(L)
 
 
+def test_undriven_vacuum_on_the_matrix_free_path():
+    # the vacuum is an eigenvector of K with eigenvalue 0, so one Sylvester
+    # denominator lam_i + conj(lam_j) vanishes
+    p = sample_params(eta=0.0, n_th_a=0.0, n_th_b=0.0)
+    L = build_liouvillian(p, cutoffs=(9, 8))
+    assert L.is_sparse
+    assert steady_state(L).data[0, 0].real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_preconditioner_inverts_the_sylvester_part(monkeypatch):
+    real = lindblad_mod.gmres
+    captured = []
+
+    def capturing(A, b, **kwargs):
+        captured.append(kwargs["M"])
+        return real(A, b, **kwargs)
+
+    monkeypatch.setattr(lindblad_mod, "gmres", capturing)
+    L = build_liouvillian(_real_form_params("full", 1 * MHz), cutoffs=(9, 8))
+    steady_state(L)
+    K = L.terms[0]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        X = rng.normal(size=(72, 72)) + 1j * rng.normal(size=(72, 72))
+        got = unvec(captured[0].matvec(vec(K @ X + X @ K.conj().T) / L.max_abs), 72)
+        # the refinement step takes the eigenbasis solve from ~1e-12 to ~1e-15 here
+        assert np.abs(got - X).max() <= 1e-13 * np.abs(X).max()
+
+
+def test_singular_eigenvectors_of_k_raise(monkeypatch):
+    real = np.linalg.eig
+
+    def repeated_column(a):
+        lam, V = real(a)
+        V[:, 1] = V[:, 0]
+        return lam, V
+
+    monkeypatch.setattr(np.linalg, "eig", repeated_column)
+    L = build_liouvillian(sample_params(eta=0.5 * MHz), cutoffs=(9, 8))
+    with pytest.raises(SteadyStateError, match="preconditioner"):
+        steady_state(L)
+
+
 
 def _real_form_params(mode: str, eta: float) -> SystemParams:
     """Pumped parameters with both baths thermal (n_th > 0 adds the C' jumps).
@@ -435,10 +478,14 @@ def test_qrt_matches_dense_expm():
     corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
     a_op, _ = two_mode_annihilators(3, 3)
     d = a_op.data
+    rho = sol.rho.data
     for k, t in enumerate(tau):
         prop = expm(sol.liouvillian.dense() * t)
-        want = np.trace(d @ unvec(prop @ vec(sol.rho.data @ d.conj().T), 9))
-        assert abs(corr.n_tau[k] - want) <= 1e-8 * max(abs(want), corr.n_tau[0].real)
+        for got, initial, bound in ((corr.n_tau, rho @ d.conj().T, corr.n_tau[0].real),
+                                    (corr.s_tau, d @ rho, abs(corr.s_tau[0])),
+                                    (corr.s_tau_alt, rho @ d, abs(corr.s_tau_alt[0]))):
+            want = np.trace(d @ unvec(prop @ vec(initial), 9))
+            assert abs(got[k] - want) <= 1e-8 * max(abs(want), bound)
 
 
 def test_qrt_requires_tau_from_zero():
