@@ -27,10 +27,9 @@ import numpy as np
 
 from . import __version__, blas
 from .config import ConfigError, RunConfig, load_config
-from .device import (CircuitParams, CouplingMatrix, attenuation_chain_population,
-                     capacitance_from_resonance, kerr_nonlinearity,
-                     mode_thermal_populations, port_rates, resonance_frequency,
-                     squid_inductance, zero_smallest_elements)
+from .device import (attenuation_chain_population, capacitance_from_resonance,
+                     kerr_nonlinearity, mode_thermal_populations, port_rates,
+                     resonance_frequency, squid_inductance)
 from .gaussian import CalibrationFailure, GaussianState, g2_tau, g2_zero
 from .lindblad import ConvergenceError, SteadyStateError, SystemParams, displaced_solution, \
     two_time_correlations
@@ -103,7 +102,6 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, args, outputs,
             "kappa_b_rad_per_s": cfg.device.kappa_b,
             "n_th_a": derived["n_th_a"],
             "n_th_b": derived["n_th_b"],
-            "simplified": True,
         },
     }
     if extra:
@@ -114,42 +112,42 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, args, outputs,
 
 
 def derive_device(cfg: RunConfig) -> dict:
-    """Derived physical parameters from the [device] section."""
+    """Derived physical parameters from the [device] section.
+
+    The port rates come from ``DeviceConfig.coupling`` and both mode
+    occupations from one ``mode_thermal_populations`` call.  Mode b gets
+    no intrinsic channel (gamma_b = 0), so n_th_b is the port-3/port-4
+    average.  A kappa_a below the port-1 and port-2 rates, or a mode b with
+    no coupled port, is a ConfigError.
+    """
     dev = cfg.device
     L_s = squid_inductance(dev.flux_ratio, dev.L_s0)
-    circuit = CircuitParams(L=dev.L, L_s0=dev.L_s0,
-                            C=capacitance_from_resonance(dev.omega_a, dev.L, L_s),
-                            omega_a=dev.omega_a, flux_ratio=dev.flux_ratio)
-    C = circuit.C
-    omega_b = resonance_frequency(circuit.L, L_s, C)
-    U = kerr_nonlinearity(circuit.L, L_s, C)
-    b_eff = zero_smallest_elements(dev.B) if dev.simplify_B else dev.B
-    rates = port_rates(CouplingMatrix(b_eff, dev.omega_0))
-    populations = {}
-    for port in range(1, 5):
-        if port in dev.port_chains:
-            populations[port] = attenuation_chain_population(dev.port_chains[port], dev.omega_0)
-        else:
-            populations[port] = dev.n_th_ports_fixed.get(port, 0.0)
-    gamma_a = dev.kappa_a - rates[0].gamma - rates[1].gamma
+    C = capacitance_from_resonance(dev.omega_a, dev.L, L_s)
+    omega_b = resonance_frequency(dev.L, L_s, C)
+    U = kerr_nonlinearity(dev.L, L_s, C)
+    rates = port_rates(dev.coupling)
+    gammas = [r.gamma for r in rates]
+    populations = [attenuation_chain_population(dev.port_chains[port], dev.omega_0)
+                   if port in dev.port_chains else dev.n_th_ports_fixed.get(port, 0.0)
+                   for port in range(1, 5)]
+    gamma_a = dev.kappa_a - gammas[0] - gammas[1]
     if gamma_a < 0:
         raise ConfigError(f"kappa_a smaller than port rates: gamma_a = {gamma_a:.3e}")
-    n_th_a, _ = mode_thermal_populations(rates, [populations[j] for j in range(1, 5)],
-                                         gamma_a, 0.0, dev.n_th_box)
-    gb = rates[2].gamma + rates[3].gamma
-    n_th_b = (rates[2].gamma * populations[3] + rates[3].gamma * populations[4]) / gb if gb > 0 else 0.0
+    if gammas[2] + gammas[3] == 0:
+        raise ConfigError("mode b has no coupled port: ports 3 and 4 are both dark in B")
+    n_th_a, n_th_b = mode_thermal_populations(gammas, populations, gamma_a, 0.0, dev.n_th_box)
     return {
         "L_s_H": L_s,
         "C_F": C,
         "omega_b_rad_per_s": omega_b,
         "participation_ratio": L_s / (dev.L + L_s),
         "U_rad_per_s": U,
-        "gamma_rad_per_s": [r.gamma for r in rates],
-        "port_coefficients": [[r.alpha, r.beta] if r.defined else [None, None] for r in rates],
+        "gamma_rad_per_s": gammas,
+        "port_coefficients": [[r.alpha, r.beta] if r.gamma > 0 else [None, None] for r in rates],
         "gamma_a_rad_per_s": gamma_a,
         "kappa_a_rad_per_s": dev.kappa_a,
         "kappa_b_rad_per_s": dev.kappa_b,
-        "n_th_ports": [populations[j] for j in range(1, 5)],
+        "n_th_ports": populations,
         "n_th_a": n_th_a,
         "n_th_b": n_th_b,
     }

@@ -130,6 +130,13 @@ class DeviceConfig:
     n_th_box: float
     flux_grid: tuple[float, float, int]
 
+    @property
+    def coupling(self) -> CouplingMatrix:
+        """The coupling matrix the model uses: B, with its four smallest
+        entries zeroed unless simplify_B is off."""
+        return CouplingMatrix(zero_smallest_elements(self.B) if self.simplify_B else self.B,
+                              self.omega_0)
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -289,8 +296,7 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     if unit_of("system", "eta_a") == "dBm":
         # incident power through the port-1 chain: |eta|^2 = gamma_1 P / (hbar omega_0);
         # the absolute calibration is approximate, fits usually rescale eta anyway
-        b_eff = zero_smallest_elements(device.B) if device.simplify_B else device.B
-        gamma1 = port_rates(CouplingMatrix(b_eff, device.omega_0))[0].gamma
+        gamma1 = port_rates(device.coupling)[0].gamma
         power = 1e-3 * 10.0 ** (q("system", "eta_a", "power_dbm") / 10.0)
         eta_a = math.sqrt(gamma1 * power / (HBAR * device.omega_0))
     else:

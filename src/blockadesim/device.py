@@ -3,8 +3,11 @@
 Lumped-element model of the tunable resonator (series L, SQUID inductance,
 C), Kerr nonlinearity from the SQUID participation ratio, port coupling
 rates from the 2x4 coupling matrix, and thermal occupations folded through
-cryostat attenuation chains.  All frequencies are angular (rad/s); unit
-conversion happens at the configuration layer, never here.
+cryostat attenuation chains.  Each decision is made once: the coupling
+matrix the model uses is ``DeviceConfig.coupling`` and both mode
+occupations come from ``mode_thermal_populations``.  All frequencies are
+angular (rad/s); unit conversion happens at the configuration layer, never
+here.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 HBAR = 1.054571817e-34      # J s
 PLANCK_H = 6.62607015e-34   # J s
@@ -27,22 +29,6 @@ ZEROED_COUPLINGS = 4   # B entries dropped by the single-mode-per-port simplific
 
 class FluxDivergenceError(ValueError):
     """SQUID inductance evaluated too close to a half-integer flux quantum."""
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    """Lumped-element inputs for the tunable resonator."""
-
-    L: float          # series inductance, henry
-    L_s0: float       # zero-flux SQUID inductance, henry
-    C: float          # capacitance, farad
-    omega_a: float    # fixed-resonator angular frequency, rad/s
-    flux_ratio: float  # applied flux in units of the flux quantum
-
-    def __post_init__(self):
-        for name in ("L", "L_s0", "C"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -67,14 +53,13 @@ class CouplingMatrix:
 class PortRate:
     """Loss rate of one port and the mode mixture it couples to.
 
-    For a dark port (gamma == 0) the mixture is undefined and ``defined``
-    is False; alpha and beta are then nan.
+    For a dark port (gamma == 0) the mixture is undefined; alpha and beta
+    are then nan.
     """
 
     gamma: float
     alpha: float
     beta: float
-    defined: bool = True
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,7 @@ def port_rates(cm: CouplingMatrix) -> list[PortRate]:
         norm2 = b1 * b1 + b2 * b2
         gamma = 0.5 * cm.omega_0 * norm2
         if norm2 == 0.0:
-            rates.append(PortRate(0.0, float("nan"), float("nan"), defined=False))
+            rates.append(PortRate(0.0, float("nan"), float("nan")))
         else:
             norm = math.sqrt(norm2)
             rates.append(PortRate(gamma, b1 / norm, b2 / norm))
@@ -187,14 +172,15 @@ def attenuation_chain_population(chain: ThermalChain, omega_0: float) -> float:
     return n
 
 
-def mode_thermal_populations(rates, port_populations, gamma_a: float,
+def mode_thermal_populations(gammas, port_populations, gamma_a: float,
                              gamma_b: float, n_box: float) -> tuple[float, float]:
     """Thermal occupations of the two modes as rate-weighted port averages.
 
-    Ports 1 and 2 feed mode a, ports 3 and 4 feed mode b; the intrinsic
-    channels with rates gamma_a, gamma_b carry the box population.
+    ``gammas`` are the four port rates as floats.  Ports 1 and 2 feed mode
+    a, ports 3 and 4 feed mode b; the intrinsic channels with rates
+    gamma_a, gamma_b carry the box population.
     """
-    g = [r.gamma if isinstance(r, PortRate) else float(r) for r in rates]
+    g = [float(r) for r in gammas]
     if len(g) != 4 or len(port_populations) != 4:
         raise ValueError("need four port rates and four port populations")
     if min(g) < 0 or gamma_a < 0 or gamma_b < 0:
@@ -228,29 +214,17 @@ def hybridized_thermal_population(delta: float, kappa: float, J: float,
 def fit_flux_tuning(flux_ratios, omegas, C: float) -> tuple[float, float]:
     """Least-squares (L, L_s0) from flux-tuning samples at fixed capacitance.
 
-    Levenberg-Marquardt on the residuals in angular frequency.  The start
-    point comes from the linear relation 1/(omega^2 C) = L + L_s0/|cos|,
-    which is exact, so the nonlinear polish converges in a few steps.
+    The lumped model gives 1/(omega^2 C) = L + L_s0/|cos(pi phi)|, which is
+    linear in (L, L_s0), so one linear least-squares solve is the fit.
     """
     phi = np.asarray(flux_ratios, dtype=float)
     om = np.asarray(omegas, dtype=float)
     if phi.shape != om.shape or phi.size < 2:
         raise ValueError("need matching flux and frequency arrays with >= 2 samples")
-    inv_cos = 1.0 / np.abs(np.cos(np.pi * phi))
-    if np.any(np.abs(np.cos(np.pi * phi)) < SQUID_COS_EPS):
+    cos = np.abs(np.cos(np.pi * phi))
+    if np.any(cos < SQUID_COS_EPS):
         raise FluxDivergenceError("flux samples too close to half-integer flux")
-    y = 1.0 / (om**2 * C)
+    inv_cos = 1.0 / cos
     design = np.column_stack([np.ones_like(inv_cos), inv_cos])
-    (l0, ls0), *_ = np.linalg.lstsq(design, y, rcond=None)
-    l0 = max(l0, 1e-15)
-    ls0 = max(ls0, 1e-15)
-
-    def residual(p):
-        L, L_s0 = p
-        arg = np.maximum((L + L_s0 * inv_cos) * C, 1e-40)  # keep LM finite off-domain
-        return 1.0 / np.sqrt(arg) - om
-
-    sol = least_squares(residual, x0=[l0, ls0], method="lm")
-    if not sol.success:
-        raise RuntimeError(f"flux-tuning fit failed: {sol.message}")
-    return float(sol.x[0]), float(sol.x[1])
+    (L, L_s0), *_ = np.linalg.lstsq(design, 1.0 / (om**2 * C), rcond=None)
+    return float(L), float(L_s0)

@@ -476,12 +476,11 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
 
     def propagate(x):
         """vec of e^{L tau_k}(x) at every grid point, one row per tau_k."""
-        column = vec(x)[:, None]
         if tau.size == 1:   # expm_multiply needs two time points
-            return column.T
+            return vec(x)[None, :]
         with _seeded_legacy_rng():
-            return expm_multiply(generator, column, start=0.0, stop=tau[-1],
-                                 num=tau.size, endpoint=True)[..., 0]
+            return expm_multiply(generator, vec(x), start=0.0, stop=tau[-1],
+                                 num=tau.size, endpoint=True)
 
     Y, Z = propagate(d @ rho), propagate(rho @ d)
     n_tau = (Y @ vec(d.conj())).conj()

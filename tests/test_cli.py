@@ -161,6 +161,18 @@ def test_eta_from_dbm(tmp_path):
     assert cfg_dbm.system.eta_a == pytest.approx(math.sqrt(gamma1 * flux), rel=1e-3)
 
 
+def test_eta_from_dbm_uses_the_unsimplified_coupling():
+    text = MINIMAL.replace("kappa_a =", "simplify_B = no\nkappa_a =")
+    cfg = parse_run_config(text.replace("eta_a = 15 MHz_over_2pi", "eta_a = -107 dBm"))
+    gamma1 = derive_device(cfg)["gamma_rad_per_s"][0]
+    # port 1 keeps its -0.8e-3 mode-b entry, which simplify_B = yes would zero
+    omega_0 = TWO_PI * 5.878e9
+    assert gamma1 == pytest.approx(0.5 * omega_0 * (14.2e-3**2 + 0.8e-3**2), rel=1e-12)
+    power = 1e-3 * 10 ** (-10.7)
+    assert cfg.system.eta_a == pytest.approx(
+        math.sqrt(gamma1 * power / (1.054571817e-34 * omega_0)), rel=1e-12)
+
+
 def test_default_config_derivation(default_cfg):
     derived = derive_device(default_cfg)
     assert derived["U_rad_per_s"] == pytest.approx(TWO_PI * 0.25e6, rel=0.05)
@@ -190,6 +202,23 @@ def test_cmd_exit_code_on_config_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and "unit" in err
+
+
+def test_kappa_a_below_port_rates_is_a_config_error(tmp_path, capsys):
+    bad = write_cfg(tmp_path, MINIMAL.replace("kappa_a = 10.35", "kappa_a = 5"))
+    rc = main(["device", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "kappa_a" in err
+
+
+def test_mode_b_without_a_coupled_port_is_a_config_error(tmp_path, capsys):
+    bad = write_cfg(tmp_path, MINIMAL.replace(" 0.8e-3 3.9e-3 ", " 0 0 ")
+                    .replace(" -14.2e-3 54.0e-3 ", " 0 0 "))
+    rc = main(["device", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "mode b has no coupled port" in err
 
 
 def test_cmd_g2_sweep_empty_grid(tmp_path):

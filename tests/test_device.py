@@ -85,7 +85,7 @@ def test_port_rates_reference_values():
     expected = [0.59e6, 7.95e6, 0.59e6, 8.57e6]
     for rate, exp in zip(rates, expected):
         assert rate.gamma == pytest.approx(TWO_PI * exp, rel=0.01)
-        assert rate.defined
+        assert rate.gamma > 0
         assert rate.alpha**2 + rate.beta**2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_port_rates_zero_column_flagged():
     B = np.zeros((2, 4))
     B[0, 0] = 0.01
     rates = port_rates(CouplingMatrix(B, OMEGA_0))
-    assert rates[1].gamma == 0.0 and not rates[1].defined
+    assert rates[1].gamma == 0.0
     assert math.isnan(rates[1].alpha)
 
 
@@ -218,6 +218,21 @@ def test_fit_flux_tuning_with_noise():
     L_true, L_s0_true = 1.0e-9, 90e-12
     C = 0.5e-12
     flux = np.linspace(0.0, 0.44, 60)
+    omega = np.array([resonance_frequency(L_true, squid_inductance(f, L_s0_true), C)
+                      for f in flux])
+    omega_noisy = omega * (1.0 + 1e-4 * rng.normal(size=omega.size))
+    L_fit, L_s0_fit = fit_flux_tuning(flux, omega_noisy, C)
+    assert L_fit == pytest.approx(L_true, rel=5e-3)
+    assert L_s0_fit == pytest.approx(L_s0_true, rel=5e-2)
+
+
+def test_fit_flux_tuning_survives_unscaled_input():
+    # parameters near 1e-9 H against frequencies near 1e10 rad/s: the fit
+    # must hold on these raw SI scales without rescaling
+    rng = np.random.default_rng(2)
+    L_true, L_s0_true = 0.6e-9, 0.2e-9
+    C = 0.3e-12
+    flux = np.linspace(0.0, 0.44, 22)
     omega = np.array([resonance_frequency(L_true, squid_inductance(f, L_s0_true), C)
                       for f in flux])
     omega_noisy = omega * (1.0 + 1e-4 * rng.normal(size=omega.size))

@@ -529,7 +529,7 @@ def test_qrt_cauchy_schwarz_violation_raises(monkeypatch):
     real = lindblad_mod.expm_multiply
 
     def growing(A, B, **kwargs):
-        return real(A, B, **kwargs) * np.linspace(1.0, 2.0, kwargs["num"])[:, None, None]
+        return real(A, B, **kwargs) * np.linspace(1.0, 2.0, kwargs["num"])[:, None]
 
     monkeypatch.setattr(lindblad_mod, "expm_multiply", growing)
     sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
