@@ -30,10 +30,10 @@ from .config import ConfigError, RunConfig, load_config
 from .device import (attenuation_chain_population, capacitance_from_resonance,
                      kerr_nonlinearity, mode_thermal_populations, port_rates,
                      resonance_frequency, squid_inductance)
-from .gaussian import CalibrationFailure, GaussianState, g2_tau, g2_zero
+from .gaussian import CalibrationFailure, g2_tau, g2_zero
 from .lindblad import ConvergenceError, SteadyStateError, SystemParams, displaced_solution, \
     two_time_correlations
-from .measurement import CalibrationConstants, run_synthetic_experiment
+from .measurement import run_synthetic_experiment
 from .sweep import SweepRecord, dominant_period, map2d, minimize_g2, sweep_detuning
 
 SWEEP_COLUMNS = ("delta_a_rad_per_s", "delta_b_rad_per_s", "eta_a_rad_per_s",
@@ -279,9 +279,8 @@ def cmd_envelope(cfg: RunConfig, args, out_dir: Path) -> int:
 def cmd_measure_demo(cfg: RunConfig, args, out_dir: Path) -> int:
     meas = cfg.measurement
     packet_size = meas.packet_size if args.packet_size is None else args.packet_size
-    truth = GaussianState(meas.truth_alpha, meas.truth_n, meas.truth_s)
-    cal = CalibrationConstants(meas.G_X, meas.G_Y, meas.epsilon, meas.n_h)
-    stats = run_synthetic_experiment(truth, cal, meas.n_th, meas.n_packets,
+    truth = meas.truth
+    stats = run_synthetic_experiment(truth, meas.cal, meas.n_th, meas.n_packets,
                                      packet_size, seed=args.seed, workers=args.workers)
     g2_truth = g2_zero(truth)
 

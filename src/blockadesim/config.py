@@ -18,6 +18,8 @@ import numpy as np
 
 from .device import (HBAR, CouplingMatrix, ThermalChain, bose_einstein, port_rates,
                      zero_smallest_elements)
+from .gaussian import GaussianState
+from .measurement import CalibrationConstants
 
 log = logging.getLogger(__name__)
 
@@ -94,23 +96,14 @@ def parse_config_text(text: str, name: str = "<config>") -> dict[str, dict[str, 
     return sections
 
 
-def _parse_chain(text: str, where: str) -> tuple[tuple[float, float], ...]:
-    """Stages like '20 dB @ 4 K | 20 dB @ 0.8 K'; where prefixes the error messages."""
+def _parse_chain(text: str) -> tuple[tuple[float, float], ...]:
+    """Stages like '20 dB @ 4 K | 20 dB @ 0.8 K'; a malformed stage is a ValueError."""
     stages = []
     for part in text.split("|"):
-        part = part.strip()
-        if "@" not in part:
-            raise ConfigError(f"{where}: chain stage '{part}' needs 'dB @ temperature'")
-        att_txt, temp_txt = (s.strip() for s in part.split("@", 1))
-        att_tokens = att_txt.split()
-        temp_tokens = temp_txt.split()
-        if len(att_tokens) != 2 or att_tokens[1] != "dB":
-            raise ConfigError(f"{where}: attenuation '{att_txt}' must be '<value> dB'")
-        if len(temp_tokens) != 2 or temp_tokens[1] not in TEMPERATURE:
-            raise ConfigError(f"{where}: temperature '{temp_txt}' must carry K or mK")
-        d = 10.0 ** (-float(att_tokens[0]) / 10.0)
-        t = float(temp_tokens[0]) * TEMPERATURE[temp_tokens[1]]
-        stages.append((d, t))
+        att, temp = (side.split() for side in part.partition("@")[::2])
+        if len(att) != 2 or att[1] != "dB" or len(temp) != 2 or temp[1] not in TEMPERATURE:
+            raise ValueError(f"chain stage '{part.strip()}' must be '<x> dB @ <T> K' (or mK)")
+        stages.append((10.0 ** (-float(att[0]) / 10.0), float(temp[0]) * TEMPERATURE[temp[1]]))
     return tuple(stages)
 
 
@@ -148,16 +141,11 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    n_h: float
-    G_X: float
-    G_Y: float
-    epsilon: float
+    cal: CalibrationConstants
+    truth: GaussianState
     packet_size: int
     n_packets: int
     n_th: float
-    truth_alpha: complex
-    truth_n: float
-    truth_s: complex
 
 
 @dataclass(frozen=True)
@@ -231,13 +219,20 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     def q(section, key, kind, default=None) -> float:
         return values(section, key, kind, None if default is None else (default,), count=1)[0]
 
-    def positive_count(section, key, default, minimum=1) -> int:
-        value = float(q(section, key, "count", default=default))
-        if not value.is_integer() or value < minimum:
+    def checked(section, key, kind, ok, rule, default=None) -> float:
+        """q(), with a value that fails ok() a ConfigError at its line."""
+        value = q(section, key, kind, default=default)
+        if not ok(value):
             entry = sec[section][key]
             raise ConfigError(f"{name} line {entry.line}: [{section}] {key} = {entry.text!r} "
-                              f"must be a whole number of at least {minimum}")
-        return int(value)
+                              f"must be {rule}")
+        return value
+
+    def positive_count(section, key, default, minimum=1) -> int:
+        return int(checked(section, key, "count", lambda v: float(v).is_integer() and v >= minimum,
+                           f"a whole number of at least {minimum}", default))
+
+    nonnegative = (lambda v: v >= 0, ">= 0")
 
     def unit_of(section, key) -> str | None:
         entry = lookup(section, key)
@@ -254,17 +249,20 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         fixed_key = f"n_th_port{port}"
         chain_entry = lookup("device", chain_key)
         if chain_entry is not None:
-            stages = _parse_chain(chain_entry.text,
-                                  f"{name} line {chain_entry.line}: [device] {chain_key}")
-            if lookup("device", source_key) is None:
+            source_entry = lookup("device", source_key)
+            if source_entry is None:
                 raise ConfigError(f"{name}: [{chain_key}] given without {source_key}")
-            if unit_of("device", source_key) in TEMPERATURE:
-                n0 = bose_einstein(omega_0, q("device", source_key, "temperature"))
-            else:
-                n0 = q("device", source_key, "dimensionless")
-            port_chains[port] = ThermalChain(stages, n0)
+            temperature = unit_of("device", source_key) in TEMPERATURE
+            source = q("device", source_key, "temperature" if temperature else "dimensionless")
+            try:
+                port_chains[port] = ThermalChain(
+                    _parse_chain(chain_entry.text),
+                    bose_einstein(omega_0, source) if temperature else source)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{name} lines {chain_entry.line}, {source_entry.line}: "
+                                  f"[device] {chain_key}, {source_key}: {exc}") from None
         elif lookup("device", fixed_key) is not None:
-            n_th_fixed[port] = q("device", fixed_key, "dimensionless")
+            n_th_fixed[port] = checked("device", fixed_key, "dimensionless", *nonnegative)
         else:
             n_th_fixed[port] = 0.0
 
@@ -286,10 +284,10 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
                     for row in ("B_row1", "B_row2")]),
         simplify_B=BOOLEANS[simplify_entry.text.lower()],
         kappa_a=q("device", "kappa_a", "angular"),
-        kappa_b=q("device", "kappa_b", "angular"),
+        kappa_b=checked("device", "kappa_b", "angular", lambda v: v > 0, "> 0"),
         port_chains=port_chains,
         n_th_ports_fixed=n_th_fixed,
-        n_th_box=q("device", "n_th_box", "dimensionless", default=0.0),
+        n_th_box=checked("device", "n_th_box", "dimensionless", *nonnegative, default=0.0),
         flux_grid=(flux_start, flux_stop, int(flux_points)),
     )
 
@@ -309,19 +307,27 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         eta_b=q("system", "eta_b", "angular", default=0.0),
     )
 
+    cal_keys = ("G_X", "G_Y", "epsilon", "n_h")
+    cal_values = [q("measurement", key, "dimensionless", default=default)
+                  for key, default in zip(cal_keys, (1.0, 1.0, 0.0, 12.5))]
+    try:
+        cal = CalibrationConstants(*cal_values)
+    except ValueError as exc:   # the defaults are valid, so at least one of these keys is given
+        given = sec["measurement"]
+        lines = ", ".join(f"line {given[key].line} {key}" for key in cal_keys if key in given)
+        raise ConfigError(f"{name} {lines}: [measurement] {exc}") from None
     measurement = MeasurementConfig(
-        n_h=q("measurement", "n_h", "dimensionless", default=12.5),
-        G_X=q("measurement", "G_X", "dimensionless", default=1.0),
-        G_Y=q("measurement", "G_Y", "dimensionless", default=1.0),
-        epsilon=q("measurement", "epsilon", "dimensionless", default=0.0),
+        cal=cal,
+        # the truth state is not validated: an unphysical one fails in the synthesizer
+        truth=GaussianState(
+            complex(q("measurement", "truth_alpha_re", "dimensionless", default=0.1),
+                    q("measurement", "truth_alpha_im", "dimensionless", default=0.0)),
+            q("measurement", "truth_n", "dimensionless", default=1e-3),
+            complex(q("measurement", "truth_s_re", "dimensionless", default=0.0),
+                    q("measurement", "truth_s_im", "dimensionless", default=0.0))),
         packet_size=positive_count("measurement", "packet_size", default=1_000_000),
         n_packets=positive_count("measurement", "n_packets", default=25),
         n_th=q("measurement", "n_th", "dimensionless", default=7.8e-4),
-        truth_alpha=complex(q("measurement", "truth_alpha_re", "dimensionless", default=0.1),
-                            q("measurement", "truth_alpha_im", "dimensionless", default=0.0)),
-        truth_n=q("measurement", "truth_n", "dimensionless", default=1e-3),
-        truth_s=complex(q("measurement", "truth_s_re", "dimensionless", default=0.0),
-                        q("measurement", "truth_s_im", "dimensionless", default=0.0)),
     )
 
     sweep = SweepConfig(

@@ -127,55 +127,49 @@ def _moment_stderr(on, off) -> float:
 
 
 def gaussian_params_from_moments(on, off, n_th: float, n_h: float) -> GaussianState:
-    """Invert calibrated quadrature moments into (alpha, n, s).
+    """Invert calibrated quadrature moments into (alpha, n, s), the package's one
+    inversion of second moments.
 
     Inputs are corrected MomentSets rescaled so the pump-off second moments
-    are (n_h, n_h, 0).  The pump-off occupation offset n_th is added to n.
-    A reconstruction with n below -CALIBRATION_SIGMA_FLAG standard errors is
-    flagged as a calibration failure.
+    are (n_h, n_h, 0).  n and s are pump-on minus pump-off second moments;
+    the pump-off occupation offset n_th is added to n.  A reconstruction
+    with n below -CALIBRATION_SIGMA_FLAG standard errors is flagged as a
+    calibration failure.
     """
     xbar, ybar = on.dc
     alpha = (xbar + 1j * ybar) / math.sqrt(2.0)
     xx1, xy1, yy1 = _second_moments(on)
-    xx0, _, yy0 = _second_moments(off)
+    xx0, xy0, yy0 = _second_moments(off)
     n = 0.5 * ((xx1 - xx0) + (yy1 - yy0)) + n_th
-    s = 0.5 * ((xx1 - xx0) - (yy1 - yy0)) + 1j * xy1
+    s = 0.5 * ((xx1 - xx0) - (yy1 - yy0)) + 1j * (xy1 - xy0)
     if n < -CALIBRATION_SIGMA_FLAG * _moment_stderr(on, off):
         raise CalibrationFailure(f"reconstructed occupation n = {n:.3e} is more than "
                                  f"{CALIBRATION_SIGMA_FLAG} sigma negative")
     return GaussianState(alpha, float(n), complex(s))
 
 
-def _complex_central_moments(ms) -> tuple[float, complex, complex, float]:
-    """(<|w|^2>, <w^2>, <conj(w) w^2>, <|w|^4>) of w = (X + iY)/sqrt(2) from AC moments."""
+def _higher_cumulants(ms) -> tuple[complex, float]:
+    """<conj(w) w^2> and <|w|^4> - 2<|w|^2>^2 - |<w^2>|^2 of w = (X + iY)/sqrt(2)."""
     xx, xy, yy = _second_moments(ms)
-    nw = 0.5 * (xx + yy)
-    sw = 0.5 * (xx - yy) + 1j * xy
+    nw, sw = 0.5 * (xx + yy), 0.5 * (xx - yy) + 1j * xy   # of signal plus noise, not (n, s)
     m12 = ((ms.m[3, 0] + ms.m[1, 2]) + 1j * (ms.m[2, 1] + ms.m[0, 3])) / (2.0 * math.sqrt(2.0))
     m22 = 0.25 * (ms.m[4, 0] + 2.0 * ms.m[2, 2] + ms.m[0, 4])
-    return nw, sw, m12, m22
+    return m12, m22 - 2.0 * nw**2 - abs(sw) ** 2
 
 
-def g2prime_from_fourth_moments(on, off, alpha: complex, n_th: float = 0.0) -> float:
+def g2prime_from_fourth_moments(on, off, state: GaussianState) -> float:
     """Assumption-free g2(0) from moments up to fourth order.
 
     The measured field is signal plus independent Gaussian amplifier noise,
     so cumulants of order >= 2 separate and the noise drops out of pump-on
     minus pump-off cumulant differences; fourth-order cumulants of the
-    noise vanish identically.  Normally-ordered signal moments follow from
-    the surviving cumulants.
+    noise vanish identically.  (alpha, n, s) is the estimate ``state`` from
+    gaussian_params_from_moments; the moments give only <d'dd> and the
+    fourth cumulant, to which <d'd'dd> adds the Gaussian 2 n^2 + |s|^2.
     """
-    nw1, sw1, m12_1, m22_1 = _complex_central_moments(on)
-    nw0, sw0, m12_0, m22_0 = _complex_central_moments(off)
-    k22_1 = m22_1 - 2.0 * nw1**2 - abs(sw1) ** 2
-    k22_0 = m22_0 - 2.0 * nw0**2 - abs(sw0) ** 2
-
-    n = (nw1 - nw0) + n_th
-    s = sw1 - sw0
-    m12 = m12_1 - m12_0
-    k22 = k22_1 - k22_0
-
-    n_tot = abs(alpha) ** 2 + n
-    if n_tot <= 0:
-        raise CalibrationFailure(f"reconstructed <a'a> = {n_tot:.3e} is not positive")
-    return g2_from_normal_moments(alpha, n, s, m12, k22 + 2.0 * n**2 + abs(s) ** 2)
+    m12_1, k22_1 = _higher_cumulants(on)
+    m12_0, k22_0 = _higher_cumulants(off)
+    if state.n_tot <= 0:
+        raise CalibrationFailure(f"reconstructed <a'a> = {state.n_tot:.3e} is not positive")
+    return g2_from_normal_moments(state.alpha, state.n, state.s, m12_1 - m12_0,
+                                  k22_1 - k22_0 + 2.0 * state.n**2 + abs(state.s) ** 2)

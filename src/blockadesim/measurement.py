@@ -68,11 +68,14 @@ class RawTraceSet:
     Y_r: np.ndarray
     Xbar_r: float
     Ybar_r: float
-    packet_size: int
 
     def __post_init__(self):
-        if len(self.X_r) != self.packet_size or len(self.Y_r) != self.packet_size:
-            raise ValueError("AC arrays must have length packet_size")
+        if len(self.X_r) != len(self.Y_r):
+            raise ValueError("AC arrays X_r and Y_r must have the same length")
+
+    @property
+    def packet_size(self) -> int:
+        return len(self.X_r)
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def synth_traces(truth: GaussianState, cal: CalibrationConstants, packet_size: i
     dc = (math.sqrt(2.0) * np.array([truth.alpha.real, truth.alpha.imag])
           + rng.normal(0.0, math.sqrt(cal.n_h / packet_size), 2))
     xbar_r, ybar_r = (T @ dc).tolist()
-    return RawTraceSet(x_r, y_r, xbar_r, ybar_r, packet_size)
+    return RawTraceSet(x_r, y_r, xbar_r, ybar_r)
 
 
 def estimate_moments(t: RawTraceSet) -> MomentSet:
@@ -189,14 +192,6 @@ def apply_mixer_to_moments(ideal: MomentSet, cal: CalibrationConstants) -> Momen
     return _mix(ideal, cal.mixer)
 
 
-def average_moments(sets: list[MomentSet]) -> MomentSet:
-    if not sets:
-        raise ValueError("cannot average an empty list of moment sets")
-    return MomentSet(np.mean([ms.m for ms in sets], axis=0),
-                     tuple(np.mean([ms.dc for ms in sets], axis=0).tolist()),
-                     sum(ms.n_samples for ms in sets))
-
-
 @dataclass(frozen=True)
 class PacketStatistics:
     """Packet-averaged estimates with jackknife standard errors."""
@@ -209,15 +204,17 @@ class PacketStatistics:
     s_stderr: complex
     g2_prime_mean: float
     g2_prime_stderr: float
-    n_packets: int
     warnings: tuple[str, ...] = ()
 
 
-def _estimates(on: MomentSet, off: MomentSet, n_th: float, n_h: float):
+def _estimates(m: np.ndarray, dc: np.ndarray, counts: np.ndarray, n_packets: int,
+               n_th: float, n_h: float):
+    """(state, g2, g2') from on/off sums over n_packets packets of the moment
+    arrays m (2, 5, 5), the DC pairs dc (2, 2) and the sample counts (2,)."""
+    on, off = (MomentSet(m[k] / n_packets, tuple((dc[k] / n_packets).tolist()), int(counts[k]))
+               for k in range(2))
     state = gaussian_params_from_moments(on, off, n_th, n_h)
-    g2 = g2_zero(state)
-    g2p = g2prime_from_fourth_moments(on, off, state.alpha, n_th)
-    return state, g2, g2p
+    return state, g2_zero(state), g2prime_from_fourth_moments(on, off, state)
 
 
 def packet_statistics(packets: list[tuple[MomentSet, MomentSet]], n_th: float,
@@ -226,8 +223,11 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]], n_th: float,
 
     g2 is a nonlinear function of the moments, so the moments are averaged
     before evaluating it; the spread comes from a jackknife over packets.
-    Below MIN_PACKETS packets the g2 sampling distribution can be visibly
-    non-Gaussian, which is flagged rather than refused.
+    The packets' moment arrays, DC pairs and sample counts are stacked once,
+    and leave-one-out replica i is (total - packet i) / (P - 1), so the P
+    replicas cost O(P).  Below MIN_PACKETS packets the g2 sampling
+    distribution can be visibly non-Gaussian, which is flagged rather than
+    refused.
     """
     n_p = len(packets)
     if n_p < 1:
@@ -237,18 +237,18 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]], n_th: float,
         warnings.append(
             f"only {n_p} packets (< {MIN_PACKETS}): g2 distribution may be non-Gaussian")
 
-    ons = [on for on, _ in packets]
-    offs = [off for _, off in packets]
-    state, g2, g2p = _estimates(average_moments(ons), average_moments(offs), n_th, n_h)
-
+    stacks = [np.array([[on.m, off.m] for on, off in packets]),                    # (P, 2, 5, 5)
+              np.array([[on.dc, off.dc] for on, off in packets]),                  # (P, 2, 2)
+              np.array([[on.n_samples, off.n_samples] for on, off in packets])]    # (P, 2)
+    totals = [stack.sum(axis=0) for stack in stacks]
+    state, g2, g2p = _estimates(*totals, n_p, n_th, n_h)
     if n_p == 1:
-        return PacketStatistics(g2, 0.0, state, 0.0, 0.0, 0.0, g2p, 0.0, 1, tuple(warnings))
+        return PacketStatistics(g2, 0.0, state, 0.0, 0.0, 0.0, g2p, 0.0, tuple(warnings))
 
     rows = []
     for i in range(n_p):
-        on_i = average_moments(ons[:i] + ons[i + 1:])
-        off_i = average_moments(offs[:i] + offs[i + 1:])
-        st_i, g2_i, g2p_i = _estimates(on_i, off_i, n_th, n_h)
+        st_i, g2_i, g2p_i = _estimates(*(total - stack[i] for total, stack in zip(totals, stacks)),
+                                       n_p - 1, n_th, n_h)
         rows.append([g2_i, st_i.alpha.real, st_i.alpha.imag, st_i.n,
                      st_i.s.real, st_i.s.imag, g2p_i])
     rows = np.array(rows)
@@ -257,7 +257,7 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]], n_th: float,
         g2_mean=float(g2), g2_stderr=float(jk[0]), state=state,
         alpha_stderr=complex(jk[1], jk[2]), n_stderr=float(jk[3]),
         s_stderr=complex(jk[4], jk[5]), g2_prime_mean=float(g2p),
-        g2_prime_stderr=float(jk[6]), n_packets=n_p, warnings=tuple(warnings))
+        g2_prime_stderr=float(jk[6]), warnings=tuple(warnings))
 
 
 def _packet_pair_task(args) -> tuple[MomentSet, MomentSet]:

@@ -1,7 +1,8 @@
 """The benchmark's view of the package: every traced target exists and the
-oracle workload still passes its checks, through both steady-state paths.
+oracle and measure workloads still pass their checks, with the spans their
+per-layer metrics read.
 
-bench/ is only read here; the workload runs in a fresh interpreter with
+bench/ is only read here; each workload runs in a fresh interpreter with
 PYTHONPATH=src:bench, as bench/child.py runs it.
 """
 
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,23 +23,33 @@ import blockadesim.cli
 import workloads
 from tracer import Tracer
 
+workload = sys.argv[2]
 tracer = Tracer()
 tracer.install()
-inputs = workloads.make_inputs("oracle", 101)
+inputs = workloads.make_inputs(workload, 101)
 out = Path(sys.argv[1])
-outputs = workloads.run("oracle", inputs, out)
+outputs = workloads.run(workload, inputs, out)
 print(json.dumps({"absent": tracer.absent,
-                  "checks": workloads.check("oracle", inputs, outputs, out),
+                  "checks": workloads.check(workload, inputs, outputs, out),
                   "spans": sorted({span[0] for span in tracer.spans})}))
 """
 
+SPANS = {
+    # both steady-state paths
+    "oracle": {"lindblad.steady_state_dense", "lindblad.steady_state_sparse"},
+    # the traced extras of estimate_moments read RawTraceSet.X_r, Y_r and packet_size
+    "measure": {"measurement.estimate_moments", "measurement.packet_statistics",
+                "gaussian.g2prime_from_fourth_moments"},
+}
 
-def test_oracle_workload_under_the_tracer(tmp_path):
+
+@pytest.mark.parametrize("workload", sorted(SPANS))
+def test_workload_under_the_tracer(tmp_path, workload):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), workload], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["absent"] == []
     assert result["checks"] and all(c["ok"] for c in result["checks"]), result["checks"]
-    assert {"lindblad.steady_state_dense", "lindblad.steady_state_sparse"} <= set(result["spans"])
+    assert SPANS[workload] <= set(result["spans"])

@@ -305,6 +305,44 @@ g2tau_eta = 30 MHz_over_2pi
     assert period == pytest.approx(TWO_PI / (TWO_PI * 25.1e6), rel=0.05)
 
 
+@pytest.mark.parametrize("source,chain", [
+    ("-1 dimensionless", "20 dB @ 4 K | 20 dB @ 10 mK"),
+    ("300 K", "-20 dB @ 4 K | 20 dB @ 10 mK"),
+    ("300 K", "abc dB @ 4 K"),
+    ("300 K", "-4000 dB @ 4 K"),
+], ids=["negative-source", "negative-dB", "dB-not-a-number", "dB-overflow"])
+def test_bad_port_chain_is_a_config_error(tmp_path, capsys, source, chain):
+    # was a ValueError traceback out of load_config
+    text = MINIMAL.replace("n_th_port1 = 1.5e-2 dimensionless",
+                           f"port1_chain = {chain}\nport1_source = {source}")
+    cfg = write_cfg(tmp_path, text)
+    lines = text.splitlines()
+    chain_line = lines.index(f"port1_chain = {chain}") + 1
+    rc = main(["device", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"{cfg} lines {chain_line}, {chain_line + 1}: [device] port1_chain, port1_source"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("kappa_b = 7 MHz_over_2pi", "kappa_b = -7 MHz_over_2pi"),
+    ("kappa_b = 7 MHz_over_2pi", "kappa_b = 0 MHz_over_2pi"),
+    ("n_th_port1 = 1.5e-2 dimensionless", "n_th_port1 = -1.5e-2 dimensionless"),
+    ("n_th_port2 = 6.5e-4 dimensionless",
+     "n_th_port2 = 6.5e-4 dimensionless\nn_th_box = -1e-3 dimensionless"),
+], ids=["negative-kappa_b", "zero-kappa_b", "negative-n_th_port1", "negative-n_th_box"])
+def test_negative_device_input_is_a_config_error(tmp_path, capsys, old, new):
+    # was exit 0 from device, which wrote the value, and exit 3 from g2-sweep
+    text = MINIMAL.replace(old, new)
+    bad = new.splitlines()[-1]
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index(bad) + 1
+    rc = main(["device", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{cfg} line {lineno}: [device] {bad.split(' = ')[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "device_parameters.json").exists()
+
+
 def test_cmd_measure_demo_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["measure-demo", "--packet-size", "20000", "--seed", "7"]
@@ -350,6 +388,22 @@ def test_sweep_count_must_be_a_whole_number_at_its_minimum(tmp_path, capsys, com
     assert rc == 2
     key = line.split(" = ")[0]
     assert f"{cfg} line {lineno}: [sweep] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "G_X = -1.7 dimensionless",
+    "epsilon = 0.6 dimensionless",
+    "n_h = 0 dimensionless",
+], ids=["negative-gain", "epsilon-0.6", "n_h-0"])
+def test_bad_detection_chain_is_a_config_error(tmp_path, capsys, line):
+    # was exit 3: the CalibrationConstants were built inside measure-demo
+    text = MINIMAL + f"\n[measurement]\n{line}\n"
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index(line) + 1
+    rc = main(["measure-demo", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    key = line.split(" = ")[0]
+    assert f"{cfg} line {lineno} {key}: [measurement]" in capsys.readouterr().err
 
 
 def test_cmd_measure_demo_pipeline_failure_exit_code(tmp_path, capsys):

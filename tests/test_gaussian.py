@@ -244,7 +244,7 @@ def test_g2prime_matches_g2_for_gaussian_truth():
     truth = GaussianState(0.12 + 0.05j, 2.2e-3, 1.5e-3 - 0.9e-3j)
     on = _gaussian_moments(truth.alpha, truth.n, truth.s, n_h)
     off = _gaussian_moments(0.0, n_th, 0.0, n_h)
-    got = g2prime_from_fourth_moments(on, off, truth.alpha, n_th)
+    got = g2prime_from_fourth_moments(on, off, gaussian_params_from_moments(on, off, n_th, n_h))
     # fourth cumulants cancel ~3 n_h^2 against itself, limiting precision
     assert got == pytest.approx(g2_zero(truth), rel=1e-6)
 
@@ -254,7 +254,8 @@ def test_g2prime_coherent_truth():
     truth = GaussianState(0.2, 0.0, 0.0)
     on = _gaussian_moments(truth.alpha, 0.0, 0.0, n_h)
     off = _gaussian_moments(0.0, 0.0, 0.0, n_h)
-    assert g2prime_from_fourth_moments(on, off, truth.alpha, 0.0) == pytest.approx(1.0, abs=1e-10)
+    state = gaussian_params_from_moments(on, off, 0.0, n_h)
+    assert g2prime_from_fourth_moments(on, off, state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_g2prime_flags_nonpositive_population():
@@ -262,4 +263,4 @@ def test_g2prime_flags_nonpositive_population():
     on = _gaussian_moments(0.0, -5e-3, 0.0, n_h)
     off = _gaussian_moments(0.0, 0.0, 0.0, n_h)
     with pytest.raises(CalibrationFailure):
-        g2prime_from_fourth_moments(on, off, 0.0, 0.0)
+        g2prime_from_fourth_moments(on, off, gaussian_params_from_moments(on, off, 0.0, n_h))

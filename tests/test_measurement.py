@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from blockadesim.gaussian import CalibrationFailure, GaussianState, g2_zero
+from blockadesim.gaussian import (CalibrationFailure, GaussianState, g2_zero,
+                                  g2prime_from_fourth_moments, gaussian_params_from_moments)
 from blockadesim.measurement import (CalibrationConstants, MomentSet,
-                                     RawTraceSet, apply_mixer_to_moments, average_moments,
+                                     RawTraceSet, apply_mixer_to_moments,
                                      calibrate, correct_moments, estimate_moments,
                                      packet_statistics, run_synthetic_experiment,
                                      synth_traces)
@@ -93,7 +94,7 @@ def test_synth_dc_measures_displacement():
 
 def test_estimate_moments_constant_trace():
     c = 0.7
-    t = RawTraceSet(np.full(100, c), np.full(100, c), c, c, 100)
+    t = RawTraceSet(np.full(100, c), np.full(100, c), c, c)
     ms = estimate_moments(t)
     assert ms.m[1, 0] == pytest.approx(c)
     assert ms.m[2, 0] == pytest.approx(c * c)
@@ -108,7 +109,7 @@ def test_estimate_moments_matches_direct_means(n):
     rng = np.random.default_rng(n)
     x = 0.4 + 1.3 * rng.standard_normal(n)
     y = -0.2 + 0.8 * rng.standard_normal(n) + 0.3 * x
-    ms = estimate_moments(RawTraceSet(x, y, 0.1, -0.2, n))
+    ms = estimate_moments(RawTraceSet(x, y, 0.1, -0.2))
     scale = np.array([[np.mean(np.abs(x**i * y**j)) for j in range(5)] for i in range(5)])
     assert np.all(np.abs(ms.m - moment_array(x, y)) <= 1e-12 * scale)
     assert ms.m[0, 0] == 1.0
@@ -117,7 +118,7 @@ def test_estimate_moments_matches_direct_means(n):
 def test_estimate_moments_gaussian_kurtosis():
     rng = np.random.default_rng(4)
     n = 400_000
-    t = RawTraceSet(rng.standard_normal(n), rng.standard_normal(n), 0.0, 0.0, n)
+    t = RawTraceSet(rng.standard_normal(n), rng.standard_normal(n), 0.0, 0.0)
     ms = estimate_moments(t)
     sigma = math.sqrt(96.0 / n)  # var of the kurtosis estimator for a unit normal
     assert abs(ms.m[4, 0] - 3.0) < 5 * sigma
@@ -294,6 +295,41 @@ def test_packet_statistics_warns_below_twenty():
     assert not stats_ok.warnings
 
 
+def _leave_one_out_stderr(packets, n_th, n_h):
+    """Jackknife standard errors with each replica re-averaged from the other P - 1 packets."""
+    def mean(sets):
+        return MomentSet(np.mean([ms.m for ms in sets], axis=0),
+                         tuple(np.mean([ms.dc for ms in sets], axis=0).tolist()),
+                         sum(ms.n_samples for ms in sets))
+
+    rows = []
+    for i in range(len(packets)):
+        rest = packets[:i] + packets[i + 1:]
+        on, off = mean([p[0] for p in rest]), mean([p[1] for p in rest])
+        st = gaussian_params_from_moments(on, off, n_th, n_h)
+        rows.append([g2_zero(st), st.alpha.real, st.alpha.imag, st.n, st.s.real, st.s.imag,
+                     g2prime_from_fourth_moments(on, off, st)])
+    rows = np.array(rows)
+    n_p = len(packets)
+    return math.sqrt((n_p - 1) / n_p) * np.sqrt(np.sum((rows - rows.mean(axis=0)) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("n_packets", [2, 5, 25])
+def test_jackknife_matches_re_averaged_replicas(n_packets):
+    # total-minus-one replicas give the same standard errors as re-averaging
+    # the other P - 1 packets, up to rounding
+    truth = GaussianState(0.2 + 0.1j, 2e-3, 1e-3 - 0.5e-3j)
+    cal = CalibrationConstants(1.2, 0.9, 0.05, 0.5)
+    packets = [_corrected_pair(truth, cal, 7.8e-4, 20_000, s)
+               for s in np.random.SeedSequence((90, n_packets)).spawn(n_packets)]
+    stats = packet_statistics(packets, 7.8e-4, cal.n_h)
+    want = _leave_one_out_stderr(packets, 7.8e-4, cal.n_h)
+    got = [stats.g2_stderr, stats.alpha_stderr.real, stats.alpha_stderr.imag, stats.n_stderr,
+           stats.s_stderr.real, stats.s_stderr.imag, stats.g2_prime_stderr]
+    assert np.all(want > 0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
 def test_stderr_scales_with_packet_size():
     # halving the packet size should grow the jackknife stderr by ~sqrt(2);
     # a small n_h keeps the population estimate well away from zero at these
@@ -351,11 +387,3 @@ def test_end_to_end_recovers_gaussian_state():
     assert abs(stats.state.s.imag - truth.s.imag) < 5 * stats.s_stderr.imag
     g2_t = g2_zero(truth)
     assert abs(stats.g2_mean - g2_t) < 5 * stats.g2_stderr
-
-
-def test_average_moments():
-    rng = np.random.default_rng(72)
-    sets = [empirical_moment_set(rng) for _ in range(3)]
-    avg = average_moments(sets)
-    assert avg.m[2, 0] == pytest.approx(np.mean([s.m[2, 0] for s in sets]))
-    assert avg.n_samples == sum(s.n_samples for s in sets)
