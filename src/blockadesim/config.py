@@ -234,6 +234,9 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
 
     nonnegative = (lambda v: v >= 0, ">= 0")
 
+    def optional(section, key, kind) -> float | None:
+        return None if lookup(section, key) is None else q(section, key, kind)
+
     def unit_of(section, key) -> str | None:
         entry = lookup(section, key)
         return None if entry is None else entry.text.split()[-1]
@@ -261,10 +264,9 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name} lines {chain_entry.line}, {source_entry.line}: "
                                   f"[device] {chain_key}, {source_key}: {exc}") from None
-        elif lookup("device", fixed_key) is not None:
-            n_th_fixed[port] = checked("device", fixed_key, "dimensionless", *nonnegative)
         else:
-            n_th_fixed[port] = 0.0
+            n_th_fixed[port] = checked("device", fixed_key, "dimensionless", *nonnegative,
+                                       default=0.0)
 
     simplify_entry = lookup("device", "simplify_B") or Entry("yes", 0)
     if simplify_entry.text.lower() not in BOOLEANS:
@@ -339,14 +341,12 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         delta_diff_stop=q("sweep", "delta_diff_stop", "angular", default=2 * math.pi * 6e6),
         delta_diff_points=positive_count("sweep", "delta_diff_points", default=13),
         eta_values=values("sweep", "eta_values", "angular", default=()),
-        eta_fit_target=(q("sweep", "eta_fit_target", "dimensionless")
-                        if lookup("sweep", "eta_fit_target") is not None else None),
+        eta_fit_target=optional("sweep", "eta_fit_target", "dimensionless"),
         tau_stop=q("sweep", "tau_stop", "time", default=200e-9),
         # dominant_period needs at least 8 samples
         tau_points=positive_count("sweep", "tau_points", default=401, minimum=8),
         g2tau_detunings=values("sweep", "g2tau_detunings", "angular", default=()),
-        g2tau_eta=(q("sweep", "g2tau_eta", "angular")
-                   if lookup("sweep", "g2tau_eta") is not None else None),
+        g2tau_eta=optional("sweep", "g2tau_eta", "angular"),
         cutoff=positive_count("sweep", "cutoff", default=4, minimum=2),
     )
 

@@ -126,15 +126,16 @@ def _moment_stderr(on, off) -> float:
     return math.sqrt(var)
 
 
-def gaussian_params_from_moments(on, off, n_th: float, n_h: float) -> GaussianState:
+def gaussian_params_from_moments(on, off, n_th: float) -> GaussianState:
     """Invert calibrated quadrature moments into (alpha, n, s), the package's one
     inversion of second moments.
 
     Inputs are corrected MomentSets rescaled so the pump-off second moments
-    are (n_h, n_h, 0).  n and s are pump-on minus pump-off second moments;
-    the pump-off occupation offset n_th is added to n.  A reconstruction
-    with n below -CALIBRATION_SIGMA_FLAG standard errors is flagged as a
-    calibration failure.
+    are (n_h, n_h, 0), n_h being the amplifier-noise occupation; n_h cancels
+    from every difference taken here.  n and s are pump-on minus pump-off
+    second moments; the pump-off occupation offset n_th is added to n.  A
+    reconstruction with n below -CALIBRATION_SIGMA_FLAG standard errors is
+    flagged as a calibration failure.
     """
     xbar, ybar = on.dc
     alpha = (xbar + 1j * ybar) / math.sqrt(2.0)

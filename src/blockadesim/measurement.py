@@ -208,17 +208,17 @@ class PacketStatistics:
 
 
 def _estimates(m: np.ndarray, dc: np.ndarray, counts: np.ndarray, n_packets: int,
-               n_th: float, n_h: float):
+               n_th: float):
     """(state, g2, g2') from on/off sums over n_packets packets of the moment
     arrays m (2, 5, 5), the DC pairs dc (2, 2) and the sample counts (2,)."""
     on, off = (MomentSet(m[k] / n_packets, tuple((dc[k] / n_packets).tolist()), int(counts[k]))
                for k in range(2))
-    state = gaussian_params_from_moments(on, off, n_th, n_h)
+    state = gaussian_params_from_moments(on, off, n_th)
     return state, g2_zero(state), g2prime_from_fourth_moments(on, off, state)
 
 
-def packet_statistics(packets: list[tuple[MomentSet, MomentSet]], n_th: float,
-                      n_h: float) -> PacketStatistics:
+def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
+                      n_th: float) -> PacketStatistics:
     """Average corrected moments over packets, then compute g2 once.
 
     g2 is a nonlinear function of the moments, so the moments are averaged
@@ -241,14 +241,14 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]], n_th: float,
               np.array([[on.dc, off.dc] for on, off in packets]),                  # (P, 2, 2)
               np.array([[on.n_samples, off.n_samples] for on, off in packets])]    # (P, 2)
     totals = [stack.sum(axis=0) for stack in stacks]
-    state, g2, g2p = _estimates(*totals, n_p, n_th, n_h)
+    state, g2, g2p = _estimates(*totals, n_p, n_th)
     if n_p == 1:
         return PacketStatistics(g2, 0.0, state, 0.0, 0.0, 0.0, g2p, 0.0, tuple(warnings))
 
     rows = []
     for i in range(n_p):
         st_i, g2_i, g2p_i = _estimates(*(total - stack[i] for total, stack in zip(totals, stacks)),
-                                       n_p - 1, n_th, n_h)
+                                       n_p - 1, n_th)
         rows.append([g2_i, st_i.alpha.real, st_i.alpha.imag, st_i.n,
                      st_i.s.real, st_i.s.imag, g2p_i])
     rows = np.array(rows)
@@ -282,4 +282,4 @@ def run_synthetic_experiment(truth: GaussianState, cal: CalibrationConstants,
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     tasks = [(truth, cal, n_th, packet_size, child) for child in root.spawn(int(n_packets))]
-    return packet_statistics(pool_map(_packet_pair_task, tasks, workers), n_th, cal.n_h)
+    return packet_statistics(pool_map(_packet_pair_task, tasks, workers), n_th)

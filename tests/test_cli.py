@@ -177,7 +177,7 @@ def test_default_config_derivation(default_cfg):
     derived = derive_device(default_cfg)
     assert derived["U_rad_per_s"] == pytest.approx(TWO_PI * 0.25e6, rel=0.05)
     assert derived["n_th_a"] == pytest.approx(1.4e-3, rel=0.03)
-    p = system_params_from_config(default_cfg)
+    p = system_params_from_config(default_cfg, derived)
     assert p.kappa_a == pytest.approx(TWO_PI * 10.35e6)
 
 
@@ -210,6 +210,18 @@ def test_kappa_a_below_port_rates_is_a_config_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and "kappa_a" in err
+
+
+
+def test_device_config_error_stops_measure_demo_before_it_runs(tmp_path, capsys):
+    # was exit 2 only after the synthetic experiment had written its report
+    bad = write_cfg(tmp_path, MINIMAL.replace("kappa_a = 10.35", "kappa_a = 5"))
+    out = tmp_path / "out"
+    rc = main(["measure-demo", "--config", str(bad), "--out", str(out), "--workers", "1",
+               "--packet-size", "20000", "--seed", "7"])
+    assert rc == 2
+    assert "kappa_a" in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 def test_mode_b_without_a_coupled_port_is_a_config_error(tmp_path, capsys):
@@ -282,7 +294,7 @@ delta_a_points = 5 count
     from blockadesim.sweep import sweep_detuning
     run_cfg = load_config(cfg)
     grid = np.linspace(run_cfg.sweep.delta_a_start, run_cfg.sweep.delta_a_stop, 5)
-    records = sweep_detuning(system_params_from_config(run_cfg), grid)
+    records = sweep_detuning(system_params_from_config(run_cfg, derive_device(run_cfg)), grid)
     rows = list(csv.DictReader(open(out1 / "g2_sweep.csv")))
     for rec, row in zip(records, rows):
         assert float(row["g2"]) == rec.g2
@@ -361,6 +373,19 @@ def test_packet_size_override_must_be_positive(tmp_path, capsys, value):
         main(["measure-demo", "--packet-size", value, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "--packet-size" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--workers", "0"), ("--workers", "-3"), ("--seed", "-1"),
+], ids=["workers-0", "workers-negative", "seed-negative"])
+def test_flag_below_its_minimum_exits_2(tmp_path, capsys, flag, value):
+    # --workers 0 and -3 ran serially with exit 0; --seed -1 was exit 3 from SeedSequence
+    with pytest.raises(SystemExit) as exc:
+        main(["device", flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize("key", ["packet_size", "n_packets"])
@@ -496,3 +521,45 @@ eta_values = 0.05 MHz_over_2pi
     assert rc == 0
     rows = list(csv.DictReader(open(out / "envelope.csv")))
     assert float(rows[0]["g2_min"]) < 0.05
+
+
+SMALL_RUN = MINIMAL + """
+[sweep]
+delta_a_points = 3 count
+delta_diff_points = 3 count
+eta_values = 16 MHz_over_2pi
+
+[measurement]
+n_packets = 10 count
+packet_size = 5000 count
+"""
+
+
+@pytest.mark.parametrize("command", ["device", "g2-sweep", "g2-tau", "map", "envelope",
+                                     "measure-demo"])
+def test_one_derivation_and_one_manifest_per_run(tmp_path, monkeypatch, command):
+    cfg_path = write_cfg(tmp_path, SMALL_RUN)
+    cfg = load_config(cfg_path)
+    derived = derive_device(cfg)
+    calls = []
+
+    def counting(run_cfg):
+        calls.append(run_cfg)
+        return derive_device(run_cfg)
+
+    monkeypatch.setattr("blockadesim.cli.derive_device", counting)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg_path), "--out", str(out), "--workers", "1",
+               "--seed", "3"])
+    assert rc == 0
+    assert len(calls) == 1
+    (manifest_path,) = out.glob("*_manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    written = sorted(str(path) for path in out.iterdir() if path != manifest_path)
+    assert manifest["outputs"] == written
+    assert manifest["system"] == {
+        "J_rad_per_s": cfg.system.J, "U_rad_per_s": cfg.system.U,
+        "eta_a_rad_per_s": cfg.system.eta_a, "eta_b_rad_per_s": cfg.system.eta_b,
+        "kappa_a_rad_per_s": cfg.device.kappa_a, "kappa_b_rad_per_s": cfg.device.kappa_b,
+        "n_th_a": derived["n_th_a"], "n_th_b": derived["n_th_b"]}

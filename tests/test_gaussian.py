@@ -187,7 +187,7 @@ def test_params_from_identical_on_off():
     n_h, n_th = 12.5, 7.8e-4
     off = _moment_set(n_h, 0.0, n_h)
     on = _moment_set(n_h, 0.0, n_h, dc=(0.0, 0.0))
-    g = gaussian_params_from_moments(on, off, n_th, n_h)
+    g = gaussian_params_from_moments(on, off, n_th)
     assert g.alpha == 0.0
     assert g.n == pytest.approx(n_th, abs=1e-15)
     assert g.s == 0.0
@@ -198,7 +198,7 @@ def test_params_dc_arithmetic():
     off = _moment_set(n_h, 0.0, n_h)
     c = 0.31
     on = _moment_set(n_h, 0.0, n_h, dc=(c, c))
-    g = gaussian_params_from_moments(on, off, 0.0, n_h)
+    g = gaussian_params_from_moments(on, off, 0.0)
     assert g.alpha == pytest.approx(c * (1 + 1j) / math.sqrt(2.0), rel=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_params_second_moment_inversion():
     off = _moment_set(n_h, 0.0, n_h)
     on = _moment_set(n_h + (n_true - n_th) + s_true.real, s_true.imag,
                      n_h + (n_true - n_th) - s_true.real)
-    g = gaussian_params_from_moments(on, off, n_th, n_h)
+    g = gaussian_params_from_moments(on, off, n_th)
     assert g.n == pytest.approx(n_true, rel=1e-12)
     assert g.s == pytest.approx(s_true, rel=1e-12)
 
@@ -218,7 +218,7 @@ def test_params_flags_unphysical_occupation():
     off = _moment_set(n_h, 0.0, n_h, n=10**9)
     on = _moment_set(n_h - 0.1, 0.0, n_h - 0.1, n=10**9)
     with pytest.raises(CalibrationFailure):
-        gaussian_params_from_moments(on, off, 0.0, n_h)
+        gaussian_params_from_moments(on, off, 0.0)
 
 
 def _gaussian_moments(alpha, n, s, n_h, n_dc=True):
@@ -244,7 +244,7 @@ def test_g2prime_matches_g2_for_gaussian_truth():
     truth = GaussianState(0.12 + 0.05j, 2.2e-3, 1.5e-3 - 0.9e-3j)
     on = _gaussian_moments(truth.alpha, truth.n, truth.s, n_h)
     off = _gaussian_moments(0.0, n_th, 0.0, n_h)
-    got = g2prime_from_fourth_moments(on, off, gaussian_params_from_moments(on, off, n_th, n_h))
+    got = g2prime_from_fourth_moments(on, off, gaussian_params_from_moments(on, off, n_th))
     # fourth cumulants cancel ~3 n_h^2 against itself, limiting precision
     assert got == pytest.approx(g2_zero(truth), rel=1e-6)
 
@@ -254,7 +254,7 @@ def test_g2prime_coherent_truth():
     truth = GaussianState(0.2, 0.0, 0.0)
     on = _gaussian_moments(truth.alpha, 0.0, 0.0, n_h)
     off = _gaussian_moments(0.0, 0.0, 0.0, n_h)
-    state = gaussian_params_from_moments(on, off, 0.0, n_h)
+    state = gaussian_params_from_moments(on, off, 0.0)
     assert g2prime_from_fourth_moments(on, off, state) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -263,4 +263,4 @@ def test_g2prime_flags_nonpositive_population():
     on = _gaussian_moments(0.0, -5e-3, 0.0, n_h)
     off = _gaussian_moments(0.0, 0.0, 0.0, n_h)
     with pytest.raises(CalibrationFailure):
-        g2prime_from_fourth_moments(on, off, gaussian_params_from_moments(on, off, 0.0, n_h))
+        g2prime_from_fourth_moments(on, off, gaussian_params_from_moments(on, off, 0.0))

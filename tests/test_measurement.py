@@ -276,11 +276,11 @@ def test_packet_statistics_identical_packets():
     truth = GaussianState(0.3, 1e-3, 0.0)
     cal = CalibrationConstants(1.2, 0.9, 0.05, N_H)
     pair = _corrected_pair(truth, cal, 7.8e-4, 20_000, rng)
-    stats = packet_statistics([pair] * 25, 7.8e-4, N_H)
+    stats = packet_statistics([pair] * 25, 7.8e-4)
     # identical packets: spread is zero up to averaging roundoff
     assert stats.g2_stderr <= 1e-12 * abs(stats.g2_mean)
     assert stats.n_stderr <= 1e-12 * abs(stats.state.n)
-    single = packet_statistics([pair], 7.8e-4, N_H)
+    single = packet_statistics([pair], 7.8e-4)
     assert stats.g2_mean == pytest.approx(single.g2_mean, rel=1e-12)
 
 
@@ -289,13 +289,13 @@ def test_packet_statistics_warns_below_twenty():
     truth = GaussianState(0.3, 1e-3, 0.0)
     cal = CalibrationConstants(1.2, 0.9, 0.05, N_H)
     pair = _corrected_pair(truth, cal, 7.8e-4, 10_000, rng)
-    stats = packet_statistics([pair] * 10, 7.8e-4, N_H)
+    stats = packet_statistics([pair] * 10, 7.8e-4)
     assert any("non-Gaussian" in w for w in stats.warnings)
-    stats_ok = packet_statistics([pair] * 21, 7.8e-4, N_H)
+    stats_ok = packet_statistics([pair] * 21, 7.8e-4)
     assert not stats_ok.warnings
 
 
-def _leave_one_out_stderr(packets, n_th, n_h):
+def _leave_one_out_stderr(packets, n_th):
     """Jackknife standard errors with each replica re-averaged from the other P - 1 packets."""
     def mean(sets):
         return MomentSet(np.mean([ms.m for ms in sets], axis=0),
@@ -306,7 +306,7 @@ def _leave_one_out_stderr(packets, n_th, n_h):
     for i in range(len(packets)):
         rest = packets[:i] + packets[i + 1:]
         on, off = mean([p[0] for p in rest]), mean([p[1] for p in rest])
-        st = gaussian_params_from_moments(on, off, n_th, n_h)
+        st = gaussian_params_from_moments(on, off, n_th)
         rows.append([g2_zero(st), st.alpha.real, st.alpha.imag, st.n, st.s.real, st.s.imag,
                      g2prime_from_fourth_moments(on, off, st)])
     rows = np.array(rows)
@@ -322,8 +322,8 @@ def test_jackknife_matches_re_averaged_replicas(n_packets):
     cal = CalibrationConstants(1.2, 0.9, 0.05, 0.5)
     packets = [_corrected_pair(truth, cal, 7.8e-4, 20_000, s)
                for s in np.random.SeedSequence((90, n_packets)).spawn(n_packets)]
-    stats = packet_statistics(packets, 7.8e-4, cal.n_h)
-    want = _leave_one_out_stderr(packets, 7.8e-4, cal.n_h)
+    stats = packet_statistics(packets, 7.8e-4)
+    want = _leave_one_out_stderr(packets, 7.8e-4)
     got = [stats.g2_stderr, stats.alpha_stderr.real, stats.alpha_stderr.imag, stats.n_stderr,
            stats.s_stderr.real, stats.s_stderr.imag, stats.g2_prime_stderr]
     assert np.all(want > 0)
@@ -341,10 +341,10 @@ def test_stderr_scales_with_packet_size():
     for rep in range(reps):
         pairs_big = [_corrected_pair(truth, cal, 7.8e-4, 20_000, s)
                      for s in np.random.SeedSequence((50, rep)).spawn(8)]
-        big.append(packet_statistics(pairs_big, 7.8e-4, cal.n_h).g2_stderr)
+        big.append(packet_statistics(pairs_big, 7.8e-4).g2_stderr)
         pairs_small = [_corrected_pair(truth, cal, 7.8e-4, 10_000, s)
                        for s in np.random.SeedSequence((51, rep)).spawn(8)]
-        small.append(packet_statistics(pairs_small, 7.8e-4, cal.n_h).g2_stderr)
+        small.append(packet_statistics(pairs_small, 7.8e-4).g2_stderr)
     ratio = np.mean(small) / np.mean(big)
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.2)
 
