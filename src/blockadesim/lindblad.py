@@ -11,19 +11,21 @@ with the two thermal dissipators (kappa_a/2) D(a, n_th_a) and
     D(c, n) rho = (n+1)(2 c rho c' - c'c rho - rho c'c)
                 + n (2 c' rho c - c c' rho - rho c c').
 
-Displaced-frame Liouvillians are built by substituting a -> alpha + a,
-b -> beta + b with the mean-field amplitudes (the classical fixed point,
-found in closed form from a real cubic in |beta|^2), which cancels the
-linear drive terms and lets tiny Fock cutoffs (4 per mode) represent the
-state.
+Displaced-frame Liouvillians shift the Hamiltonian's ladder operators,
+H(alpha + a, beta + b), by the mean-field amplitudes (the classical fixed
+point, found in closed form from a real cubic in |beta|^2), which cancels
+the linear drive terms and lets tiny Fock cutoffs (4 per mode) represent
+the state.  The jumps stay the bare, real ladder operators: the shift of
+each dissipator goes into the coherent part through the exact identity
+D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].
 
 L is kept as its generator terms (K, weights, jumps) and applied
-matrix-free.  It is made dense in two places only: up to
-DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 64, the cutoff-4 production
-path) the steady state is one real LU in a Hermitian basis, and two-time
-correlations propagate with ``expm_multiply``.  Above that dimension the
-steady state comes from GMRES, preconditioned by the Sylvester part of L
-solved in the eigenbasis of K.
+matrix-free.  Up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 64, the
+cutoff-4 production path) the steady state is one real LU in a Hermitian
+basis, whose real matrix is assembled from the terms directly; two-time
+correlations propagate with ``expm_multiply`` on the dense superoperator.
+Above that dimension the steady state comes from GMRES, preconditioned by
+the Sylvester part of L solved in the eigenbasis of K.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
@@ -163,8 +165,12 @@ class Liouvillian:
     ``terms`` holds the (K, weights, jumps) of
     L rho = K rho + rho K' + sum_m w_m C_m rho C_m'; L is applied
     matrix-free at O(J n^3) per call, and ``dense()`` forms the
-    column-stacked superoperator for the solvers that need it.  max_abs
-    is max|L entry|, computed once without forming L.
+    column-stacked superoperator for the solvers that need it.  The jumps
+    are real with a zero diagonal (bare ladder operators); a displaced
+    jump c + s is written as c with 1/2 w (conj(s) c - s c') added to K,
+    as D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].  Raises ValueError on
+    a jump that is not real or has a nonzero diagonal entry.  max_abs is
+    max|L entry|, computed once from K alone.
     """
 
     dims: tuple[int, int]
@@ -173,7 +179,9 @@ class Liouvillian:
 
     def __post_init__(self):
         K, weights, jumps = self.terms
-        scale = _superop_max_abs(K, weights, jumps)
+        if np.iscomplexobj(jumps) or np.einsum("mii->mi", jumps).any():
+            raise ValueError("jumps must be real with a zero diagonal (bare ladder operators)")
+        scale = _superop_max_abs(K)
         object.__setattr__(self, "max_abs", scale)
         # d Tr(rho)/dt = Tr[(K + K' + sum_m w_m C_m' C_m) rho]
         leak = K + K.conj().T + np.tensordot(weights, jumps.conj().transpose(0, 2, 1) @ jumps, 1)
@@ -195,68 +203,89 @@ class Liouvillian:
         return K @ rho + rho @ K.conj().T + jump_sum
 
     def dense(self) -> np.ndarray:
-        """The side x side superoperator, formed anew on each call."""
-        return _assemble_dense(*self.terms)
+        """The side x side superoperator, formed anew on each call.
+
+        Column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
+        L = kron(I, K) + kron(conj K, I) + sum_m w_m kron(C_m, C_m).  The
+        real jump sum is written straight into the real part of the one
+        complex buffer.
+        """
+        K, weights, jumps = self.terms
+        n = K.shape[0]
+        L4 = np.zeros((n, n, n, n), dtype=complex)
+        _jump_superop(weights, jumps, L4.real)
+        np.einsum("ikil->ikl", L4)[...] += K                      # kron(I, K): i = j
+        np.einsum("ikjk->ijk", L4)[...] += K.conj()[:, :, None]   # kron(conj K, I): k = l
+        return L4.reshape(n * n, n * n)
 
 
-def _superop_max_abs(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> float:
-    """max|L entry| of the superoperator of (K, weights, jumps), never formed.
+def _superop_max_abs(K: np.ndarray) -> float:
+    """max|L entry| of the superoperator of (K, weights, jumps), from K alone.
 
-    In the layout of _assemble_dense, L[i, k, j, l] = sum_m w_m conj(C_m[i, j])
-    C_m[k, l] + [i = j] K[k, l] + [k = l] conj(K[i, j]).  The k = l entries
-    are the complex conjugates of the i = j ones, the weights being real.
-    Any other entry is a jump term alone; with P_j = sum_m w_m
-    sum_{r != j} |C_m[r, j]|^2, Cauchy-Schwarz bounds it by
-    sqrt(P_j P_l) <= (P_j + P_l) / 2 <= |Re L[j, l, j, l]|, as the weights
-    are >= 0 and Re K[l, l] = -sum_m w_m |C_m e_l|^2 / 2.  So the maximum
-    lies among the n^3 entries with i = j.
+    Needs jumps with a zero diagonal and weights >= 0.  In the kron layout
+    of ``dense``, L[i, k, j, l] = sum_m w_m C_m[i, j] C_m[k, l]
+    + [i = j] K[k, l] + [k = l] conj(K[i, j]).  The jumps have a zero
+    diagonal, so the i = j entries hold only K: K[k, l] for k != l and
+    K[k, k] + conj(K[i, i]).  The k = l entries are their complex
+    conjugates.  Any other entry is a jump term alone; with
+    P_j = sum_m w_m |C_m e_j|^2, Cauchy-Schwarz bounds it by
+    sqrt(P_j P_l) <= (P_j + P_l) / 2 = |Re L[j, l, j, l]|, as
+    Re K[l, l] = -P_l / 2 (-iH has an imaginary diagonal, and the
+    displacement part of K, the 1/2 w (conj(s) c - s c') of
+    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .], a zero one).  So
+    max|L| = max(max_{k != l} |K[k, l]|, max_{i, k} |K[k, k] + conj K[i, i]|),
+    at O(n^2).
     """
-    M = np.einsum("m,mi,mkl->ikl", weights, np.einsum("mii->mi", jumps).conj(), jumps) + K
-    np.einsum("ikk->ik", M)[...] += np.diag(K).conj()[:, None]
-    return float(np.abs(M).max())
+    off = np.abs(K)
+    np.fill_diagonal(off, 0.0)
+    diag = np.diag(K)
+    return float(max(off.max(), np.abs(diag[None, :] + diag.conj()[:, None]).max()))
 
 
-def _generator_terms(p: SystemParams, A: np.ndarray,
-                     B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _generator_terms(p: SystemParams, A: np.ndarray, B: np.ndarray,
+                     shift: tuple[complex, complex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, weights, jumps) of L rho = K rho + rho K' + sum_m w_m C_m rho C_m'.
 
-    K = -iH - 1/2 sum_m w_m C_m' C_m; jumps stacks the C_m (a at
-    kappa_a (n_th_a + 1), b at kappa_b (n_th_b + 1), plus a' and b' at
-    kappa n_th where n_th > 0) as a (J, n, n) array.
+    A and B are the bare, real ladder operators and shift = (alpha, beta)
+    the displacement.  jumps stacks the bare C_m (a at kappa_a (n_th_a + 1),
+    b at kappa_b (n_th_b + 1), plus a' and b' at kappa n_th where n_th > 0)
+    as a real (J, n, n) array.  Each jump's shift s (alpha, beta for a, b;
+    conj(alpha), conj(beta) for a', b') goes into
+    K = -iH(A + alpha, B + beta) - 1/2 sum_m w_m C_m' C_m
+        + 1/2 sum_m w_m (conj(s_m) C_m - s_m C_m'),
+    as D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].
     """
-    Ad, Bd = A.conj().T, B.conj().T
-    H = (-p.delta_a * (Ad @ A) - p.delta_b * (Bd @ B)
-         + p.J * (Ad @ B + Bd @ A)
-         - p.U * (Bd @ Bd @ B @ B)
-         + p.eta_a * Ad + np.conj(p.eta_a) * A
-         + p.eta_b * Bd + np.conj(p.eta_b) * B)
+    alpha, beta = shift
+    eye = np.eye(A.shape[0])
+    As, Bs = A + alpha * eye, B + beta * eye
+    Ad, Bd = As.conj().T, Bs.conj().T
+    H = (-p.delta_a * (Ad @ As) - p.delta_b * (Bd @ Bs)
+         + p.J * (Ad @ Bs + Bd @ As)
+         - p.U * (Bd @ Bd @ Bs @ Bs)
+         + p.eta_a * Ad + np.conj(p.eta_a) * As
+         + p.eta_b * Bd + np.conj(p.eta_b) * Bs)
     K = -1j * H
     weights, jumps = [], []
-    for rate, C, n_th in ((p.kappa_a, A, p.n_th_a), (p.kappa_b, B, p.n_th_b)):
-        pairs = [(rate * (n_th + 1.0), C)]
+    for rate, C, s, n_th in ((p.kappa_a, A, alpha, p.n_th_a), (p.kappa_b, B, beta, p.n_th_b)):
+        triples = [(rate * (n_th + 1.0), C, s)]
         if n_th > 0:
-            pairs.append((rate * n_th, C.conj().T))
-        for w, c in pairs:
-            K = K - (0.5 * w) * (c.conj().T @ c)
+            triples.append((rate * n_th, C.T, np.conj(s)))
+        for w, c, s_c in triples:
+            K = K - (0.5 * w) * (c.T @ c) + (0.5 * w) * (np.conj(s_c) * c - s_c * c.T)
             weights.append(w)
             jumps.append(c)
-    return K, np.array(weights), np.array(jumps, dtype=complex)
+    return K, np.array(weights), np.array(jumps)
 
 
-def _assemble_dense(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    # column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
-    # L = kron(I, K) + kron(conj K, I) + sum_m w_m kron(conj C_m, C_m).
-    # The jump sum is the (J x n^2)^T (J x n^2) product of the flattened
-    # w_m conj(C_m) and C_m with its axes swapped into the kron layout,
-    # L4[i, k, j, l] = sum_m w_m conj(C_m[i, j]) C_m[k, l].  It is written
-    # straight into that layout as a matmul batched over (i, k), which spares
-    # a second n^4 buffer.
-    n = K.shape[0]
-    left = (weights[:, None, None] * jumps.conj()).transpose(1, 2, 0)[:, None]
-    L4 = np.matmul(left, jumps.transpose(1, 0, 2)[None])
-    np.einsum("ikil->ikl", L4)[...] += K                      # kron(I, K): i = j
-    np.einsum("ikjk->ijk", L4)[...] += K.conj()[:, :, None]   # kron(conj K, I): k = l
-    return L4.reshape(n * n, n * n)
+def _jump_superop(weights: np.ndarray, jumps: np.ndarray, out: np.ndarray) -> None:
+    """Write sum_m w_m C_m[i, j] C_m[k, l] into out[i, k, j, l] for real jumps.
+
+    The (J x n^2)^T (J x n^2) product of the flattened w_m C_m and C_m,
+    with its axes swapped into the kron layout, as one real matmul batched
+    over (i, k) that writes into ``out`` and needs no second n^4 buffer.
+    """
+    left = (weights[:, None, None] * jumps).transpose(1, 2, 0)[:, None]
+    np.matmul(left, jumps.transpose(1, 0, 2)[None], out=out)
 
 
 def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
@@ -268,40 +297,59 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
         raise ValueError(
             f"superoperator side {joint * joint} exceeds the {MAX_SUPEROP_SIDE} guard")
     a_op, b_op = two_mode_annihilators(n_a, n_b)
-    A, B = a_op.data, b_op.data
-    if displacement is not None:
-        eye = np.eye(joint)
-        A = A + displacement[0] * eye
-        B = B + displacement[1] * eye
-    return Liouvillian((n_a, n_b), _generator_terms(p, A, B))
+    shift = (0.0, 0.0) if displacement is None else displacement
+    return Liouvillian((n_a, n_b), _generator_terms(p, a_op.data.real, b_op.data.real, shift))
 
 
-def _solve_hermitian(data: np.ndarray, joint: int, scale: float) -> np.ndarray:
-    """vec of the unit-trace null vector of a dense Hermiticity-preserving L.
+def _hermitian_form(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The real matrix M = Re L + (Im L) P of L, assembled from its terms.
+
+    P is the transpose permutation.  The jumps are real, so the jump sum
+    lies in Re L alone, written by one batched product; K adds four
+    diagonal views in the kron layout of ``Liouvillian.dense``:
+    M[i, k, j, l] = sum_m w_m C_m[i, j] C_m[k, l] + [i = j] Re K[k, l]
+    + [k = l] Re K[i, j] + [i = l] Im K[k, j] - [k = j] Im K[i, l].
+    """
+    K, weights, jumps = terms
+    n = K.shape[0]
+    M = np.empty((n * n, n * n))
+    M4 = M.reshape(n, n, n, n)
+    _jump_superop(weights, jumps, M4)
+    re, im = K.real, K.imag
+    np.einsum("ikil->ikl", M4)[...] += re
+    np.einsum("ikjk->ijk", M4)[...] += re[:, :, None]
+    np.einsum("ikji->ikj", M4)[...] += im
+    np.einsum("ikkl->ikl", M4)[...] -= im[:, None, :]
+    return M
+
+
+def _solve_hermitian(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
+    """vec of the unit-trace null vector of a Hermiticity-preserving L, by one real LU.
 
     Hermitian rho = ((1+i) Z + (1-i) Z.T) / 2 for real Z; the map is an
     isometry (the basis E_ii, (E_ij+E_ji)/sqrt2, i(E_ij-E_ji)/sqrt2 rotated
     by 45 degrees within each (ij, ji) pair).  In it L becomes the real
-    matrix M = Re L + Im L P, P the transpose permutation, so one strided
-    add replaces the change of basis and the LU runs on joint^2 real
-    unknowns.  Row 0 is replaced by the trace, sum_i Z_ii = 1.
+    matrix M = Re L + Im L P, P the transpose permutation, which
+    ``_hermitian_form`` assembles from the terms (real jumps with a zero
+    diagonal, the displacement folded into K by
+    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]) without forming the
+    complex L; the LU runs on joint^2 real unknowns.  Row 0 is replaced by
+    the trace, sum_i Z_ii = 1.
     """
     side = joint * joint
-    M = np.empty((side, side))
-    np.add(data.real.reshape(side, joint, joint),
-           data.imag.reshape(side, joint, joint).transpose(0, 2, 1),
-           out=M.reshape(side, joint, joint))
-    M /= scale
+    K, weights, jumps = L.terms
+    M = _hermitian_form((K / scale, weights / scale, jumps))
     M[0, :] = 0.0
     M[0, ::joint + 1] = 1.0
     rhs = np.zeros(side)
     rhs[0] = 1.0
-    try:
-        # M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
-        # trans=1 then solves M z = rhs
-        z = lu_solve(lu_factor(M.T, overwrite_a=True, check_finite=False), rhs, trans=1)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SteadyStateError(f"LU solve failed: {exc}") from exc
+    # M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
+    # trans=1 then solves M z = rhs
+    lu, piv, info = dgetrf(M.T, overwrite_a=True)
+    if info == 0:
+        z, info = dgetrs(lu, piv, rhs, trans=1)
+    if info != 0:
+        raise SteadyStateError(f"LU solve failed: LAPACK info {info} (a zero pivot if positive)")
     Z = z.reshape(joint, joint, order="F")
     return vec(0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.T))
 
@@ -367,10 +415,11 @@ def _solve_matrix_free(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
 def steady_state(L: Liouvillian) -> DensityMatrix:
     """Null vector of L with unit trace.
 
-    Up to DENSE_SUPEROP_MAX_JOINT_DIM, L is made dense and solved as a
-    real system in a Hermitian basis by one LU with a row replaced by the
-    trace (``_solve_hermitian``); above it, L is applied matrix-free in
-    GMRES with a Sylvester preconditioner (``_solve_matrix_free``).
+    Up to DENSE_SUPEROP_MAX_JOINT_DIM, L is solved as a real system in a
+    Hermitian basis, assembled from its terms, by one LU with a row
+    replaced by the trace (``_solve_hermitian``); above it, L is applied
+    matrix-free in GMRES with a Sylvester preconditioner
+    (``_solve_matrix_free``).
     Raises SteadyStateError when the solve fails or the residual
     |L x| / (max_abs |x|) exceeds STEADY_STATE_RESIDUAL_TOL, which
     indicates a degenerate null space.
@@ -383,7 +432,7 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     if L.is_sparse:
         x = _solve_matrix_free(L, joint, scale)
     else:
-        x = _solve_hermitian(L.dense(), joint, scale)
+        x = _solve_hermitian(L, joint, scale)
 
     if not np.all(np.isfinite(x)):
         raise SteadyStateError("steady-state solve produced non-finite entries")

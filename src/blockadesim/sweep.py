@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import blas
 from .lindblad import (ConvergenceError, SteadyStateError, SystemParams, displaced_solution,
@@ -129,6 +128,76 @@ def map2d(p: SystemParams, delta_a_grid, delta_diff_grid,
 
 
 @dataclass(frozen=True)
+class SimplexResult:
+    """Outcome of ``minimize``: the best vertex, its value and the counts."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+    message: str
+
+
+def minimize(fun, simplex, fatol: float, xatol: float, maxiter: int) -> SimplexResult:
+    """Nelder-Mead (Comput. J. 7, 308 (1965)) from an initial simplex.
+
+    Reflection 1, expansion 2, contraction 1/2 and shrink 1/2, without
+    bounds: the arithmetic and the order of evaluations of
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` given
+    ``initial_simplex``, so both return the same x, fun, nfev and nit.
+    Stops when every vertex lies within xatol of the best in each
+    coordinate and within fatol of its value, or unsuccessfully after
+    maxiter iterations.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+    nfev, nit = n + 1, 1
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    while nit < maxiter:
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:   # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fun(xc)
+                accept = fxc <= fxr
+            else:                # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(xc)
+                accept = fxc < fsim[-1]
+            nfev += 1
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j])
+                    nfev += 1
+        nit += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    success = nit < maxiter
+    message = ("Optimization terminated successfully." if success
+               else "Maximum number of iterations has been exceeded.")
+    return SimplexResult(sim[0], float(fsim[0]), nfev, nit, success, message)
+
+
+@dataclass(frozen=True)
 class EnvelopePoint:
     """Minimal g2 found for one pump strength."""
 
@@ -175,9 +244,8 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
             return rec.g2
 
         x0 = np.array([best.delta_a, best.delta_b]) / span
-        res = minimize(objective, x0=x0, method="Nelder-Mead",
-                       options={"initial_simplex": np.vstack([x0, x0 + 0.1 * np.eye(2)]),
-                                "fatol": NM_G2_TOL, "xatol": 1e-4, "maxiter": 400})
+        res = minimize(objective, np.vstack([x0, x0 + 0.1 * np.eye(2)]),
+                       fatol=NM_G2_TOL, xatol=1e-4, maxiter=400)
         warnings: tuple[str, ...] = ()
         if not res.success:
             warnings = (f"optimizer stagnation: {res.message}",)

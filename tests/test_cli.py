@@ -49,14 +49,24 @@ eta_a = 15 MHz_over_2pi
 """
 
 
-def test_cli_import_skips_scipy_signal():
-    # scipy.signal costs about half a second of import; the CLI must not pull it in
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh ``import blockadesim.cli`` loads the module."""
     src = str(Path(blockadesim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, blockadesim.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, blockadesim.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal costs about half a second of import; the CLI must not pull it in
+    assert not _loaded_by_cli_import("scipy.signal")
+
+
+def test_cli_import_skips_scipy_optimize():
+    # the envelope's Nelder-Mead is numpy; scipy.optimize cost about 0.2-0.3 s of import
+    assert not _loaded_by_cli_import("scipy.optimize")
 
 
 # --- config parsing ---

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import blockadesim.lindblad as lindblad_mod
 from blockadesim.hilbert import DensityMatrix, ptrace, thermal_state, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
-                                  _generator_terms, build_liouvillian,
+                                  _generator_terms, _hermitian_form, build_liouvillian,
                                   displaced_solution, mean_field_steady_state,
                                   mode_occupation, observables, steady_state,
                                   two_time_correlations, unvec, vec)
@@ -233,6 +233,77 @@ def test_displaced_frame_cancels_linear_drive():
         assert residual_drive <= 1e-9 * p.kappa_a
 
 
+def test_bare_jumps_equal_the_displaced_dissipators():
+    # L.apply against sum_m w_m D[c_m + s_m] rho - i[H, rho] with the shifted
+    # jumps written out: a + alpha, b + beta, a' + conj(alpha), b' + conj(beta)
+    p = _real_form_params("full", 15 * MHz)
+    assert p.n_th_a > 0 and p.n_th_b > 0
+    mf = mean_field_steady_state(p)
+    alpha, beta = mf.alpha, mf.beta
+    L = build_liouvillian(p, displacement=(alpha, beta), cutoffs=(4, 3))
+    a_op, b_op = two_mode_annihilators(4, 3)
+    eye = np.eye(12)
+    A, B = a_op.data + alpha * eye, b_op.data + beta * eye
+    Ad, Bd = A.conj().T, B.conj().T
+    H = (-p.delta_a * Ad @ A - p.delta_b * Bd @ B + p.J * (Ad @ B + Bd @ A)
+         - p.U * Bd @ Bd @ B @ B
+         + p.eta_a * Ad + np.conj(p.eta_a) * A + p.eta_b * Bd + np.conj(p.eta_b) * B)
+    shifted_jumps = [(p.kappa_a * (p.n_th_a + 1), a_op.data + alpha * eye),
+                     (p.kappa_a * p.n_th_a, a_op.data.conj().T + np.conj(alpha) * eye),
+                     (p.kappa_b * (p.n_th_b + 1), b_op.data + beta * eye),
+                     (p.kappa_b * p.n_th_b, b_op.data.conj().T + np.conj(beta) * eye)]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        rho = random_density(rng, 12)
+        want = -1j * (H @ rho - rho @ H)
+        for w, c in shifted_jumps:
+            cdc = c.conj().T @ c
+            want += w * (c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc))
+        assert np.abs(L.apply(rho) - want).max() <= 1e-13 * L.max_abs
+
+
+@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("displaced", [False, True])
+def test_hermitian_form_matches_the_dense_superoperator(cutoffs, displaced):
+    # M = Re L + (Im L) P, P the transpose permutation of the input index
+    p = _real_form_params("full", 15 * MHz if displaced else 1 * MHz)
+    mf = mean_field_steady_state(p)
+    L = build_liouvillian(p, displacement=(mf.alpha, mf.beta) if displaced else None,
+                          cutoffs=cutoffs)
+    dense = L.dense()
+    side, joint = L.side, cutoffs[0] * cutoffs[1]
+    want = (dense.real.reshape(side, joint, joint)
+            + dense.imag.reshape(side, joint, joint).transpose(0, 2, 1)).reshape(side, side)
+    assert np.abs(_hermitian_form(L.terms) - want).max() <= 1e-14 * L.max_abs
+
+
+def test_jumps_must_be_real_with_a_zero_diagonal():
+    K, weights, jumps = build_liouvillian(sample_params(), cutoffs=(3, 3)).terms
+    diagonal = jumps.copy()
+    diagonal[0] += 0.1 * np.eye(9)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        Liouvillian((3, 3), (K, weights, diagonal))
+    with pytest.raises(ValueError, match="real"):
+        Liouvillian((3, 3), (K, weights, jumps * np.exp(0.3j)))
+
+
+def test_max_abs_ignores_a_global_energy_offset():
+    # H -> H + h I leaves L unchanged, while |K| grows with h on its diagonal
+    K, weights, jumps = build_liouvillian(sample_params(eta=1 * MHz), cutoffs=(3, 3)).terms
+    L = Liouvillian((3, 3), (K, weights, jumps))
+    offset = Liouvillian((3, 3), (K - 1e3j * L.max_abs * np.eye(9), weights, jumps))
+    assert offset.max_abs == pytest.approx(L.max_abs, rel=1e-12)
+    assert offset.max_abs == pytest.approx(np.abs(offset.dense()).max(), rel=1e-12)
+
+
+def test_undisplaced_cutoff_10_max_abs_is_unchanged():
+    # acceptance 11's oracle at delta = -10 MHz: the value of the einsum over
+    # every i = j entry of L that max_abs was computed by before, bit for bit
+    p = sample_params(eta=15 * MHz, da=-10 * MHz, db=-10 * MHz)
+    L = build_liouvillian(p, cutoffs=(10, 10))
+    assert L.max_abs == float.fromhex("0x1.526790a391460p+30")
+
+
 def test_trace_preservation_guard():
     # jump weights that no longer match the damping folded into K
     K, weights, jumps = build_liouvillian(sample_params(), cutoffs=(3, 3)).terms
@@ -280,9 +351,18 @@ def test_detailed_balance_single_mode():
 
 def test_steady_state_reports_degenerate_null_space():
     # the zero generator: every state is stationary
-    zero = (np.zeros((4, 4), dtype=complex), np.zeros(0), np.zeros((0, 4, 4), dtype=complex))
+    zero = (np.zeros((4, 4), dtype=complex), np.zeros(0), np.zeros((0, 4, 4)))
     with pytest.raises(SteadyStateError):
         steady_state(Liouvillian((2, 2), zero))
+
+
+def test_exactly_singular_real_form_raises():
+    # one decay |1> -> |0> among four levels: |2> and |3> are stationary too
+    c = np.zeros((4, 4))
+    c[0, 1] = 1.0
+    K = -0.5 * (c.T @ c).astype(complex)
+    with pytest.raises(SteadyStateError, match="LU solve failed"):
+        steady_state(Liouvillian((2, 2), (K, np.array([1.0]), c[None])))
 
 
 def test_sparse_path_matches_dense():
@@ -299,11 +379,8 @@ def test_sparse_path_matches_dense():
 
 def _terms_at(p, cutoffs, displacement=None):
     a_op, b_op = two_mode_annihilators(*cutoffs)
-    eye = np.eye(a_op.side)
-    A, B = a_op.data, b_op.data
-    if displacement is not None:
-        A, B = A + displacement[0] * eye, B + displacement[1] * eye
-    return _generator_terms(p, A, B)
+    shift = (0.0, 0.0) if displacement is None else displacement
+    return _generator_terms(p, a_op.data.real, b_op.data.real, shift)
 
 
 @pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3)])

@@ -223,6 +223,59 @@ def test_envelope_is_lower_bound_in_population_bin():
                 assert rec.g2 >= env.g2_min - 1e-3
 
 
+ACCEPTANCE_7_ETAS = [8 * MHz, 12 * MHz, 16 * MHz, 24 * MHz, 32 * MHz, 48 * MHz]
+
+
+def test_nelder_mead_retraces_scipy_at_the_envelope_etas(monkeypatch):
+    import blockadesim.sweep as sweep_mod
+
+    real, pairs = sweep_mod.minimize, []
+
+    def alongside_scipy(fun, simplex, **options):
+        # the objective reads minimize_g2's loop variables, so run scipy now
+        res = real(fun, simplex, **options)
+        pairs.append((res, minimize(fun, simplex[0], method="Nelder-Mead",
+                                    options={"initial_simplex": simplex, **options})))
+        return res
+
+    monkeypatch.setattr(sweep_mod, "minimize", alongside_scipy)
+    minimize_g2(sample_params(0.0), ACCEPTANCE_7_ETAS)
+    assert len(pairs) == len(ACCEPTANCE_7_ETAS)
+    for got, want in pairs:
+        assert np.array_equal(got.x, want.x) and got.fun == want.fun
+        assert (got.nfev, got.nit, got.success) == (want.nfev, want.nit, want.success)
+
+
+@pytest.mark.parametrize("maxiter", [5, 400])
+def test_nelder_mead_stops_like_scipy(maxiter):
+    import blockadesim.sweep as sweep_mod
+
+    def rosenbrock(x):
+        return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+    simplex = np.array([[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]])
+    got = sweep_mod.minimize(rosenbrock, simplex, fatol=1e-8, xatol=1e-8, maxiter=maxiter)
+    want = minimize(rosenbrock, simplex[0], method="Nelder-Mead",
+                    options={"initial_simplex": simplex, "fatol": 1e-8, "xatol": 1e-8,
+                             "maxiter": maxiter})
+    assert np.array_equal(got.x, want.x) and got.fun == want.fun
+    assert (got.nfev, got.nit, got.success, got.message) == (
+        want.nfev, want.nit, want.success, want.message)
+
+
+def test_optimizer_hitting_maxiter_is_reported(monkeypatch):
+    import blockadesim.sweep as sweep_mod
+
+    real = sweep_mod.minimize
+    monkeypatch.setattr(sweep_mod, "minimize",
+                        lambda fun, simplex, **options: real(fun, simplex,
+                                                             **{**options, "maxiter": 3}))
+    env = minimize_g2(sample_params(24 * MHz), [24 * MHz])[0]
+    assert np.isfinite(env.g2_min)
+    assert ("optimizer stagnation: Maximum number of iterations has been exceeded."
+            in env.warnings)
+
+
 def test_minimize_requires_etas():
     with pytest.raises(ValueError):
         minimize_g2(sample_params(1 * MHz), [])
