@@ -257,10 +257,9 @@ def cmd_envelope(cfg: RunConfig, derived: dict, p: SystemParams, args):
 
 def cmd_measure_demo(cfg: RunConfig, derived: dict, p: SystemParams, args):
     meas = cfg.measurement
-    packet_size = meas.packet_size if args.packet_size is None else args.packet_size
     truth = meas.truth
     stats = run_synthetic_experiment(truth, meas.cal, meas.n_th, meas.n_packets,
-                                     packet_size, seed=args.seed, workers=args.workers)
+                                     meas.packet_size, seed=args.seed, workers=args.workers)
     truth_values = {"alpha_re": truth.alpha.real, "alpha_im": truth.alpha.imag, "n": truth.n,
                     "s_re": truth.s.real, "s_im": truth.s.imag, "g2": g2_zero(truth)}
     estimates = {
@@ -280,7 +279,7 @@ def cmd_measure_demo(cfg: RunConfig, derived: dict, p: SystemParams, args):
 
     report = {
         "seed": args.seed,
-        "packet_size": packet_size,
+        "packet_size": meas.packet_size,
         "n_packets": meas.n_packets,
         "truth": truth_values,
         "estimates": estimates,
@@ -323,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=_integer_at_least(0), default=12345)
     parser.add_argument("--workers", type=_integer_at_least(1), default=os.cpu_count() or 1)
-    parser.add_argument("--packet-size", type=_integer_at_least(1), default=None,
-                        help="override the configured measurement packet size")
     return parser
 
 

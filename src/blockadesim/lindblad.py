@@ -22,10 +22,11 @@ D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].
 L is kept as its generator terms (K, weights, jumps) and applied
 matrix-free.  Up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 64, the
 cutoff-4 production path) the steady state is one real LU in a Hermitian
-basis, whose real matrix is assembled from the terms directly; two-time
-correlations propagate with ``expm_multiply`` on the dense superoperator.
-Above that dimension the steady state comes from GMRES, preconditioned by
-the Sylvester part of L solved in the eigenbasis of K.
+basis, whose real matrix is assembled from the terms directly.  Above that
+dimension the steady state comes from GMRES, preconditioned by the
+Sylvester part of L solved in the eigenbasis of K.  Two-time correlations
+propagate with ``expm_multiply`` on the sparse (CSR) superoperator, at any
+cutoff.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, kron
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
@@ -44,7 +45,7 @@ from .hilbert import DensityMatrix, two_mode_annihilators
 TRACE_PRESERVATION_TOL = 1e-8
 STEADY_STATE_RESIDUAL_TOL = 1e-9
 MEAN_FIELD_TOL = 1e-12
-DENSE_SUPEROP_MAX_JOINT_DIM = 64   # above this L is applied matrix-free
+DENSE_SUPEROP_MAX_JOINT_DIM = 64   # above this the steady state is solved matrix-free
 MAX_SUPEROP_SIDE = 25_000          # overflow guard, covers cutoffs up to 12 per mode
 GMRES_RTOL = 1e-13                 # on the scaled, trace-fixed system
 GMRES_RESTART = 60
@@ -164,8 +165,8 @@ class Liouvillian:
 
     ``terms`` holds the (K, weights, jumps) of
     L rho = K rho + rho K' + sum_m w_m C_m rho C_m'; L is applied
-    matrix-free at O(J n^3) per call, and ``dense()`` forms the
-    column-stacked superoperator for the solvers that need it.  The jumps
+    matrix-free at O(J n^3) per call, and ``superoperator()`` forms the
+    column-stacked superoperator in CSR form for the propagator.  The jumps
     are real with a zero diagonal (bare ladder operators); a displaced
     jump c + s is written as c with 1/2 w (conj(s) c - s c') added to K,
     as D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].  Raises ValueError on
@@ -190,7 +191,7 @@ class Liouvillian:
 
     @property
     def is_sparse(self) -> bool:
-        """True above DENSE_SUPEROP_MAX_JOINT_DIM, where no solver forms the superoperator."""
+        """True above DENSE_SUPEROP_MAX_JOINT_DIM, where the steady state comes from GMRES."""
         return int(np.prod(self.dims)) > DENSE_SUPEROP_MAX_JOINT_DIM
 
     @property
@@ -202,28 +203,30 @@ class Liouvillian:
         jump_sum = np.tensordot(weights, jumps @ rho @ jumps.conj().transpose(0, 2, 1), 1)
         return K @ rho + rho @ K.conj().T + jump_sum
 
-    def dense(self) -> np.ndarray:
-        """The side x side superoperator, formed anew on each call.
+    def superoperator(self) -> csr_array:
+        """The side x side superoperator in CSR form, built anew on each call.
 
         Column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
-        L = kron(I, K) + kron(conj K, I) + sum_m w_m kron(C_m, C_m).  The
-        real jump sum is written straight into the real part of the one
-        complex buffer.
+        L = kron(I, K) + kron(conj K, I) + sum_m kron(w_m C_m, C_m).  The
+        ladder-operator jumps of ``build_liouvillian`` have a zero diagonal
+        and disjoint supports, so every entry is one product
+        (w_m C_m[i, j]) C_m[k, l], K[k, l], conj K[i, j] or
+        K[k, k] + conj K[i, i], and the sum is exact in any order.
         """
         K, weights, jumps = self.terms
-        n = K.shape[0]
-        L4 = np.zeros((n, n, n, n), dtype=complex)
-        _jump_superop(weights, jumps, L4.real)
-        np.einsum("ikil->ikl", L4)[...] += K                      # kron(I, K): i = j
-        np.einsum("ikjk->ijk", L4)[...] += K.conj()[:, :, None]   # kron(conj K, I): k = l
-        return L4.reshape(n * n, n * n)
+        eye = csr_array(np.eye(K.shape[0]))
+        L = kron(eye, K, format="csr") + kron(K.conj(), eye, format="csr")
+        for w, C in zip(weights, jumps):
+            L = L + kron(csr_array(w * C), C, format="csr")
+        return L
 
 
 def _superop_max_abs(K: np.ndarray) -> float:
     """max|L entry| of the superoperator of (K, weights, jumps), from K alone.
 
     Needs jumps with a zero diagonal and weights >= 0.  In the kron layout
-    of ``dense``, L[i, k, j, l] = sum_m w_m C_m[i, j] C_m[k, l]
+    of ``Liouvillian.superoperator`` (row i n + k, column j n + l),
+    L[i, k, j, l] = sum_m w_m C_m[i, j] C_m[k, l]
     + [i = j] K[k, l] + [k = l] conj(K[i, j]).  The jumps have a zero
     diagonal, so the i = j entries hold only K: K[k, l] for k != l and
     K[k, k] + conj(K[i, i]).  The k = l entries are their complex
@@ -277,17 +280,6 @@ def _generator_terms(p: SystemParams, A: np.ndarray, B: np.ndarray,
     return K, np.array(weights), np.array(jumps)
 
 
-def _jump_superop(weights: np.ndarray, jumps: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_m w_m C_m[i, j] C_m[k, l] into out[i, k, j, l] for real jumps.
-
-    The (J x n^2)^T (J x n^2) product of the flattened w_m C_m and C_m,
-    with its axes swapped into the kron layout, as one real matmul batched
-    over (i, k) that writes into ``out`` and needs no second n^4 buffer.
-    """
-    left = (weights[:, None, None] * jumps).transpose(1, 2, 0)[:, None]
-    np.matmul(left, jumps.transpose(1, 0, 2)[None], out=out)
-
-
 def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
                       cutoffs: tuple[int, int] = (4, 4)) -> Liouvillian:
     """The (optionally displaced) Liouvillian at the given Fock cutoffs."""
@@ -305,16 +297,20 @@ def _hermitian_form(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndar
     """The real matrix M = Re L + (Im L) P of L, assembled from its terms.
 
     P is the transpose permutation.  The jumps are real, so the jump sum
-    lies in Re L alone, written by one batched product; K adds four
-    diagonal views in the kron layout of ``Liouvillian.dense``:
+    lies in Re L alone; K adds four diagonal views in the kron layout of
+    ``Liouvillian.superoperator``:
     M[i, k, j, l] = sum_m w_m C_m[i, j] C_m[k, l] + [i = j] Re K[k, l]
     + [k = l] Re K[i, j] + [i = l] Im K[k, j] - [k = j] Im K[i, l].
+    The jump sum is the (J x n^2)^T (J x n^2) product of the flattened
+    w_m C_m and C_m, its axes swapped into that layout: one real matmul
+    batched over (i, k) that writes into M and needs no second n^4 buffer.
     """
     K, weights, jumps = terms
     n = K.shape[0]
     M = np.empty((n * n, n * n))
     M4 = M.reshape(n, n, n, n)
-    _jump_superop(weights, jumps, M4)
+    left = (weights[:, None, None] * jumps).transpose(1, 2, 0)[:, None]
+    np.matmul(left, jumps.transpose(1, 0, 2)[None], out=M4)
     re, im = K.real, K.imag
     np.einsum("ikil->ikl", M4)[...] += re
     np.einsum("ikjk->ijk", M4)[...] += re[:, :, None]
@@ -498,17 +494,14 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     """Quantum-regression evaluation of n(tau), s(tau) on a uniform tau grid.
 
     The initial states d rho and rho d are propagated by ``expm_multiply``
-    (Al-Mohy & Higham, SISC 33, 488 (2011)), one call each, on the CSR
-    form of the displaced-frame L made dense: Y(tau) = e^{L tau}(d rho)
+    (Al-Mohy & Higham, SISC 33, 488 (2011)), one call each, on
+    ``L.superoperator()`` at any cutoff: Y(tau) = e^{L tau}(d rho)
     gives s(tau) = Tr[d Y] and, as L commutes with the adjoint and
     rho d' = (d rho)', n(tau) = Tr[d Y']; the propagated rho d gives
     s_alt(tau).  Raises SteadyStateError when a correlator breaks its
     Cauchy-Schwarz bound |n(tau)| <= n(0), |s(tau)|^2 <= n(0) (n(0) + 1)
     by more than CAUCHY_SCHWARZ_TOL relative.
     """
-    if L.is_sparse:
-        raise ValueError("two-time correlations need a joint dimension of at most "
-                         f"{DENSE_SUPEROP_MAX_JOINT_DIM} (a displaced-frame Liouvillian)")
     if L.dims != rho_ss.dims:
         raise ValueError(f"dims mismatch: {L.dims} vs {rho_ss.dims}")
     tau = np.asarray(tau_grid, dtype=float)
@@ -521,7 +514,7 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     d = a_op.data
     rho = rho_ss.data
 
-    generator = csr_array(L.dense())
+    generator = L.superoperator()
 
     def propagate(x):
         """vec of e^{L tau_k}(x) at every grid point, one row per tau_k."""

@@ -225,10 +225,11 @@ def test_kappa_a_below_port_rates_is_a_config_error(tmp_path, capsys):
 
 def test_device_config_error_stops_measure_demo_before_it_runs(tmp_path, capsys):
     # was exit 2 only after the synthetic experiment had written its report
-    bad = write_cfg(tmp_path, MINIMAL.replace("kappa_a = 10.35", "kappa_a = 5"))
+    bad = write_cfg(tmp_path, MINIMAL.replace("kappa_a = 10.35", "kappa_a = 5")
+                    + "\n[measurement]\npacket_size = 20000 count\n")
     out = tmp_path / "out"
     rc = main(["measure-demo", "--config", str(bad), "--out", str(out), "--workers", "1",
-               "--packet-size", "20000", "--seed", "7"])
+               "--seed", "7"])
     assert rc == 2
     assert "kappa_a" in capsys.readouterr().err
     assert not list(out.glob("*"))
@@ -327,6 +328,23 @@ g2tau_eta = 30 MHz_over_2pi
     assert period == pytest.approx(TWO_PI / (TWO_PI * 25.1e6), rel=0.05)
 
 
+def test_cmd_g2_tau_above_the_dense_threshold(tmp_path):
+    # cutoff 9 (joint dimension 81) is solved matrix-free; g2-tau exited 3 here
+    cfg = write_cfg(tmp_path, MINIMAL + """
+[sweep]
+tau_stop = 100 ns
+tau_points = 21 count
+g2tau_detunings = 0 MHz_over_2pi
+g2tau_eta = 30 MHz_over_2pi
+cutoff = 9 count
+""")
+    out = tmp_path / "out"
+    assert main(["g2-tau", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    rows = list(csv.DictReader(open(out / "g2_tau.csv")))
+    assert len(rows) == 21
+    assert all(math.isfinite(float(row["g2"])) for row in rows)
+
+
 @pytest.mark.parametrize("source,chain", [
     ("-1 dimensionless", "20 dB @ 4 K | 20 dB @ 10 mK"),
     ("300 K", "-20 dB @ 4 K | 20 dB @ 10 mK"),
@@ -367,22 +385,17 @@ def test_negative_device_input_is_a_config_error(tmp_path, capsys, old, new):
 
 def test_cmd_measure_demo_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["measure-demo", "--packet-size", "20000", "--seed", "7"]
+    cfg = write_cfg(tmp_path, default_config_path().read_text().replace(
+        "packet_size = 1000000 count", "packet_size = 20000 count"))
+    args = ["measure-demo", "--config", str(cfg), "--seed", "7"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     r1 = (out1 / "measure_demo_report.json").read_bytes()
     r2 = (out2 / "measure_demo_report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
+    assert report["packet_size"] == 20000
     assert abs(report["pulls"]["g2"]) < 5
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_packet_size_override_must_be_positive(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["measure-demo", "--packet-size", value, "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert "--packet-size" in capsys.readouterr().err
 
 
 

@@ -125,7 +125,7 @@ def _exact_fourth_moment_g2_tau(p, cutoffs, tau):
     A = a_op.data + alpha * np.eye(a_op.side)
     Ad = A.conj().T
     rho = sol.rho.data
-    evals, V = np.linalg.eig(sol.liouvillian.dense())
+    evals, V = np.linalg.eig(sol.liouvillian.superoperator().toarray())
     init = np.linalg.inv(V) @ vec(A @ rho @ Ad)
     row = vec((Ad @ A).T) @ V
     curve = (np.exp(np.outer(tau, evals)) @ (row * init)).real

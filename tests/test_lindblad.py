@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -217,7 +218,7 @@ def test_displaced_at_origin_equals_undisplaced():
     p = sample_params(eta=1 * MHz)
     L0 = build_liouvillian(p, displacement=None, cutoffs=(3, 3))
     L1 = build_liouvillian(p, displacement=(0.0, 0.0), cutoffs=(3, 3))
-    assert np.array_equal(L0.dense(), L1.dense())
+    assert np.array_equal(L0.superoperator().toarray(), L1.superoperator().toarray())
 
 
 def test_displaced_frame_cancels_linear_drive():
@@ -270,7 +271,7 @@ def test_hermitian_form_matches_the_dense_superoperator(cutoffs, displaced):
     mf = mean_field_steady_state(p)
     L = build_liouvillian(p, displacement=(mf.alpha, mf.beta) if displaced else None,
                           cutoffs=cutoffs)
-    dense = L.dense()
+    dense = L.superoperator().toarray()
     side, joint = L.side, cutoffs[0] * cutoffs[1]
     want = (dense.real.reshape(side, joint, joint)
             + dense.imag.reshape(side, joint, joint).transpose(0, 2, 1)).reshape(side, side)
@@ -293,7 +294,7 @@ def test_max_abs_ignores_a_global_energy_offset():
     L = Liouvillian((3, 3), (K, weights, jumps))
     offset = Liouvillian((3, 3), (K - 1e3j * L.max_abs * np.eye(9), weights, jumps))
     assert offset.max_abs == pytest.approx(L.max_abs, rel=1e-12)
-    assert offset.max_abs == pytest.approx(np.abs(offset.dense()).max(), rel=1e-12)
+    assert offset.max_abs == pytest.approx(np.abs(offset.superoperator().data).max(), rel=1e-12)
 
 
 def test_undisplaced_cutoff_10_max_abs_is_unchanged():
@@ -383,12 +384,13 @@ def _terms_at(p, cutoffs, displacement=None):
     return _generator_terms(p, a_op.data.real, b_op.data.real, shift)
 
 
-@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3), (9, 8)])
 @pytest.mark.parametrize("mode", ["simplified", "full", "damping-only"])
 @pytest.mark.parametrize("displaced", [False, True])
 def test_matrix_free_apply_matches_dense(cutoffs, mode, displaced):
     # n_th > 0 in every mode, so the C' jumps are present; with H = 0 the
-    # largest entry of L is a diagonal one
+    # largest entry of L is a diagonal one.  (9, 8) is above the dense
+    # threshold, where the superoperator is only ever used sparse
     eta = 15 * MHz if displaced else 1 * MHz
     if mode == "damping-only":
         p = replace(_real_form_params("simplified", eta), delta_a=0.0, delta_b=0.0,
@@ -400,14 +402,14 @@ def test_matrix_free_apply_matches_dense(cutoffs, mode, displaced):
         mf = mean_field_steady_state(p)
         disp = (mf.alpha, mf.beta)
     L = Liouvillian(cutoffs, _terms_at(p, cutoffs, disp))
-    dense = L.dense()
-    assert not L.is_sparse and L.side == dense.shape[0]
-    assert L.max_abs == pytest.approx(np.abs(dense).max(), rel=1e-14)
+    superop = L.superoperator()
+    assert superop.shape == (L.side, L.side)
+    assert L.max_abs == pytest.approx(np.abs(superop.data).max(), rel=1e-14)
     rng = np.random.default_rng(3)
     joint = cutoffs[0] * cutoffs[1]
     for _ in range(3):
         rho = random_density(rng, joint)
-        want = unvec(dense @ vec(rho), joint)
+        want = unvec(superop @ vec(rho), joint)
         assert np.abs(L.apply(rho) - want).max() <= 1e-14 * L.max_abs
 
 
@@ -517,7 +519,7 @@ def test_real_form_steady_state_matches_complex_solve(cutoffs, mode, displaced):
     L = build_liouvillian(p, displacement=disp, cutoffs=cutoffs)
     assert not L.is_sparse
 
-    dense = L.dense()
+    dense = L.superoperator().toarray()
     kron_sum = _kron_sum_liouvillian(p, disp, cutoffs)
     assert np.abs(dense - kron_sum).max() <= 1e-14 * np.abs(kron_sum).max()
 
@@ -557,12 +559,37 @@ def test_qrt_matches_dense_expm():
     d = a_op.data
     rho = sol.rho.data
     for k, t in enumerate(tau):
-        prop = expm(sol.liouvillian.dense() * t)
+        prop = expm(sol.liouvillian.superoperator().toarray() * t)
         for got, initial, bound in ((corr.n_tau, rho @ d.conj().T, corr.n_tau[0].real),
                                     (corr.s_tau, d @ rho, abs(corr.s_tau[0])),
                                     (corr.s_tau_alt, rho @ d, abs(corr.s_tau_alt[0]))):
             want = np.trace(d @ unvec(prop @ vec(initial), 9))
             assert abs(got[k] - want) <= 1e-8 * max(abs(want), bound)
+
+
+def test_qrt_above_the_dense_threshold():
+    # (9, 8) is solved by GMRES; the propagator needs no size limit of its own
+    p = sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz)
+    sol = displaced_solution(p, cutoffs=(9, 8))
+    assert sol.liouvillian.is_sparse
+    corr = two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 4e-9, 5))
+    assert corr.n_tau[0].real == pytest.approx(sol.obs.n, rel=1e-10)
+    assert abs(corr.s_tau[0] - sol.obs.s) <= 1e-10 * abs(sol.obs.s)
+
+
+def test_qrt_allocates_less_than_one_dense_superoperator():
+    # one complex side x side array is 26.9 MB at cutoff 6; the CSR generator
+    # and the two 241-point propagations stay well below it
+    p = sample_params(eta=8 * MHz, da=7 * MHz, db=7 * MHz)
+    sol = displaced_solution(p, cutoffs=(6, 6))
+    tau = np.linspace(0.0, 120e-9, 241)
+    tracemalloc.start()
+    try:
+        two_time_correlations(sol.liouvillian, sol.rho, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sol.liouvillian.side ** 2 * 16
 
 
 def test_qrt_requires_tau_from_zero():
