@@ -209,22 +209,3 @@ def hybridized_thermal_population(delta: float, kappa: float, J: float,
     w_b = 2.0 * J**2 / den
     w_a = (delta**2 + kappa**2 + 2.0 * J**2) / den
     return w_a * n_th_a + w_b * n_th_b
-
-
-def fit_flux_tuning(flux_ratios, omegas, C: float) -> tuple[float, float]:
-    """Least-squares (L, L_s0) from flux-tuning samples at fixed capacitance.
-
-    The lumped model gives 1/(omega^2 C) = L + L_s0/|cos(pi phi)|, which is
-    linear in (L, L_s0), so one linear least-squares solve is the fit.
-    """
-    phi = np.asarray(flux_ratios, dtype=float)
-    om = np.asarray(omegas, dtype=float)
-    if phi.shape != om.shape or phi.size < 2:
-        raise ValueError("need matching flux and frequency arrays with >= 2 samples")
-    cos = np.abs(np.cos(np.pi * phi))
-    if np.any(cos < SQUID_COS_EPS):
-        raise FluxDivergenceError("flux samples too close to half-integer flux")
-    inv_cos = 1.0 / cos
-    design = np.column_stack([np.ones_like(inv_cos), inv_cos])
-    (L, L_s0), *_ = np.linalg.lstsq(design, 1.0 / (om**2 * C), rcond=None)
-    return float(L), float(L_s0)

@@ -329,7 +329,7 @@ g2tau_eta = 30 MHz_over_2pi
 
 
 def test_cmd_g2_tau_above_the_dense_threshold(tmp_path):
-    # cutoff 9 (joint dimension 81) is solved matrix-free; g2-tau exited 3 here
+    # cutoff 9 (joint dimension 81) is solved by GMRES; g2-tau exited 3 here
     cfg = write_cfg(tmp_path, MINIMAL + """
 [sweep]
 tau_stop = 100 ns

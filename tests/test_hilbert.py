@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blockadesim.hilbert import (DensityMatrix, DimensionError, Operator, annihilation,
-                                 ptrace, thermal_state, two_mode_annihilators)
+                                 two_mode_annihilators)
+from conftest import ptrace, thermal_state
 
 
 def dag(m):

@@ -8,12 +8,13 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 import blockadesim.lindblad as lindblad_mod
-from blockadesim.hilbert import DensityMatrix, ptrace, thermal_state, two_mode_annihilators
+from blockadesim.hilbert import DensityMatrix, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
                                   _generator_terms, _hermitian_form, build_liouvillian,
                                   displaced_solution, mean_field_steady_state,
                                   mode_occupation, observables, steady_state,
                                   two_time_correlations, unvec, vec)
+from conftest import ptrace, thermal_state
 
 TWO_PI = 2.0 * math.pi
 MHz = TWO_PI * 1e6
@@ -366,9 +367,11 @@ def test_exactly_singular_real_form_raises():
         steady_state(Liouvillian((2, 2), (K, np.array([1.0]), c[None])))
 
 
-def test_sparse_path_matches_dense():
+def test_sparse_path_matches_dense(monkeypatch):
+    # with the crossover raised to 64, (8, 8) still runs the dense LU, while
+    # (9, 8), joint dimension 72, runs GMRES
+    monkeypatch.setattr(lindblad_mod, "DENSE_SUPEROP_MAX_JOINT_DIM", 64)
     p = sample_params(eta=0.5 * MHz, da=1 * MHz, db=1 * MHz)
-    # (9, 8) joint dimension 72 exceeds the dense threshold of 64
     L_sparse = build_liouvillian(p, cutoffs=(9, 8))
     assert L_sparse.is_sparse
     rho_sparse = steady_state(L_sparse)
@@ -376,6 +379,27 @@ def test_sparse_path_matches_dense():
     n_sparse = mode_occupation(rho_sparse, 0)
     n_dense = mode_occupation(rho_dense, 0)
     assert n_sparse == pytest.approx(n_dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("cutoffs,sparse", [((5, 5), False), ((5, 6), True)])
+def test_dense_gmres_crossover_at_joint_dimension_25(cutoffs, sparse):
+    assert build_liouvillian(sample_params(), cutoffs=cutoffs).is_sparse is sparse
+
+
+def test_gmres_solve_applies_l_once_for_the_residual(monkeypatch):
+    # GMRES runs on the CSR superoperator; L.apply is left to the residual check
+    calls = []
+    real = Liouvillian.apply
+
+    def counting(self, rho):
+        calls.append(rho.shape)
+        return real(self, rho)
+
+    monkeypatch.setattr(Liouvillian, "apply", counting)
+    L = build_liouvillian(sample_params(eta=0.5 * MHz, da=1 * MHz, db=1 * MHz), cutoffs=(9, 8))
+    assert L.is_sparse
+    steady_state(L)
+    assert calls == [(72, 72)]
 
 
 def _terms_at(p, cutoffs, displacement=None):
@@ -509,8 +533,10 @@ REAL_FORM_CASES = [(cut, mode, displaced)
 
 
 @pytest.mark.parametrize("cutoffs,mode,displaced", REAL_FORM_CASES)
-def test_real_form_steady_state_matches_complex_solve(cutoffs, mode, displaced):
-    # undisplaced runs use a weak pump that the small cutoffs still hold
+def test_real_form_steady_state_matches_complex_solve(cutoffs, mode, displaced, monkeypatch):
+    # undisplaced runs use a weak pump that the small cutoffs still hold; the
+    # crossover is raised to 64 so that (6, 6) still runs the dense LU
+    monkeypatch.setattr(lindblad_mod, "DENSE_SUPEROP_MAX_JOINT_DIM", 64)
     p = _real_form_params(mode, 15 * MHz if displaced else 1 * MHz)
     disp = None
     if displaced:
@@ -551,24 +577,28 @@ def test_qrt_initial_value_and_decay():
 
 
 def test_qrt_matches_dense_expm():
-    p = sample_params(eta=4 * MHz, da=1 * MHz, db=1 * MHz)
-    sol = displaced_solution(p, cutoffs=(3, 3))
+    # the second input has n_th_a, n_th_b > 0 and a complex eta_b, so the
+    # a' and b' jumps enter the adjoint propagation too
     tau = np.linspace(0.0, 31e-9, 5)
-    corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
     a_op, _ = two_mode_annihilators(3, 3)
     d = a_op.data
-    rho = sol.rho.data
-    for k, t in enumerate(tau):
-        prop = expm(sol.liouvillian.superoperator().toarray() * t)
-        for got, initial, bound in ((corr.n_tau, rho @ d.conj().T, corr.n_tau[0].real),
-                                    (corr.s_tau, d @ rho, abs(corr.s_tau[0])),
-                                    (corr.s_tau_alt, rho @ d, abs(corr.s_tau_alt[0]))):
-            want = np.trace(d @ unvec(prop @ vec(initial), 9))
-            assert abs(got[k] - want) <= 1e-8 * max(abs(want), bound)
+    for p in (sample_params(eta=4 * MHz, da=1 * MHz, db=1 * MHz),
+              _real_form_params("full", 4 * MHz)):
+        sol = displaced_solution(p, cutoffs=(3, 3))
+        corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
+        rho = sol.rho.data
+        for k, t in enumerate(tau):
+            prop = expm(sol.liouvillian.superoperator().toarray() * t)
+            for got, initial, bound in ((corr.n_tau, rho @ d.conj().T, corr.n_tau[0].real),
+                                        (corr.s_tau, d @ rho, abs(corr.s_tau[0])),
+                                        (corr.s_tau_alt, rho @ d, abs(corr.s_tau_alt[0]))):
+                want = np.trace(d @ unvec(prop @ vec(initial), 9))
+                assert abs(got[k] - want) <= 1e-8 * max(abs(want), bound)
 
 
 def test_qrt_above_the_dense_threshold():
-    # (9, 8) is solved by GMRES; the propagator needs no size limit of its own
+    # (9, 8), joint dimension 72, is above the crossover of 25 and solved by
+    # GMRES; the propagator needs no size limit of its own
     p = sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz)
     sol = displaced_solution(p, cutoffs=(9, 8))
     assert sol.liouvillian.is_sparse
@@ -579,7 +609,7 @@ def test_qrt_above_the_dense_threshold():
 
 def test_qrt_allocates_less_than_one_dense_superoperator():
     # one complex side x side array is 26.9 MB at cutoff 6; the CSR generator
-    # and the two 241-point propagations stay well below it
+    # and the 241-point propagation stay well below it
     p = sample_params(eta=8 * MHz, da=7 * MHz, db=7 * MHz)
     sol = displaced_solution(p, cutoffs=(6, 6))
     tau = np.linspace(0.0, 120e-9, 241)
@@ -627,6 +657,21 @@ def test_qrt_output_ignores_global_rng():
         np.random.seed(seed)
         assert after == np.random.random()
     assert np.array_equal(runs[0], runs[1])
+
+
+def test_qrt_propagates_once(monkeypatch):
+    # one Heisenberg-picture propagation of d' yields n, s and s_alt
+    real = lindblad_mod.expm_multiply
+    calls = []
+
+    def counting(A, B, **kwargs):
+        calls.append(B.shape)
+        return real(A, B, **kwargs)
+
+    monkeypatch.setattr(lindblad_mod, "expm_multiply", counting)
+    sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
+    two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 10e-9, 11))
+    assert calls == [(sol.liouvillian.side,)]
 
 
 def test_qrt_cauchy_schwarz_violation_raises(monkeypatch):
