@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -206,6 +207,7 @@ def cmd_g2_sweep(cfg: RunConfig, derived: dict, p: SystemParams, args):
 
 
 def cmd_g2_tau(cfg: RunConfig, derived: dict, p: SystemParams, args):
+    """g2(tau) per detuning; a detuning that fails writes NaN rows and is logged."""
     eta = cfg.sweep.g2tau_eta if cfg.sweep.g2tau_eta is not None else p.eta_a
     tau = np.linspace(0.0, cfg.sweep.tau_stop, cfg.sweep.tau_points)
     cut = (cfg.sweep.cutoff, cfg.sweep.cutoff)
@@ -213,20 +215,29 @@ def cmd_g2_tau(cfg: RunConfig, derived: dict, p: SystemParams, args):
     rows = []
     periods = {}
     ordering = {}
+    failed = {}
     for da in detunings:
-        sol = displaced_solution(replace(p, eta_a=eta, delta_a=da, delta_b=da), cutoffs=cut)
-        corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
-        curve = g2_tau(sol.mean_field.alpha, corr)
-        periods[f"{da:.6e}"] = dominant_period(tau, curve)
+        key = f"{da:.6e}"
+        try:
+            sol = displaced_solution(replace(p, eta_a=eta, delta_a=da, delta_b=da), cutoffs=cut)
+            corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
+            curve = g2_tau(sol.mean_field.alpha, corr)
+            periods[key] = dominant_period(tau, curve)
+        except (ConvergenceError, SteadyStateError, ValueError) as exc:
+            log.warning("g2-tau at delta_a = %s rad/s failed: %s", key, exc)
+            failed[key] = str(exc)
+            rows.extend([da, t] + [math.nan] * (len(TAU_COLUMNS) - 2) for t in tau)
+            continue
         # the two operator orderings of <d d> at unequal times differ by a
         # c-number commutator; the deviation is reported, not resolved
-        ordering[f"{da:.6e}"] = corr.ordering_discrepancy
+        ordering[key] = corr.ordering_discrepancy
         rows.extend([da, tau[k], curve[k], corr.n_tau[k].real, corr.n_tau[k].imag,
                      corr.s_tau[k].real, corr.s_tau[k].imag] for k in range(tau.size))
     csv_path = args.out / "g2_tau.csv"
     write_csv(csv_path, TAU_COLUMNS, rows)
-    return 0, [csv_path], {"dominant_period_s": periods, "eta_a_rad_per_s": eta,
-                           "anomalous_ordering_discrepancy": ordering}
+    return (_exit_code([f"{da:.6e}" not in failed for da in detunings]), [csv_path],
+            {"dominant_period_s": periods, "eta_a_rad_per_s": eta,
+             "anomalous_ordering_discrepancy": ordering, "failed_detunings": failed})
 
 
 def cmd_map(cfg: RunConfig, derived: dict, p: SystemParams, args):

@@ -1,16 +1,15 @@
 """Truncated Fock-space operators for one or two bosonic modes.
 
 Operators are plain dense complex ndarrays; ``Operator`` only pairs one with
-its per-mode cutoffs and checks the shape.  Everything is dense: the
-displaced-frame calculations run at 4 Fock states per mode (joint dimension
-16) and even the undisplaced oracle runs stay around 10-12 states per mode,
-where dense numpy is simplest and fast.  The mode ordering is fixed as
+its per-mode cutoffs and checks the shape.  The mode ordering is fixed as
 a (x) b everywhere; index (i_a, i_b) maps to row i_a * n_b + i_b, matching
-``numpy.kron``.
+``numpy.kron``.  The superoperators built on these operators, sparse above
+the smallest cutoffs, belong to ``lindblad``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,7 +39,7 @@ class Operator:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         data = np.ascontiguousarray(self.data, dtype=complex)
-        side = int(np.prod(dims))
+        side = math.prod(dims)
         if data.ndim != 2 or data.shape != (side, side):
             raise DimensionError(
                 f"{type(self).__name__} data must be {side}x{side} for dims {dims}, "
@@ -63,14 +62,15 @@ class DensityMatrix(Operator):
     """
 
     def validate(self) -> "DensityMatrix":
-        scale = max(np.abs(self.data).max(), 1e-300)
-        herm = np.abs(self.data - self.data.conj().T).max() / scale
+        data, adjoint = self.data, self.data.conj().T
+        scale = max(np.abs(data).max(), 1e-300)
+        herm = np.abs(data - adjoint).max() / scale
         if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: deviation {herm:.2e}")
-        tr = np.trace(self.data)
+        tr = np.trace(data)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} differs from 1")
-        evals = np.linalg.eigvalsh(0.5 * (self.data + self.data.conj().T))
+        evals = np.linalg.eigvalsh(0.5 * (data + adjoint))
         if evals.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {evals.min():.2e} below floor")
         return self

@@ -217,7 +217,8 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
     Nelder-Mead in units of kappa_a from a 0.1 kappa_a simplex, seeded from
     the best point of a COARSE_GRID_POINTS-square grid spanning +/- kappa_a
     around zero detuning.  Optimizer stagnation is reported on the envelope
-    point, with the best value found.
+    point, with the best value found.  The envelope point is the record the
+    objective solved at the best vertex, so no point is solved twice.
     """
     span = p.kappa_a
     etas = list(np.atleast_1d(eta_values))
@@ -237,8 +238,11 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
             continue
         best = min(ok, key=lambda r: r.g2)
 
+        solved: dict[tuple[float, float], SweepRecord] = {}
+
         def objective(x) -> float:
-            rec = solve(replace(base, delta_a=x[0] * span, delta_b=x[1] * span))
+            da, db = (x * span).tolist()
+            rec = solved[da, db] = solve(replace(base, delta_a=da, delta_b=db))
             if rec.status != "ok" or not np.isfinite(rec.g2):
                 return 1e6
             return rec.g2
@@ -249,9 +253,9 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
         warnings: tuple[str, ...] = ()
         if not res.success:
             warnings = (f"optimizer stagnation: {res.message}",)
-        # x0 is a simplex vertex, so res.x is never worse than the grid seed
-        da, db = (res.x * span).tolist()
-        final = solve(replace(base, delta_a=da, delta_b=db))
+        # x0 is a simplex vertex, so res.x is never worse than the grid seed;
+        # every vertex was solved at exactly its coordinates
+        final = solved[tuple((res.x * span).tolist())]
         out.append(EnvelopePoint(complex(eta), final.n_tot, final.g2, final.delta_a,
                                  final.delta_b, warnings + final.warnings))
     return out

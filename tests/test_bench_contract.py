@@ -1,6 +1,6 @@
 """The benchmark's view of the package: every traced target exists and the
-oracle and measure workloads still pass their checks, with the spans their
-per-layer metrics read.
+envelope, oracle and measure workloads still pass their checks, with the
+spans their per-layer metrics read.
 
 bench/ is only read here; each workload runs in a fresh interpreter with
 PYTHONPATH=src:bench, as bench/child.py runs it.
@@ -35,6 +35,9 @@ print(json.dumps({"absent": tracer.absent,
 """
 
 SPANS = {
+    # the cutoff-4 point, layer by layer, on the grid and in the optimizer
+    "envelope": {"sweep.solve_point", "lindblad.build_liouvillian", "lindblad.steady_state_dense",
+                 "lindblad.observables", "sweep.nelder_mead"},
     # both steady-state paths
     "oracle": {"lindblad.steady_state_dense", "lindblad.steady_state_sparse"},
     # the traced extras of estimate_moments read RawTraceSet.X_r, Y_r and packet_size

@@ -14,6 +14,7 @@ import blockadesim
 from blockadesim.cli import (SWEEP_COLUMNS, default_config_path, derive_device, main,
                              system_params_from_config)
 from blockadesim.config import ConfigError, load_config, parse_run_config
+from blockadesim.lindblad import SteadyStateError
 
 TWO_PI = 2.0 * math.pi
 
@@ -326,6 +327,49 @@ g2tau_eta = 30 MHz_over_2pi
     manifest = json.loads((out / "g2_tau_manifest.json").read_text())
     (period,) = manifest["dominant_period_s"].values()
     assert period == pytest.approx(TWO_PI / (TWO_PI * 25.1e6), rel=0.05)
+
+
+def test_cmd_g2_tau_fails_per_detuning(tmp_path, caplog, fail_steady_state_on_call):
+    cfg = write_cfg(tmp_path, MINIMAL + """
+[sweep]
+tau_stop = 100 ns
+tau_points = 11 count
+g2tau_detunings = 0 2 4 MHz_over_2pi
+g2tau_eta = 30 MHz_over_2pi
+""")
+    fail_steady_state_on_call(2)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="blockadesim.cli"):
+        assert main(["g2-tau", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    rows = list(csv.DictReader(open(out / "g2_tau.csv")))
+    assert len(rows) == 33
+    bad = 2 * TWO_PI * 1e6
+    for row in rows:
+        values = [float(row[c]) for c in ("g2", "n_tau_re", "n_tau_im", "s_tau_re", "s_tau_im")]
+        failed = float(row["delta_a_rad_per_s"]) == pytest.approx(bad)
+        assert all(map(math.isnan, values)) if failed else all(map(math.isfinite, values))
+        assert math.isfinite(float(row["tau_s"]))
+    manifest = json.loads((out / "g2_tau_manifest.json").read_text())
+    (key,) = manifest["failed_detunings"]
+    assert float(key) == pytest.approx(bad)
+    assert "forced invalid density matrix" in manifest["failed_detunings"][key]
+    assert len(manifest["dominant_period_s"]) == 2
+    (record,) = [r for r in caplog.records if r.message.startswith("g2-tau")]
+    assert record.levelno == logging.WARNING and "forced invalid density matrix" in record.message
+
+
+def test_cmd_g2_tau_exits_3_when_every_detuning_fails(tmp_path, monkeypatch):
+    import blockadesim.cli as cli_mod
+
+    def boom(p, cutoffs=(4, 4)):
+        raise SteadyStateError("forced failure")
+
+    monkeypatch.setattr(cli_mod, "displaced_solution", boom)
+    cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\ng2tau_detunings = 0 2 MHz_over_2pi\n")
+    out = tmp_path / "out"
+    assert main(["g2-tau", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    rows = list(csv.DictReader(open(out / "g2_tau.csv")))
+    assert rows and all(math.isnan(float(row["g2"])) for row in rows)
 
 
 def test_cmd_g2_tau_above_the_dense_threshold(tmp_path):

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 import blockadesim.lindblad as lindblad_mod
 from blockadesim.hilbert import DensityMatrix, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
-                                  _generator_terms, _hermitian_form, build_liouvillian,
+                                  _cutoff_model, _hermitian_form, build_liouvillian,
                                   displaced_solution, mean_field_steady_state,
                                   mode_occupation, observables, steady_state,
                                   two_time_correlations, unvec, vec)
@@ -403,9 +403,76 @@ def test_gmres_solve_applies_l_once_for_the_residual(monkeypatch):
 
 
 def _terms_at(p, cutoffs, displacement=None):
+    return build_liouvillian(p, displacement=displacement, cutoffs=cutoffs).terms
+
+
+def reference_terms(p, cutoffs, displacement=None):
+    """(K, weights, jumps) with K from the explicit products of the shifted operators.
+
+    The bare, real jumps a (kappa_a (n_th_a + 1)), b (kappa_b (n_th_b + 1)),
+    plus a' and b' (kappa n_th) where n_th > 0; each jump's shift s (alpha,
+    beta for a, b; conj(alpha), conj(beta) for a', b') goes into
+    K = -iH(A + alpha, B + beta) - 1/2 sum_m w_m C_m' C_m
+        + 1/2 sum_m w_m (conj(s_m) C_m - s_m C_m'),
+    as D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].
+    """
     a_op, b_op = two_mode_annihilators(*cutoffs)
-    shift = (0.0, 0.0) if displacement is None else displacement
-    return _generator_terms(p, a_op.data.real, b_op.data.real, shift)
+    A, B = a_op.data.real, b_op.data.real
+    alpha, beta = (0.0, 0.0) if displacement is None else displacement
+    eye = np.eye(A.shape[0])
+    As, Bs = A + alpha * eye, B + beta * eye
+    Ad, Bd = As.conj().T, Bs.conj().T
+    H = (-p.delta_a * (Ad @ As) - p.delta_b * (Bd @ Bs)
+         + p.J * (Ad @ Bs + Bd @ As)
+         - p.U * (Bd @ Bd @ Bs @ Bs)
+         + p.eta_a * Ad + np.conj(p.eta_a) * As
+         + p.eta_b * Bd + np.conj(p.eta_b) * Bs)
+    K = -1j * H
+    weights, jumps = [], []
+    for rate, C, s, n_th in ((p.kappa_a, A, alpha, p.n_th_a), (p.kappa_b, B, beta, p.n_th_b)):
+        triples = [(rate * (n_th + 1.0), C, s)]
+        if n_th > 0:
+            triples.append((rate * n_th, C.T, np.conj(s)))
+        for w, c, s_c in triples:
+            K = K - (0.5 * w) * (c.T @ c) + (0.5 * w) * (np.conj(s_c) * c - s_c * c.T)
+            weights.append(w)
+            jumps.append(c)
+    return K, np.array(weights), np.array(jumps)
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 4), (4, 3), (9, 8)])
+@pytest.mark.parametrize("displaced", [False, True])
+def test_cached_k_matches_the_explicit_products(cutoffs, displaced):
+    # thermal jumps on both modes and a complex eta_b: every basis term is on
+    p = _real_form_params("full", 15 * MHz if displaced else 1 * MHz)
+    assert p.n_th_a > 0 and p.n_th_b > 0 and p.eta_b.imag != 0
+    disp = None
+    if displaced:
+        mf = mean_field_steady_state(p)
+        disp = (mf.alpha, mf.beta)
+    L = build_liouvillian(p, displacement=disp, cutoffs=cutoffs)
+    ref = Liouvillian(cutoffs, reference_terms(p, cutoffs, disp))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        rho = random_density(rng, cutoffs[0] * cutoffs[1])
+        assert np.abs(L.apply(rho) - ref.apply(rho)).max() <= 1e-13 * L.max_abs
+
+
+def test_cutoff_model_is_shared_and_read_only():
+    model = _cutoff_model(4, 3)
+    assert _cutoff_model(4, 3) is model
+    arrays = (model.A, model.B, model.basis, model.jumps, model.moments)
+    assert not any(array.flags.writeable for array in arrays)
+    L0 = build_liouvillian(sample_params(eta=1 * MHz), cutoffs=(4, 3))
+    L1 = build_liouvillian(sample_params(eta=2 * MHz, da=1 * MHz), cutoffs=(4, 3))
+    assert L0.terms[2] is model.jumps and L1.terms[2] is model.jumps
+    with pytest.raises(ValueError):
+        model.basis[0, 0] = 1.0
+    # the jumps' C'C lead the basis, so the damping of K reads them
+    products = model.jumps.transpose(0, 2, 1) @ model.jumps
+    assert np.array_equal(model.basis[:4], products.reshape(4, -1))
+    # under 1 MB at cutoff 4
+    assert sum(a.nbytes for a in _cutoff_model(4, 4).__dict__.values()) < 2 ** 20
 
 
 @pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3), (9, 8)])
@@ -620,6 +687,22 @@ def test_qrt_allocates_less_than_one_dense_superoperator():
     finally:
         tracemalloc.stop()
     assert peak < sol.liouvillian.side ** 2 * 16
+
+
+def test_superoperator_built_once_per_g2_tau_point(monkeypatch):
+    # above joint dimension 25 GMRES and the propagator share the CSR form
+    real = lindblad_mod._kron_sum
+    calls = []
+
+    def counting(*terms):
+        calls.append(terms[0].shape)
+        return real(*terms)
+
+    monkeypatch.setattr(lindblad_mod, "_kron_sum", counting)
+    sol = displaced_solution(sample_params(eta=8 * MHz, da=7 * MHz, db=7 * MHz), cutoffs=(6, 6))
+    assert sol.liouvillian.is_sparse
+    two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 120e-9, 241))
+    assert calls == [(36, 36)]
 
 
 def test_qrt_requires_tau_from_zero():

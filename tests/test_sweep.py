@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from blockadesim import blas
 from blockadesim.lindblad import ConvergenceError, SystemParams
 from blockadesim.sweep import (NM_G2_TOL, EnvelopePoint, SweepRecord, dominant_period,
                                fit_eta_to_population, log_bin_index, map2d, minimize_g2,
@@ -274,6 +275,37 @@ def test_optimizer_hitting_maxiter_is_reported(monkeypatch):
     assert np.isfinite(env.g2_min)
     assert ("optimizer stagnation: Maximum number of iterations has been exceeded."
             in env.warnings)
+
+
+def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
+    # the final point reuses the objective's record: no point is solved twice
+    import blockadesim.sweep as sweep_mod
+
+    real_solve, real_minimize = sweep_mod.solve_point, sweep_mod.minimize
+    solved, results = [], []
+
+    def counting_solve(p, cutoffs=(4, 4)):
+        solved.append(p)
+        return real_solve(p, cutoffs)
+
+    def recording_minimize(*args, **options):
+        results.append(real_minimize(*args, **options))
+        return results[-1]
+
+    monkeypatch.setattr(sweep_mod, "solve_point", counting_solve)
+    monkeypatch.setattr(sweep_mod, "minimize", recording_minimize)
+    etas = [16 * MHz, 24 * MHz]
+    env = minimize_g2(sample_params(0.0), etas)
+    assert len(solved) == 121 * len(etas) + sum(res.nfev for res in results)
+    # the same record a fresh solve at the returned detunings gives, with
+    # BLAS at one thread as in minimize_g2 (the LU rounds by thread count)
+    for eta, point in zip(etas, env):
+        with blas.single_threaded():
+            fresh = real_solve(replace(sample_params(0.0), eta_a=complex(eta),
+                                       delta_a=point.delta_a, delta_b=point.delta_b))
+        assert (point.n_tot, point.g2_min, point.delta_a, point.delta_b) == (
+            fresh.n_tot, fresh.g2, fresh.delta_a, fresh.delta_b)
+        assert [type(v) for v in (point.delta_a, point.delta_b)] == [float, float]
 
 
 def test_minimize_requires_etas():
