@@ -2,9 +2,9 @@
 
 The dense problems of the production path are small (256x256 at cutoff 4),
 where a multi-threaded BLAS spends more time waking and spin-waiting its
-threads than computing.  The CLI therefore runs each command inside
-``single_threaded()``, the sweep functions are decorated with it, and the
-process pools of ``pool_map`` start their workers with ``pin_worker``; other
+threads than computing, and OpenBLAS's LU rounds differently at different
+thread counts.  So the CLI runs each command inside ``single_threaded()``
+and ``pool_map`` runs every task at one thread, serial or pooled; other
 library calls leave BLAS as they find it.  Setting any of ``BLAS_ENV`` turns
 the pin off everywhere.  The thread counts are process-wide, so two threads
 of one process must not run pinned blocks at the same time.
@@ -123,14 +123,15 @@ def pin_worker():
 
 
 def pool_map(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, spread over a process pool when it pays.
+    """``[fn(x) for x in items]`` with BLAS at one thread, pooled when it pays.
 
-    Serial when ``workers <= 1`` or there are fewer than 4 items; otherwise
-    ``workers`` processes that start with ``pin_worker`` each take chunks of
-    ``len(items) // (4 * workers)`` items.  The results keep item order.
+    Serial inside ``single_threaded()`` when ``workers <= 1`` or there are
+    fewer than 4 items; else ``workers`` processes started with ``pin_worker``
+    take chunks of ``len(items) // (4 * workers)`` items.  Results keep order.
     """
     items = list(items)
     if workers <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
+        with single_threaded():
+            return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=workers, initializer=pin_worker) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))

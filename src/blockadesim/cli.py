@@ -24,6 +24,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -206,28 +207,37 @@ def cmd_g2_sweep(cfg: RunConfig, derived: dict, p: SystemParams, args):
                                         int(grid.size)]})
 
 
+def _g2_tau_detuning(p: SystemParams, cutoffs: tuple[int, int], tau, da):
+    """One g2-tau detuning: (correlations, g2 curve, period), or why it failed."""
+    try:
+        sol = displaced_solution(replace(p, delta_a=da, delta_b=da), cutoffs=cutoffs)
+        corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
+        curve = g2_tau(sol.mean_field.alpha, corr)
+        return corr, curve, dominant_period(tau, curve)
+    except (ConvergenceError, SteadyStateError, ValueError) as exc:
+        return str(exc)
+
+
 def cmd_g2_tau(cfg: RunConfig, derived: dict, p: SystemParams, args):
-    """g2(tau) per detuning; a detuning that fails writes NaN rows and is logged."""
+    """g2(tau), one pool task per detuning; a failed one writes NaN rows and is logged."""
     eta = cfg.sweep.g2tau_eta if cfg.sweep.g2tau_eta is not None else p.eta_a
     tau = np.linspace(0.0, cfg.sweep.tau_stop, cfg.sweep.tau_points)
     cut = (cfg.sweep.cutoff, cfg.sweep.cutoff)
     detunings = cfg.sweep.g2tau_detunings or (0.0,)
+    results = blas.pool_map(partial(_g2_tau_detuning, replace(p, eta_a=eta), cut, tau),
+                            detunings, args.workers)
     rows = []
     periods = {}
     ordering = {}
     failed = {}
-    for da in detunings:
+    for da, result in zip(detunings, results):
         key = f"{da:.6e}"
-        try:
-            sol = displaced_solution(replace(p, eta_a=eta, delta_a=da, delta_b=da), cutoffs=cut)
-            corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
-            curve = g2_tau(sol.mean_field.alpha, corr)
-            periods[key] = dominant_period(tau, curve)
-        except (ConvergenceError, SteadyStateError, ValueError) as exc:
-            log.warning("g2-tau at delta_a = %s rad/s failed: %s", key, exc)
-            failed[key] = str(exc)
+        if isinstance(result, str):
+            log.warning("g2-tau at delta_a = %s rad/s failed: %s", key, result)
+            failed[key] = result
             rows.extend([da, t] + [math.nan] * (len(TAU_COLUMNS) - 2) for t in tau)
             continue
+        corr, curve, periods[key] = result
         # the two operator orderings of <d d> at unequal times differ by a
         # c-number commutator; the deviation is reported, not resolved
         ordering[key] = corr.ordering_discrepancy
@@ -332,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="configuration file (default: packaged reference device)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=_integer_at_least(0), default=12345)
-    parser.add_argument("--workers", type=_integer_at_least(1), default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=_integer_at_least(1),
+                        default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count() or 1)
     return parser
 
 

@@ -1,14 +1,10 @@
 """Parameter sweeps and g2 minimization over detunings.
 
-Every grid point is an independent displaced-frame steady-state solve, so
-sweeps parallelize over a process pool with deterministic aggregation by
-index.  Per-point failures are recorded in the output rows instead of
-aborting the whole sweep.
-
-The sweep functions (sweep_detuning, map2d, minimize_g2) run with BLAS pinned
-to one thread, as pool workers and CLI commands do: OpenBLAS's LU rounds
-differently at different thread counts, and a serial sweep must give the
-same rows as a pooled one or as the CLI.
+Every grid point is an independent displaced-frame steady-state solve, and
+every envelope pump strength an independent optimization; each sweep is one
+``blas.pool_map`` over them, which keeps index order and runs BLAS at one
+thread, so serial and pooled sweeps give the same rows.  Per-point failures
+are recorded in the output rows instead of aborting the whole sweep.
 """
 
 from __future__ import annotations
@@ -105,7 +101,6 @@ def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemPa
         f"eta fit did not reach target within {ETA_FIT_MAX_ITER} secant steps")
 
 
-@blas.single_threaded()
 def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None = None,
                    cutoffs: tuple[int, int] = (4, 4), workers: int = 1) -> list[SweepRecord]:
     """Scan delta_a with the lock delta_b = delta_a."""
@@ -115,7 +110,6 @@ def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None =
     return blas.pool_map(partial(solve_point, cutoffs=cutoffs), points, workers)
 
 
-@blas.single_threaded()
 def map2d(p: SystemParams, delta_a_grid, delta_diff_grid,
           cutoffs: tuple[int, int] = (4, 4), workers: int = 1) -> list[list[SweepRecord]]:
     """Outer-product map over delta_a (rows) and delta_b - delta_a (columns)."""
@@ -209,7 +203,41 @@ class EnvelopePoint:
     warnings: tuple[str, ...] = ()
 
 
-@blas.single_threaded()
+def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> EnvelopePoint:
+    """One pump strength of ``minimize_g2``: coarse grid, Nelder-Mead chain, best vertex."""
+    span = p.kappa_a
+    grid = np.linspace(-span, span, COARSE_GRID_POINTS)
+    base = replace(p, eta_a=complex(eta))
+    records = [solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
+               for da in grid for db in grid]
+    ok = [r for r in records if r.status == "ok" and np.isfinite(r.g2)]
+    if not ok:
+        return EnvelopePoint(complex(eta), math.nan, math.nan, math.nan, math.nan,
+                             ("no valid coarse-grid point",))
+    best = min(ok, key=lambda r: r.g2)
+
+    solved: dict[tuple[float, float], SweepRecord] = {}
+
+    def objective(x) -> float:
+        da, db = (x * span).tolist()
+        rec = solved[da, db] = solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
+        if rec.status != "ok" or not np.isfinite(rec.g2):
+            return 1e6
+        return rec.g2
+
+    x0 = np.array([best.delta_a, best.delta_b]) / span
+    res = minimize(objective, np.vstack([x0, x0 + 0.1 * np.eye(2)]),
+                   fatol=NM_G2_TOL, xatol=1e-4, maxiter=400)
+    warnings: tuple[str, ...] = ()
+    if not res.success:
+        warnings = (f"optimizer stagnation: {res.message}",)
+    # x0 is a simplex vertex, so res.x is never worse than the grid seed;
+    # every vertex was solved at exactly its coordinates
+    final = solved[tuple((res.x * span).tolist())]
+    return EnvelopePoint(complex(eta), final.n_tot, final.g2, final.delta_a,
+                         final.delta_b, warnings + final.warnings)
+
+
 def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
                 workers: int = 1) -> list[EnvelopePoint]:
     """Per pump strength, minimize g2(0) over (delta_a, delta_b).
@@ -218,47 +246,13 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
     the best point of a COARSE_GRID_POINTS-square grid spanning +/- kappa_a
     around zero detuning.  Optimizer stagnation is reported on the envelope
     point, with the best value found.  The envelope point is the record the
-    objective solved at the best vertex, so no point is solved twice.
+    objective solved at the best vertex, so no point is solved twice.  One
+    pump strength is one serial ``blas.pool_map`` task.
     """
-    span = p.kappa_a
     etas = list(np.atleast_1d(eta_values))
     if not etas:
         raise ValueError("eta_values must be nonempty")
-    grid = np.linspace(-span, span, COARSE_GRID_POINTS)
-    solve = partial(solve_point, cutoffs=cutoffs)
-    out = []
-    for eta in etas:
-        base = replace(p, eta_a=complex(eta))
-        grid_points = [replace(base, delta_a=da, delta_b=db) for da in grid for db in grid]
-        records = blas.pool_map(solve, grid_points, workers)
-        ok = [r for r in records if r.status == "ok" and np.isfinite(r.g2)]
-        if not ok:
-            out.append(EnvelopePoint(complex(eta), math.nan, math.nan, math.nan,
-                                     math.nan, ("no valid coarse-grid point",)))
-            continue
-        best = min(ok, key=lambda r: r.g2)
-
-        solved: dict[tuple[float, float], SweepRecord] = {}
-
-        def objective(x) -> float:
-            da, db = (x * span).tolist()
-            rec = solved[da, db] = solve(replace(base, delta_a=da, delta_b=db))
-            if rec.status != "ok" or not np.isfinite(rec.g2):
-                return 1e6
-            return rec.g2
-
-        x0 = np.array([best.delta_a, best.delta_b]) / span
-        res = minimize(objective, np.vstack([x0, x0 + 0.1 * np.eye(2)]),
-                       fatol=NM_G2_TOL, xatol=1e-4, maxiter=400)
-        warnings: tuple[str, ...] = ()
-        if not res.success:
-            warnings = (f"optimizer stagnation: {res.message}",)
-        # x0 is a simplex vertex, so res.x is never worse than the grid seed;
-        # every vertex was solved at exactly its coordinates
-        final = solved[tuple((res.x * span).tolist())]
-        out.append(EnvelopePoint(complex(eta), final.n_tot, final.g2, final.delta_a,
-                                 final.delta_b, warnings + final.warnings))
-    return out
+    return blas.pool_map(partial(_envelope_point, p, cutoffs), etas, workers)
 
 
 def log_bin_index(n_tot: float) -> int:

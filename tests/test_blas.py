@@ -66,10 +66,11 @@ def _worker_thread_counts(_):
     return blas.thread_counts()
 
 
-def test_pool_workers_run_single_threaded_blas(unpinned_env):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_workers_run_single_threaded_blas(unpinned_env, workers):
     if not blas.thread_counts():
         pytest.skip("no controllable BLAS library loaded")
-    for counts in blas.pool_map(_worker_thread_counts, range(4), 2):
+    for counts in blas.pool_map(_worker_thread_counts, range(4), workers):
         assert counts and all(n == 1 for n in counts.values())
 
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import blockadesim
-from blockadesim.cli import (SWEEP_COLUMNS, default_config_path, derive_device, main,
-                             system_params_from_config)
+from blockadesim import blas
+from blockadesim.cli import (SWEEP_COLUMNS, build_parser, default_config_path, derive_device,
+                             main, system_params_from_config)
 from blockadesim.config import ConfigError, load_config, parse_run_config
 from blockadesim.lindblad import SteadyStateError
 
@@ -389,6 +390,47 @@ cutoff = 9 count
     assert all(math.isfinite(float(row["g2"])) for row in rows)
 
 
+def test_cmd_g2_tau_pooled_equals_serial_with_a_failed_detuning(tmp_path, monkeypatch, caplog):
+    # fails by detuning value: a forked worker would keep a call counter of its own
+    import blockadesim.cli as cli_mod
+
+    bad = 2 * TWO_PI * 1e6
+    real = cli_mod.displaced_solution
+
+    def fails_at_bad(p, cutoffs=(4, 4)):
+        if p.delta_a == bad:
+            raise SteadyStateError("forced failure at 2 MHz")
+        return real(p, cutoffs=cutoffs)
+
+    monkeypatch.setattr(cli_mod, "displaced_solution", fails_at_bad)
+    cfg = write_cfg(tmp_path, MINIMAL + """
+[sweep]
+tau_stop = 100 ns
+tau_points = 11 count
+g2tau_detunings = 0 2 4 6 MHz_over_2pi
+g2tau_eta = 30 MHz_over_2pi
+""")
+    runs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="blockadesim.cli"):
+            assert main(["g2-tau", "--config", str(cfg), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        (record,) = [r for r in caplog.records if r.message.startswith("g2-tau")]
+        assert record.process == os.getpid() and "forced failure" in record.message
+        manifest = json.loads((out / "g2_tau_manifest.json").read_text())
+        for key in ("timestamp", "outputs", "workers"):
+            del manifest[key]
+        runs[workers] = (out / "g2_tau.csv").read_bytes(), manifest
+    assert runs[1] == runs[2]
+    csv_bytes, manifest = runs[2]
+    (key,) = manifest["failed_detunings"]
+    assert float(key) == pytest.approx(bad)
+    assert len(manifest["dominant_period_s"]) == 3
+    assert csv_bytes.count(b"nan") == 11 * 5
+
+
 @pytest.mark.parametrize("source,chain", [
     ("-1 dimensionless", "20 dB @ 4 K | 20 dB @ 10 mK"),
     ("300 K", "-20 dB @ 4 K | 20 dB @ 10 mK"),
@@ -453,6 +495,15 @@ def test_flag_below_its_minimum_exits_2(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_workers_default_counts_the_cpus_this_process_may_use(monkeypatch):
+    # taskset or a cgroup can leave fewer CPUs than os.cpu_count() reports
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert build_parser().parse_args(["device"]).workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_parser().parse_args(["device"]).workers == 8
 
 
 @pytest.mark.parametrize("key", ["packet_size", "n_packets"])
@@ -630,3 +681,17 @@ def test_one_derivation_and_one_manifest_per_run(tmp_path, monkeypatch, command)
         "eta_a_rad_per_s": cfg.system.eta_a, "eta_b_rad_per_s": cfg.system.eta_b,
         "kappa_a_rad_per_s": cfg.device.kappa_a, "kappa_b_rad_per_s": cfg.device.kappa_b,
         "n_th_a": derived["n_th_a"], "n_th_b": derived["n_th_b"]}
+
+
+@pytest.mark.parametrize("command", ["envelope", "g2-tau"])
+def test_one_process_pool_per_command(tmp_path, monkeypatch, command):
+    # the packaged six etas or four detunings go to one pool, not one pool per eta
+    built, real_pool = [], blas.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        built.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(blas, "ProcessPoolExecutor", counting_pool)
+    assert main([command, "--out", str(tmp_path), "--workers", "2"]) == 0
+    assert len(built) == 1

@@ -154,6 +154,12 @@ def test_parallel_workers_match_serial():
         assert a.alpha == b.alpha
 
 
+def test_minimize_g2_pooled_equals_serial():
+    etas = [8 * MHz, 16 * MHz, 24 * MHz, 32 * MHz]
+    serial = minimize_g2(sample_params(0.0), etas, workers=1)
+    assert minimize_g2(sample_params(0.0), etas, workers=2) == serial
+
+
 # --- minimization ---
 
 def blockade_params(eta, kappa=8.0 * MHz, J_=25.0 * MHz):
