@@ -1,14 +1,15 @@
 """Command-line front end: derive device parameters, run sweeps, emit CSV/JSON.
 
 Commands: device, g2-sweep, g2-tau, map, envelope, measure-demo.  A command
-only computes: it writes its data files atomically (temp file + rename) and
-returns its exit code, those files and its manifest entries.  ``main`` loads
-the config, derives the device and the base SystemParams once before any
-command runs, writes the run's one JSON manifest (parameters, grids, seed,
-workers, toolkit version, BLAS thread counts) and maps errors to exit codes:
-0 success, 2 configuration error, 3 pipeline failure.  A command runs with
-every loaded BLAS pinned to one thread unless OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS is set; the previous counts are restored.
+gets its numbers from ``device``, ``sweep`` or ``measurement``, writes its
+data files atomically (temp file + rename) and returns its exit code, those
+files and its manifest entries.  ``main`` loads the config, derives the
+device and the base SystemParams once before any command runs, writes the
+run's one JSON manifest (parameters, grids, seed, workers, toolkit version,
+BLAS thread counts) and maps errors to exit codes: 0 success, 2
+configuration error, 3 pipeline failure.  A command runs with every loaded
+BLAS pinned to one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set; the previous counts are restored.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -35,11 +35,11 @@ from .config import ConfigError, RunConfig, load_config
 from .device import (attenuation_chain_population, capacitance_from_resonance,
                      kerr_nonlinearity, mode_thermal_populations, port_rates,
                      resonance_frequency, squid_inductance)
-from .gaussian import CalibrationFailure, g2_tau, g2_zero
-from .lindblad import ConvergenceError, SteadyStateError, SystemParams, displaced_solution, \
-    two_time_correlations
+from .gaussian import CalibrationFailure, g2_zero
+from .lindblad import SystemParams
 from .measurement import run_synthetic_experiment
-from .sweep import SweepRecord, dominant_period, map2d, minimize_g2, sweep_detuning
+from .sweep import (SOLVE_ERRORS, SweepRecord, fit_eta_to_population, map2d, minimize_g2,
+                    sweep_detuning, sweep_g2_tau)
 
 SWEEP_COLUMNS = ("delta_a_rad_per_s", "delta_b_rad_per_s", "eta_a_rad_per_s",
                  "n_tot", "g2", "g2_prime", "alpha_re", "alpha_im", "n",
@@ -170,9 +170,9 @@ def _record_row(rec: SweepRecord) -> list:
             ";".join(rec.warnings)]
 
 
-def _exit_code(solved: list[bool]) -> int:
-    """3 when there were rows and none of them solved, else 0."""
-    return 3 if solved and not any(solved) else 0
+def _exit_code(records: list[SweepRecord]) -> int:
+    """3 when there were units and none of them solved, else 0."""
+    return 3 if records and all(r.status != "ok" for r in records) else 0
 
 
 def cmd_device(cfg: RunConfig, derived: dict, p: SystemParams, args):
@@ -197,55 +197,45 @@ def cmd_g2_sweep(cfg: RunConfig, derived: dict, p: SystemParams, args):
     grid = np.linspace(cfg.sweep.delta_a_start, cfg.sweep.delta_a_stop,
                        cfg.sweep.delta_a_points)
     cut = (cfg.sweep.cutoff, cfg.sweep.cutoff)
-    records = sweep_detuning(p, grid, eta_fit_target=cfg.sweep.eta_fit_target,
-                             cutoffs=cut, workers=args.workers)
+    if cfg.sweep.eta_fit_target is not None:
+        p = fit_eta_to_population(p, cfg.sweep.eta_fit_target)
+    records = sweep_detuning(p, grid, cutoffs=cut, workers=args.workers)
     csv_path = args.out / "g2_sweep.csv"
     write_csv(csv_path, SWEEP_COLUMNS, [_record_row(r) for r in records])
-    return (_exit_code([r.status == "ok" for r in records]), [csv_path],
+    return (_exit_code(records), [csv_path],
             {"delta_a_grid_rad_per_s": [float(grid[0]) if grid.size else None,
                                         float(grid[-1]) if grid.size else None,
                                         int(grid.size)]})
 
 
-def _g2_tau_detuning(p: SystemParams, cutoffs: tuple[int, int], tau, da):
-    """One g2-tau detuning: (correlations, g2 curve, period), or why it failed."""
-    try:
-        sol = displaced_solution(replace(p, delta_a=da, delta_b=da), cutoffs=cutoffs)
-        corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
-        curve = g2_tau(sol.mean_field.alpha, corr)
-        return corr, curve, dominant_period(tau, curve)
-    except (ConvergenceError, SteadyStateError, ValueError) as exc:
-        return str(exc)
-
-
 def cmd_g2_tau(cfg: RunConfig, derived: dict, p: SystemParams, args):
-    """g2(tau), one pool task per detuning; a failed one writes NaN rows and is logged."""
+    """g2(tau) per detuning; a failed one writes NaN rows and is logged."""
     eta = cfg.sweep.g2tau_eta if cfg.sweep.g2tau_eta is not None else p.eta_a
     tau = np.linspace(0.0, cfg.sweep.tau_stop, cfg.sweep.tau_points)
     cut = (cfg.sweep.cutoff, cfg.sweep.cutoff)
     detunings = cfg.sweep.g2tau_detunings or (0.0,)
-    results = blas.pool_map(partial(_g2_tau_detuning, replace(p, eta_a=eta), cut, tau),
-                            detunings, args.workers)
+    results = sweep_g2_tau(replace(p, eta_a=eta), detunings, tau, cutoffs=cut,
+                           workers=args.workers)
     rows = []
     periods = {}
     ordering = {}
     failed = {}
-    for da, result in zip(detunings, results):
-        key = f"{da:.6e}"
-        if isinstance(result, str):
-            log.warning("g2-tau at delta_a = %s rad/s failed: %s", key, result)
-            failed[key] = result
-            rows.extend([da, t] + [math.nan] * (len(TAU_COLUMNS) - 2) for t in tau)
+    for rec, solved in results:
+        key = f"{rec.delta_a:.6e}"
+        if rec.status != "ok":
+            failed[key] = rec.warnings[0]
+            log.warning("g2-tau at delta_a = %s rad/s failed: %s", key, failed[key])
+            rows.extend([rec.delta_a, t] + [math.nan] * (len(TAU_COLUMNS) - 2) for t in tau)
             continue
-        corr, curve, periods[key] = result
+        corr, curve, periods[key] = solved
         # the two operator orderings of <d d> at unequal times differ by a
         # c-number commutator; the deviation is reported, not resolved
         ordering[key] = corr.ordering_discrepancy
-        rows.extend([da, tau[k], curve[k], corr.n_tau[k].real, corr.n_tau[k].imag,
+        rows.extend([rec.delta_a, tau[k], curve[k], corr.n_tau[k].real, corr.n_tau[k].imag,
                      corr.s_tau[k].real, corr.s_tau[k].imag] for k in range(tau.size))
     csv_path = args.out / "g2_tau.csv"
     write_csv(csv_path, TAU_COLUMNS, rows)
-    return (_exit_code([f"{da:.6e}" not in failed for da in detunings]), [csv_path],
+    return (_exit_code([rec for rec, _ in results]), [csv_path],
             {"dominant_period_s": periods, "eta_a_rad_per_s": eta,
              "anomalous_ordering_discrepancy": ordering, "failed_detunings": failed})
 
@@ -261,19 +251,19 @@ def cmd_map(cfg: RunConfig, derived: dict, p: SystemParams, args):
             for i, row in enumerate(matrix) for j, rec in enumerate(row)]
     csv_path = args.out / "map2d.csv"
     write_csv(csv_path, MAP_COLUMNS, rows)
-    return _exit_code([r.status == "ok" for row in matrix for r in row]), [csv_path], {}
+    return _exit_code([r for row in matrix for r in row]), [csv_path], {}
 
 
 def cmd_envelope(cfg: RunConfig, derived: dict, p: SystemParams, args):
     if not cfg.sweep.eta_values:
         raise ConfigError("envelope needs a nonempty eta_values list in [sweep]")
     cut = (cfg.sweep.cutoff, cfg.sweep.cutoff)
-    points = minimize_g2(p, cfg.sweep.eta_values, cutoffs=cut, workers=args.workers)
-    rows = [[abs(pt.eta), pt.n_tot, pt.g2_min, pt.delta_a, pt.delta_b, ";".join(pt.warnings)]
-            for pt in points]
+    records = minimize_g2(p, cfg.sweep.eta_values, cutoffs=cut, workers=args.workers)
+    rows = [[abs(r.eta), r.n_tot, r.g2, r.delta_a, r.delta_b, ";".join(r.warnings)]
+            for r in records]
     csv_path = args.out / "envelope.csv"
     write_csv(csv_path, ENVELOPE_COLUMNS, rows)
-    return _exit_code([np.isfinite(pt.g2_min) for pt in points]), [csv_path], {}
+    return _exit_code(records), [csv_path], {}
 
 
 def cmd_measure_demo(cfg: RunConfig, derived: dict, p: SystemParams, args):
@@ -365,7 +355,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationFailure, ConvergenceError, SteadyStateError, ValueError) as exc:
+    except (CalibrationFailure, *SOLVE_ERRORS) as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return 3
 

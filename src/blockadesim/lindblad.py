@@ -349,9 +349,9 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
     """The (optionally displaced) Liouvillian at the given Fock cutoffs.
 
     Its jumps are the cached bare a, a', b, b' at weights kappa_a (n_th_a + 1),
-    kappa_a n_th_a, kappa_b (n_th_b + 1), kappa_b n_th_b (a zero weight
-    drops its term), and K is one coefficient vector times the cached
-    basis of ``_cutoff_model``.
+    kappa_a n_th_a, kappa_b (n_th_b + 1), kappa_b n_th_b (all four are
+    kept; a zero weight adds exact zeros), and K is one coefficient vector
+    times the cached basis of ``_cutoff_model``.
     """
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
     joint = n_a * n_b

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -260,8 +261,8 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
         g2_prime_stderr=float(jk[6]), warnings=tuple(warnings))
 
 
-def _packet_pair_task(args) -> tuple[MomentSet, MomentSet]:
-    truth, cal, n_th, packet_size, child = args
+def _packet_pair(truth: GaussianState, cal: CalibrationConstants, n_th: float,
+                 packet_size: int, child: np.random.SeedSequence) -> tuple[MomentSet, MomentSet]:
     s_on, s_off = child.spawn(2)
     raw_on = estimate_moments(synth_traces(truth, cal, packet_size, s_on))
     raw_off = estimate_moments(synth_traces(GaussianState(0.0, n_th, 0.0), cal,
@@ -281,5 +282,5 @@ def run_synthetic_experiment(truth: GaussianState, cal: CalibrationConstants,
     aggregation order is fixed by packet index either way.
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    tasks = [(truth, cal, n_th, packet_size, child) for child in root.spawn(int(n_packets))]
-    return packet_statistics(pool_map(_packet_pair_task, tasks, workers), n_th)
+    task = partial(_packet_pair, truth, cal, n_th, packet_size)
+    return packet_statistics(pool_map(task, root.spawn(int(n_packets)), workers), n_th)

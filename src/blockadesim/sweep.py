@@ -1,10 +1,11 @@
-"""Parameter sweeps and g2 minimization over detunings.
+"""Parameter sweeps, g2 minimization and g2(tau) over detunings.
 
-Every grid point is an independent displaced-frame steady-state solve, and
-every envelope pump strength an independent optimization; each sweep is one
-``blas.pool_map`` over them, which keeps index order and runs BLAS at one
-thread, so serial and pooled sweeps give the same rows.  Per-point failures
-are recorded in the output rows instead of aborting the whole sweep.
+A unit of a sweep is a grid point (one displaced-frame steady-state solve),
+a pump strength (one optimization) or a g2(tau) detuning; each sweep is one
+``blas.pool_map`` over its units, which keeps index order and runs BLAS at
+one thread, so serial and pooled sweeps give the same rows.  Every unit
+gives one ``SweepRecord``, with status "failed" and the reason instead of
+aborting the sweep when it raises one of ``SOLVE_ERRORS``.
 """
 
 from __future__ import annotations
@@ -16,19 +17,23 @@ from functools import partial
 import numpy as np
 
 from . import blas
+from .gaussian import g2_tau
 from .lindblad import (ConvergenceError, SteadyStateError, SystemParams, displaced_solution,
-                       mean_field_steady_state)
+                       mean_field_steady_state, two_time_correlations)
 
 ETA_FIT_TOL = 1e-2
 ETA_FIT_MAX_ITER = 40
 NM_G2_TOL = 1e-4
 COARSE_GRID_POINTS = 11
 ENVELOPE_BINS_PER_DECADE = 10
+# what fails one unit of a sweep; ValueError covers the checks of
+# ``DensityMatrix.validate`` and ``observables`` (and numpy's LinAlgError)
+SOLVE_ERRORS = (ConvergenceError, SteadyStateError, ValueError)
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One solved parameter point of a sweep."""
+    """One unit of a sweep: solved when status is "ok", else the reason is in warnings."""
 
     delta_a: float
     delta_b: float
@@ -49,20 +54,19 @@ def _failed_record(p: SystemParams, message: str) -> SweepRecord:
                        complex(math.nan, math.nan), (message,), status="failed")
 
 
-def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepRecord:
-    """Displaced-frame solve wrapped so failures become flagged records.
-
-    ValueError covers the checks of ``DensityMatrix.validate`` and
-    ``observables`` (and numpy's LinAlgError).
-    """
-    try:
-        sol = displaced_solution(p, cutoffs=cutoffs)
-    except (ConvergenceError, SteadyStateError, ValueError) as exc:
-        return _failed_record(p, str(exc))
+def _solved_record(p: SystemParams, sol) -> SweepRecord:
     obs = sol.obs
     return SweepRecord(p.delta_a, p.delta_b, p.eta_a, obs.n_tot, obs.g2_gaussian,
                        obs.g2_prime, sol.mean_field.alpha, obs.n, obs.s,
                        sol.warnings)
+
+
+def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepRecord:
+    """Displaced-frame solve wrapped so failures become flagged records."""
+    try:
+        return _solved_record(p, displaced_solution(p, cutoffs=cutoffs))
+    except SOLVE_ERRORS as exc:
+        return _failed_record(p, str(exc))
 
 
 def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemParams:
@@ -101,11 +105,9 @@ def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemPa
         f"eta fit did not reach target within {ETA_FIT_MAX_ITER} secant steps")
 
 
-def sweep_detuning(p: SystemParams, delta_a_grid, eta_fit_target: float | None = None,
-                   cutoffs: tuple[int, int] = (4, 4), workers: int = 1) -> list[SweepRecord]:
+def sweep_detuning(p: SystemParams, delta_a_grid, cutoffs: tuple[int, int] = (4, 4),
+                   workers: int = 1) -> list[SweepRecord]:
     """Scan delta_a with the lock delta_b = delta_a."""
-    if eta_fit_target is not None:
-        p = fit_eta_to_population(p, eta_fit_target)
     points = [replace(p, delta_a=float(d), delta_b=float(d)) for d in np.atleast_1d(delta_a_grid)]
     return blas.pool_map(partial(solve_point, cutoffs=cutoffs), points, workers)
 
@@ -191,29 +193,17 @@ def minimize(fun, simplex, fatol: float, xatol: float, maxiter: int) -> SimplexR
     return SimplexResult(sim[0], float(fsim[0]), nfev, nit, success, message)
 
 
-@dataclass(frozen=True)
-class EnvelopePoint:
-    """Minimal g2 found for one pump strength."""
-
-    eta: complex
-    n_tot: float
-    g2_min: float
-    delta_a: float
-    delta_b: float
-    warnings: tuple[str, ...] = ()
-
-
-def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> EnvelopePoint:
+def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepRecord:
     """One pump strength of ``minimize_g2``: coarse grid, Nelder-Mead chain, best vertex."""
     span = p.kappa_a
     grid = np.linspace(-span, span, COARSE_GRID_POINTS)
     base = replace(p, eta_a=complex(eta))
     records = [solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
                for da in grid for db in grid]
-    ok = [r for r in records if r.status == "ok" and np.isfinite(r.g2)]
+    ok = [r for r in records if r.status == "ok"]
     if not ok:
-        return EnvelopePoint(complex(eta), math.nan, math.nan, math.nan, math.nan,
-                             ("no valid coarse-grid point",))
+        return _failed_record(replace(base, delta_a=math.nan, delta_b=math.nan),
+                              "no valid coarse-grid point")
     best = min(ok, key=lambda r: r.g2)
 
     solved: dict[tuple[float, float], SweepRecord] = {}
@@ -221,38 +211,55 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> EnvelopeP
     def objective(x) -> float:
         da, db = (x * span).tolist()
         rec = solved[da, db] = solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
-        if rec.status != "ok" or not np.isfinite(rec.g2):
+        if rec.status != "ok":
             return 1e6
         return rec.g2
 
     x0 = np.array([best.delta_a, best.delta_b]) / span
     res = minimize(objective, np.vstack([x0, x0 + 0.1 * np.eye(2)]),
                    fatol=NM_G2_TOL, xatol=1e-4, maxiter=400)
-    warnings: tuple[str, ...] = ()
-    if not res.success:
-        warnings = (f"optimizer stagnation: {res.message}",)
     # x0 is a simplex vertex, so res.x is never worse than the grid seed;
     # every vertex was solved at exactly its coordinates
     final = solved[tuple((res.x * span).tolist())]
-    return EnvelopePoint(complex(eta), final.n_tot, final.g2, final.delta_a,
-                         final.delta_b, warnings + final.warnings)
+    if not res.success:
+        final = replace(final, warnings=(f"optimizer stagnation: {res.message}",) + final.warnings)
+    return final
 
 
 def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
-                workers: int = 1) -> list[EnvelopePoint]:
+                workers: int = 1) -> list[SweepRecord]:
     """Per pump strength, minimize g2(0) over (delta_a, delta_b).
 
     Nelder-Mead in units of kappa_a from a 0.1 kappa_a simplex, seeded from
     the best point of a COARSE_GRID_POINTS-square grid spanning +/- kappa_a
-    around zero detuning.  Optimizer stagnation is reported on the envelope
-    point, with the best value found.  The envelope point is the record the
-    objective solved at the best vertex, so no point is solved twice.  One
-    pump strength is one serial ``blas.pool_map`` task.
+    around zero detuning.  The result is the record solved at the best
+    vertex, so no point is solved twice, with optimizer stagnation first in
+    its warnings; without a solved grid point it is failed, at NaN
+    detunings.  One pump strength is one serial ``blas.pool_map`` task.
     """
     etas = list(np.atleast_1d(eta_values))
     if not etas:
         raise ValueError("eta_values must be nonempty")
     return blas.pool_map(partial(_envelope_point, p, cutoffs), etas, workers)
+
+
+def _g2_tau_point(p: SystemParams, cutoffs: tuple[int, int], tau, delta_a):
+    """One ``sweep_g2_tau`` detuning: its record, and (correlations, curve, period) or None."""
+    p = replace(p, delta_a=delta_a, delta_b=delta_a)
+    try:
+        sol = displaced_solution(p, cutoffs=cutoffs)
+        corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
+        curve = g2_tau(sol.mean_field.alpha, corr)
+        return _solved_record(p, sol), (corr, curve, dominant_period(tau, curve))
+    except SOLVE_ERRORS as exc:
+        return _failed_record(p, str(exc)), None
+
+
+def sweep_g2_tau(p: SystemParams, delta_a_values, tau, cutoffs: tuple[int, int] = (4, 4),
+                 workers: int = 1) -> list[tuple[SweepRecord, tuple | None]]:
+    """Per detuning (delta_b = delta_a), the quantum-regression g2(tau) and its
+    dominant period; one detuning is one serial ``blas.pool_map`` task."""
+    return blas.pool_map(partial(_g2_tau_point, p, cutoffs, tau), delta_a_values, workers)
 
 
 def log_bin_index(n_tot: float) -> int:

@@ -101,8 +101,8 @@ def test_criterion_05_blockade_condition():
     p = SystemParams.from_mode_rates(0.0, 0.0, J_, u_opt, 0.05 * MHz, 0.0,
                                      kappa, kappa, 0.0, 0.0)
     env = minimize_g2(p, [0.05 * MHz])[0]
-    report(5, "blockade condition drives optimized g2 below 0.05", env.g2_min < 0.05,
-           f"g2_min = {env.g2_min:.2e} at ({env.delta_a / MHz:+.2f}, "
+    report(5, "blockade condition drives optimized g2 below 0.05", env.g2 < 0.05,
+           f"g2_min = {env.g2:.2e} at ({env.delta_a / MHz:+.2f}, "
            f"{env.delta_b / MHz:+.2f}) MHz, n_tot = {env.n_tot:.1e}")
 
 
@@ -131,7 +131,7 @@ def test_criterion_06_g2_tau_oscillation():
 def test_criterion_07_envelope():
     etas = np.array([8, 12, 16, 24, 32, 48]) * MHz
     env = minimize_g2(sample_params(), list(etas))
-    g2_mins = np.array([pt.g2_min for pt in env])
+    g2_mins = np.array([pt.g2 for pt in env])
     n_tots = np.array([pt.n_tot for pt in env])
     k = int(np.argmin(g2_mins))
     ok = 0.25 <= g2_mins[k] <= 0.5 and 3e-3 <= n_tots[k] <= 3e-1

@@ -360,17 +360,42 @@ g2tau_eta = 30 MHz_over_2pi
 
 
 def test_cmd_g2_tau_exits_3_when_every_detuning_fails(tmp_path, monkeypatch):
-    import blockadesim.cli as cli_mod
+    import blockadesim.sweep as sweep_mod
 
     def boom(p, cutoffs=(4, 4)):
         raise SteadyStateError("forced failure")
 
-    monkeypatch.setattr(cli_mod, "displaced_solution", boom)
+    monkeypatch.setattr(sweep_mod, "displaced_solution", boom)
     cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\ng2tau_detunings = 0 2 MHz_over_2pi\n")
     out = tmp_path / "out"
     assert main(["g2-tau", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
     rows = list(csv.DictReader(open(out / "g2_tau.csv")))
     assert rows and all(math.isnan(float(row["g2"])) for row in rows)
+
+
+@pytest.mark.parametrize("command,data", [
+    ("g2-sweep", "g2_sweep.csv"), ("map", "map2d.csv"), ("envelope", "envelope.csv"),
+])
+def test_sweep_command_exits_3_when_every_unit_fails(tmp_path, monkeypatch, command, data):
+    import blockadesim.sweep as sweep_mod
+
+    def boom(p, cutoffs=(4, 4)):
+        raise SteadyStateError("forced failure")
+
+    monkeypatch.setattr(sweep_mod, "displaced_solution", boom)
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    rows = list(csv.DictReader(open(out / data)))
+    assert rows
+    for row in rows:
+        if command == "envelope":
+            assert math.isnan(float(row["g2_min"]))
+            assert row["warnings"] == "no valid coarse-grid point"
+        else:
+            assert row["status"] == "failed" and math.isnan(float(row["g2"]))
+    manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / data)]
 
 
 def test_cmd_g2_tau_above_the_dense_threshold(tmp_path):
@@ -392,17 +417,17 @@ cutoff = 9 count
 
 def test_cmd_g2_tau_pooled_equals_serial_with_a_failed_detuning(tmp_path, monkeypatch, caplog):
     # fails by detuning value: a forked worker would keep a call counter of its own
-    import blockadesim.cli as cli_mod
+    import blockadesim.sweep as sweep_mod
 
     bad = 2 * TWO_PI * 1e6
-    real = cli_mod.displaced_solution
+    real = sweep_mod.displaced_solution
 
     def fails_at_bad(p, cutoffs=(4, 4)):
         if p.delta_a == bad:
             raise SteadyStateError("forced failure at 2 MHz")
         return real(p, cutoffs=cutoffs)
 
-    monkeypatch.setattr(cli_mod, "displaced_solution", fails_at_bad)
+    monkeypatch.setattr(sweep_mod, "displaced_solution", fails_at_bad)
     cfg = write_cfg(tmp_path, MINIMAL + """
 [sweep]
 tau_stop = 100 ns

@@ -298,12 +298,18 @@ def test_max_abs_ignores_a_global_energy_offset():
     assert offset.max_abs == pytest.approx(np.abs(offset.superoperator().data).max(), rel=1e-12)
 
 
-def test_undisplaced_cutoff_10_max_abs_is_unchanged():
-    # acceptance 11's oracle at delta = -10 MHz: the value of the einsum over
-    # every i = j entry of L that max_abs was computed by before, bit for bit
+@pytest.mark.parametrize("displaced", [False, True], ids=["undisplaced", "displaced"])
+@pytest.mark.parametrize("cutoffs", [(4, 4), (6, 6), (9, 8), (10, 10), (6, 24)],
+                         ids=lambda c: f"{c[0]}x{c[1]}")
+def test_max_abs_is_the_superoperator_max(cutoffs, displaced):
+    # acceptance 11's oracle point (delta = -10 MHz): max_abs, read from the
+    # diagonal entries of L, is bit for bit the largest stored entry of the
+    # same L's superoperator, whatever order the BLAS sums K in
     p = sample_params(eta=15 * MHz, da=-10 * MHz, db=-10 * MHz)
-    L = build_liouvillian(p, cutoffs=(10, 10))
-    assert L.max_abs == float.fromhex("0x1.526790a391460p+30")
+    mf = mean_field_steady_state(p)
+    L = build_liouvillian(p, displacement=(mf.alpha, mf.beta) if displaced else None,
+                          cutoffs=cutoffs)
+    assert L.max_abs == np.abs(L.superoperator().data).max()
 
 
 def test_trace_preservation_guard():

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import minimize
 
 from blockadesim import blas
-from blockadesim.lindblad import ConvergenceError, SystemParams
-from blockadesim.sweep import (NM_G2_TOL, EnvelopePoint, SweepRecord, dominant_period,
+from blockadesim.lindblad import ConvergenceError, SteadyStateError, SystemParams
+from blockadesim.sweep import (NM_G2_TOL, SweepRecord, dominant_period,
                                fit_eta_to_population, log_bin_index, map2d, minimize_g2,
                                solve_point, sweep_detuning)
 
@@ -113,7 +113,7 @@ def test_eta_fit_needs_no_quantum_solve(monkeypatch):
 
 def test_sweep_with_eta_fit_target():
     grid = np.array([0.0, 2.0]) * MHz
-    records = sweep_detuning(sample_params(5 * MHz), grid, eta_fit_target=7e-3)
+    records = sweep_detuning(fit_eta_to_population(sample_params(5 * MHz), 7e-3), grid)
     assert abs(records[0].alpha) ** 2 == pytest.approx(7e-3, rel=0.01)
 
 
@@ -171,7 +171,7 @@ def blockade_params(eta, kappa=8.0 * MHz, J_=25.0 * MHz):
 @pytest.mark.slow
 def test_blockade_condition_reaches_deep_antibunching():
     env = minimize_g2(blockade_params(0.05 * MHz), [0.05 * MHz])
-    assert env[0].g2_min < 0.05
+    assert env[0].g2 < 0.05
 
 
 @pytest.mark.slow
@@ -184,7 +184,7 @@ def test_minimize_is_stable_under_grid_refinement(monkeypatch):
     monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 21)
     fine = minimize_g2(p, [0.05 * MHz])[0]
     # the Nelder-Mead polish should erase the seeding difference
-    assert fine.g2_min == pytest.approx(coarse.g2_min, abs=0.02 * max(coarse.g2_min, 0.05))
+    assert fine.g2 == pytest.approx(coarse.g2, abs=0.02 * max(coarse.g2, 0.05))
 
 
 def test_strong_pump_tends_coherent(monkeypatch):
@@ -192,7 +192,7 @@ def test_strong_pump_tends_coherent(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 7)
     env = minimize_g2(sample_params(300 * MHz), [300 * MHz])
-    assert env[0].g2_min == pytest.approx(1.0, abs=0.05)
+    assert env[0].g2 == pytest.approx(1.0, abs=0.05)
 
 
 @pytest.mark.parametrize("eta_mhz", [24, 32, 48])
@@ -211,9 +211,9 @@ def test_envelope_optimum_survives_a_restart(eta_mhz):
     res = minimize(g2, x0, method="Nelder-Mead",
                    options={"initial_simplex": np.vstack([x0, x0 + 0.1 * np.eye(2)]),
                             "fatol": 1e-7, "xatol": 1e-6})
-    assert env.g2_min - res.fun <= NM_G2_TOL
+    assert env.g2 - res.fun <= NM_G2_TOL
     wide = np.linspace(-3.0, 3.0, 13)
-    assert np.nanmin([g2((a, b)) for a in wide for b in wide]) >= env.g2_min - NM_G2_TOL
+    assert np.nanmin([g2((a, b)) for a in wide for b in wide]) >= env.g2 - NM_G2_TOL
 
 
 @pytest.mark.slow
@@ -227,7 +227,7 @@ def test_envelope_is_lower_bound_in_population_bin():
     for row in matrix:
         for rec in row:
             if rec.status == "ok" and rec.n_tot > 0 and log_bin_index(rec.n_tot) == env_bin:
-                assert rec.g2 >= env.g2_min - 1e-3
+                assert rec.g2 >= env.g2 - 1e-3
 
 
 ACCEPTANCE_7_ETAS = [8 * MHz, 12 * MHz, 16 * MHz, 24 * MHz, 32 * MHz, 48 * MHz]
@@ -278,9 +278,27 @@ def test_optimizer_hitting_maxiter_is_reported(monkeypatch):
                         lambda fun, simplex, **options: real(fun, simplex,
                                                              **{**options, "maxiter": 3}))
     env = minimize_g2(sample_params(24 * MHz), [24 * MHz])[0]
-    assert np.isfinite(env.g2_min)
+    assert np.isfinite(env.g2)
     assert ("optimizer stagnation: Maximum number of iterations has been exceeded."
             in env.warnings)
+
+
+def test_eta_without_a_solved_grid_point_is_a_failed_record(monkeypatch):
+    import blockadesim.sweep as sweep_mod
+
+    real, bad = sweep_mod.displaced_solution, 16 * MHz
+
+    def fails_at_bad_eta(p, cutoffs=(4, 4)):
+        if p.eta_a == bad:
+            raise SteadyStateError("forced failure")
+        return real(p, cutoffs=cutoffs)
+
+    monkeypatch.setattr(sweep_mod, "displaced_solution", fails_at_bad_eta)
+    failed, solved = minimize_g2(sample_params(0.0), [bad, 24 * MHz])
+    assert failed.status == "failed" and failed.eta == bad
+    assert failed.warnings == ("no valid coarse-grid point",)
+    assert all(map(math.isnan, (failed.delta_a, failed.delta_b, failed.n_tot, failed.g2)))
+    assert solved.status == "ok" and np.isfinite(solved.g2)
 
 
 def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
@@ -309,7 +327,7 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
         with blas.single_threaded():
             fresh = real_solve(replace(sample_params(0.0), eta_a=complex(eta),
                                        delta_a=point.delta_a, delta_b=point.delta_b))
-        assert (point.n_tot, point.g2_min, point.delta_a, point.delta_b) == (
+        assert (point.n_tot, point.g2, point.delta_a, point.delta_b) == (
             fresh.n_tot, fresh.g2, fresh.delta_a, fresh.delta_b)
         assert [type(v) for v in (point.delta_a, point.delta_b)] == [float, float]
 
