@@ -285,15 +285,18 @@ def cmd_measure_demo(cfg: RunConfig, derived: dict, p: SystemParams, args):
     }
 
     def pull(key):
-        err = estimates[f"{key}_stderr"]
-        return (estimates[key] - truth_values[key]) / err if err > 0 else 0.0
+        value, err = estimates[key], estimates[f"{key}_stderr"]
+        if math.isnan(value) or math.isnan(err):
+            return None
+        return (value - truth_values[key]) / err if err > 0 else 0.0
 
     report = {
         "seed": args.seed,
         "packet_size": meas.packet_size,
         "n_packets": meas.n_packets,
         "truth": truth_values,
-        "estimates": estimates,
+        # a g2 the estimate has no population for is NaN (see warnings), written as null
+        "estimates": {key: None if math.isnan(v) else v for key, v in estimates.items()},
         "pulls": {key: pull(key) for key in truth_values},
         "warnings": list(stats.warnings),
     }

@@ -12,6 +12,11 @@ mixer imperfection maps ideal quadratures to raw ones as
 
     (X_r, Y_r) = T (X, Y),   T = [[sqrt(G_X), 0], [sqrt(G_Y) eps, sqrt(G_Y)]].
 
+Both per-packet layers work in blocks of MOMENT_BLOCK samples, so no
+whole-packet temporary is made: synthesis draws and mixes one block at a
+time into the (2, N) output, drawing the same random stream as one (N, 2)
+draw, and moment estimation sums one power-row product per block.
+
 Moments m[i, j] = <X^i Y^j> through fourth order form one 5x5 array, on
 which T acts by one binomial sum.  Calibration recovers (G_X, G_Y, eps)
 from pump-off data; the moment correction is the same map with T^-1, the
@@ -28,12 +33,12 @@ from math import comb
 import numpy as np
 
 from .blas import pool_map
-from .gaussian import (CalibrationFailure, GaussianState, g2_zero,
+from .gaussian import (CalibrationFailure, GaussianState, ZeroPopulationError, g2_zero,
                        g2prime_from_fourth_moments, gaussian_params_from_moments)
 
 MAX_ORDER = 4
 MIN_PACKETS = 20
-MOMENT_BLOCK = 1 << 14   # samples per power-row product in estimate_moments
+MOMENT_BLOCK = 1 << 14   # samples per block in synth_traces and estimate_moments
 _ORDER = np.add.outer(np.arange(MAX_ORDER + 1), np.arange(MAX_ORDER + 1))   # i + j at [i, j]
 
 
@@ -113,6 +118,12 @@ def synth_traces(truth: GaussianState, cal: CalibrationConstants, packet_size: i
     For pump-off packets pass truth = GaussianState(0, n_th, 0).  The DC
     scalars are packet means of the noisy DC channel, so they fluctuate
     with variance n_h / packet_size around the true displacement.
+
+    W = T sqrt(cov) is formed once; each block of MOMENT_BLOCK samples (the
+    last one also takes the remainder) is one (b, 2) standard-normal draw,
+    into one reused buffer, mixed by W into its slice of the (2, N) output.
+    The AC samples are bitwise those of one (N, 2) draw, and the DC draw
+    follows them.
     """
     packet_size = int(packet_size)
     if packet_size < 1:
@@ -122,8 +133,18 @@ def synth_traces(truth: GaussianState, cal: CalibrationConstants, packet_size: i
         [truth.s.imag, cal.n_h + truth.n - truth.s.real],
     ])
     T = cal.mixer
+    W = T @ _psd_sqrt(cov)
     rng = np.random.default_rng(seed)
-    x_r, y_r = (T @ _psd_sqrt(cov)) @ rng.standard_normal((packet_size, 2)).T
+    x_r, y_r = out = np.empty((2, packet_size))
+    # the last block takes the remainder, so it is also the largest: a
+    # one-sample block would go through gemv, which rounds differently from
+    # the gemm of one (N, 2) draw
+    edges = [k * MOMENT_BLOCK for k in range(max(1, packet_size // MOMENT_BLOCK))]
+    edges.append(packet_size)
+    normal = np.empty((packet_size - edges[-2], 2))
+    for start, stop in zip(edges, edges[1:]):
+        block = rng.standard_normal(out=normal[:stop - start])
+        np.matmul(W, block.T, out=out[:, start:stop])
 
     dc = (math.sqrt(2.0) * np.array([truth.alpha.real, truth.alpha.imag])
           + rng.normal(0.0, math.sqrt(cal.n_h / packet_size), 2))
@@ -210,12 +231,19 @@ class PacketStatistics:
 
 def _estimates(m: np.ndarray, dc: np.ndarray, counts: np.ndarray, n_packets: int,
                n_th: float):
-    """(state, g2, g2') from on/off sums over n_packets packets of the moment
-    arrays m (2, 5, 5), the DC pairs dc (2, 2) and the sample counts (2,)."""
+    """(state, g2, g2', failure) from on/off sums over n_packets packets of the
+    moment arrays m (2, 5, 5), the DC pairs dc (2, 2) and the sample counts (2,).
+
+    A state whose population came out non-positive, as noise allows, has no
+    g2: then g2 and g2' are NaN and failure is the reason, else it is None.
+    """
     on, off = (MomentSet(m[k] / n_packets, tuple((dc[k] / n_packets).tolist()), int(counts[k]))
                for k in range(2))
     state = gaussian_params_from_moments(on, off, n_th)
-    return state, g2_zero(state), g2prime_from_fourth_moments(on, off, state)
+    try:
+        return state, g2_zero(state), g2prime_from_fourth_moments(on, off, state), None
+    except ZeroPopulationError as exc:
+        return state, math.nan, math.nan, str(exc)
 
 
 def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
@@ -228,7 +256,9 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
     and leave-one-out replica i is (total - packet i) / (P - 1), so the P
     replicas cost O(P).  Below MIN_PACKETS packets the g2 sampling
     distribution can be visibly non-Gaussian, which is flagged rather than
-    refused.
+    refused.  Where the full estimate or a replica has no g2 (non-positive
+    population), g2 and g2' come out NaN in the mean or the stderr, and
+    warnings give the reason.
     """
     n_p = len(packets)
     if n_p < 1:
@@ -242,16 +272,23 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
               np.array([[on.dc, off.dc] for on, off in packets]),                  # (P, 2, 2)
               np.array([[on.n_samples, off.n_samples] for on, off in packets])]    # (P, 2)
     totals = [stack.sum(axis=0) for stack in stacks]
-    state, g2, g2p = _estimates(*totals, n_p, n_th)
+    state, g2, g2p, failure = _estimates(*totals, n_p, n_th)
+    if failure:
+        warnings.append(f"g2 and g2' are NaN: {failure} in the {n_p}-packet estimate")
     if n_p == 1:
         return PacketStatistics(g2, 0.0, state, 0.0, 0.0, 0.0, g2p, 0.0, tuple(warnings))
 
-    rows = []
+    rows, failures = [], []
     for i in range(n_p):
-        st_i, g2_i, g2p_i = _estimates(*(total - stack[i] for total, stack in zip(totals, stacks)),
-                                       n_p - 1, n_th)
+        st_i, g2_i, g2p_i, failure = _estimates(
+            *(total - stack[i] for total, stack in zip(totals, stacks)), n_p - 1, n_th)
         rows.append([g2_i, st_i.alpha.real, st_i.alpha.imag, st_i.n,
                      st_i.s.real, st_i.s.imag, g2p_i])
+        if failure:
+            failures.append(failure)
+    if failures:
+        warnings.append(f"g2 and g2' stderr are NaN: {failures[0]} in {len(failures)} "
+                        f"of {n_p} jackknife replicas")
     rows = np.array(rows)
     jk = math.sqrt((n_p - 1) / n_p) * np.sqrt(np.sum((rows - rows.mean(axis=0)) ** 2, axis=0))
     return PacketStatistics(

@@ -196,7 +196,7 @@ def minimize(fun, simplex, fatol: float, xatol: float, maxiter: int) -> SimplexR
 def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepRecord:
     """One pump strength of ``minimize_g2``: coarse grid, Nelder-Mead chain, best vertex."""
     span = p.kappa_a
-    grid = np.linspace(-span, span, COARSE_GRID_POINTS)
+    grid = np.linspace(-span, span, COARSE_GRID_POINTS).tolist()
     base = replace(p, eta_a=complex(eta))
     records = [solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
                for da in grid for db in grid]
@@ -206,11 +206,14 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepReco
                               "no valid coarse-grid point")
     best = min(ok, key=lambda r: r.g2)
 
-    solved: dict[tuple[float, float], SweepRecord] = {}
+    # the seed vertex x0 * span is the best grid point again wherever it round-trips
+    solved = {(best.delta_a, best.delta_b): best}
 
     def objective(x) -> float:
-        da, db = (x * span).tolist()
-        rec = solved[da, db] = solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
+        da, db = key = tuple((x * span).tolist())
+        if key not in solved:
+            solved[key] = solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
+        rec = solved[key]
         if rec.status != "ok":
             return 1e6
         return rec.g2

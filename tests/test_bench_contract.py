@@ -40,9 +40,10 @@ SPANS = {
                  "lindblad.observables", "sweep.nelder_mead"},
     # both steady-state paths
     "oracle": {"lindblad.steady_state_dense", "lindblad.steady_state_sparse"},
-    # the traced extras of estimate_moments read RawTraceSet.X_r, Y_r and packet_size
-    "measure": {"measurement.estimate_moments", "measurement.packet_statistics",
-                "gaussian.g2prime_from_fourth_moments"},
+    # the traced extras of estimate_moments read RawTraceSet.X_r, Y_r and packet_size;
+    # three measurement.synth_traces metrics read the synthesis span
+    "measure": {"measurement.synth_traces", "measurement.estimate_moments",
+                "measurement.packet_statistics", "gaussian.g2prime_from_fourth_moments"},
 }
 
 

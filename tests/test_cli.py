@@ -586,6 +586,29 @@ packet_size = 1000 count
     assert "pipeline failure" in capsys.readouterr().err
 
 
+def test_cmd_measure_demo_writes_null_g2_for_a_draw_without_population(tmp_path):
+    # was exit 3 "pipeline failure": at this seed the estimate's population
+    # comes out negative, as noise allows; the pipeline itself worked
+    cfg = write_cfg(tmp_path, default_config_path().read_text().replace(
+        "packet_size = 1000000 count", "packet_size = 20000 count"))
+    out = tmp_path / "out"
+    rc = main(["measure-demo", "--config", str(cfg), "--out", str(out), "--seed", "1",
+               "--workers", "1"])
+    assert rc == 0
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    report = json.loads((out / "measure_demo_report.json").read_text(),
+                        parse_constant=no_constant)
+    for key in ("g2", "g2_stderr", "g2_prime", "g2_prime_stderr"):
+        assert report["estimates"][key] is None
+    assert report["pulls"]["g2"] is None
+    assert report["estimates"]["n"] < 0 and report["pulls"]["n"] is not None
+    assert any("total population must be > 0" in w for w in report["warnings"])
+    assert (out / "measure_demo_manifest.json").exists()
+
+
 def test_cmd_measure_demo_warns_small_packet_count(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL + """
 [measurement]

@@ -5,7 +5,7 @@ import pytest
 
 from blockadesim.gaussian import (CalibrationFailure, GaussianState, g2_zero,
                                   g2prime_from_fourth_moments, gaussian_params_from_moments)
-from blockadesim.measurement import (CalibrationConstants, MomentSet,
+from blockadesim.measurement import (MOMENT_BLOCK, CalibrationConstants, MomentSet,
                                      RawTraceSet, apply_mixer_to_moments,
                                      calibrate, correct_moments, estimate_moments,
                                      packet_statistics, run_synthetic_experiment,
@@ -88,6 +88,38 @@ def test_synth_dc_measures_displacement():
     mean = np.mean(draws) / math.sqrt(cal.G_X)
     sigma = math.sqrt(N_H / n / len(draws))
     assert abs(mean - math.sqrt(2.0) * alpha.real) < 5 * sigma
+
+
+@pytest.mark.parametrize("n", [1, MOMENT_BLOCK - 1, MOMENT_BLOCK, MOMENT_BLOCK + 1, 40_000])
+def test_synth_stream_is_one_whole_packet_draw(n):
+    # blocked synthesis keeps the random stream of one (N, 2) draw, bit for bit
+    cal = CalibrationConstants(1.7, 0.8, 0.08, N_H)
+    truth = GaussianState(0.095 + 0.04j, 1.1e-3, 0.004 - 0.006j)
+    for seed in range(3):
+        cov = np.array([[N_H + truth.n + truth.s.real, truth.s.imag],
+                        [truth.s.imag, N_H + truth.n - truth.s.real]])
+        rng = np.random.default_rng(seed)
+        x, y = (cal.mixer @ np.linalg.cholesky(cov)) @ rng.standard_normal((n, 2)).T
+        dc = (math.sqrt(2.0) * np.array([truth.alpha.real, truth.alpha.imag])
+              + rng.normal(0.0, math.sqrt(N_H / n), 2))
+        t = synth_traces(truth, cal, n, seed)
+        assert np.array_equal(t.X_r, x) and np.array_equal(t.Y_r, y)
+        assert [t.Xbar_r, t.Ybar_r] == (cal.mixer @ dc).tolist()
+
+
+def test_synth_peak_memory_is_its_output():
+    # the (N, 2) normal draw and its mixed copy are never whole
+    import tracemalloc
+    cal = CalibrationConstants(1.7, 0.8, 0.08, N_H)
+    n = 10**6
+    tracemalloc.start()
+    try:
+        t = synth_traces(GaussianState(0.0, 7.8e-4, 0.0), cal, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.X_r.nbytes + t.Y_r.nbytes == 16 * n
+    assert peak <= 1.1 * 16 * n
 
 
 # --- moment estimation ---
@@ -293,6 +325,28 @@ def test_packet_statistics_warns_below_twenty():
     assert any("non-Gaussian" in w for w in stats.warnings)
     stats_ok = packet_statistics([pair] * 21, 7.8e-4)
     assert not stats_ok.warnings
+
+
+def test_packet_statistics_without_population_is_nan_with_a_reason():
+    # noise can put the estimate's population at or below zero: g2 has no
+    # value there, which is a NaN with its reason, not an exception
+    off = second_moment_set(N_H, 0.0, N_H)
+    low = (second_moment_set(N_H - 2e-3, 0.0, N_H - 2e-3), off)    # n = -2e-3
+    high = (second_moment_set(N_H + 1e-2, 0.0, N_H + 1e-2), off)   # n = +1e-2
+    stats = packet_statistics([low] * 3, 0.0)
+    assert math.isnan(stats.g2_mean) and math.isnan(stats.g2_prime_mean)
+    assert math.isnan(stats.g2_stderr) and math.isnan(stats.g2_prime_stderr)
+    assert stats.state.n == pytest.approx(-2e-3) and stats.n_stderr == pytest.approx(0.0)
+    assert any("NaN: total population must be > 0 in the 3-packet estimate" in w
+               for w in stats.warnings)
+    assert any("in 3 of 3 jackknife replicas" in w for w in stats.warnings)
+    # the full estimate resolves, the replica without the high packet does not
+    mixed = packet_statistics([high, low, low], 0.0)
+    assert math.isfinite(mixed.g2_mean) and math.isfinite(mixed.g2_prime_mean)
+    assert math.isnan(mixed.g2_stderr) and math.isnan(mixed.g2_prime_stderr)
+    assert math.isfinite(mixed.n_stderr)
+    assert any("in 1 of 3 jackknife replicas" in w for w in mixed.warnings)
+    assert not any("-packet estimate" in w for w in mixed.warnings)
 
 
 def _leave_one_out_stderr(packets, n_th):
