@@ -25,7 +25,6 @@ ETA_FIT_TOL = 1e-2
 ETA_FIT_MAX_ITER = 40
 NM_G2_TOL = 1e-4
 COARSE_GRID_POINTS = 11
-ENVELOPE_BINS_PER_DECADE = 10
 # what fails one unit of a sweep; ValueError covers the checks of
 # ``DensityMatrix.validate`` and ``observables`` (and numpy's LinAlgError)
 SOLVE_ERRORS = (ConvergenceError, SteadyStateError, ValueError)
@@ -194,20 +193,23 @@ def minimize(fun, simplex, fatol: float, xatol: float, maxiter: int) -> SimplexR
 
 
 def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepRecord:
-    """One pump strength of ``minimize_g2``: coarse grid, Nelder-Mead chain, best vertex."""
+    """One pump strength of ``minimize_g2``: coarse grid, Nelder-Mead chain, best vertex.
+
+    The grid runs at min(cutoff, 3) per mode and only picks the seed; the
+    chain and so the returned record are at ``cutoffs``.
+    """
     span = p.kappa_a
     grid = np.linspace(-span, span, COARSE_GRID_POINTS).tolist()
+    grid_cutoffs = (min(cutoffs[0], 3), min(cutoffs[1], 3))
     base = replace(p, eta_a=complex(eta))
-    records = [solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
+    records = [solve_point(replace(base, delta_a=da, delta_b=db), grid_cutoffs)
                for da in grid for db in grid]
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         return _failed_record(replace(base, delta_a=math.nan, delta_b=math.nan),
                               "no valid coarse-grid point")
     best = min(ok, key=lambda r: r.g2)
-
-    # the seed vertex x0 * span is the best grid point again wherever it round-trips
-    solved = {(best.delta_a, best.delta_b): best}
+    solved = {}
 
     def objective(x) -> float:
         da, db = key = tuple((x * span).tolist())
@@ -221,8 +223,8 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepReco
     x0 = np.array([best.delta_a, best.delta_b]) / span
     res = minimize(objective, np.vstack([x0, x0 + 0.1 * np.eye(2)]),
                    fatol=NM_G2_TOL, xatol=1e-4, maxiter=400)
-    # x0 is a simplex vertex, so res.x is never worse than the grid seed;
-    # every vertex was solved at exactly its coordinates
+    # x0 is a simplex vertex, so res.x is never worse than the seed at
+    # ``cutoffs``; every vertex was solved at exactly its coordinates
     final = solved[tuple((res.x * span).tolist())]
     if not res.success:
         final = replace(final, warnings=(f"optimizer stagnation: {res.message}",) + final.warnings)
@@ -235,10 +237,14 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
 
     Nelder-Mead in units of kappa_a from a 0.1 kappa_a simplex, seeded from
     the best point of a COARSE_GRID_POINTS-square grid spanning +/- kappa_a
-    around zero detuning.  The result is the record solved at the best
-    vertex, so no point is solved twice, with optimizer stagnation first in
-    its warnings; without a solved grid point it is failed, at NaN
-    detunings.  One pump strength is one serial ``blas.pool_map`` task.
+    around zero detuning.  The grid is solved at min(cutoff, 3) per mode and
+    only picks the seed (at the acceptance etas a cutoff-3 grid picks the
+    seed a cutoff-4 grid picks; a cutoff-2 grid seeds at a corner).  Every
+    vertex is solved at ``cutoffs`` and the result is the record solved at
+    the best vertex, so every written value comes from the configured
+    cutoff; optimizer stagnation goes first in its warnings.  Without a
+    solved grid point the result is failed, at NaN detunings.  One pump
+    strength is one serial ``blas.pool_map`` task.
     """
     etas = list(np.atleast_1d(eta_values))
     if not etas:
@@ -263,13 +269,6 @@ def sweep_g2_tau(p: SystemParams, delta_a_values, tau, cutoffs: tuple[int, int] 
     """Per detuning (delta_b = delta_a), the quantum-regression g2(tau) and its
     dominant period; one detuning is one serial ``blas.pool_map`` task."""
     return blas.pool_map(partial(_g2_tau_point, p, cutoffs, tau), delta_a_values, workers)
-
-
-def log_bin_index(n_tot: float) -> int:
-    """Logarithmic population bin used to compare map clouds against the envelope."""
-    if n_tot <= 0:
-        raise ValueError("n_tot must be > 0")
-    return math.floor(math.log10(n_tot) * ENVELOPE_BINS_PER_DECADE)
 
 
 def dominant_period(tau, values) -> float:

@@ -655,6 +655,23 @@ eta_values = 16 MHz_over_2pi
     assert float(rows[0]["g2_min"]) < 1.0
 
 
+# g2_min at the packaged six etas, as written when every solve was at cutoff 4
+PACKAGED_ENVELOPE_G2_MIN = [0.7498178468529829, 0.4546866675161149, 0.3308383541868059,
+                            0.28723184137539387, 0.30809014935441514, 0.4224500275641055]
+
+
+def test_cmd_envelope_packaged_config(tmp_path):
+    # serial and pooled runs write the same bytes, and the cutoff-3 seeding
+    # grid leaves every written value as the cutoff-4 search found it
+    for workers in ("1", "2"):
+        assert main(["envelope", "--out", str(tmp_path / workers), "--workers", workers]) == 0
+    serial = (tmp_path / "1" / "envelope.csv").read_bytes()
+    assert (tmp_path / "2" / "envelope.csv").read_bytes() == serial
+    rows = list(csv.DictReader(open(tmp_path / "1" / "envelope.csv")))
+    assert [float(r["g2_min"]) for r in rows] == pytest.approx(PACKAGED_ENVELOPE_G2_MIN,
+                                                              rel=1e-9)
+
+
 def test_cmd_envelope_requires_etas(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     rc = main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import minimize
 from blockadesim import blas
 from blockadesim.lindblad import ConvergenceError, SteadyStateError, SystemParams
 from blockadesim.sweep import (NM_G2_TOL, SweepRecord, dominant_period,
-                               fit_eta_to_population, log_bin_index, map2d, minimize_g2,
+                               fit_eta_to_population, map2d, minimize_g2,
                                solve_point, sweep_detuning)
 
 TWO_PI = 2.0 * math.pi
@@ -19,6 +20,14 @@ U = 0.25 * MHz
 KAPPA_A = 10.35 * MHz
 KAPPA_B = 7.0 * MHz
 N_TH_A = 1.4e-3
+ENVELOPE_BINS_PER_DECADE = 10
+
+
+def log_bin_index(n_tot: float) -> int:
+    """Logarithmic population bin used to compare map clouds against the envelope."""
+    if n_tot <= 0:
+        raise ValueError("n_tot must be > 0")
+    return math.floor(math.log10(n_tot) * ENVELOPE_BINS_PER_DECADE)
 
 
 def sample_params(eta, n_th_a=N_TH_A):
@@ -306,10 +315,10 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
     import blockadesim.sweep as sweep_mod
 
     real_solve, real_minimize = sweep_mod.solve_point, sweep_mod.minimize
-    solved, results = [], []
+    solved_at, results = [], []
 
     def counting_solve(p, cutoffs=(4, 4)):
-        solved.append(p)
+        solved_at.append(tuple(cutoffs))
         return real_solve(p, cutoffs)
 
     def recording_minimize(*args, **options):
@@ -320,8 +329,10 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
     monkeypatch.setattr(sweep_mod, "minimize", recording_minimize)
     etas = [16 * MHz, 24 * MHz]
     env = minimize_g2(sample_params(0.0), etas)
-    # the seed vertex is the best grid record, not solved again
-    assert len(solved) == 121 * len(etas) + sum(res.nfev for res in results) - len(etas)
+    # the grid at cutoff 3 only seeds; every Nelder-Mead vertex, the seed
+    # among them, is solved once at the configured cutoff 4
+    assert Counter(solved_at) == {(3, 3): 121 * len(etas),
+                                  (4, 4): sum(res.nfev for res in results)}
     # the same record a fresh solve at the returned detunings gives, with
     # BLAS at one thread as in minimize_g2 (the LU rounds by thread count)
     for eta, point in zip(etas, env):
@@ -331,6 +342,53 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
         assert (point.n_tot, point.g2, point.delta_a, point.delta_b) == (
             fresh.n_tot, fresh.g2, fresh.delta_a, fresh.delta_b)
         assert [type(v) for v in (point.delta_a, point.delta_b)] == [float, float]
+
+
+def test_cutoff_3_grid_picks_the_cutoff_4_seed_at_the_envelope_etas(monkeypatch):
+    # the seed the cutoff-3 grid picks is the argmin a cutoff-4 grid would pick
+    import blockadesim.sweep as sweep_mod
+
+    real_solve, grids = sweep_mod.solve_point, {}
+
+    def recording_solve(p, cutoffs=(4, 4)):
+        rec = real_solve(p, cutoffs)
+        if tuple(cutoffs) == (3, 3):
+            grids.setdefault(p.eta_a, []).append((p, rec))
+        return rec
+
+    monkeypatch.setattr(sweep_mod, "solve_point", recording_solve)
+    minimize_g2(sample_params(0.0), ACCEPTANCE_7_ETAS)
+    assert list(grids) == [complex(eta) for eta in ACCEPTANCE_7_ETAS]
+
+    def seed(records):
+        best = min((r for r in records if r.status == "ok"), key=lambda r: r.g2)
+        return best.delta_a, best.delta_b
+
+    for eta, points in grids.items():
+        assert len(points) == sweep_mod.COARSE_GRID_POINTS ** 2
+        with blas.single_threaded():
+            at_4 = [real_solve(p, (4, 4)) for p, _ in points]
+        assert seed(rec for _, rec in points) == seed(at_4), eta / MHz
+
+
+@pytest.mark.parametrize("cutoffs, grid_cutoffs", [
+    ((2, 2), (2, 2)), ((3, 3), (3, 3)), ((5, 5), (3, 3)), ((2, 5), (2, 3))])
+def test_grid_runs_at_min_cutoff_3_and_the_chain_at_the_cutoff(monkeypatch, cutoffs,
+                                                                 grid_cutoffs):
+    import blockadesim.sweep as sweep_mod
+
+    real_solve, solved_at = sweep_mod.solve_point, []
+
+    def recording_solve(p, cutoffs=(4, 4)):
+        solved_at.append(tuple(cutoffs))
+        return real_solve(p, cutoffs)
+
+    monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 3)
+    monkeypatch.setattr(sweep_mod, "solve_point", recording_solve)
+    env = minimize_g2(sample_params(0.0), [24 * MHz], cutoffs=cutoffs)[0]
+    assert env.status == "ok"
+    assert solved_at[:9] == [grid_cutoffs] * 9
+    assert len(solved_at) > 9 and set(solved_at[9:]) == {cutoffs}
 
 
 def test_minimize_requires_etas():
