@@ -27,14 +27,15 @@ a'b + b'a, b'b'bb, b'b'b, b'bb, b'b', bb, a, a', b, b', and a a', b b' of
 the thermal jumps), and the d'd, dd, d'd'dd of ``observables``.  At every
 cutoff, dense or GMRES, K is one coefficient vector, formed from the
 parameters, the weights and the displacement, times that cached basis.
-Up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5, the
+Each Liouvillian gathers the stored entries of its superoperator once, in
+the CSR order of a layout cached per support pattern (``_superop_layout``),
+and every other form of L is read from them.  Up to
+DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5, the
 cutoff-4 production path among them) the steady state is one real LU in a
-Hermitian basis, whose real matrix is assembled from the nonzero entries
-of the terms.  Above that dimension the steady state comes from GMRES on
-the sparse (CSR) superoperator, preconditioned by the Sylvester part of L
-solved in the eigenbasis of K.  Two-time correlations propagate the
-observable once with ``expm_multiply`` on the adjoint of the same CSR
-superoperator, which each Liouvillian builds once, at any cutoff.
+Hermitian basis; above it, GMRES on the CSR superoperator, preconditioned
+by the Sylvester part of L solved in the eigenbasis of K.  Two-time
+correlations propagate the observable with ``expm_multiply`` on the
+adjoint of the same CSR superoperator, at any cutoff.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import csr_array, kron
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
@@ -56,7 +57,8 @@ TRACE_PRESERVATION_TOL = 1e-8
 STEADY_STATE_RESIDUAL_TOL = 1e-9
 MEAN_FIELD_TOL = 1e-12
 DENSE_SUPEROP_MAX_JOINT_DIM = 25   # above this the steady state comes from GMRES
-MAX_SUPEROP_SIDE = 25_000          # overflow guard, covers cutoffs up to 12 per mode
+# caps the CSR L, the layout's int32 index arrays (real-form positions < side^2 < 2^31)
+MAX_SUPEROP_SIDE = 25_000          # and the GMRES basis of GMRES_RESTART side-long vectors
 GMRES_RTOL = 1e-13                 # on the scaled, trace-fixed system
 GMRES_RESTART = 60
 GMRES_MAX_CYCLES = 20
@@ -171,30 +173,43 @@ def unvec(v: np.ndarray, side: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Generator of the master equation, kept as its terms.
+    """Generator of the master equation, kept as its terms and its entries.
 
     ``terms`` holds the (K, weights, jumps) of
     L rho = K rho + rho K' + sum_m w_m C_m rho C_m'; ``apply`` evaluates L
-    matrix-free at O(J n^3) per call (the steady-state residual check), and
-    ``superoperator()`` gives the column-stacked superoperator in CSR form
-    for GMRES and the propagator, built once.  The jumps are real with a
-    zero diagonal (bare ladder operators); a displaced jump c + s is c with
-    1/2 w (conj(s) c - s c') added to K, as
-    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].  Raises ValueError on a
-    jump that is not real or has a nonzero diagonal entry.  max_abs is
-    max|L entry|, computed once from K alone.
+    matrix-free (the steady-state residual check).  ``entries``, gathered
+    once, are the stored entries of the superoperator in the CSR order of
+    ``_superop_layout``; max_abs is their largest modulus.  The jumps are
+    real with a zero diagonal (bare ladder operators; a displaced jump
+    c + s is c with 1/2 w (conj(s) c - s c') added to K, as
+    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]), and the weighted ones
+    have disjoint supports; else ValueError.
     """
 
     dims: tuple[int, int]
     terms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    entries: np.ndarray = field(init=False, repr=False)
     max_abs: float = field(init=False, repr=False)
+    _layout: _SuperopLayout = field(init=False, repr=False)
 
     def __post_init__(self):
         K, weights, jumps = self.terms
         if np.iscomplexobj(jumps) or jumps.diagonal(0, 1, 2).any():
             raise ValueError("jumps must be real with a zero diagonal (bare ladder operators)")
-        scale = _superop_max_abs(K)
+        jump_support = (jumps != 0) & (weights != 0)[:, None, None]
+        layout = _superop_layout((K != 0).tobytes(), jump_support.tobytes(), K.shape[0])
+        diagonal = K.diagonal()
+        # one gather from the source [K, conj K, D, jump products], a temporary
+        # freed before max|entries| allocates
+        entries = np.concatenate((
+            K.ravel(), K.conj().ravel(), (diagonal[None, :] + diagonal.conj()[:, None]).ravel(),
+            (weights[:, None, None] * jumps).ravel()[layout.left] * jumps.ravel()[layout.right],
+        ))[layout.gather]
+        entries.flags.writeable = False
+        scale = float(np.abs(entries).max(initial=0.0))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "max_abs", scale)
+        object.__setattr__(self, "_layout", layout)
         # d Tr(rho)/dt = Tr[(K + K' + sum_m w_m C_m' C_m) rho]
         leak = K + K.conj().T + _weighted_sum(weights, jumps.transpose(0, 2, 1) @ jumps)
         if np.abs(leak).max() > TRACE_PRESERVATION_TOL * scale:
@@ -215,34 +230,18 @@ class Liouvillian:
         return K @ rho + rho @ K.conj().T + jump_sum
 
     def superoperator(self) -> csr_array:
-        """The side x side superoperator in CSR form, shared by its callers.
+        """The side x side superoperator in CSR form, built at the first call.
 
-        Built at the first call and kept with the Liouvillian, so the GMRES
-        solve and the two-time correlations of one point build it once;
-        callers must not modify it.
+        Shared by the GMRES solve and the two-time correlations of a point;
+        its data is ``entries`` and its index arrays the layout's, all read-only.
         """
         return self._csr
 
     @cached_property
     def _csr(self) -> csr_array:
-        return _kron_sum(*self.terms)
-
-
-def _kron_sum(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray) -> csr_array:
-    """The superoperator of (K, weights, jumps) in CSR form.
-
-    Column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
-    L = kron(I, K) + kron(conj K, I) + sum_m kron(w_m C_m, C_m).  The
-    ladder-operator jumps of ``build_liouvillian`` have a zero diagonal
-    and disjoint supports, so every entry is one product
-    (w_m C_m[i, j]) C_m[k, l], K[k, l], conj K[i, j] or
-    K[k, k] + conj K[i, i], and the sum is exact in any order.
-    """
-    eye = csr_array(np.eye(K.shape[0]))
-    L = kron(eye, K, format="csr") + kron(K.conj(), eye, format="csr")
-    for w, C in zip(weights, jumps):
-        L = L + kron(csr_array(w * C), C, format="csr")
-    return L
+        side = self.side
+        return csr_array((self.entries, self._layout.indices, self._layout.indptr),
+                         shape=(side, side))
 
 
 def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -251,28 +250,71 @@ def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (weights @ stack.reshape(m, n * k)).reshape(n, k)
 
 
-def _superop_max_abs(K: np.ndarray) -> float:
-    """max|L entry| of the superoperator of (K, weights, jumps), from K alone.
+@dataclass(frozen=True, eq=False)
+class _SuperopLayout:
+    """The stored entries of L in CSR order: ``gather`` indexes their source
+    values, ``left`` and ``right`` the factors of the jump products (see
+    ``_superop_layout``).  Every array is int32 and read-only."""
 
-    Needs jumps with a zero diagonal and weights >= 0.  In the kron layout
-    of ``Liouvillian.superoperator`` (row i n + k, column j n + l),
-    L[i, k, j, l] = sum_m w_m C_m[i, j] C_m[k, l]
-    + [i = j] K[k, l] + [k = l] conj(K[i, j]).  The jumps have a zero
-    diagonal, so the i = j entries hold only K: K[k, l] for k != l and
-    K[k, k] + conj(K[i, i]).  The k = l entries are their complex
-    conjugates.  Any other entry is a jump term alone; with
-    P_j = sum_m w_m |C_m e_j|^2, Cauchy-Schwarz bounds it by
-    sqrt(P_j P_l) <= (P_j + P_l) / 2 = |Re L[j, l, j, l]|, as
-    Re K[l, l] = -P_l / 2 (-iH has an imaginary diagonal, and the
-    displacement part of K, the 1/2 w (conj(s) c - s c') of
-    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .], a zero one).  So
-    max|L| = max(max_{k != l} |K[k, l]|, max_{i, k} |K[k, k] + conj K[i, i]|),
-    at O(n^2).
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    @cached_property
+    def real_positions(self) -> np.ndarray:
+        """Each entry's positions in M = Re L + (Im L) P, as ``entries.view(float)``
+        interleaves its parts; P maps column (j, l) to (l, j).  Built at the
+        layout's first dense solve, so GMRES-sized layouts never hold them."""
+        n, side, cols = self.n, self.n * self.n, self.indices
+        rows = np.repeat(np.arange(0, side * side, side, dtype=np.int32), np.diff(self.indptr))
+        positions = np.stack((rows + cols, rows + cols % n * n + cols // n), 1).ravel()
+        positions.flags.writeable = False
+        return positions
+
+
+@lru_cache(maxsize=16)
+def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLayout:
+    """The layout of L for the supports (K != 0, w_m C_m != 0) as bytes.
+
+    Column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
+    L = kron(I, K) + kron(conj K, I) + sum_m kron(w_m C_m, C_m), with row
+    i n + k and column j n + l.  As the jumps have a zero diagonal and
+    disjoint supports, each stored entry is one value of the source
+    [K, conj K, D, jump products]: K[k, l] (i = j, k != l), conj K[i, j]
+    (k = l, i != j), D[i, k] = K[k, k] + conj K[i, i], or
+    (w_m C_m[i, j]) C_m[k, l].  Keyed by the supports, so the points of a
+    sweep share one layout.  Raises ValueError when two weighted jumps share
+    an entry, which would then be a sum of two products.
     """
-    off = np.abs(K)
-    off.flat[::K.shape[0] + 1] = 0.0
-    diag = K.diagonal()
-    return float(max(off.max(), np.abs(diag[None, :] + diag.conj()[:, None]).max()))
+    k_nonzero = np.frombuffer(k_support, dtype=bool).reshape(n, n)
+    jump_nonzero = np.frombuffer(jump_support, dtype=bool).reshape(-1, n, n)
+    if (jump_nonzero.sum(axis=0) > 1).any():
+        raise ValueError("weighted jumps must have disjoint supports")
+    square = n * n
+    idx = np.arange(n)[:, None]
+    x, y = np.nonzero(k_nonzero & ~np.eye(n, dtype=bool))
+    diagonal = k_nonzero.diagonal()
+    i, k = np.nonzero(diagonal[None, :] | diagonal[:, None])
+    m, r, c = np.nonzero(jump_nonzero)
+    a, b = np.nonzero(m[:, None] == m[None, :])
+    flat = (m * n + r) * n + c
+    # kron(I, K), kron(conj K, I), the diagonal D, the jump products
+    rows = [idx * n + x, x[:, None] * n + idx.T, i * n + k, r[a] * n + r[b]]
+    cols = [idx * n + y, y[:, None] * n + idx.T, i * n + k, c[a] * n + c[b]]
+    sources = [np.tile(x * n + y, n), np.repeat(square + x * n + y, n),
+               2 * square + i * n + k, 3 * square + np.arange(a.size)]
+    rows, cols, sources = (np.concatenate([part.ravel() for part in parts])
+                           for parts in (rows, cols, sources))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=square))))
+    arrays = [array.astype(np.int32) for array in
+              (indptr, cols[order], sources[order], flat[a], flat[b])]
+    for array in arrays:
+        array.flags.writeable = False
+    return _SuperopLayout(n, *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +392,8 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
 
     Its jumps are the cached bare a, a', b, b' at weights kappa_a (n_th_a + 1),
     kappa_a n_th_a, kappa_b (n_th_b + 1), kappa_b n_th_b (all four are
-    kept; a zero weight adds exact zeros), and K is one coefficient vector
-    times the cached basis of ``_cutoff_model``.
+    kept; a jump at zero weight stores no entry in L), and K is one
+    coefficient vector times the cached basis of ``_cutoff_model``.
     """
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
     joint = n_a * n_b
@@ -367,57 +409,17 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
     return Liouvillian((n_a, n_b), (K.reshape(joint, joint), weights, model.jumps))
 
 
-@lru_cache(maxsize=16)
-def _real_form_pattern(k_support: bytes, jump_support: bytes, shape: tuple[int, int, int]):
-    """Where the entries of K and of the jumps land in ``_hermitian_form``'s M.
+def _hermitian_form(L: Liouvillian, scale: float) -> np.ndarray:
+    """The real matrix M = (Re L + (Im L) P) / scale of L, P the transpose permutation.
 
-    Keyed by the supports (K != 0, jumps != 0) as bytes, so the cutoff-4
-    points of a sweep, whose supports repeat, share one pattern.  Returns
-    the flat M positions of the jump products, with the jump index and
-    the flat jump entries of each factor, and the positions of the four
-    K views with the flat K entry each one reads.
+    One ``np.bincount`` sums the real and imaginary parts of L's entries
+    into the positions ``_SuperopLayout.real_positions`` lists (M is 7 %
+    nonzero at cutoff 4).
     """
-    J, n, _ = shape
-    m, r, c = np.nonzero(np.frombuffer(jump_support, dtype=bool).reshape(J, n, n))
-    a, b = np.nonzero(m[:, None] == m[None, :])
-    jump_pos = ((r[a] * n + r[b]) * n + c[a]) * n + c[b]
-    flat = (m * n + r) * n + c
-    x, y = np.nonzero(np.frombuffer(k_support, dtype=bool).reshape(n, n))
-    i = np.arange(n)[:, None]
-    views = [(((p * n + q) * n + u) * n + v).ravel()
-             for p, q, u, v in ((i, x, i, y), (x, i, y, i), (i, x, y, i), (x, i, i, y))]
-    pattern = (jump_pos, m[a], flat[a], flat[b], *views, np.tile(x * n + y, n))
-    for array in pattern:
-        array.flags.writeable = False
-    return pattern
-
-
-def _hermitian_form(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """The real matrix M = Re L + (Im L) P of L, assembled from its terms.
-
-    P is the transpose permutation.  The jumps are real, so the jump sum
-    lies in Re L alone; K adds four diagonal views in the kron layout of
-    ``Liouvillian.superoperator``:
-    M[i, k, j, l] = sum_m w_m C_m[i, j] C_m[k, l] + [i = j] Re K[k, l]
-    + [k = l] Re K[i, j] + [i = l] Im K[k, j] - [k = j] Im K[i, l].
-    Only the nonzero entries of K and of the jumps are placed, at the
-    positions ``_real_form_pattern`` lists (M is 7 % nonzero at cutoff 4):
-    the jump products are summed into a zero M by one ``np.add.at``, and each
-    K view is one indexed add, in the order of the formula.
-    """
-    K, weights, jumps = terms
-    n = K.shape[0]
-    jump_pos, jump_id, left, right, ikil, ikjk, ikji, ikkl, source = _real_form_pattern(
-        (K != 0).tobytes(), (jumps != 0).tobytes(), jumps.shape)
-    flat = jumps.ravel()
-    M = np.zeros(n ** 4)
-    np.add.at(M, jump_pos, (weights[jump_id] * flat[left]) * flat[right])
-    re, im = K.real.ravel()[source], K.imag.ravel()[source]
-    M[ikil] += re
-    M[ikjk] += re
-    M[ikji] += im
-    M[ikkl] -= im
-    return M.reshape(n * n, n * n)
+    side = L.side
+    M = np.bincount(L._layout.real_positions, weights=L.entries.view(float) / scale,
+                    minlength=side * side)
+    return M.reshape(side, side)
 
 
 def _solve_hermitian(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
@@ -427,15 +429,12 @@ def _solve_hermitian(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
     isometry (the basis E_ii, (E_ij+E_ji)/sqrt2, i(E_ij-E_ji)/sqrt2 rotated
     by 45 degrees within each (ij, ji) pair).  In it L becomes the real
     matrix M = Re L + Im L P, P the transpose permutation, which
-    ``_hermitian_form`` assembles from the terms (real jumps with a zero
-    diagonal, the displacement folded into K by
-    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]) without forming the
-    complex L; the LU runs on joint^2 real unknowns.  Row 0 is replaced by
-    the trace, sum_i Z_ii = 1.
+    ``_hermitian_form`` places from L's entries, scaled by 1 / scale, without
+    forming the complex dense L; the LU runs on joint^2 real unknowns.  Row
+    0 is replaced by the trace, sum_i Z_ii = 1.
     """
     side = joint * joint
-    K, weights, jumps = L.terms
-    M = _hermitian_form((K / scale, weights / scale, jumps))
+    M = _hermitian_form(L, scale)
     M[0, :] = 0.0
     M[0, ::joint + 1] = 1.0
     rhs = np.zeros(side)
@@ -517,10 +516,10 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     """Null vector of L with unit trace.
 
     Up to DENSE_SUPEROP_MAX_JOINT_DIM, L is solved as a real system in a
-    Hermitian basis, assembled from its terms, by one LU with a row
+    Hermitian basis, placed from its entries, by one LU with a row
     replaced by the trace (``_solve_hermitian``); above it, GMRES runs on
     the CSR superoperator with a Sylvester preconditioner
-    (``_solve_gmres``).
+    (``_solve_gmres``).  Both scale L by max_abs, its largest entry.
     Raises SteadyStateError when the solve fails or the residual
     |L x| / (max_abs |x|) exceeds STEADY_STATE_RESIDUAL_TOL, which
     indicates a degenerate null space.  The residual is evaluated by

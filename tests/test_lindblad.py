@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
+from scipy.sparse import csr_array, kron
 
 import blockadesim.lindblad as lindblad_mod
+from blockadesim.cli import main
 from blockadesim.hilbert import DensityMatrix, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
-                                  _cutoff_model, _hermitian_form, build_liouvillian,
-                                  displaced_solution, mean_field_steady_state,
+                                  _cutoff_model, _hermitian_form, _superop_layout,
+                                  build_liouvillian, displaced_solution, mean_field_steady_state,
                                   mode_occupation, observables, steady_state,
                                   two_time_correlations, unvec, vec)
 from conftest import ptrace, thermal_state
@@ -264,7 +266,7 @@ def test_bare_jumps_equal_the_displaced_dissipators():
         assert np.abs(L.apply(rho) - want).max() <= 1e-13 * L.max_abs
 
 
-@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 3), (2, 2), (4, 4), (5, 5)])
 @pytest.mark.parametrize("displaced", [False, True])
 def test_hermitian_form_matches_the_dense_superoperator(cutoffs, displaced):
     # M = Re L + (Im L) P, P the transpose permutation of the input index
@@ -276,7 +278,82 @@ def test_hermitian_form_matches_the_dense_superoperator(cutoffs, displaced):
     side, joint = L.side, cutoffs[0] * cutoffs[1]
     want = (dense.real.reshape(side, joint, joint)
             + dense.imag.reshape(side, joint, joint).transpose(0, 2, 1)).reshape(side, side)
-    assert np.abs(_hermitian_form(L.terms) - want).max() <= 1e-14 * L.max_abs
+    assert np.abs(_hermitian_form(L, 1.0) - want).max() <= 1e-14 * L.max_abs
+
+
+def _kron_sum(K, weights, jumps):
+    """The superoperator of (K, weights, jumps) in CSR form, one sparse kron per term.
+
+    Column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
+    L = kron(I, K) + kron(conj K, I) + sum_m kron(w_m C_m, C_m).
+    """
+    eye = csr_array(np.eye(K.shape[0]))
+    L = kron(eye, K, format="csr") + kron(K.conj(), eye, format="csr")
+    for w, C in zip(weights, jumps):
+        L = L + kron(csr_array(w * C), C, format="csr")
+    return L
+
+
+@pytest.mark.parametrize("mode", ["simplified", "full", "cold-b"])
+@pytest.mark.parametrize("displaced", [False, True], ids=["undisplaced", "displaced"])
+@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 4), (6, 6), (9, 8), (10, 10), (6, 24)],
+                         ids=lambda c: f"{c[0]}x{c[1]}")
+def test_superoperator_matches_the_kron_sum(cutoffs, displaced, mode):
+    # entry for entry, bit for bit, with the same stored pattern: the
+    # layout's gather is the sum of the sparse krons of the terms.  At
+    # n_th_b = 0 ("cold-b") the b' jump has zero weight and stores nothing
+    eta = 15 * MHz if displaced else 1 * MHz
+    if mode == "cold-b":
+        p = replace(_real_form_params("simplified", eta), n_th_b=0.0)
+    else:
+        p = _real_form_params(mode, eta)
+    mf = mean_field_steady_state(p)
+    L = build_liouvillian(p, displacement=(mf.alpha, mf.beta) if displaced else None,
+                          cutoffs=cutoffs)
+    got, want = L.superoperator(), _kron_sum(*L.terms)
+    assert got.nnz == want.nnz
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+    assert np.shares_memory(got.data, L.entries)
+
+
+def test_overlapping_jumps_raise():
+    # a at weight kappa_a split over two copies of a: the same master
+    # equation, but one stored entry would be a sum of two jump products
+    K, weights, jumps = build_liouvillian(sample_params(n_th_a=0.0), cutoffs=(3, 3)).terms
+    split = jumps.copy()
+    split[1] = jumps[0]
+    halves = weights.copy()
+    halves[:2] = 0.5 * weights[0]
+    with pytest.raises(ValueError, match="disjoint"):
+        Liouvillian((3, 3), (K, halves, split))
+
+
+def test_superoperator_build_allocates_little_beyond_its_csr():
+    # the oracle size, (10, 10) undisplaced, with the layout cached: the
+    # gather's source and the max|L| temporary add at most half the CSR
+    def superoperator(delta):
+        return build_liouvillian(sample_params(eta=15 * MHz, da=delta, db=delta),
+                                 cutoffs=(10, 10)).superoperator()
+
+    superoperator(-10 * MHz)
+    tracemalloc.start()
+    try:
+        csr = superoperator(-5 * MHz)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
+
+
+@pytest.mark.parametrize("command,layouts", [("envelope", 4), ("map", 2)])
+def test_one_superop_layout_per_support_in_a_sweep(tmp_path, command, layouts):
+    # the packaged config's cutoff-3 grid and cutoff-4 points repeat their
+    # supports, so a whole sweep builds a handful of layouts
+    _superop_layout.cache_clear()
+    assert main([command, "--out", str(tmp_path), "--workers", "1"]) == 0
+    assert _superop_layout.cache_info().misses <= layouts
 
 
 def test_jumps_must_be_real_with_a_zero_diagonal():
@@ -697,18 +774,18 @@ def test_qrt_allocates_less_than_one_dense_superoperator():
 
 def test_superoperator_built_once_per_g2_tau_point(monkeypatch):
     # above joint dimension 25 GMRES and the propagator share the CSR form
-    real = lindblad_mod._kron_sum
+    real = lindblad_mod.csr_array
     calls = []
 
-    def counting(*terms):
-        calls.append(terms[0].shape)
-        return real(*terms)
+    def counting(arg, shape):
+        calls.append(shape)
+        return real(arg, shape=shape)
 
-    monkeypatch.setattr(lindblad_mod, "_kron_sum", counting)
+    monkeypatch.setattr(lindblad_mod, "csr_array", counting)
     sol = displaced_solution(sample_params(eta=8 * MHz, da=7 * MHz, db=7 * MHz), cutoffs=(6, 6))
     assert sol.liouvillian.is_sparse
     two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 120e-9, 241))
-    assert calls == [(36, 36)]
+    assert calls == [(1296, 1296)]
 
 
 def test_qrt_requires_tau_from_zero():
