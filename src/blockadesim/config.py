@@ -219,20 +219,26 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     def q(section, key, kind, default=None) -> float:
         return values(section, key, kind, None if default is None else (default,), count=1)[0]
 
-    def checked(section, key, kind, ok, rule, default=None) -> float:
-        """q(), with a value that fails ok() a ConfigError at its line."""
-        value = q(section, key, kind, default=default)
+    def check(section, key, value, ok, rule):
+        """value, or a ConfigError at the key's line when it fails ok()."""
         if not ok(value):
             entry = sec[section][key]
             raise ConfigError(f"{name} line {entry.line}: [{section}] {key} = {entry.text!r} "
                               f"must be {rule}")
         return value
 
+    def checked(section, key, kind, ok, rule, default=None) -> float:
+        return check(section, key, q(section, key, kind, default=default), ok, rule)
+
+    def whole(minimum):
+        return lambda v: float(v).is_integer() and v >= minimum
+
     def positive_count(section, key, default, minimum=1) -> int:
-        return int(checked(section, key, "count", lambda v: float(v).is_integer() and v >= minimum,
+        return int(checked(section, key, "count", whole(minimum),
                            f"a whole number of at least {minimum}", default))
 
     nonnegative = (lambda v: v >= 0, ">= 0")
+    positive = (lambda v: v > 0, "> 0")
 
     def optional(section, key, kind) -> float | None:
         return None if lookup(section, key) is None else q(section, key, kind)
@@ -241,8 +247,8 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         entry = lookup(section, key)
         return None if entry is None else entry.text.split()[-1]
 
-    omega_a = q("device", "omega_a", "angular")
-    omega_0 = q("device", "omega_0", "angular", default=omega_a)
+    omega_a = checked("device", "omega_a", "angular", *positive)
+    omega_0 = checked("device", "omega_0", "angular", *positive, default=omega_a)
 
     port_chains = {}
     n_th_fixed = {}
@@ -275,10 +281,11 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
 
     flux_start, flux_stop, flux_points = values("device", "flux_grid", "dimensionless",
                                                 default=(0.0, 0.49, 99), count=3)
+    check("device", "flux_grid", flux_points, whole(0), "start, stop and a whole point count >= 0")
 
     device = DeviceConfig(
-        L=q("device", "L", "inductance"),
-        L_s0=q("device", "L_s0", "inductance"),
+        L=checked("device", "L", "inductance", *positive),
+        L_s0=checked("device", "L_s0", "inductance", *positive),
         omega_a=omega_a,
         flux_ratio=q("device", "flux_ratio", "dimensionless"),
         omega_0=omega_0,
@@ -286,7 +293,7 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
                     for row in ("B_row1", "B_row2")]),
         simplify_B=BOOLEANS[simplify_entry.text.lower()],
         kappa_a=q("device", "kappa_a", "angular"),
-        kappa_b=checked("device", "kappa_b", "angular", lambda v: v > 0, "> 0"),
+        kappa_b=checked("device", "kappa_b", "angular", *positive),
         port_chains=port_chains,
         n_th_ports_fixed=n_th_fixed,
         n_th_box=checked("device", "n_th_box", "dimensionless", *nonnegative, default=0.0),
@@ -342,7 +349,7 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         delta_diff_points=positive_count("sweep", "delta_diff_points", default=13),
         eta_values=values("sweep", "eta_values", "angular", default=()),
         eta_fit_target=optional("sweep", "eta_fit_target", "dimensionless"),
-        tau_stop=q("sweep", "tau_stop", "time", default=200e-9),
+        tau_stop=checked("sweep", "tau_stop", "time", *positive, default=200e-9),
         # dominant_period needs at least 8 samples
         tau_points=positive_count("sweep", "tau_points", default=401, minimum=8),
         g2tau_detunings=values("sweep", "g2tau_detunings", "angular", default=()),

@@ -167,10 +167,9 @@ def g2prime_from_fourth_moments(on, off, state: GaussianState) -> float:
     noise vanish identically.  (alpha, n, s) is the estimate ``state`` from
     gaussian_params_from_moments; the moments give only <d'dd> and the
     fourth cumulant, to which <d'd'dd> adds the Gaussian 2 n^2 + |s|^2.
+    Raises ZeroPopulationError when the state's population is not positive.
     """
     m12_1, k22_1 = _higher_cumulants(on)
     m12_0, k22_0 = _higher_cumulants(off)
-    if state.n_tot <= 0:
-        raise CalibrationFailure(f"reconstructed <a'a> = {state.n_tot:.3e} is not positive")
     return g2_from_normal_moments(state.alpha, state.n, state.s, m12_1 - m12_0,
                                   k22_1 - k22_0 + 2.0 * state.n**2 + abs(state.s) ** 2)

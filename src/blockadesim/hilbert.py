@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,15 +84,10 @@ def annihilation(cutoff: int) -> Operator:
     return Operator((cutoff,), data)
 
 
-@lru_cache(maxsize=16)
 def two_mode_annihilators(n_a: int, n_b: int) -> tuple[Operator, Operator]:
-    """Joint-space (a, b) with the fixed a (x) b ordering.
-
-    Built once per cutoff pair; the arrays are shared and read-only.
-    """
+    """Joint-space (a, b) with the fixed a (x) b ordering, built at each call
+    (``lindblad._cutoff_model`` keeps the solver's, one per cutoff pair)."""
     n_a, n_b = int(n_a), int(n_b)
     a = np.kron(annihilation(n_a).data, np.eye(n_b))
     b = np.kron(np.eye(n_a), annihilation(n_b).data)
-    a.flags.writeable = False
-    b.flags.writeable = False
     return Operator((n_a, n_b), a), Operator((n_a, n_b), b)

@@ -28,8 +28,8 @@ the thermal jumps), and the d'd, dd, d'd'dd of ``observables``.  At every
 cutoff, dense or GMRES, K is one coefficient vector, formed from the
 parameters, the weights and the displacement, times that cached basis.
 Each Liouvillian gathers the stored entries of its superoperator once, in
-the CSR order of a layout cached per support pattern (``_superop_layout``),
-and every other form of L is read from them.  Up to
+the CSR order of a layout cached per support pattern (``_superop_layout``);
+every other form of L and its trace check are read from them.  Up to
 DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5, the
 cutoff-4 production path among them) the steady state is one real LU in a
 Hermitian basis; above it, GMRES on the CSR superoperator, preconditioned
@@ -62,7 +62,7 @@ MAX_SUPEROP_SIDE = 25_000          # and the GMRES basis of GMRES_RESTART side-l
 GMRES_RTOL = 1e-13                 # on the scaled, trace-fixed system
 GMRES_RESTART = 60
 GMRES_MAX_CYCLES = 20
-CAUCHY_SCHWARZ_TOL = 1e-9          # relative slack of the two-time correlator bounds
+CAUCHY_SCHWARZ_TOL = 1e-9          # slack of the two-time correlator bounds
 EIGENBASIS_TOL = 1e-8              # max|V diag(lam) V^-1 - K/s| the preconditioner accepts
 
 
@@ -182,8 +182,9 @@ class Liouvillian:
     ``_superop_layout``; max_abs is their largest modulus.  The jumps are
     real with a zero diagonal (bare ladder operators; a displaced jump
     c + s is c with 1/2 w (conj(s) c - s c') added to K, as
-    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]), and the weighted ones
-    have disjoint supports; else ValueError.
+    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]), the weighted ones have
+    disjoint supports, and the sums of L's trace rows (i, i) in ``entries``
+    are within TRACE_PRESERVATION_TOL max_abs of 0; else ValueError.
     """
 
     dims: tuple[int, int]
@@ -210,9 +211,9 @@ class Liouvillian:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "max_abs", scale)
         object.__setattr__(self, "_layout", layout)
-        # d Tr(rho)/dt = Tr[(K + K' + sum_m w_m C_m' C_m) rho]
-        leak = K + K.conj().T + _weighted_sum(weights, jumps.transpose(0, 2, 1) @ jumps)
-        if np.abs(leak).max() > TRACE_PRESERVATION_TOL * scale:
+        # d Tr(rho)/dt = vec(I)' L vec(rho): the leak is the sum of L's trace rows
+        leak = np.bincount(layout.trace_columns, weights=entries[layout.trace_entries].view(float))
+        if np.abs(leak.view(complex)).max(initial=0.0) > TRACE_PRESERVATION_TOL * scale:
             raise ValueError("Liouvillian is not trace preserving")
 
     @property
@@ -226,7 +227,8 @@ class Liouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         K, weights, jumps = self.terms
-        jump_sum = _weighted_sum(weights, jumps @ rho @ jumps.transpose(0, 2, 1))
+        products = jumps @ rho @ jumps.transpose(0, 2, 1)
+        jump_sum = (weights @ products.reshape(len(weights), -1)).reshape(rho.shape)
         return K @ rho + rho @ K.conj().T + jump_sum
 
     def superoperator(self) -> csr_array:
@@ -244,17 +246,12 @@ class Liouvillian:
                          shape=(side, side))
 
 
-def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_m weights[m] stack[m], as one matrix-vector product."""
-    m, n, k = stack.shape
-    return (weights @ stack.reshape(m, n * k)).reshape(n, k)
-
-
 @dataclass(frozen=True, eq=False)
 class _SuperopLayout:
-    """The stored entries of L in CSR order: ``gather`` indexes their source
-    values, ``left`` and ``right`` the factors of the jump products (see
-    ``_superop_layout``).  Every array is int32 and read-only."""
+    """The stored entries of L in CSR order (see ``_superop_layout``): ``gather``
+    indexes their source values, ``left`` and ``right`` the jump products'
+    factors, ``trace_entries`` the entries of the trace rows and ``trace_columns``
+    their columns, doubled for ``view(float)``.  All are int32 and read-only."""
 
     n: int
     indptr: np.ndarray
@@ -262,6 +259,8 @@ class _SuperopLayout:
     gather: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    trace_entries: np.ndarray
+    trace_columns: np.ndarray
 
     @cached_property
     def real_positions(self) -> np.ndarray:
@@ -285,9 +284,9 @@ def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLa
     disjoint supports, each stored entry is one value of the source
     [K, conj K, D, jump products]: K[k, l] (i = j, k != l), conj K[i, j]
     (k = l, i != j), D[i, k] = K[k, k] + conj K[i, i], or
-    (w_m C_m[i, j]) C_m[k, l].  Keyed by the supports, so the points of a
-    sweep share one layout.  Raises ValueError when two weighted jumps share
-    an entry, which would then be a sum of two products.
+    (w_m C_m[i, j]) C_m[k, l].  The trace rows (i = k) are r = i (n + 1).
+    Keyed by the supports, so the points of a sweep share one layout.
+    Raises ValueError when two weighted jumps would add into one stored entry.
     """
     k_nonzero = np.frombuffer(k_support, dtype=bool).reshape(n, n)
     jump_nonzero = np.frombuffer(jump_support, dtype=bool).reshape(-1, n, n)
@@ -309,9 +308,12 @@ def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLa
     rows, cols, sources = (np.concatenate([part.ravel() for part in parts])
                            for parts in (rows, cols, sources))
     order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=square))))
+    trace = np.flatnonzero(rows % (n + 1) == 0)
     arrays = [array.astype(np.int32) for array in
-              (indptr, cols[order], sources[order], flat[a], flat[b])]
+              (indptr, cols, sources[order], flat[a], flat[b], trace,
+               np.stack((2 * cols[trace], 2 * cols[trace] + 1), 1).ravel())]
     for array in arrays:
         array.flags.writeable = False
     return _SuperopLayout(n, *arrays)
@@ -556,22 +558,13 @@ class TwoTimeCorrelation:
     n_tau[k] = <d'(t) d(t+tau_k)> and s_tau[k] = <d(t+tau_k) d(t)>;
     s_tau_alt carries the opposite operator ordering <d(t) d(t+tau_k)> of
     the anomalous correlator, whose difference from s_tau is reported
-    rather than silently picked.
+    rather than silently picked.  ``two_time_correlations`` checks their bounds.
     """
 
     tau: np.ndarray
     n_tau: np.ndarray
     s_tau: np.ndarray
     s_tau_alt: np.ndarray
-
-    def __post_init__(self):
-        n0 = self.n_tau[0]
-        tol = 1e-9 * max(1.0, abs(n0))
-        if abs(n0.imag) > tol or n0.real < -tol:
-            raise ValueError(f"n_tau[0] = {n0} is not a valid occupation")
-        n0r = max(n0.real, 0.0)
-        if abs(self.s_tau[0]) ** 2 > n0r * (n0r + 1.0) + 1e-9:
-            raise ValueError("anomalous moment s_tau[0] violates Gaussian physicality")
 
     @property
     def ordering_discrepancy(self) -> float:
@@ -604,10 +597,10 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     s(tau), rho d gives s_alt(tau) and rho d' gives n(tau).  So one
     ``expm_multiply`` call (Al-Mohy & Higham, SISC 33, 488 (2011)) on the
     adjoint, converted back to CSR for its faster product, yields all
-    three at any cutoff.  Raises
-    SteadyStateError when a correlator breaks its Cauchy-Schwarz bound
-    |n(tau)| <= n(0), |s(tau)|^2 <= n(0) (n(0) + 1) by more than
-    CAUCHY_SCHWARZ_TOL relative.
+    three at any cutoff.  Raises SteadyStateError when n(0) is not real and
+    >= 0 or |s(0)|^2 > n(0) (n(0) + 1), to CAUCHY_SCHWARZ_TOL, or when
+    |n(tau)| <= n(0) or |s(tau)|^2 <= n(0) (n(0) + 1) (Cauchy-Schwarz) fails
+    by more than CAUCHY_SCHWARZ_TOL relative.
     """
     if L.dims != rho_ss.dims:
         raise ValueError(f"dims mismatch: {L.dims} vs {rho_ss.dims}")
@@ -630,7 +623,13 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     W = W.conj()
     n_tau, s_tau, s_alt = W @ vec(rho @ d.conj().T), W @ vec(d @ rho), W @ vec(rho @ d)
 
-    n0 = n_tau[0].real
+    n0 = n_tau[0]
+    tol = CAUCHY_SCHWARZ_TOL * max(1.0, abs(n0))
+    if abs(n0.imag) > tol or n0.real < -tol:
+        raise SteadyStateError(f"n_tau[0] = {n0} is not a valid occupation")
+    n0 = n0.real
+    if abs(s_tau[0]) ** 2 > max(n0, 0.0) * (max(n0, 0.0) + 1.0) + CAUCHY_SCHWARZ_TOL:
+        raise SteadyStateError("anomalous moment s_tau[0] violates Gaussian physicality")
     eps = np.finfo(float).eps
     if (np.abs(n_tau).max() > (1.0 + CAUCHY_SCHWARZ_TOL) * n0 + eps
             or max(np.abs(s_tau).max(), np.abs(s_alt).max()) ** 2

@@ -481,9 +481,21 @@ def test_bad_port_chain_is_a_config_error(tmp_path, capsys, source, chain):
     ("n_th_port1 = 1.5e-2 dimensionless", "n_th_port1 = -1.5e-2 dimensionless"),
     ("n_th_port2 = 6.5e-4 dimensionless",
      "n_th_port2 = 6.5e-4 dimensionless\nn_th_box = -1e-3 dimensionless"),
-], ids=["negative-kappa_b", "zero-kappa_b", "negative-n_th_port1", "negative-n_th_box"])
+    ("L = 1.09 nH", "L = 0 nH"),
+    ("L_s0 = 81 pH", "L_s0 = -81 pH"),
+    ("omega_a = 5.878 GHz_over_2pi", "omega_a = -5.878 GHz_over_2pi"),
+    ("n_th_port2 = 6.5e-4 dimensionless",
+     "n_th_port2 = 6.5e-4 dimensionless\nomega_0 = 0 GHz_over_2pi"),
+    ("n_th_port2 = 6.5e-4 dimensionless",
+     "n_th_port2 = 6.5e-4 dimensionless\nflux_grid = 0.0 0.47 9.7 dimensionless"),
+    ("n_th_port2 = 6.5e-4 dimensionless",
+     "n_th_port2 = 6.5e-4 dimensionless\nflux_grid = 0.0 0.47 -5 dimensionless"),
+], ids=["negative-kappa_b", "zero-kappa_b", "negative-n_th_port1", "negative-n_th_box",
+        "zero-L", "negative-L_s0", "negative-omega_a", "zero-omega_0",
+        "fractional-flux-points", "negative-flux-points"])
 def test_negative_device_input_is_a_config_error(tmp_path, capsys, old, new):
-    # was exit 0 from device, which wrote the value, and exit 3 from g2-sweep
+    # was exit 0 from device, which wrote the value, and exit 3 from g2-sweep;
+    # L, L_s0, omega_a <= 0 were exit 3, 9.7 flux points ran as 9 and -5 was exit 3
     text = MINIMAL.replace(old, new)
     bad = new.splitlines()[-1]
     cfg = write_cfg(tmp_path, text)
@@ -492,6 +504,13 @@ def test_negative_device_input_is_a_config_error(tmp_path, capsys, old, new):
     assert rc == 2
     assert f"{cfg} line {lineno}: [device] {bad.split(' = ')[0]}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "device_parameters.json").exists()
+
+
+def test_flux_grid_of_zero_points_writes_the_header_alone(tmp_path):
+    cfg = write_cfg(tmp_path, MINIMAL.replace(
+        "kappa_a =", "flux_grid = 0.0 0.47 0 dimensionless\nkappa_a ="))
+    assert main(["device", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "flux_sweep.csv").read_text().splitlines()) == 1
 
 
 def test_cmd_measure_demo_deterministic(tmp_path):
@@ -547,7 +566,10 @@ def test_measurement_count_below_one_is_a_config_error(tmp_path, capsys, key):
     ("g2-sweep", "cutoff = 1 count"),            # was exit 3 with an empty message
     ("g2-sweep", "delta_a_points = -3 count"),   # was exit 3 from numpy
     ("g2-tau", "tau_points = 4 count"),          # was exit 3 from dominant_period
-], ids=["fractional-cutoff", "cutoff-1", "negative-points", "tau-points-4"])
+    ("g2-tau", "tau_stop = 0 ns"),               # was exit 0 with 401 rows at tau = 0
+    ("g2-tau", "tau_stop = -5 ns"),              # was exit 3, every detuning failed
+], ids=["fractional-cutoff", "cutoff-1", "negative-points", "tau-points-4", "tau-stop-0",
+        "negative-tau-stop"])
 def test_sweep_count_must_be_a_whole_number_at_its_minimum(tmp_path, capsys, command, line):
     text = MINIMAL + f"\n[sweep]\n{line}\n"
     cfg = write_cfg(tmp_path, text)

@@ -262,5 +262,5 @@ def test_g2prime_flags_nonpositive_population():
     n_h = 12.5
     on = _gaussian_moments(0.0, -5e-3, 0.0, n_h)
     off = _gaussian_moments(0.0, 0.0, 0.0, n_h)
-    with pytest.raises(CalibrationFailure):
+    with pytest.raises(ZeroPopulationError):
         g2prime_from_fourth_moments(on, off, gaussian_params_from_moments(on, off, 0.0))

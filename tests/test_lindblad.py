@@ -318,6 +318,36 @@ def test_superoperator_matches_the_kron_sum(cutoffs, displaced, mode):
     assert np.shares_memory(got.data, L.entries)
 
 
+@pytest.mark.parametrize("mode", ["simplified", "full", "cold-b"])
+@pytest.mark.parametrize("displaced", [False, True], ids=["undisplaced", "displaced"])
+@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 4), (6, 6), (9, 8), (10, 10), (6, 24)],
+                         ids=lambda c: f"{c[0]}x{c[1]}")
+def test_trace_leak_from_the_entries_matches_the_terms(monkeypatch, cutoffs, displaced, mode):
+    # d Tr(rho)/dt = Tr[(K + K' + sum_m w_m C_m' C_m) rho]: the sum of the
+    # entries in L's trace rows, by column, is vec of that matrix's transpose.
+    # K and the weights are scaled at random on their supports, so the leak
+    # is of the order of max|L|, and the guard is switched off to build L
+    eta = 15 * MHz if displaced else 1 * MHz
+    if mode == "cold-b":
+        p = replace(_real_form_params("simplified", eta), n_th_b=0.0)
+    else:
+        p = _real_form_params(mode, eta)
+    mf = mean_field_steady_state(p)
+    K, weights, jumps = build_liouvillian(
+        p, displacement=(mf.alpha, mf.beta) if displaced else None, cutoffs=cutoffs).terms
+    rng = np.random.default_rng(3)
+    K = K * (1.0 + rng.random(K.shape) + 1j * rng.random(K.shape))
+    weights = weights * (1.0 + rng.random(weights.size))
+    monkeypatch.setattr(lindblad_mod, "TRACE_PRESERVATION_TOL", np.inf)
+    L = Liouvillian(cutoffs, (K, weights, jumps))
+    want = K + K.conj().T + np.einsum("m,mji,mjk->ik", weights, jumps, jumps)
+    assert np.abs(want).max() > 0.1 * L.max_abs
+    layout = L._layout
+    leak = np.bincount(layout.trace_columns, weights=L.entries[layout.trace_entries].view(float),
+                       minlength=2 * L.side).view(complex)
+    assert np.abs(leak - vec(want.T)).max() <= 1e-14 * L.max_abs
+
+
 def test_overlapping_jumps_raise():
     # a at weight kappa_a split over two copies of a: the same master
     # equation, but one stored entry would be a sum of two jump products
@@ -394,6 +424,20 @@ def test_trace_preservation_guard():
     K, weights, jumps = build_liouvillian(sample_params(), cutoffs=(3, 3)).terms
     with pytest.raises(ValueError, match="trace"):
         Liouvillian((3, 3), (K, 2.0 * weights, jumps))
+
+
+@pytest.mark.parametrize("cutoffs", [(10, 10), (6, 24)], ids=lambda c: f"{c[0]}x{c[1]}")
+@pytest.mark.parametrize("broken", ["weights", "K-diagonal"])
+def test_trace_preservation_guard_at_gmres_sizes(cutoffs, broken):
+    L = build_liouvillian(sample_params(eta=15 * MHz), cutoffs=cutoffs)
+    assert L.is_sparse
+    K, weights, jumps = L.terms
+    if broken == "weights":
+        weights = 2.0 * weights
+    else:
+        K = K + 1e-6 * np.abs(K).max() * np.eye(K.shape[0])
+    with pytest.raises(ValueError, match="trace"):
+        Liouvillian(cutoffs, (K, weights, jumps))
 
 
 def test_cutoff_overflow_guard():
@@ -849,6 +893,20 @@ def test_qrt_cauchy_schwarz_violation_raises(monkeypatch):
     monkeypatch.setattr(lindblad_mod, "expm_multiply", growing)
     sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
     with pytest.raises(SteadyStateError, match="Cauchy-Schwarz"):
+        two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 1e-9, 11))
+
+
+@pytest.mark.parametrize("factor,match", [
+    (np.exp(1e-5j), "valid occupation"),   # Im n(0) = -1e-5 n(0), inside |n(tau)| <= n(0)'s slack
+    (-1.0, "valid occupation"),            # n(0) < 0
+    (20.0, "physicality"),                 # |s(0)|^2 > n(0) (n(0) + 1), as |s(0)| > n(0) here
+], ids=["n0-not-real", "n0-negative", "s0-unphysical"])
+def test_qrt_correlators_at_tau_0_are_checked(monkeypatch, factor, match):
+    real = lindblad_mod.expm_multiply
+    monkeypatch.setattr(lindblad_mod, "expm_multiply",
+                        lambda A, B, **kwargs: factor * real(A, B, **kwargs))
+    sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
+    with pytest.raises(SteadyStateError, match=match):
         two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 1e-9, 11))
 
 

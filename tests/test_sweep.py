@@ -405,7 +405,12 @@ def test_dominant_period_on_damped_cosine():
     assert dominant_period(t, y) == pytest.approx(period, rel=0.02)
 
 
-def test_dominant_period_fft_fallback():
-    t = np.linspace(0.0, 100e-9, 512)
+def test_dominant_period_fft_fallback(monkeypatch):
+    # 1.2 periods hold one interior maximum, too few for the peak spacing
+    rfft, calls = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda *args, **kwargs: calls.append(1) or rfft(*args, **kwargs))
+    t = np.linspace(0.0, 30e-9, 512)
     y = np.cos(2 * np.pi * t / 25e-9)
     assert dominant_period(t, y) == pytest.approx(25e-9, rel=0.05)
+    assert len(calls) == 1
