@@ -126,12 +126,14 @@ def pool_map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]`` with BLAS at one thread, pooled when it pays.
 
     Serial inside ``single_threaded()`` when ``workers <= 1`` or there are
-    fewer than 4 items; else ``workers`` processes started with ``pin_worker``
-    take chunks of ``len(items) // (4 * workers)`` items.  Results keep order.
+    fewer than 4 items; else ``min(workers, len(items))`` processes started
+    with ``pin_worker`` take chunks of ``len(items) // (4 * workers)`` items.
+    Results keep order.
     """
     items = list(items)
     if workers <= 1 or len(items) < 4:
         with single_threaded():
             return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers, initializer=pin_worker) as pool:
+    # a fork-started pool launches all max_workers processes at once, used or not
+    with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=pin_worker) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))

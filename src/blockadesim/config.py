@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .device import (HBAR, CouplingMatrix, ThermalChain, bose_einstein, port_rates,
-                     zero_smallest_elements)
+                     squid_inductance, zero_smallest_elements)
 from .gaussian import GaussianState
 from .measurement import CalibrationConstants
 
@@ -103,7 +103,10 @@ def _parse_chain(text: str) -> tuple[tuple[float, float], ...]:
         att, temp = (side.split() for side in part.partition("@")[::2])
         if len(att) != 2 or att[1] != "dB" or len(temp) != 2 or temp[1] not in TEMPERATURE:
             raise ValueError(f"chain stage '{part.strip()}' must be '<x> dB @ <T> K' (or mK)")
-        stages.append((10.0 ** (-float(att[0]) / 10.0), float(temp[0]) * TEMPERATURE[temp[1]]))
+        db, kelvin = float(att[0]), float(temp[0]) * TEMPERATURE[temp[1]]
+        if not (math.isfinite(db) and math.isfinite(kelvin)):
+            raise ValueError(f"chain stage '{part.strip()}' must have finite numbers")
+        stages.append((10.0 ** (-db / 10.0), kelvin))
     return tuple(stages)
 
 
@@ -192,8 +195,9 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         unread.pop((section, key), None)
         return sec.get(section, {}).get(key)
 
-    def values(section, key, kind, default=None, count=None) -> tuple[float, ...]:
-        """The SI values of 'key = <numbers> <unit>', unit-checked against kind."""
+    def values(section, key, kind, default=None, count=None, rule=None) -> tuple[float, ...]:
+        """The SI values of 'key = <numbers> <unit>', unit-checked against kind, each
+        finite and, with a rule (ok, text), ok(*values); else 'must be <text>' at the line."""
         entry = lookup(section, key)
         if entry is None:
             if default is not None:
@@ -214,120 +218,116 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
                               f"(expected one of {sorted(units)})")
         if count is not None and len(numbers) != count:
             raise ConfigError(f"{where} needs {count} value(s), got {len(numbers)}")
-        return tuple(v * units[unit] for v in numbers)
+        si = tuple(v * units[unit] for v in numbers)
+        finite = all(map(math.isfinite, si))
+        if not finite or (rule is not None and not rule[0](*si)):
+            must = rule[1] if finite else "finite"
+            raise ConfigError(f"{where} = {entry.text!r} must be {must}")
+        return si
 
-    def q(section, key, kind, default=None) -> float:
-        return values(section, key, kind, None if default is None else (default,), count=1)[0]
+    def q(section, key, kind, default=None, rule=None) -> float:
+        return values(section, key, kind, None if default is None else (default,), 1, rule)[0]
 
-    def check(section, key, value, ok, rule):
-        """value, or a ConfigError at the key's line when it fails ok()."""
-        if not ok(value):
-            entry = sec[section][key]
-            raise ConfigError(f"{name} line {entry.line}: [{section}] {key} = {entry.text!r} "
-                              f"must be {rule}")
-        return value
-
-    def checked(section, key, kind, ok, rule, default=None) -> float:
-        return check(section, key, q(section, key, kind, default=default), ok, rule)
+    def library_call(section, keys, fn, *args):
+        """fn(*args); its ValueError or OverflowError is a ConfigError at the given keys."""
+        try:
+            return fn(*args)
+        except (ValueError, OverflowError) as exc:  # the defaults are valid, so a key is given
+            given = [key for key in keys if key in sec.get(section, {})]
+            lines = ", ".join(str(sec[section][key].line) for key in given)
+            raise ConfigError(f"{name} line{'s' * (len(given) > 1)} {lines}: [{section}] "
+                              f"{', '.join(given)}: {exc}") from None
 
     def whole(minimum):
         return lambda v: float(v).is_integer() and v >= minimum
 
     def positive_count(section, key, default, minimum=1) -> int:
-        return int(checked(section, key, "count", whole(minimum),
-                           f"a whole number of at least {minimum}", default))
+        return int(q(section, key, "count", default,
+                     (whole(minimum), f"a whole number of at least {minimum}")))
 
     nonnegative = (lambda v: v >= 0, ">= 0")
     positive = (lambda v: v > 0, "> 0")
 
-    def optional(section, key, kind) -> float | None:
-        return None if lookup(section, key) is None else q(section, key, kind)
+    def optional(section, key, kind, rule=None) -> float | None:
+        return None if lookup(section, key) is None else q(section, key, kind, rule=rule)
 
     def unit_of(section, key) -> str | None:
         entry = lookup(section, key)
         return None if entry is None else entry.text.split()[-1]
 
-    omega_a = checked("device", "omega_a", "angular", *positive)
-    omega_0 = checked("device", "omega_0", "angular", *positive, default=omega_a)
+    omega_a = q("device", "omega_a", "angular", rule=positive)
+    omega_0 = q("device", "omega_0", "angular", omega_a, positive)
+    L_s0 = q("device", "L_s0", "inductance", rule=positive)
 
     port_chains = {}
     n_th_fixed = {}
     for port in range(1, 5):
         chain_key = f"port{port}_chain"
         source_key = f"port{port}_source"
-        fixed_key = f"n_th_port{port}"
         chain_entry = lookup("device", chain_key)
         if chain_entry is not None:
-            source_entry = lookup("device", source_key)
-            if source_entry is None:
-                raise ConfigError(f"{name}: [{chain_key}] given without {source_key}")
             temperature = unit_of("device", source_key) in TEMPERATURE
             source = q("device", source_key, "temperature" if temperature else "dimensionless")
-            try:
-                port_chains[port] = ThermalChain(
-                    _parse_chain(chain_entry.text),
-                    bose_einstein(omega_0, source) if temperature else source)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"{name} lines {chain_entry.line}, {source_entry.line}: "
-                                  f"[device] {chain_key}, {source_key}: {exc}") from None
+            port_chains[port] = library_call("device", (chain_key, source_key), lambda: (
+                ThermalChain(_parse_chain(chain_entry.text),
+                             bose_einstein(omega_0, source) if temperature else source)))
         else:
-            n_th_fixed[port] = checked("device", fixed_key, "dimensionless", *nonnegative,
-                                       default=0.0)
+            n_th_fixed[port] = q("device", f"n_th_port{port}", "dimensionless", 0.0, nonnegative)
 
     simplify_entry = lookup("device", "simplify_B") or Entry("yes", 0)
     if simplify_entry.text.lower() not in BOOLEANS:
         raise ConfigError(f"{name} line {simplify_entry.line}: [device] simplify_B = "
                           f"{simplify_entry.text!r} is not one of yes/no/true/false/1/0")
 
-    flux_start, flux_stop, flux_points = values("device", "flux_grid", "dimensionless",
-                                                default=(0.0, 0.49, 99), count=3)
-    check("device", "flux_grid", flux_points, whole(0), "start, stop and a whole point count >= 0")
+    flux_ratio = q("device", "flux_ratio", "dimensionless")
+    library_call("device", ("flux_ratio",), squid_inductance, flux_ratio, L_s0)
+    flux_start, flux_stop, flux_points = values(
+        "device", "flux_grid", "dimensionless", (0.0, 0.49, 99), 3,
+        (lambda start, stop, points: whole(0)(points), "start, stop and a whole point count >= 0"))
+    grid = np.linspace(flux_start, flux_stop, int(flux_points)).tolist()
+    library_call("device", ("flux_grid",), lambda: [squid_inductance(phi, L_s0) for phi in grid])
 
     device = DeviceConfig(
-        L=checked("device", "L", "inductance", *positive),
-        L_s0=checked("device", "L_s0", "inductance", *positive),
+        L=q("device", "L", "inductance", rule=positive),
+        L_s0=L_s0,
         omega_a=omega_a,
-        flux_ratio=q("device", "flux_ratio", "dimensionless"),
+        flux_ratio=flux_ratio,
         omega_0=omega_0,
         B=np.array([values("device", row, "dimensionless", count=4)
                     for row in ("B_row1", "B_row2")]),
         simplify_B=BOOLEANS[simplify_entry.text.lower()],
-        kappa_a=q("device", "kappa_a", "angular"),
-        kappa_b=checked("device", "kappa_b", "angular", *positive),
+        kappa_a=q("device", "kappa_a", "angular", rule=positive),
+        kappa_b=q("device", "kappa_b", "angular", rule=positive),
         port_chains=port_chains,
         n_th_ports_fixed=n_th_fixed,
-        n_th_box=checked("device", "n_th_box", "dimensionless", *nonnegative, default=0.0),
+        n_th_box=q("device", "n_th_box", "dimensionless", 0.0, nonnegative),
         flux_grid=(flux_start, flux_stop, int(flux_points)),
     )
 
-    if unit_of("system", "eta_a") == "dBm":
+    def eta_from_dbm(dbm):
         # incident power through the port-1 chain: |eta|^2 = gamma_1 P / (hbar omega_0);
         # the absolute calibration is approximate, fits usually rescale eta anyway
-        gamma1 = port_rates(device.coupling)[0].gamma
-        power = 1e-3 * 10.0 ** (q("system", "eta_a", "power_dbm") / 10.0)
-        eta_a = math.sqrt(gamma1 * power / (HBAR * device.omega_0))
-    else:
-        eta_a = q("system", "eta_a", "angular")
+        power = 1e-3 * 10.0 ** (dbm / 10.0)
+        eta = math.sqrt(port_rates(device.coupling)[0].gamma * power / (HBAR * device.omega_0))
+        if not math.isfinite(eta):
+            raise OverflowError(f"{dbm} dBm overflows the drive amplitude")
+        return eta
 
     system = SystemConfig(
         J=q("system", "J", "angular"),
         U=q("system", "U", "angular"),
-        eta_a=eta_a,
+        eta_a=library_call("system", ("eta_a",), eta_from_dbm, q("system", "eta_a", "power_dbm"))
+        if unit_of("system", "eta_a") == "dBm" else q("system", "eta_a", "angular"),
         eta_b=q("system", "eta_b", "angular", default=0.0),
     )
 
     cal_keys = ("G_X", "G_Y", "epsilon", "n_h")
-    cal_values = [q("measurement", key, "dimensionless", default=default)
-                  for key, default in zip(cal_keys, (1.0, 1.0, 0.0, 12.5))]
-    try:
-        cal = CalibrationConstants(*cal_values)
-    except ValueError as exc:   # the defaults are valid, so at least one of these keys is given
-        given = sec["measurement"]
-        lines = ", ".join(f"line {given[key].line} {key}" for key in cal_keys if key in given)
-        raise ConfigError(f"{name} {lines}: [measurement] {exc}") from None
     measurement = MeasurementConfig(
-        cal=cal,
-        # the truth state is not validated: an unphysical one fails in the synthesizer
+        cal=library_call("measurement", cal_keys, CalibrationConstants,
+                    *(q("measurement", key, "dimensionless", default)
+                      for key, default in zip(cal_keys, (1.0, 1.0, 0.0, 12.5)))),
+        # only finiteness is checked: an unphysical truth (n = 0, s = 0.5) runs, with a truth
+        # g2 of 2281; only a covariance that is not PSD fails, in the synthesizer (exit 3)
         truth=GaussianState(
             complex(q("measurement", "truth_alpha_re", "dimensionless", default=0.1),
                     q("measurement", "truth_alpha_im", "dimensionless", default=0.0)),
@@ -336,7 +336,7 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
                     q("measurement", "truth_s_im", "dimensionless", default=0.0))),
         packet_size=positive_count("measurement", "packet_size", default=1_000_000),
         n_packets=positive_count("measurement", "n_packets", default=25),
-        n_th=q("measurement", "n_th", "dimensionless", default=7.8e-4),
+        n_th=q("measurement", "n_th", "dimensionless", 7.8e-4, nonnegative),
     )
 
     sweep = SweepConfig(
@@ -348,8 +348,8 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         delta_diff_stop=q("sweep", "delta_diff_stop", "angular", default=2 * math.pi * 6e6),
         delta_diff_points=positive_count("sweep", "delta_diff_points", default=13),
         eta_values=values("sweep", "eta_values", "angular", default=()),
-        eta_fit_target=optional("sweep", "eta_fit_target", "dimensionless"),
-        tau_stop=checked("sweep", "tau_stop", "time", *positive, default=200e-9),
+        eta_fit_target=optional("sweep", "eta_fit_target", "dimensionless", positive),
+        tau_stop=q("sweep", "tau_stop", "time", 200e-9, positive),
         # dominant_period needs at least 8 samples
         tau_points=positive_count("sweep", "tau_points", default=401, minimum=8),
         g2tau_detunings=values("sweep", "g2tau_detunings", "angular", default=()),

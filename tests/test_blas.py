@@ -84,6 +84,30 @@ def test_pool_map_runs_serially_without_a_pool(monkeypatch, workers, n_items):
         x * x for x in range(n_items)]
 
 
+def test_pool_map_opens_at_most_one_process_per_item(monkeypatch):
+    # a fork-started ProcessPoolExecutor launches all max_workers processes at once
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            opened.append((self.max_workers, chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(blas, "ProcessPoolExecutor", RecordingPool)
+    assert blas.pool_map(abs, range(-2, 2), 64) == [2, 1, 0, 1]
+    assert blas.pool_map(abs, range(40), 4) == list(range(40))
+    assert opened == [(4, 1), (4, 2)]
+
+
 def test_threadpoolctl_is_used_when_it_imports(monkeypatch, unpinned_env):
     calls = []
 

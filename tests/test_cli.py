@@ -461,9 +461,12 @@ g2tau_eta = 30 MHz_over_2pi
     ("300 K", "-20 dB @ 4 K | 20 dB @ 10 mK"),
     ("300 K", "abc dB @ 4 K"),
     ("300 K", "-4000 dB @ 4 K"),
-], ids=["negative-source", "negative-dB", "dB-not-a-number", "dB-overflow"])
+    ("300 K", "20 dB @ inf K"),
+    ("300 K", "20 dB @ nan K"),
+], ids=["negative-source", "negative-dB", "dB-not-a-number", "dB-overflow", "inf-K", "nan-K"])
 def test_bad_port_chain_is_a_config_error(tmp_path, capsys, source, chain):
-    # was a ValueError traceback out of load_config
+    # was a ValueError traceback out of load_config; inf K was a ZeroDivisionError
+    # traceback and nan K exit 3
     text = MINIMAL.replace("n_th_port1 = 1.5e-2 dimensionless",
                            f"port1_chain = {chain}\nport1_source = {source}")
     cfg = write_cfg(tmp_path, text)
@@ -490,12 +493,19 @@ def test_bad_port_chain_is_a_config_error(tmp_path, capsys, source, chain):
      "n_th_port2 = 6.5e-4 dimensionless\nflux_grid = 0.0 0.47 9.7 dimensionless"),
     ("n_th_port2 = 6.5e-4 dimensionless",
      "n_th_port2 = 6.5e-4 dimensionless\nflux_grid = 0.0 0.47 -5 dimensionless"),
+    ("kappa_a = 10.35 MHz_over_2pi", "kappa_a = -10.35 MHz_over_2pi"),
+    ("flux_ratio = 0.4227 dimensionless", "flux_ratio = 0.5 dimensionless"),
+    ("n_th_port2 = 6.5e-4 dimensionless",
+     "n_th_port2 = 6.5e-4 dimensionless\nflux_grid = 0 1 101 dimensionless"),
 ], ids=["negative-kappa_b", "zero-kappa_b", "negative-n_th_port1", "negative-n_th_box",
         "zero-L", "negative-L_s0", "negative-omega_a", "zero-omega_0",
-        "fractional-flux-points", "negative-flux-points"])
+        "fractional-flux-points", "negative-flux-points", "negative-kappa_a",
+        "half-integer-flux", "flux-grid-through-half-integer"])
 def test_negative_device_input_is_a_config_error(tmp_path, capsys, old, new):
     # was exit 0 from device, which wrote the value, and exit 3 from g2-sweep;
-    # L, L_s0, omega_a <= 0 were exit 3, 9.7 flux points ran as 9 and -5 was exit 3
+    # L, L_s0, omega_a <= 0 were exit 3, 9.7 flux points ran as 9 and -5 was exit 3;
+    # kappa_a <= 0 was exit 2 without a line, a half-integer flux exit 3 and a grid
+    # through one exit 3 after device_parameters.json was written
     text = MINIMAL.replace(old, new)
     bad = new.splitlines()[-1]
     cfg = write_cfg(tmp_path, text)
@@ -568,8 +578,9 @@ def test_measurement_count_below_one_is_a_config_error(tmp_path, capsys, key):
     ("g2-tau", "tau_points = 4 count"),          # was exit 3 from dominant_period
     ("g2-tau", "tau_stop = 0 ns"),               # was exit 0 with 401 rows at tau = 0
     ("g2-tau", "tau_stop = -5 ns"),              # was exit 3, every detuning failed
+    ("g2-sweep", "eta_fit_target = -1 dimensionless"),  # was exit 3 from the fit
 ], ids=["fractional-cutoff", "cutoff-1", "negative-points", "tau-points-4", "tau-stop-0",
-        "negative-tau-stop"])
+        "negative-tau-stop", "negative-eta-fit-target"])
 def test_sweep_count_must_be_a_whole_number_at_its_minimum(tmp_path, capsys, command, line):
     text = MINIMAL + f"\n[sweep]\n{line}\n"
     cfg = write_cfg(tmp_path, text)
@@ -584,16 +595,49 @@ def test_sweep_count_must_be_a_whole_number_at_its_minimum(tmp_path, capsys, com
     "G_X = -1.7 dimensionless",
     "epsilon = 0.6 dimensionless",
     "n_h = 0 dimensionless",
-], ids=["negative-gain", "epsilon-0.6", "n_h-0"])
+    "n_th = -5 dimensionless",
+], ids=["negative-gain", "epsilon-0.6", "n_h-0", "negative-n_th"])
 def test_bad_detection_chain_is_a_config_error(tmp_path, capsys, line):
-    # was exit 3: the CalibrationConstants were built inside measure-demo
+    # was exit 3: the CalibrationConstants were built inside measure-demo;
+    # a negative pump-off n_th ran to exit 0
     text = MINIMAL + f"\n[measurement]\n{line}\n"
     cfg = write_cfg(tmp_path, text)
     lineno = text.splitlines().index(line) + 1
     rc = main(["measure-demo", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     key = line.split(" = ")[0]
-    assert f"{cfg} line {lineno} {key}: [measurement]" in capsys.readouterr().err
+    assert f"{cfg} line {lineno}: [measurement] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,line", [
+    ("device", "B_row1 = nan -52.0e-3 0.8e-3 3.9e-3 dimensionless"),
+    ("device", "kappa_a = inf MHz_over_2pi"),
+    ("device", "kappa_b = 1e308 GHz_over_2pi"),
+    ("system", "U = nan MHz_over_2pi"),
+    ("system", "eta_b = -inf MHz_over_2pi"),
+    ("system", "J = 1e308 GHz_over_2pi"),
+    ("measurement", "truth_n = nan dimensionless"),
+    ("measurement", "G_X = inf dimensionless"),
+    ("measurement", "truth_s_re = 1e400 dimensionless"),
+    ("sweep", "delta_a_start = nan MHz_over_2pi"),
+    ("sweep", "g2tau_eta = inf MHz_over_2pi"),
+    ("sweep", "eta_values = 8 12 1e308 MHz_over_2pi"),
+], ids=["device-nan", "device-inf", "device-overflow", "system-nan", "system-inf",
+        "system-overflow", "measurement-nan", "measurement-inf", "measurement-overflow",
+        "sweep-nan", "sweep-inf", "sweep-overflow"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, line):
+    # was exit 0 from device; the nan B_row1 was exit 3 from CouplingMatrix
+    key = line.split(" = ")[0]
+    kept = [old for old in MINIMAL.splitlines() if not old.startswith(f"{key} =")]
+    text = "\n".join(kept) + f"\n[{section}]\n{line}\n"
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["device", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    lineno = len(text.splitlines())
+    value = line.split(" = ")[1]
+    assert (f"{cfg} line {lineno}: [{section}] {key} = '{value}' must be finite"
+            in capsys.readouterr().err)
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_cmd_measure_demo_pipeline_failure_exit_code(tmp_path, capsys):
