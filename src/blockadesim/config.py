@@ -233,10 +233,13 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         try:
             return fn(*args)
         except (ValueError, OverflowError) as exc:  # the defaults are valid, so a key is given
+            # an OverflowError's own text is errno's "Numerical result out of range"
+            reason = (exc if isinstance(exc, ValueError)
+                      else "must be small enough in magnitude that it converts to a finite number")
             given = [key for key in keys if key in sec.get(section, {})]
             lines = ", ".join(str(sec[section][key].line) for key in given)
             raise ConfigError(f"{name} line{'s' * (len(given) > 1)} {lines}: [{section}] "
-                              f"{', '.join(given)}: {exc}") from None
+                              f"{', '.join(given)}: {reason}") from None
 
     def whole(minimum):
         return lambda v: float(v).is_integer() and v >= minimum
@@ -308,9 +311,11 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
         # incident power through the port-1 chain: |eta|^2 = gamma_1 P / (hbar omega_0);
         # the absolute calibration is approximate, fits usually rescale eta anyway
         power = 1e-3 * 10.0 ** (dbm / 10.0)
-        eta = math.sqrt(port_rates(device.coupling)[0].gamma * power / (HBAR * device.omega_0))
+        # Python floats, so an overflow is a silent inf rather than numpy's RuntimeWarning
+        gamma = float(port_rates(device.coupling)[0].gamma)
+        eta = math.sqrt(gamma * power / (HBAR * device.omega_0))
         if not math.isfinite(eta):
-            raise OverflowError(f"{dbm} dBm overflows the drive amplitude")
+            raise OverflowError
         return eta
 
     system = SystemConfig(

@@ -245,6 +245,13 @@ class Liouvillian:
         return csr_array((self.entries, self._layout.indices, self._layout.indptr),
                          shape=(side, side))
 
+    @cached_property
+    def _solve(self):
+        """The solver of L's steady-state system, set up at its first call and
+        dropped with L, so ``steady_state`` and ``g2_gradient`` share one LU
+        (``_lu_solver``) or one preconditioner (``_gmres_solver``)."""
+        return _gmres_solver(self) if self.is_sparse else _lu_solver(self)
+
 
 @dataclass(frozen=True, eq=False)
 class _SuperopLayout:
@@ -424,42 +431,40 @@ def _hermitian_form(L: Liouvillian, scale: float) -> np.ndarray:
     return M.reshape(side, side)
 
 
-def _solve_hermitian(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
-    """vec of the unit-trace null vector of a Hermiticity-preserving L, by one real LU.
+def _lu_solver(L: Liouvillian):
+    """r -> solution z of M z = r, M the real form of L with its trace row, by one LU.
 
     Hermitian rho = ((1+i) Z + (1-i) Z.T) / 2 for real Z; the map is an
     isometry (the basis E_ii, (E_ij+E_ji)/sqrt2, i(E_ij-E_ji)/sqrt2 rotated
     by 45 degrees within each (ij, ji) pair).  In it L becomes the real
-    matrix M = Re L + Im L P, P the transpose permutation, which
-    ``_hermitian_form`` places from L's entries, scaled by 1 / scale, without
-    forming the complex dense L; the LU runs on joint^2 real unknowns.  Row
-    0 is replaced by the trace, sum_i Z_ii = 1.
+    matrix M = Re L + Im L P, P the transpose permutation, so
+    M vec(Z) = vec(Re L(Z) + Im L(Z.T)); ``_hermitian_form`` places it from
+    L's entries, scaled by 1 / max_abs, without forming the complex dense
+    L, and the LU runs on joint^2 real unknowns.  Row 0 is replaced by the
+    trace, sum_i Z_ii, so r = e_0 gives the unit-trace null vector.  The
+    returned solve is one back-substitution for any number of right-hand
+    sides (columns of r).
     """
-    side = joint * joint
-    M = _hermitian_form(L, scale)
+    joint = math.prod(L.dims)
+    M = _hermitian_form(L, L.max_abs)
     M[0, :] = 0.0
     M[0, ::joint + 1] = 1.0
-    rhs = np.zeros(side)
-    rhs[0] = 1.0
     # M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
-    # trans=1 then solves M z = rhs
+    # trans=1 then solves M z = r
     lu, piv, info = dgetrf(M.T, overwrite_a=True)
-    if info == 0:
-        z, info = dgetrs(lu, piv, rhs, trans=1)
     if info != 0:
         raise SteadyStateError(f"LU solve failed: LAPACK info {info} (a zero pivot if positive)")
-    Z = z.reshape(joint, joint, order="F")
-    return vec(0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.T))
+    return lambda r: dgetrs(lu, piv, r, trans=1)[0]
 
 
-def _solve_gmres(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
-    """vec of the unit-trace null vector of L, by preconditioned GMRES.
+def _gmres_solver(L: Liouvillian):
+    """r -> solution x of L x / max_abs + v Tr(x) = r, by preconditioned GMRES.
 
-    With v = vec(I/n), solves L x / scale + v Tr(x) = v: Tr(L x) = 0 for a
-    trace-preserving L, so Tr(x) = 1 and L x = 0.  L x / scale is applied
-    as the CSR ``L.superoperator()`` times x / scale, so the CSR kept with L
-    is not copied (it is about 6-10x faster per product than ``L.apply`` at
-    cutoffs 9-10).  The preconditioner
+    With v = vec(I/n) and r = v, Tr(L x) = 0 for a trace-preserving L gives
+    Tr(x) = 1 and L x = 0: the unit-trace null vector.  L x / scale is
+    applied as the CSR ``L.superoperator()`` times x / scale, so the CSR
+    kept with L is not copied (it is about 6-10x faster per product than
+    ``L.apply`` at cutoffs 9-10).  The preconditioner, built once per L,
     inverts the Sylvester part S(X) = K X + X K' of L / scale in the
     eigenbasis K / scale = V diag(lam) V^-1,
     X = V [(V^-1 R V^-') / (lam_i + conj lam_j)] V', and refines X once by
@@ -470,8 +475,9 @@ def _solve_gmres(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
     that floor, the perturbation LAPACK's triangular Sylvester solver
     makes, as the undriven vacuum puts an eigenvalue of K at 0.  Raises
     SteadyStateError when V is singular, as the preconditioner would then
-    not invert the Sylvester part.
+    not invert the Sylvester part, and when GMRES does not converge.
     """
+    joint, scale = math.prod(L.dims), L.max_abs
     v = vec(np.eye(joint) / joint)
     diagonal = np.arange(joint) * (joint + 1)
     generator = L.superoperator()
@@ -505,13 +511,18 @@ def _solve_gmres(L: Liouvillian, joint: int, scale: float) -> np.ndarray:
         return vec(X + eigenbasis_solve(R - A @ X - X @ Ah))
 
     side = joint * joint
-    x, info = gmres(LinearOperator((side, side), matvec, dtype=complex), v,
-                    rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES,
-                    M=LinearOperator((side, side), sylvester_solve, dtype=complex))
-    if info != 0:
-        raise SteadyStateError(f"GMRES did not reach rtol {GMRES_RTOL:.0e} "
-                               f"(info {info}) in {GMRES_MAX_CYCLES} restart cycles")
-    return x
+    operator = LinearOperator((side, side), matvec, dtype=complex)
+    preconditioner = LinearOperator((side, side), sylvester_solve, dtype=complex)
+
+    def solve(r):
+        x, info = gmres(operator, r, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+                        maxiter=GMRES_MAX_CYCLES, M=preconditioner)
+        if info != 0:
+            raise SteadyStateError(f"GMRES did not reach rtol {GMRES_RTOL:.0e} "
+                                   f"(info {info}) in {GMRES_MAX_CYCLES} restart cycles")
+        return x
+
+    return solve
 
 
 def steady_state(L: Liouvillian) -> DensityMatrix:
@@ -519,9 +530,10 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
 
     Up to DENSE_SUPEROP_MAX_JOINT_DIM, L is solved as a real system in a
     Hermitian basis, placed from its entries, by one LU with a row
-    replaced by the trace (``_solve_hermitian``); above it, GMRES runs on
-    the CSR superoperator with a Sylvester preconditioner
-    (``_solve_gmres``).  Both scale L by max_abs, its largest entry.
+    replaced by the trace (``_lu_solver``); above it, GMRES runs on the
+    CSR superoperator with a Sylvester preconditioner (``_gmres_solver``).
+    Both scale L by max_abs, its largest entry, and stay with L as its
+    ``_solve`` for ``g2_gradient``.
     Raises SteadyStateError when the solve fails or the residual
     |L x| / (max_abs |x|) exceeds STEADY_STATE_RESIDUAL_TOL, which
     indicates a degenerate null space.  The residual is evaluated by
@@ -533,9 +545,12 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
         raise SteadyStateError("zero Liouvillian has a degenerate null space")
 
     if L.is_sparse:
-        x = _solve_gmres(L, joint, scale)
+        x = L._solve(vec(np.eye(joint) / joint))
     else:
-        x = _solve_hermitian(L, joint, scale)
+        e0 = np.zeros(joint * joint)
+        e0[0] = 1.0
+        Z = L._solve(e0).reshape(joint, joint, order="F")
+        x = vec(0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.T))
 
     if not np.isfinite(x).all():
         raise SteadyStateError("steady-state solve produced non-finite entries")
@@ -693,3 +708,78 @@ def mode_occupation(rho: DensityMatrix, mode: int) -> float:
     model = _cutoff_model(*rho.dims)
     op = model.A if mode == 0 else model.B
     return np.trace(op.T @ op @ rho.data).real
+
+
+def g2_gradient(p: SystemParams, sol: DisplacedSolution) -> np.ndarray:
+    """d g2_gaussian / d(delta_a, delta_b) at the solved point ``sol`` of ``p``.
+
+    Implicit differentiation with the factorization ``steady_state`` kept
+    with ``sol.liouvillian`` (``Liouvillian._solve``), for both detunings at
+    once:
+    - the mean-field drift vanishes along the fixed-point family, so
+      d(alpha, beta) solves a 4 x 4 real system, with d drift / d delta_a
+      = i alpha and d drift / d delta_b = i beta; it is solved in closed
+      form after eliminating the a equation, as in
+      ``mean_field_steady_state``;
+    - of K's coefficients (``_k_coefficients``) only a'a, b'b, b'b'b,
+      b'bb, b'b' and bb move, as the a, a', b, b' ones are the drift;
+    - L x = 0 gives L dx = -dL(x), with dL(X) = dK X + X dK'.  On the dense
+      path that is M dz = -(Re dL(Z) + Im dL(Z.T)) / max_abs with row 0 (the
+      trace) zero, one back-substitution in the kept LU; on the GMRES path
+      the same preconditioned GMRES solves for -dL(x) / max_abs, and
+      Tr dx = 0 follows from trace preservation.  A change of max_abs
+      scales only rows that vanish at the solution;
+    - the chain rule through n, s, alpha and ``g2_zero``.
+    """
+    alpha, beta = sol.mean_field.alpha, sol.mean_field.beta
+    L, model = sol.liouvillian, _cutoff_model(*sol.liouvillian.dims)
+    a11 = 1j * p.delta_a - 0.5 * p.kappa_a
+    a12 = -1j * p.J
+    # with the a equation eliminated, A d_beta + kerr conj(d_beta) = r, kerr from |beta|^2 beta
+    A = 1j * p.delta_b - 0.5 * p.kappa_b + 4j * p.U * abs(beta) ** 2 - a12 * a12 / a11
+    kerr = 2j * p.U * beta ** 2
+    r = np.array([1j * alpha * a12 / a11, -1j * beta])   # for delta_a, delta_b
+    d_beta = (A.conjugate() * r - kerr * r.conjugate()) / (abs(A) ** 2 - abs(kerr) ** 2)
+    d_alpha = (np.array([-1j * alpha, 0.0]) - a12 * d_beta) / a11
+
+    d_coefficients = np.zeros((2, model.basis.shape[0]), dtype=complex)
+    d_coefficients[:, 0] = [1j, 0.0]                                       # a'a
+    d_coefficients[:, 2] = 1j * (np.array([0.0, 1.0])
+                                 + 8.0 * p.U * (beta.conjugate() * d_beta).real)  # b'b
+    d_coefficients[:, 10] = 2j * p.U * d_beta                              # b'b'b
+    d_coefficients[:, 11] = 2j * p.U * d_beta.conjugate()                  # b'bb
+    d_coefficients[:, 12] = 2j * p.U * beta * d_beta                       # b'b'
+    d_coefficients[:, 13] = 2j * p.U * (beta * d_beta).conjugate()         # bb
+    joint = math.prod(L.dims)
+    dK = (d_coefficients.real @ model.basis
+          + 1j * (d_coefficients.imag @ model.basis)).reshape(2, joint, joint)
+    dK_h = dK.conj().transpose(0, 2, 1)
+
+    def d_liouvillian(X):
+        return dK @ X + X @ dK_h
+
+    rho = sol.rho.data
+    if L.is_sparse:
+        rhs = -d_liouvillian(rho).transpose(0, 2, 1).reshape(2, -1) / L.max_abs
+        d_rho = np.array([unvec(L._solve(r), joint) for r in rhs])
+        d_rho = 0.5 * (d_rho + d_rho.conj().transpose(0, 2, 1))
+    else:
+        Z = rho.real + rho.imag
+        rhs = (d_liouvillian(Z).real + d_liouvillian(Z.T).imag).transpose(0, 2, 1)
+        rhs = -rhs.reshape(2, -1).T / L.max_abs
+        rhs[0] = 0.0
+        dZ = L._solve(rhs).T.reshape(2, joint, joint).transpose(0, 2, 1)
+        d_rho = 0.5 * ((1.0 + 1.0j) * dZ + (1.0 - 1.0j) * dZ.transpose(0, 2, 1))
+    d_n, d_s = model.moments[:2] @ d_rho.reshape(2, -1).T
+    d_n = d_n.real
+
+    # g2 = num / n_tot^2 with num = |alpha|^4 + 4 |alpha|^2 n + 2 Re(conj(alpha)^2 s)
+    # + 2 n^2 + |s|^2 (``g2_zero``)
+    n, s, n_tot = sol.obs.n, sol.obs.s, sol.obs.n_tot
+    a2 = abs(alpha) ** 2
+    d_a2 = 2.0 * (alpha.conjugate() * d_alpha).real
+    d_num = (2.0 * a2 * d_a2 + 4.0 * (d_a2 * n + a2 * d_n)
+             + 2.0 * (2.0 * alpha.conjugate() * d_alpha.conjugate() * s
+                      + alpha.conjugate() ** 2 * d_s).real
+             + 4.0 * n * d_n + 2.0 * (s.conjugate() * d_s).real)
+    return (d_num - 2.0 * sol.obs.g2_gaussian * n_tot * (d_a2 + d_n)) / n_tot ** 2

@@ -1,7 +1,8 @@
 """Parameter sweeps, g2 minimization and g2(tau) over detunings.
 
 A unit of a sweep is a grid point (one displaced-frame steady-state solve),
-a pump strength (one optimization) or a g2(tau) detuning; each sweep is one
+a pump strength (one BFGS optimization, on g2 and its gradient from the
+factorization of each solve) or a g2(tau) detuning; each sweep is one
 ``blas.pool_map`` over its units, which keeps index order and runs BLAS at
 one thread, so serial and pooled sweeps give the same rows.  Every unit
 gives one ``SweepRecord``, with status "failed" and the reason instead of
@@ -19,11 +20,14 @@ import numpy as np
 from . import blas
 from .gaussian import g2_tau
 from .lindblad import (ConvergenceError, SteadyStateError, SystemParams, displaced_solution,
-                       mean_field_steady_state, two_time_correlations)
+                       g2_gradient, mean_field_steady_state, two_time_correlations)
 
 ETA_FIT_TOL = 1e-2
 ETA_FIT_MAX_ITER = 40
-NM_G2_TOL = 1e-4
+# BFGS stops at this |grad g2| in kappa_a units; its line search meets
+# g2's rounding near 1e-7
+G2_GRADIENT_TOL = 1e-6
+BFGS_MAX_ITER = 50
 COARSE_GRID_POINTS = 11
 # what fails one unit of a sweep; ValueError covers the checks of
 # ``DensityMatrix.validate`` and ``observables`` (and numpy's LinAlgError)
@@ -123,80 +127,75 @@ def map2d(p: SystemParams, delta_a_grid, delta_diff_grid,
 
 
 @dataclass(frozen=True)
-class SimplexResult:
-    """Outcome of ``minimize``: the best vertex, its value and the counts."""
+class MinimizeResult:
+    """Outcome of ``minimize``: the last accepted iterate, its value and gradient, the counts."""
 
     x: np.ndarray
     fun: float
+    jac: np.ndarray
     nfev: int
     nit: int
     success: bool
     message: str
 
 
-def minimize(fun, simplex, fatol: float, xatol: float, maxiter: int) -> SimplexResult:
-    """Nelder-Mead (Comput. J. 7, 308 (1965)) from an initial simplex.
+def minimize(fun, x0, gtol: float, maxiter: int) -> MinimizeResult:
+    """BFGS (Nocedal & Wright, Numerical Optimization, 2nd ed., alg. 6.1) from x0.
 
-    Reflection 1, expansion 2, contraction 1/2 and shrink 1/2, without
-    bounds: the arithmetic and the order of evaluations of
-    ``scipy.optimize.minimize(method="Nelder-Mead")`` given
-    ``initial_simplex``, so both return the same x, fun, nfev and nit.
-    Stops when every vertex lies within xatol of the best in each
-    coordinate and within fatol of its value, or unsuccessfully after
-    maxiter iterations.
+    fun(x) returns the value and the gradient.  The inverse Hessian starts
+    as the identity, so the first trial step is -g in the units of x.  Each
+    step backtracks from the quasi-Newton step until the Armijo condition
+    f(x + t p) <= f(x) + 1e-4 t g.p holds, the next t the minimum of the
+    quadratic through f(x), g.p and f(x + t p), kept within [0.1 t, 0.5 t]
+    (N&W sec. 3.5); a value that is not finite halves t.  An update with
+    s.y <= 0 is skipped.  Stops successfully when |g| <= gtol, and
+    unsuccessfully after maxiter steps, after 30 backtracks without a
+    decrease, or at a start where f is not finite.
     """
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.array([fun(x) for x in sim], dtype=float)
-    nfev, nit = n + 1, 1
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
-    while nit < maxiter:
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, nit, identity = 1, 0, np.eye(x.size)
+    H, message = identity, None
+    while message is None:
+        if not math.isfinite(f):
+            message = "The objective is not finite at the start."
+        elif np.linalg.norm(g) <= gtol:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = fun(xr)
-        nfev += 1
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = fun(xe)
-            nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        elif nit >= maxiter:
+            message = "Maximum number of iterations has been exceeded."
         else:
-            if fxr < fsim[-1]:   # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = fun(xc)
-                accept = fxc <= fxr
-            else:                # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = fun(xc)
-                accept = fxc < fsim[-1]
-            nfev += 1
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
+            p = -H @ g
+            slope, t = g @ p, 1.0
+            for _ in range(31):
+                f_new, g_new = fun(x + t * p)
+                nfev += 1
+                if f_new <= f + 1e-4 * t * slope:
+                    break
+                t_min = (-slope * t * t / (2.0 * (f_new - f - slope * t))
+                         if math.isfinite(f_new) else 0.5 * t)
+                t = min(max(t_min, 0.1 * t), 0.5 * t)
             else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = fun(sim[j])
-                    nfev += 1
-        nit += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    success = nit < maxiter
-    message = ("Optimization terminated successfully." if success
-               else "Maximum number of iterations has been exceeded.")
-    return SimplexResult(sim[0], float(fsim[0]), nfev, nit, success, message)
+                message = "The line search found no decrease."
+                continue
+            s, y = t * p, g_new - g
+            sy = s @ y
+            if sy > 0:
+                V = identity - np.outer(s, y) / sy
+                H = V @ H @ V.T + np.outer(s, s) / sy
+            x, f, g = x + s, f_new, g_new
+            nit += 1
+    return MinimizeResult(x, f, g, nfev, nit, message is None,
+                          message or "Optimization terminated successfully.")
 
 
 def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepRecord:
-    """One pump strength of ``minimize_g2``: coarse grid, Nelder-Mead chain, best vertex.
+    """One pump strength of ``minimize_g2``: coarse grid, BFGS chain, accepted iterate.
 
     The grid runs at min(cutoff, 3) per mode and only picks the seed; the
-    chain and so the returned record are at ``cutoffs``.
+    chain and so the returned record are at ``cutoffs``.  The objective
+    returns g2 and its gradient in kappa_a units (``g2_gradient``, from the
+    solve's own factorization) and keeps each point's record, so the result
+    is the record solved at the accepted iterate.
     """
     span = p.kappa_a
     grid = np.linspace(-span, span, COARSE_GRID_POINTS).tolist()
@@ -211,20 +210,18 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepReco
     best = min(ok, key=lambda r: r.g2)
     solved = {}
 
-    def objective(x) -> float:
+    def objective(x):
         da, db = key = tuple((x * span).tolist())
-        if key not in solved:
-            solved[key] = solve_point(replace(base, delta_a=da, delta_b=db), cutoffs)
-        rec = solved[key]
-        if rec.status != "ok":
-            return 1e6
-        return rec.g2
+        point = replace(base, delta_a=da, delta_b=db)
+        try:
+            sol = displaced_solution(point, cutoffs=cutoffs)
+            solved[key], gradient = _solved_record(point, sol), span * g2_gradient(point, sol)
+        except SOLVE_ERRORS as exc:
+            solved[key], gradient = _failed_record(point, str(exc)), np.full(2, math.nan)
+        return solved[key].g2, gradient
 
-    x0 = np.array([best.delta_a, best.delta_b]) / span
-    res = minimize(objective, np.vstack([x0, x0 + 0.1 * np.eye(2)]),
-                   fatol=NM_G2_TOL, xatol=1e-4, maxiter=400)
-    # x0 is a simplex vertex, so res.x is never worse than the seed at
-    # ``cutoffs``; every vertex was solved at exactly its coordinates
+    res = minimize(objective, np.array([best.delta_a, best.delta_b]) / span,
+                   gtol=G2_GRADIENT_TOL, maxiter=BFGS_MAX_ITER)
     final = solved[tuple((res.x * span).tolist())]
     if not res.success:
         final = replace(final, warnings=(f"optimizer stagnation: {res.message}",) + final.warnings)
@@ -235,14 +232,18 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
                 workers: int = 1) -> list[SweepRecord]:
     """Per pump strength, minimize g2(0) over (delta_a, delta_b).
 
-    Nelder-Mead in units of kappa_a from a 0.1 kappa_a simplex, seeded from
-    the best point of a COARSE_GRID_POINTS-square grid spanning +/- kappa_a
-    around zero detuning.  The grid is solved at min(cutoff, 3) per mode and
-    only picks the seed (at the acceptance etas a cutoff-3 grid picks the
-    seed a cutoff-4 grid picks; a cutoff-2 grid seeds at a corner).  Every
-    vertex is solved at ``cutoffs`` and the result is the record solved at
-    the best vertex, so every written value comes from the configured
-    cutoff; optimizer stagnation goes first in its warnings.  Without a
+    BFGS (``minimize``) in units of kappa_a, on g2 and its gradient from
+    the LU of each solve (``g2_gradient``), seeded from the best point of a
+    COARSE_GRID_POINTS-square grid spanning +/- kappa_a around zero
+    detuning.  The grid is solved at min(cutoff, 3) per mode and only picks
+    the seed (at the acceptance etas a cutoff-3 grid picks the seed a
+    cutoff-4 grid picks; a cutoff-2 grid seeds at a corner).  The chain
+    stops when |grad g2| <= G2_GRADIENT_TOL (kappa_a units), a stationary
+    point; every iterate is solved at ``cutoffs`` and the result is the
+    record solved at the accepted one, so every written value comes from
+    the configured cutoff.  A chain that stops short (BFGS_MAX_ITER steps,
+    a line search without decrease, or a seed that fails at ``cutoffs``)
+    puts "optimizer stagnation: <reason>" first in its warnings.  Without a
     solved grid point the result is failed, at NaN detunings.  One pump
     strength is one serial ``blas.pool_map`` task.
     """

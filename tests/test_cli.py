@@ -51,11 +51,14 @@ eta_a = 15 MHz_over_2pi
 """
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh ``import blockadesim.cli`` loads the module."""
+def _loaded_at_setup(module: str) -> bool:
+    """Whether a fresh interpreter that imports ``blockadesim.cli`` and
+    ``blockadesim.sweep`` and loads the packaged config has loaded the module."""
     src = str(Path(blockadesim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, blockadesim.cli; print({module!r} in sys.modules)"
+    code = ("import sys, blockadesim.cli, blockadesim.sweep\n"
+            "blockadesim.cli.load_config(blockadesim.cli.default_config_path())\n"
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     return out.stdout.strip() == "True"
@@ -63,12 +66,12 @@ def _loaded_by_cli_import(module: str) -> bool:
 
 def test_cli_import_skips_scipy_signal():
     # scipy.signal costs about half a second of import; the CLI must not pull it in
-    assert not _loaded_by_cli_import("scipy.signal")
+    assert not _loaded_at_setup("scipy.signal")
 
 
 def test_cli_import_skips_scipy_optimize():
-    # the envelope's Nelder-Mead is numpy; scipy.optimize cost about 0.2-0.3 s of import
-    assert not _loaded_by_cli_import("scipy.optimize")
+    # the envelope's BFGS is numpy; scipy.optimize adds 0.14-0.17 s to a setup of about 0.4 s
+    assert not _loaded_at_setup("scipy.optimize")
 
 
 # --- config parsing ---
@@ -640,6 +643,23 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, line):
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("old,new", [
+    ("eta_a = 15 MHz_over_2pi", "eta_a = 4000 dBm"),
+    ("eta_a = 15 MHz_over_2pi", "eta_a = 2900 dBm"),
+    ("n_th_port1 = 1.5e-2 dimensionless", "port1_chain = -4000 dB @ 4 K\nport1_source = 300 K"),
+], ids=["dBm-power", "dBm-amplitude", "chain-dB"])
+def test_overflow_says_what_the_value_must_be(tmp_path, capsys, old, new):
+    # 4000 dBm and -4000 dB overflowed in a float power and reported only
+    # errno's "(34, 'Numerical result out of range')"
+    cfg = write_cfg(tmp_path, MINIMAL.replace(old, new))
+    assert main(["device", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    key = "eta_a" if "dBm" in new else "port1_chain, port1_source"
+    assert (f"{key}: must be small enough in magnitude that it converts to a finite number"
+            in err)
+    assert "out of range" not in err
+
+
 def test_cmd_measure_demo_pipeline_failure_exit_code(tmp_path, capsys):
     # unphysical truth covariance is rejected by the synthesizer -> exit 3
     cfg = write_cfg(tmp_path, MINIMAL + """
@@ -721,9 +741,13 @@ eta_values = 16 MHz_over_2pi
     assert float(rows[0]["g2_min"]) < 1.0
 
 
-# g2_min at the packaged six etas, as written when every solve was at cutoff 4
-PACKAGED_ENVELOPE_G2_MIN = [0.7498178468529829, 0.4546866675161149, 0.3308383541868059,
-                            0.28723184137539387, 0.30809014935441514, 0.4224500275641055]
+# g2_min at the packaged six etas, as written by the BFGS chain
+PACKAGED_ENVELOPE_G2_MIN = [0.7498178459175655, 0.45468666732714075, 0.3308383530737695,
+                            0.28723184115078293, 0.30809014923551764, 0.4224500273094939]
+# as the Nelder-Mead chain (stopped on simplex size) wrote them; BFGS, stopped
+# on the gradient norm, may only go lower
+NELDER_MEAD_ENVELOPE_G2_MIN = [0.7498178468529829, 0.4546866675161149, 0.3308383541868059,
+                               0.28723184137539387, 0.30809014935441514, 0.4224500275641055]
 
 
 def test_cmd_envelope_packaged_config(tmp_path):
@@ -734,8 +758,9 @@ def test_cmd_envelope_packaged_config(tmp_path):
     serial = (tmp_path / "1" / "envelope.csv").read_bytes()
     assert (tmp_path / "2" / "envelope.csv").read_bytes() == serial
     rows = list(csv.DictReader(open(tmp_path / "1" / "envelope.csv")))
-    assert [float(r["g2_min"]) for r in rows] == pytest.approx(PACKAGED_ENVELOPE_G2_MIN,
-                                                              rel=1e-9)
+    g2_min = [float(r["g2_min"]) for r in rows]
+    assert g2_min == pytest.approx(PACKAGED_ENVELOPE_G2_MIN, rel=1e-9)
+    assert all(new <= old * (1 + 1e-12) for new, old in zip(g2_min, NELDER_MEAD_ENVELOPE_G2_MIN))
 
 
 def test_cmd_envelope_requires_etas(tmp_path):

@@ -948,3 +948,90 @@ def test_observables_zero_population_error():
     rho = DensityMatrix((4, 4), np.diag([1.0] + [0.0] * 15).astype(complex))
     with pytest.raises(ValueError):
         observables(rho, alpha=0.0)
+
+
+# --- the g2 gradient ---
+
+# (eta, delta_a, delta_b) in MHz and the cutoffs: near the envelope optima at
+# the six acceptance-7 etas, the bistable low branch at 48 MHz, and a GMRES size
+GRADIENT_POINTS = [
+    (8, -4.4515, 3.8792, (4, 4)), (12, -2.7775, 3.1089, (4, 4)), (16, -2.0100, 2.7619, (4, 4)),
+    (24, -1.6558, 2.3861, (4, 4)), (32, 9.8808, 0.2091, (4, 4)), (48, 14.3391, -1.1404, (4, 4)),
+    (48, 25.875, 7.245, (4, 4)), (24, 1.0, 2.0, (5, 6)),
+]
+GRADIENT_STEP = 1e-4      # of the difference stencil, in kappa_a
+GRADIENT_TOL = 1e-7       # |analytic - differences| in kappa_a units: ~1e-11 dense, ~1e-8 GMRES
+
+
+@pytest.mark.parametrize("eta,da,db,cutoffs", GRADIENT_POINTS)
+def test_g2_gradient_matches_central_differences(eta, da, db, cutoffs):
+    p = sample_params(eta=eta * MHz, da=da * MHz, db=db * MHz)
+    sol = displaced_solution(p, cutoffs=cutoffs)
+    assert sol.liouvillian.is_sparse is (cutoffs == (5, 6))
+    assert ("bistable mean field: selected low-amplitude branch" in sol.warnings) is (da > 20)
+    got = KAPPA_A * lindblad_mod.g2_gradient(p, sol)
+
+    def g2(step):
+        moved = replace(p, delta_a=p.delta_a + step[0], delta_b=p.delta_b + step[1])
+        return displaced_solution(moved, cutoffs=cutoffs).obs.g2_gaussian
+
+    h = GRADIENT_STEP * KAPPA_A
+    # the fourth-order central difference: (-f(2h) + 8 f(h) - 8 f(-h) + f(-2h)) / 12h
+    want = [sum(w * g2(k * h * axis) for k, w in ((2, -1), (1, 8), (-1, -8), (-2, 1)))
+            / (12 * GRADIENT_STEP) for axis in np.eye(2)]
+    assert np.abs(got - want).max() <= GRADIENT_TOL
+
+
+# --- the weak-drive oracle ---
+
+def weak_drive_g2(p: SystemParams) -> float:
+    """g2_a(0) to lowest order in eta_a, pumped on mode a alone.
+
+    For eta_a -> 0 the state is C00 |00> + C10 |10> + C01 |01> + C20 |20> +
+    C11 |11> + C02 |02> with C00 = 1, and H - i (kappa_a a'a + kappa_b b'b) / 2
+    annihilates it order by order in eta_a (Bamba et al., PRA 83, 021802(R)
+    (2011)): a 2 x 2 system for the one-excitation and a 3 x 3 one for the
+    two-excitation amplitudes.  Then g2_a(0) = 2 |C20|^2 / |C10|^4.
+    """
+    e_a = -p.delta_a - 0.5j * p.kappa_a
+    e_b = -p.delta_b - 0.5j * p.kappa_b
+    r2 = math.sqrt(2.0)
+    c10, c01 = np.linalg.solve([[e_a, p.J], [p.J, e_b]], [-p.eta_a, 0.0])
+    c20, _, _ = np.linalg.solve([[2 * e_a, r2 * p.J, 0.0],
+                                 [r2 * p.J, e_a + e_b, r2 * p.J],
+                                 [0.0, r2 * p.J, 2 * e_b - 2 * p.U]],
+                                [-r2 * p.eta_a * c10, -p.eta_a * c01, 0.0])
+    return 2.0 * abs(c20) ** 2 / abs(c10) ** 4
+
+
+def exact_g2(sol) -> float:
+    """<a'a'aa> / <a'a>^2 of the lab-frame a = alpha + d in the displaced state."""
+    A = two_mode_annihilators(*sol.rho.dims)[0].data + sol.mean_field.alpha * np.eye(
+        math.prod(sol.rho.dims))
+    Ad, rho = A.conj().T, sol.rho.data
+    return (np.trace(Ad @ Ad @ A @ A @ rho) / np.trace(Ad @ A @ rho) ** 2).real
+
+
+def test_weak_drive_limit_over_the_detuning_plane():
+    # at n_th = 0 and eta = 0.1 MHz the exact and the Gaussian g2 of displaced
+    # cutoff 4 meet the two-excitation answer to ~2e-5 over the +/- kappa_a grid
+    # (g2 runs from 1.7e-3 to 4.1 there); a flipped Kerr or delta_b sign in K
+    # moves some point by more than 0.1
+    grid = np.linspace(-KAPPA_A, KAPPA_A, 11)
+    for da in grid:
+        for db in grid:
+            p = sample_params(eta=0.1 * MHz, da=da, db=db, n_th_a=0.0)
+            sol = displaced_solution(p)
+            want = weak_drive_g2(p)
+            assert abs(exact_g2(sol) - want) <= 5e-5, (da / MHz, db / MHz)
+            assert abs(sol.obs.g2_gaussian - want) <= 5e-5, (da / MHz, db / MHz)
+
+
+def test_weak_drive_gap_grows_as_eta_squared():
+    # the next order in eta is eta^2: doubling the pump quadruples the gap
+    gaps = []
+    for eta in (0.5, 1.0):
+        p = sample_params(eta=eta * MHz, n_th_a=0.0)
+        gaps.append(exact_g2(displaced_solution(p)) - weak_drive_g2(p))
+    assert gaps[1] / gaps[0] == pytest.approx(4.0, rel=0.01)
+    assert abs(gaps[0]) > 1e-4

@@ -7,13 +7,15 @@ import pytest
 from scipy.optimize import minimize
 
 from blockadesim import blas
-from blockadesim.lindblad import ConvergenceError, SteadyStateError, SystemParams
-from blockadesim.sweep import (NM_G2_TOL, SweepRecord, dominant_period,
+from blockadesim.lindblad import (ConvergenceError, SteadyStateError, SystemParams,
+                                  displaced_solution, g2_gradient)
+from blockadesim.sweep import (G2_GRADIENT_TOL, SweepRecord, dominant_period,
                                fit_eta_to_population, map2d, minimize_g2,
                                solve_point, sweep_detuning)
 
 TWO_PI = 2.0 * math.pi
 MHz = TWO_PI * 1e6
+NM_G2_TOL = 1e-4   # how much lower a Nelder-Mead restart may find g2 (the restart oracle)
 
 J = 25.1 * MHz
 U = 0.25 * MHz
@@ -192,7 +194,7 @@ def test_minimize_is_stable_under_grid_refinement(monkeypatch):
     coarse = minimize_g2(p, [0.05 * MHz])[0]
     monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 21)
     fine = minimize_g2(p, [0.05 * MHz])[0]
-    # the Nelder-Mead polish should erase the seeding difference
+    # the BFGS polish should erase the seeding difference
     assert fine.g2 == pytest.approx(coarse.g2, abs=0.02 * max(coarse.g2, 0.05))
 
 
@@ -242,41 +244,59 @@ def test_envelope_is_lower_bound_in_population_bin():
 ACCEPTANCE_7_ETAS = [8 * MHz, 12 * MHz, 16 * MHz, 24 * MHz, 32 * MHz, 48 * MHz]
 
 
-def test_nelder_mead_retraces_scipy_at_the_envelope_etas(monkeypatch):
+def test_envelope_optima_are_stationary(monkeypatch):
+    # every chain stops on the gradient norm, and a fresh solve and gradient
+    # at the written detunings confirm it (BLAS at one thread, as in minimize_g2)
     import blockadesim.sweep as sweep_mod
 
-    real, pairs = sweep_mod.minimize, []
+    real, results = sweep_mod.minimize, []
 
-    def alongside_scipy(fun, simplex, **options):
-        # the objective reads minimize_g2's loop variables, so run scipy now
-        res = real(fun, simplex, **options)
-        pairs.append((res, minimize(fun, simplex[0], method="Nelder-Mead",
-                                    options={"initial_simplex": simplex, **options})))
-        return res
+    def recording_minimize(*args, **options):
+        results.append(real(*args, **options))
+        return results[-1]
 
-    monkeypatch.setattr(sweep_mod, "minimize", alongside_scipy)
-    minimize_g2(sample_params(0.0), ACCEPTANCE_7_ETAS)
-    assert len(pairs) == len(ACCEPTANCE_7_ETAS)
-    for got, want in pairs:
-        assert np.array_equal(got.x, want.x) and got.fun == want.fun
-        assert (got.nfev, got.nit, got.success) == (want.nfev, want.nit, want.success)
+    monkeypatch.setattr(sweep_mod, "minimize", recording_minimize)
+    p = sample_params(0.0)
+    env = minimize_g2(p, ACCEPTANCE_7_ETAS)
+    assert len(results) == len(ACCEPTANCE_7_ETAS)
+    for eta, point, res in zip(ACCEPTANCE_7_ETAS, env, results):
+        assert res.success and np.linalg.norm(res.jac) <= G2_GRADIENT_TOL
+        assert point.warnings == () and point.status == "ok"
+        at = replace(p, eta_a=complex(eta), delta_a=point.delta_a, delta_b=point.delta_b)
+        with blas.single_threaded():
+            gradient = KAPPA_A * g2_gradient(at, displaced_solution(at))
+        assert np.linalg.norm(gradient) <= G2_GRADIENT_TOL, eta / MHz
 
 
-@pytest.mark.parametrize("maxiter", [5, 400])
-def test_nelder_mead_stops_like_scipy(maxiter):
+def rosenbrock(x):
+    value = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    return value, np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+                            200.0 * (x[1] - x[0] ** 2)])
+
+
+def test_bfgs_reaches_the_rosenbrock_minimum():
     import blockadesim.sweep as sweep_mod
 
-    def rosenbrock(x):
-        return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    res = sweep_mod.minimize(rosenbrock, [-1.2, 1.0], gtol=1e-8, maxiter=200)
+    assert res.success and res.message == "Optimization terminated successfully."
+    assert np.linalg.norm(res.jac) <= 1e-8
+    assert res.x == pytest.approx([1.0, 1.0], abs=1e-8)
+    value, gradient = rosenbrock(res.x)
+    assert res.fun == value and np.array_equal(res.jac, gradient)
+    assert res.nit < res.nfev < 100
 
-    simplex = np.array([[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]])
-    got = sweep_mod.minimize(rosenbrock, simplex, fatol=1e-8, xatol=1e-8, maxiter=maxiter)
-    want = minimize(rosenbrock, simplex[0], method="Nelder-Mead",
-                    options={"initial_simplex": simplex, "fatol": 1e-8, "xatol": 1e-8,
-                             "maxiter": maxiter})
-    assert np.array_equal(got.x, want.x) and got.fun == want.fun
-    assert (got.nfev, got.nit, got.success, got.message) == (
-        want.nfev, want.nit, want.success, want.message)
+
+def test_bfgs_stops_at_maxiter_and_at_a_nonfinite_start():
+    import blockadesim.sweep as sweep_mod
+
+    capped = sweep_mod.minimize(rosenbrock, [-1.2, 1.0], gtol=1e-8, maxiter=5)
+    assert (capped.nit, capped.success) == (5, False)
+    assert capped.message == "Maximum number of iterations has been exceeded."
+    assert capped.fun < rosenbrock([-1.2, 1.0])[0]
+    nan = sweep_mod.minimize(lambda x: (math.nan, np.full(2, math.nan)), [0.0, 0.0],
+                             gtol=1e-8, maxiter=5)
+    assert (nan.nfev, nan.success) == (1, False)
+    assert nan.message == "The objective is not finite at the start."
 
 
 def test_optimizer_hitting_maxiter_is_reported(monkeypatch):
@@ -284,8 +304,7 @@ def test_optimizer_hitting_maxiter_is_reported(monkeypatch):
 
     real = sweep_mod.minimize
     monkeypatch.setattr(sweep_mod, "minimize",
-                        lambda fun, simplex, **options: real(fun, simplex,
-                                                             **{**options, "maxiter": 3}))
+                        lambda fun, x0, **options: real(fun, x0, **{**options, "maxiter": 3}))
     env = minimize_g2(sample_params(24 * MHz), [24 * MHz])[0]
     assert np.isfinite(env.g2)
     assert ("optimizer stagnation: Maximum number of iterations has been exceeded."
@@ -314,7 +333,7 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
     # the final point reuses the objective's record: no point is solved twice
     import blockadesim.sweep as sweep_mod
 
-    real_solve, real_minimize = sweep_mod.solve_point, sweep_mod.minimize
+    real_solve, real_minimize = sweep_mod.displaced_solution, sweep_mod.minimize
     solved_at, results = [], []
 
     def counting_solve(p, cutoffs=(4, 4)):
@@ -325,11 +344,11 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
         results.append(real_minimize(*args, **options))
         return results[-1]
 
-    monkeypatch.setattr(sweep_mod, "solve_point", counting_solve)
+    monkeypatch.setattr(sweep_mod, "displaced_solution", counting_solve)
     monkeypatch.setattr(sweep_mod, "minimize", recording_minimize)
     etas = [16 * MHz, 24 * MHz]
     env = minimize_g2(sample_params(0.0), etas)
-    # the grid at cutoff 3 only seeds; every Nelder-Mead vertex, the seed
+    # the grid at cutoff 3 only seeds; every BFGS evaluation, the seed
     # among them, is solved once at the configured cutoff 4
     assert Counter(solved_at) == {(3, 3): 121 * len(etas),
                                   (4, 4): sum(res.nfev for res in results)}
@@ -337,8 +356,8 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
     # BLAS at one thread as in minimize_g2 (the LU rounds by thread count)
     for eta, point in zip(etas, env):
         with blas.single_threaded():
-            fresh = real_solve(replace(sample_params(0.0), eta_a=complex(eta),
-                                       delta_a=point.delta_a, delta_b=point.delta_b))
+            fresh = solve_point(replace(sample_params(0.0), eta_a=complex(eta),
+                                        delta_a=point.delta_a, delta_b=point.delta_b))
         assert (point.n_tot, point.g2, point.delta_a, point.delta_b) == (
             fresh.n_tot, fresh.g2, fresh.delta_a, fresh.delta_b)
         assert [type(v) for v in (point.delta_a, point.delta_b)] == [float, float]
@@ -377,14 +396,14 @@ def test_grid_runs_at_min_cutoff_3_and_the_chain_at_the_cutoff(monkeypatch, cuto
                                                                  grid_cutoffs):
     import blockadesim.sweep as sweep_mod
 
-    real_solve, solved_at = sweep_mod.solve_point, []
+    real_solve, solved_at = sweep_mod.displaced_solution, []
 
     def recording_solve(p, cutoffs=(4, 4)):
         solved_at.append(tuple(cutoffs))
         return real_solve(p, cutoffs)
 
     monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 3)
-    monkeypatch.setattr(sweep_mod, "solve_point", recording_solve)
+    monkeypatch.setattr(sweep_mod, "displaced_solution", recording_solve)
     env = minimize_g2(sample_params(0.0), [24 * MHz], cutoffs=cutoffs)[0]
     assert env.status == "ok"
     assert solved_at[:9] == [grid_cutoffs] * 9
