@@ -51,6 +51,9 @@ KIND_UNITS = {
 
 # the accepted spellings of a yes/no value, compared lower-cased
 BOOLEANS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
+# each flux point is checked at load and written as a row by `device`; the
+# packaged grid has 941
+FLUX_GRID_MAX_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -286,7 +289,8 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     library_call("device", ("flux_ratio",), squid_inductance, flux_ratio, L_s0)
     flux_start, flux_stop, flux_points = values(
         "device", "flux_grid", "dimensionless", (0.0, 0.49, 99), 3,
-        (lambda start, stop, points: whole(0)(points), "start, stop and a whole point count >= 0"))
+        (lambda start, stop, points: whole(0)(points) and points <= FLUX_GRID_MAX_POINTS,
+         f"start, stop and a whole point count from 0 to {FLUX_GRID_MAX_POINTS}"))
     grid = np.linspace(flux_start, flux_stop, int(flux_points)).tolist()
     library_call("device", ("flux_grid",), lambda: [squid_inductance(phi, L_s0) for phi in grid])
 

@@ -61,18 +61,33 @@ class DensityMatrix(Operator):
     """
 
     def validate(self) -> "DensityMatrix":
-        data, adjoint = self.data, self.data.conj().T
-        scale = max(np.abs(data).max(), 1e-300)
-        herm = np.abs(data - adjoint).max() / scale
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: deviation {herm:.2e}")
-        tr = np.trace(data)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        evals = np.linalg.eigvalsh(0.5 * (data + adjoint))
-        if evals.min() < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {evals.min():.2e} below floor")
+        error = state_errors(self.data[None])[0]
+        if error is not None:
+            raise ValueError(error)
         return self
+
+
+def state_errors(data: np.ndarray) -> list[str | None]:
+    """For each matrix of a stack (P, n, n), why it is not a valid density
+    matrix, or None: Hermiticity to HERMITICITY_TOL relative to its largest
+    entry, unit trace to TRACE_TOL and eigenvalues at or above
+    EIGENVALUE_FLOOR, the first that fails.  One stacked ``eigvalsh``."""
+    adjoint = data.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.abs(data).max(axis=(-2, -1)), 1e-300)
+    deviations = np.abs(data - adjoint).max(axis=(-2, -1)) / scale
+    traces = np.trace(data, axis1=-2, axis2=-1)
+    lowest = np.linalg.eigvalsh(0.5 * (data + adjoint)).min(axis=-1)
+    errors = []
+    for herm, tr, low in zip(deviations, traces, lowest):
+        if herm > HERMITICITY_TOL:
+            errors.append(f"density matrix not Hermitian: deviation {herm:.2e}")
+        elif abs(tr - 1.0) > TRACE_TOL:
+            errors.append(f"density matrix trace {tr} differs from 1")
+        elif low < EIGENVALUE_FLOOR:
+            errors.append(f"density matrix has eigenvalue {low:.2e} below floor")
+        else:
+            errors.append(None)
+    return errors
 
 
 def annihilation(cutoff: int) -> Operator:

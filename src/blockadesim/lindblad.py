@@ -33,16 +33,18 @@ every other form of L and its trace check are read from them.  Up to
 DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5, the
 cutoff-4 production path among them) the steady state is one real LU in a
 Hermitian basis; above it, GMRES on the CSR superoperator, preconditioned
-by the Sylvester part of L solved in the eigenbasis of K.  Two-time
-correlations propagate the observable with ``expm_multiply`` on the
-adjoint of the same CSR superoperator, at any cutoff.
+by the Sylvester part of L solved in the eigenbasis of K.
+``stacked_solutions`` runs the dense path on many detunings at once, each
+step on arrays with a leading point axis but the LU, one per point.
+Two-time correlations propagate the observable with ``expm_multiply`` on
+the adjoint of the same CSR superoperator, at any cutoff.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -51,7 +53,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
-from .hilbert import DensityMatrix, two_mode_annihilators
+from .hilbert import DensityMatrix, state_errors, two_mode_annihilators
 
 TRACE_PRESERVATION_TOL = 1e-8
 STEADY_STATE_RESIDUAL_TOL = 1e-9
@@ -64,6 +66,7 @@ GMRES_RESTART = 60
 GMRES_MAX_CYCLES = 20
 CAUCHY_SCHWARZ_TOL = 1e-9          # slack of the two-time correlator bounds
 EIGENBASIS_TOL = 1e-8              # max|V diag(lam) V^-1 - K/s| the preconditioner accepts
+BISTABLE_WARNING = "bistable mean field: selected low-amplitude branch"
 
 
 class ConvergenceError(RuntimeError):
@@ -129,36 +132,46 @@ def mean_field_steady_state(p: SystemParams) -> MeanFieldResult:
     Raises ConvergenceError when the drift at the returned point exceeds
     MEAN_FIELD_TOL relative to the pump and damping scale.
     """
-    a11 = 1j * p.delta_a - 0.5 * p.kappa_a
-    a12 = -1j * p.J
-    a22 = 1j * p.delta_b - 0.5 * p.kappa_b
-    warnings: tuple[str, ...] = ()
-    A = a22 - a12 * a12 / a11
-    B = 1j * p.eta_b - 1j * p.eta_a * a12 / a11
-    if p.U == 0 or B == 0:
-        beta = B / A
-    else:
-        # the cubic over 4U^2 is n^3 + c2 n^2 + c1 n + c0; its roots are the
-        # eigenvalues of the companion matrix, which is real, so LAPACK
-        # returns the real roots with an imaginary part of exactly zero
-        c2, c1, c0 = A.imag / p.U, (abs(A) / (2 * p.U)) ** 2, -(abs(B) / (2 * p.U)) ** 2
-        roots = np.linalg.eigvals([[-c2, -c1, -c0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        n = np.sort(roots[roots.imag == 0].real)
-        if len(n) == 3:
-            warnings = ("bistable mean field: selected low-amplitude branch",)
-        beta = B / (A + 2j * p.U * n[0])
-    alpha = (1j * p.eta_a - a12 * beta) / a11
-
-    drift = [a11 * alpha + a12 * beta - 1j * p.eta_a,
-             (a22 + 2j * p.U * abs(beta) ** 2) * beta + a12 * alpha - 1j * p.eta_b]
-    scale = max(abs(p.eta_a), abs(p.eta_b),
-                p.kappa_a * (1.0 + abs(alpha)), p.kappa_b * (1.0 + abs(beta)))
-    res = math.hypot(*map(abs, drift)) / scale
+    alpha, beta, res, real_roots = _mean_field(p)
     if not res <= MEAN_FIELD_TOL:
         raise ConvergenceError(
             f"mean-field drift residual {res:.2e} at the closed-form fixed point "
             f"exceeds {MEAN_FIELD_TOL:.0e}")
-    return MeanFieldResult(complex(alpha), complex(beta), res, warnings)
+    warnings = (BISTABLE_WARNING,) if real_roots == 3 else ()
+    return MeanFieldResult(complex(alpha), complex(beta), float(res), warnings)
+
+
+def _mean_field(p: SystemParams):
+    """alpha, beta, the drift residual and the number of real roots of the cubic
+    (see ``mean_field_steady_state``), elementwise where p's detunings are
+    arrays (``stacked_solutions``).  Where U = 0 the cubic is not formed and
+    n = 0; where B = 0 its low root is n = 0.
+    """
+    a11 = 1j * p.delta_a - 0.5 * p.kappa_a
+    a12 = -1j * p.J
+    a22 = 1j * p.delta_b - 0.5 * p.kappa_b
+    A = a22 - a12 * a12 / a11
+    B = 1j * p.eta_b - 1j * p.eta_a * a12 / a11
+    n, real_roots = 0.0, 1
+    if p.U != 0:
+        # the cubic over 4U^2 is n^3 + c2 n^2 + c1 n + c0; its roots are the
+        # eigenvalues of the companion matrix, which is real, so LAPACK
+        # returns the real roots with an imaginary part of exactly zero
+        c2, c1, c0 = A.imag / p.U, (abs(A) / (2 * p.U)) ** 2, -(abs(B) / (2 * p.U)) ** 2
+        companion = np.zeros(np.shape(c2) + (3, 3))
+        companion[..., 0, :] = np.stack(np.broadcast_arrays(-c2, -c1, -c0), axis=-1)
+        companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+        roots = np.linalg.eigvals(companion)
+        real = roots.imag == 0
+        n, real_roots = np.where(real, roots.real, np.inf).min(axis=-1), real.sum(axis=-1)
+    beta = B / (A + 2j * p.U * n)
+    alpha = (1j * p.eta_a - a12 * beta) / a11
+
+    drift_a = a11 * alpha + a12 * beta - 1j * p.eta_a
+    drift_b = (a22 + 2j * p.U * abs(beta) ** 2) * beta + a12 * alpha - 1j * p.eta_b
+    scale = np.maximum(max(abs(p.eta_a), abs(p.eta_b)),
+                       np.maximum(p.kappa_a * (1.0 + abs(alpha)), p.kappa_b * (1.0 + abs(beta))))
+    return alpha, beta, np.hypot(abs(drift_a), abs(drift_b)) / scale, real_roots
 
 
 # --- superoperator plumbing (column-stacking convention) ---
@@ -197,23 +210,14 @@ class Liouvillian:
         K, weights, jumps = self.terms
         if np.iscomplexobj(jumps) or jumps.diagonal(0, 1, 2).any():
             raise ValueError("jumps must be real with a zero diagonal (bare ladder operators)")
-        jump_support = (jumps != 0) & (weights != 0)[:, None, None]
-        layout = _superop_layout((K != 0).tobytes(), jump_support.tobytes(), K.shape[0])
-        diagonal = K.diagonal()
-        # one gather from the source [K, conj K, D, jump products], a temporary
-        # freed before max|entries| allocates
-        entries = np.concatenate((
-            K.ravel(), K.conj().ravel(), (diagonal[None, :] + diagonal.conj()[:, None]).ravel(),
-            (weights[:, None, None] * jumps).ravel()[layout.left] * jumps.ravel()[layout.right],
-        ))[layout.gather]
+        layout = _superop_layout((K != 0).tobytes(), _jump_support(weights, jumps), K.shape[0])
+        entries = _superop_entries(layout, K, weights, jumps)
         entries.flags.writeable = False
         scale = float(np.abs(entries).max(initial=0.0))
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "max_abs", scale)
         object.__setattr__(self, "_layout", layout)
-        # d Tr(rho)/dt = vec(I)' L vec(rho): the leak is the sum of L's trace rows
-        leak = np.bincount(layout.trace_columns, weights=entries[layout.trace_entries].view(float))
-        if np.abs(leak.view(complex)).max(initial=0.0) > TRACE_PRESERVATION_TOL * scale:
+        if _trace_leak(layout, entries) > TRACE_PRESERVATION_TOL * scale:
             raise ValueError("Liouvillian is not trace preserving")
 
     @property
@@ -226,10 +230,7 @@ class Liouvillian:
         return math.prod(self.dims) ** 2
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        K, weights, jumps = self.terms
-        products = jumps @ rho @ jumps.transpose(0, 2, 1)
-        jump_sum = (weights @ products.reshape(len(weights), -1)).reshape(rho.shape)
-        return K @ rho + rho @ K.conj().T + jump_sum
+        return _apply(*self.terms, rho)
 
     def superoperator(self) -> csr_array:
         """The side x side superoperator in CSR form, built at the first call.
@@ -326,6 +327,56 @@ def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLa
     return _SuperopLayout(n, *arrays)
 
 
+def _jump_support(weights: np.ndarray, jumps: np.ndarray) -> bytes:
+    """The support key of the weighted jumps for ``_superop_layout``."""
+    return ((jumps != 0) & (weights != 0)[:, None, None]).tobytes()
+
+
+def _superop_entries(layout: _SuperopLayout, K: np.ndarray, weights: np.ndarray,
+                     jumps: np.ndarray) -> np.ndarray:
+    """L's stored entries in the CSR order of ``layout``, for K of shape (n, n) or (P, n, n).
+
+    One gather from the source [K, conj K, D, jump products], a temporary
+    freed before the caller's max|entries| allocates; the jump products
+    are the same for every point of a stack.
+    """
+    diagonal = K.diagonal(0, -2, -1)
+    lead = K.shape[:-2]
+    products = (weights[:, None, None] * jumps).ravel()[layout.left] * jumps.ravel()[layout.right]
+    source = np.concatenate((
+        K.reshape(lead + (-1,)), K.conj().reshape(lead + (-1,)),
+        (diagonal[..., None, :] + diagonal.conj()[..., :, None]).reshape(lead + (-1,)),
+        np.broadcast_to(products, lead + products.shape),
+    ), axis=-1)
+    # one point indexes with the int32 gather as it is; a stack takes an intp
+    # copy of it, which keeps each point's entries contiguous for view(float)
+    return source[layout.gather] if not lead else np.take(source, layout.gather, axis=-1)
+
+
+def _trace_leak(layout: _SuperopLayout, entries: np.ndarray) -> np.ndarray:
+    """max over columns of |sum of L's trace rows (i, i)|, per point of entries (..., nnz).
+
+    d Tr(rho)/dt = vec(I)' L vec(rho), so the leak is the sum of the trace
+    rows; one ``np.bincount`` sums each point's into its own columns.
+    """
+    values = np.ascontiguousarray(entries[..., layout.trace_entries]).view(float)
+    points = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
+    width = 2 * layout.n * layout.n
+    columns = layout.trace_columns + width * np.arange(len(points))[:, None]
+    leak = np.bincount(columns.ravel(), weights=points.ravel(), minlength=width * len(points))
+    return np.abs(leak.view(complex)).reshape(len(points), -1).max(axis=1).reshape(
+        values.shape[:-1])
+
+
+def _apply(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """L rho = K rho + rho K' + sum_m w_m C_m rho C_m' for rho (and K) of shape (..., n, n)."""
+    out = K @ rho + rho @ K.conj().swapaxes(-1, -2)
+    for w, C in zip(weights.tolist(), jumps):
+        if w:
+            out += w * (C @ rho @ C.T)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _CutoffModel:
     """The operators of one cutoff pair that no parameter point changes.
@@ -361,9 +412,8 @@ def _cutoff_model(n_a: int, n_b: int) -> _CutoffModel:
     return _CutoffModel(jumps[0], jumps[2], basis, jumps, moments)
 
 
-def _k_coefficients(p: SystemParams, alpha: complex, beta: complex,
-                    weights: np.ndarray) -> np.ndarray:
-    """The coefficients of K on the basis of ``_cutoff_model``.
+def _k_coefficients(p: SystemParams, alpha, beta, weights: np.ndarray) -> np.ndarray:
+    """The coefficients of K on the basis of ``_cutoff_model``, on the last axis.
 
     K = -iH(A + alpha, B + beta) - 1/2 sum_m w_m C_m' C_m
         + 1/2 sum_m w_m (conj(s_m) C_m - s_m C_m')
@@ -373,15 +423,15 @@ def _k_coefficients(p: SystemParams, alpha: complex, beta: complex,
     left out.  The a' and b' coefficients are the mean-field drift of
     (alpha, beta), so they vanish at the fixed point, and each pair X, X'
     has the coefficients -conj(c), c, as K + K' = -sum_m w_m C_m' C_m.
+    Elementwise where the detunings and (alpha, beta) are arrays of one shape.
     """
     w_a, w_ad, w_b, w_bd = weights.tolist()
-    alpha, beta = complex(alpha), complex(beta)
     cb = beta.conjugate()
     n_b = abs(beta) ** 2
     ad = -1j * (-p.delta_a * alpha + p.J * beta + p.eta_a) - 0.5 * (w_a - w_ad) * alpha
     bd = (-1j * (-p.delta_b * beta + p.J * alpha - 2.0 * p.U * n_b * beta + p.eta_b)
           - 0.5 * (w_b - w_bd) * beta)
-    return np.array([
+    return np.stack(np.broadcast_arrays(
         -0.5 * w_a + 1j * p.delta_a,                     # a'a
         -0.5 * w_ad,                                     # a a'
         -0.5 * w_b + 1j * (p.delta_b + 4.0 * p.U * n_b),  # b'b
@@ -392,7 +442,21 @@ def _k_coefficients(p: SystemParams, alpha: complex, beta: complex,
         -bd.conjugate(), bd,                             # b, b'
         2j * p.U * beta, 2j * p.U * cb,                  # b'b'b, b'bb
         1j * p.U * beta ** 2, 1j * p.U * cb ** 2,        # b'b', bb
-    ])
+    ), axis=-1)
+
+
+def _jump_weights(p: SystemParams) -> np.ndarray:
+    """The weights of the jumps a, a', b, b'."""
+    return np.array([p.kappa_a * (p.n_th_a + 1.0), p.kappa_a * p.n_th_a,
+                     p.kappa_b * (p.n_th_b + 1.0), p.kappa_b * p.n_th_b])
+
+
+def _k_matrix(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """coefficients (..., 14) times the real basis, flattened K (..., n^2).  Each
+    point is its own matrix-vector product, so a point's K does not depend on
+    the points stacked with it."""
+    return ((coefficients.real[..., None, :] @ basis)[..., 0, :]
+            + 1j * (coefficients.imag[..., None, :] @ basis)[..., 0, :])
 
 
 def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
@@ -411,24 +475,35 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
             f"superoperator side {joint * joint} exceeds the {MAX_SUPEROP_SIDE} guard")
     model = _cutoff_model(n_a, n_b)
     alpha, beta = (0.0, 0.0) if displacement is None else displacement
-    weights = np.array([p.kappa_a * (p.n_th_a + 1.0), p.kappa_a * p.n_th_a,
-                        p.kappa_b * (p.n_th_b + 1.0), p.kappa_b * p.n_th_b])
-    coefficients = _k_coefficients(p, alpha, beta, weights)
-    K = coefficients.real @ model.basis + 1j * (coefficients.imag @ model.basis)
+    weights = _jump_weights(p)
+    K = _k_matrix(_k_coefficients(p, complex(alpha), complex(beta), weights), model.basis)
     return Liouvillian((n_a, n_b), (K.reshape(joint, joint), weights, model.jumps))
 
 
-def _hermitian_form(L: Liouvillian, scale: float) -> np.ndarray:
+def _hermitian_form(layout: _SuperopLayout, entries: np.ndarray, scale: float) -> np.ndarray:
     """The real matrix M = (Re L + (Im L) P) / scale of L, P the transpose permutation.
 
     One ``np.bincount`` sums the real and imaginary parts of L's entries
     into the positions ``_SuperopLayout.real_positions`` lists (M is 7 %
     nonzero at cutoff 4).
     """
-    side = L.side
-    M = np.bincount(L._layout.real_positions, weights=L.entries.view(float) / scale,
+    side = layout.n * layout.n
+    M = np.bincount(layout.real_positions, weights=entries.view(float) / scale,
                     minlength=side * side)
     return M.reshape(side, side)
+
+
+def _lu_factor(layout: _SuperopLayout, entries: np.ndarray, scale: float):
+    """(lu, piv, info) of ``_hermitian_form`` with row 0 replaced by the trace.
+
+    M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
+    ``dgetrs`` with trans=1 then solves M z = r.
+    """
+    joint = layout.n
+    M = _hermitian_form(layout, entries, scale)
+    M[0, :] = 0.0
+    M[0, ::joint + 1] = 1.0
+    return dgetrf(M.T, overwrite_a=True)
 
 
 def _lu_solver(L: Liouvillian):
@@ -445,13 +520,7 @@ def _lu_solver(L: Liouvillian):
     returned solve is one back-substitution for any number of right-hand
     sides (columns of r).
     """
-    joint = math.prod(L.dims)
-    M = _hermitian_form(L, L.max_abs)
-    M[0, :] = 0.0
-    M[0, ::joint + 1] = 1.0
-    # M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
-    # trans=1 then solves M z = r
-    lu, piv, info = dgetrf(M.T, overwrite_a=True)
+    lu, piv, info = _lu_factor(L._layout, L.entries, L.max_abs)
     if info != 0:
         raise SteadyStateError(f"LU solve failed: LAPACK info {info} (a zero pivot if positive)")
     return lambda r: dgetrs(lu, piv, r, trans=1)[0]
@@ -667,15 +736,25 @@ class Observables:
 def observables(rho_displaced: DensityMatrix, alpha: complex) -> Observables:
     """Population and the two g2(0) variants from the displaced steady state.
 
-    g2_gaussian uses the Gaussian factorization of the fourth moment;
-    g2_prime keeps the exact <d'd'dd> of the solved state.
+    n = <d'd>, s = <dd> and q = <d'd'dd> of the displaced mode d = a - alpha
+    are read from the solved state.  g2_gaussian is ``g2_zero`` of
+    (alpha, n, s), the Gaussian factorization of the fourth moment.
+    g2_prime is ``g2_from_normal_moments`` with the solved q but with
+    <d'dd> set to 0 and <d> taken as 0: it keeps the exact <d'd'dd> and
+    drops the cubic term 4 Re(conj(alpha) <d'dd>) and the <d> terms, which
+    matter at strong pump (0.2913 against an exact <a'a'aa>/<a'a>^2 of
+    0.3303 at the 24 MHz envelope optimum).  So neither variant is the
+    exact g2 of the solved state.
     """
     n, s, q = _cutoff_model(*rho_displaced.dims).moments @ rho_displaced.data.ravel()
-    n, s, q = n.real, complex(s), q.real
+    return _observables(alpha, n, s, q)
 
+
+def _observables(alpha: complex, n, s, q) -> Observables:
+    """``observables`` from the traces (n, s, q) of the moments with the state."""
+    n, s, q = n.real, complex(s), q.real
     n_tot = abs(alpha) ** 2 + n
     g2_gauss = g2_zero(GaussianState(alpha, n, s))
-    # m12 = 0.0 drops the solved state's <d'dd> (and its <d> terms), which matter at strong pump
     g2_prime = g2_from_normal_moments(alpha, n, s, 0.0, q)
     return Observables(float(n_tot), g2_gauss, g2_prime, float(n), s)
 
@@ -701,6 +780,96 @@ def displaced_solution(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> Di
     rho = steady_state(L)
     obs = observables(rho, mf.alpha)
     return DisplacedSolution(mf, L, rho, obs)
+
+
+def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
+                      ) -> list[tuple[MeanFieldResult, Observables] | None]:
+    """``displaced_solution``'s mean field and observables at each (delta_a,
+    delta_b) row of deltas, p giving every other parameter, at dense sizes.
+
+    The steps run on arrays with a leading point axis: ``_mean_field`` (one
+    stacked 3 x 3 ``eigvals``), K, one gather of L's entries per support
+    pattern of K and the trace-leak check; then per point ``_lu_factor``
+    and one back-substitution, with no (P, side, side) stack; then the
+    residual by ``_apply``, ``hilbert.state_errors`` and one moments
+    product.  Each check of ``displaced_solution`` holds per point to its
+    tolerance; a point that fails one, or whose support group raised, is
+    None, for the caller to re-solve with ``displaced_solution``, which says
+    why.  Each kernel works point by point (elementwise, or one LAPACK or
+    BLAS call per point), so a point's result does not depend on the points
+    stacked with it; it differs from ``displaced_solution``'s by rounding,
+    as numpy's complex arithmetic is not Python's.
+    """
+    n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
+    joint = n_a * n_b
+    if joint > DENSE_SUPEROP_MAX_JOINT_DIM:
+        raise ValueError(f"joint dimension {joint} is above the dense limit "
+                         f"{DENSE_SUPEROP_MAX_JOINT_DIM}")
+    deltas = np.asarray(deltas, dtype=float).reshape(-1, 2)
+    results: list = [None] * len(deltas)
+    if not results:
+        return results
+    try:
+        alpha, beta, mf_residual, real_roots = _mean_field(
+            replace(p, delta_a=deltas[:, 0], delta_b=deltas[:, 1]))
+    except ValueError:   # eigvals of a companion matrix that is not finite
+        return results
+    real_roots = np.broadcast_to(real_roots, mf_residual.shape)
+    points = np.flatnonzero(mf_residual <= MEAN_FIELD_TOL)
+    stack = replace(p, delta_a=deltas[points, 0], delta_b=deltas[points, 1])
+    model, weights = _cutoff_model(n_a, n_b), _jump_weights(p)
+    K = _k_matrix(_k_coefficients(stack, alpha[points], beta[points], weights), model.basis)
+    K = K.reshape(-1, joint, joint)
+    scale, Z = np.zeros(len(points)), np.zeros((len(points), joint * joint))
+    solved = np.zeros(len(points), dtype=bool)
+    e0 = np.zeros(joint * joint)
+    e0[0] = 1.0
+    # K's a, a', b, b' coefficients are the mean-field drift, rounding residue
+    # that is exactly 0 at some points: their support is always stored, so a
+    # grid keeps one layout (a stored zero adds nothing to M)
+    drift = (model.basis[6:10] != 0).any(axis=0).reshape(joint, joint)
+    groups: dict[bytes, list[int]] = {}
+    for k, support in enumerate((K != 0) | drift):
+        groups.setdefault(support.tobytes(), []).append(k)
+    jump_support = _jump_support(weights, model.jumps)
+    for support, members in groups.items():
+        try:
+            layout = _superop_layout(support, jump_support, joint)
+            entries = _superop_entries(layout, K[members], weights, model.jumps)
+            scale[members] = group_scale = np.abs(entries).max(axis=-1, initial=0.0)
+            nonzero_and_trace_preserving = (group_scale > 0) & (
+                _trace_leak(layout, entries) <= TRACE_PRESERVATION_TOL * group_scale)
+            for i in np.flatnonzero(nonzero_and_trace_preserving).tolist():
+                k = members[i]
+                lu, piv, info = _lu_factor(layout, entries[i], scale[k])
+                if info == 0:
+                    Z[k], solved[k] = dgetrs(lu, piv, e0, trans=1)[0], True
+        except ValueError:
+            solved[members] = False
+
+    # Z holds the columns of the real Z of each point; rho = ((1+i) Z + (1-i) Z.T) / 2
+    Zs = Z.reshape(-1, joint, joint).transpose(0, 2, 1)
+    raw = 0.5 * ((1.0 + 1.0j) * Zs + (1.0 - 1.0j) * Zs.transpose(0, 2, 1))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        residual = (np.linalg.norm(_apply(K, weights, model.jumps, raw), axis=(1, 2))
+                    / (scale * np.linalg.norm(raw, axis=(1, 2))))
+    keep = np.flatnonzero(solved & np.isfinite(raw).all(axis=(1, 2))
+                          & (residual <= STEADY_STATE_RESIDUAL_TOL))
+    rho = 0.5 * (raw[keep] + raw[keep].conj().transpose(0, 2, 1))
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    moments = (model.moments @ rho.reshape(len(keep), joint * joint, 1))[..., 0]
+    for k, error, (n, s, q) in zip(keep, state_errors(rho), moments):
+        if error is not None:
+            continue
+        point = points[k]
+        a, b = complex(alpha[point]), complex(beta[point])
+        try:
+            obs = _observables(a, n, s, q)
+        except ValueError:   # no population
+            continue
+        warnings = (BISTABLE_WARNING,) if real_roots[point] == 3 else ()
+        results[point] = (MeanFieldResult(a, b, float(mf_residual[point]), warnings), obs)
+    return results
 
 
 def mode_occupation(rho: DensityMatrix, mode: int) -> float:

@@ -1,12 +1,17 @@
 """Parameter sweeps, g2 minimization and g2(tau) over detunings.
 
-A unit of a sweep is a grid point (one displaced-frame steady-state solve),
-a pump strength (one BFGS optimization, on g2 and its gradient from the
-factorization of each solve) or a g2(tau) detuning; each sweep is one
-``blas.pool_map`` over its units, which keeps index order and runs BLAS at
-one thread, so serial and pooled sweeps give the same rows.  Every unit
-gives one ``SweepRecord``, with status "failed" and the reason instead of
-aborting the sweep when it raises one of ``SOLVE_ERRORS``.
+The detunings of a grid (a ``g2-sweep`` scan, a ``map``, an envelope's
+seeding grid) are solved together by ``solve_points``: at dense sizes one
+stacked solve per block of STACK_POINTS points (``lindblad.stacked_solutions``),
+at GMRES sizes one ``displaced_solution`` per point.  A pump strength (one
+BFGS optimization, on g2 and its gradient from the factorization of each
+solve) and a g2(tau) detuning are solved point by point.  Each sweep is
+one ``blas.pool_map``, whose tasks are contiguous chunks of a grid's
+points, a pump strength or a detuning; it keeps order and runs BLAS at one
+thread, and a point's stacked result does not depend on the points solved
+with it, so serial and pooled sweeps give the same rows.  Every point or
+unit gives one ``SweepRecord``, with status "failed" and the reason instead
+of aborting the sweep when it raises one of ``SOLVE_ERRORS``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ import numpy as np
 
 from . import blas
 from .gaussian import g2_tau
-from .lindblad import (ConvergenceError, SteadyStateError, SystemParams, displaced_solution,
-                       g2_gradient, mean_field_steady_state, two_time_correlations)
+from .lindblad import (DENSE_SUPEROP_MAX_JOINT_DIM, ConvergenceError, SteadyStateError,
+                       SystemParams, displaced_solution, g2_gradient, mean_field_steady_state,
+                       stacked_solutions, two_time_correlations)
 
 ETA_FIT_TOL = 1e-2
 ETA_FIT_MAX_ITER = 40
@@ -29,6 +35,10 @@ ETA_FIT_MAX_ITER = 40
 G2_GRADIENT_TOL = 1e-6
 BFGS_MAX_ITER = 50
 COARSE_GRID_POINTS = 11
+# points per stacked solve: its temporaries, mostly L's entries, peak at
+# 0.8 MB at cutoff 3, as one per-point cutoff-4 solve does (128 points:
+# 2.6 MB, for 15 % less time)
+STACK_POINTS = 32
 # what fails one unit of a sweep; ValueError covers the checks of
 # ``DensityMatrix.validate`` and ``observables`` (and numpy's LinAlgError)
 SOLVE_ERRORS = (ConvergenceError, SteadyStateError, ValueError)
@@ -57,19 +67,51 @@ def _failed_record(p: SystemParams, message: str) -> SweepRecord:
                        complex(math.nan, math.nan), (message,), status="failed")
 
 
-def _solved_record(p: SystemParams, sol) -> SweepRecord:
-    obs = sol.obs
+def _solved_record(p: SystemParams, mean_field, obs) -> SweepRecord:
     return SweepRecord(p.delta_a, p.delta_b, p.eta_a, obs.n_tot, obs.g2_gaussian,
-                       obs.g2_prime, sol.mean_field.alpha, obs.n, obs.s,
-                       sol.warnings)
+                       obs.g2_prime, mean_field.alpha, obs.n, obs.s, mean_field.warnings)
 
 
 def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepRecord:
     """Displaced-frame solve wrapped so failures become flagged records."""
     try:
-        return _solved_record(p, displaced_solution(p, cutoffs=cutoffs))
+        sol = displaced_solution(p, cutoffs=cutoffs)
+        return _solved_record(p, sol.mean_field, sol.obs)
     except SOLVE_ERRORS as exc:
         return _failed_record(p, str(exc))
+
+
+def solve_points(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)) -> list[SweepRecord]:
+    """``solve_point`` at each (delta_a, delta_b) of deltas, p giving every other parameter.
+
+    At dense sizes the points are solved STACK_POINTS at a time by
+    ``lindblad.stacked_solutions``, and a point that fails one of its
+    checks is re-solved by ``solve_point``, so a failed record carries the
+    per-point reason.  Above DENSE_SUPEROP_MAX_JOINT_DIM every point goes
+    to ``solve_point``.  A point's record does not depend on the points
+    solved with it, and matches ``solve_point``'s to rounding.
+    """
+    points = [replace(p, delta_a=float(da), delta_b=float(db)) for da, db in deltas]
+    if math.prod(cutoffs) > DENSE_SUPEROP_MAX_JOINT_DIM:
+        return [solve_point(point, cutoffs) for point in points]
+    records = []
+    for start in range(0, len(points), STACK_POINTS):
+        block = points[start:start + STACK_POINTS]
+        solved = stacked_solutions(p, [(q.delta_a, q.delta_b) for q in block], cutoffs)
+        records += [solve_point(q, cutoffs) if sol is None else _solved_record(q, *sol)
+                    for q, sol in zip(block, solved)]
+    return records
+
+
+def _solve_grid(p: SystemParams, deltas: list, cutoffs: tuple[int, int],
+                workers: int) -> list[SweepRecord]:
+    """``solve_points`` over deltas, one ``blas.pool_map`` task per contiguous
+    chunk: one chunk when serial, else 4 per worker."""
+    n_chunks = 1 if workers <= 1 else min(len(deltas), 4 * workers)
+    bounds = np.linspace(0, len(deltas), n_chunks + 1).astype(int)
+    chunks = [deltas[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    solved = blas.pool_map(partial(solve_points, p, cutoffs=cutoffs), chunks, workers)
+    return [record for chunk in solved for record in chunk]
 
 
 def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemParams:
@@ -111,19 +153,18 @@ def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemPa
 def sweep_detuning(p: SystemParams, delta_a_grid, cutoffs: tuple[int, int] = (4, 4),
                    workers: int = 1) -> list[SweepRecord]:
     """Scan delta_a with the lock delta_b = delta_a."""
-    points = [replace(p, delta_a=float(d), delta_b=float(d)) for d in np.atleast_1d(delta_a_grid)]
-    return blas.pool_map(partial(solve_point, cutoffs=cutoffs), points, workers)
+    grid = np.atleast_1d(delta_a_grid).astype(float).tolist()
+    return _solve_grid(p, [(d, d) for d in grid], cutoffs, workers)
 
 
 def map2d(p: SystemParams, delta_a_grid, delta_diff_grid,
           cutoffs: tuple[int, int] = (4, 4), workers: int = 1) -> list[list[SweepRecord]]:
     """Outer-product map over delta_a (rows) and delta_b - delta_a (columns)."""
-    da = np.atleast_1d(delta_a_grid).astype(float)
-    dd = np.atleast_1d(delta_diff_grid).astype(float)
-    points = [replace(p, delta_a=a, delta_b=a + d) for a in da for d in dd]
-    flat = blas.pool_map(partial(solve_point, cutoffs=cutoffs), points, workers)
-    n_cols = dd.size
-    return [flat[r * n_cols:(r + 1) * n_cols] for r in range(da.size)]
+    da = np.atleast_1d(delta_a_grid).astype(float).tolist()
+    dd = np.atleast_1d(delta_diff_grid).astype(float).tolist()
+    flat = _solve_grid(p, [(a, a + d) for a in da for d in dd], cutoffs, workers)
+    n_cols = len(dd)
+    return [flat[r * n_cols:(r + 1) * n_cols] for r in range(len(da))]
 
 
 @dataclass(frozen=True)
@@ -201,8 +242,7 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepReco
     grid = np.linspace(-span, span, COARSE_GRID_POINTS).tolist()
     grid_cutoffs = (min(cutoffs[0], 3), min(cutoffs[1], 3))
     base = replace(p, eta_a=complex(eta))
-    records = [solve_point(replace(base, delta_a=da, delta_b=db), grid_cutoffs)
-               for da in grid for db in grid]
+    records = solve_points(base, [(da, db) for da in grid for db in grid], grid_cutoffs)
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         return _failed_record(replace(base, delta_a=math.nan, delta_b=math.nan),
@@ -215,7 +255,8 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepReco
         point = replace(base, delta_a=da, delta_b=db)
         try:
             sol = displaced_solution(point, cutoffs=cutoffs)
-            solved[key], gradient = _solved_record(point, sol), span * g2_gradient(point, sol)
+            solved[key] = _solved_record(point, sol.mean_field, sol.obs)
+            gradient = span * g2_gradient(point, sol)
         except SOLVE_ERRORS as exc:
             solved[key], gradient = _failed_record(point, str(exc)), np.full(2, math.nan)
         return solved[key].g2, gradient
@@ -235,8 +276,8 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
     BFGS (``minimize``) in units of kappa_a, on g2 and its gradient from
     the LU of each solve (``g2_gradient``), seeded from the best point of a
     COARSE_GRID_POINTS-square grid spanning +/- kappa_a around zero
-    detuning.  The grid is solved at min(cutoff, 3) per mode and only picks
-    the seed (at the acceptance etas a cutoff-3 grid picks the seed a
+    detuning.  The grid is one ``solve_points`` call at min(cutoff, 3) per
+    mode and only picks the seed (at the acceptance etas a cutoff-3 grid picks the seed a
     cutoff-4 grid picks; a cutoff-2 grid seeds at a corner).  The chain
     stops when |grad g2| <= G2_GRADIENT_TOL (kappa_a units), a stationary
     point; every iterate is solved at ``cutoffs`` and the result is the
@@ -260,7 +301,8 @@ def _g2_tau_point(p: SystemParams, cutoffs: tuple[int, int], tau, delta_a):
         sol = displaced_solution(p, cutoffs=cutoffs)
         corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
         curve = g2_tau(sol.mean_field.alpha, corr)
-        return _solved_record(p, sol), (corr, curve, dominant_period(tau, curve))
+        return _solved_record(p, sol.mean_field, sol.obs), (corr, curve,
+                                                             dominant_period(tau, curve))
     except SOLVE_ERRORS as exc:
         return _failed_record(p, str(exc)), None
 

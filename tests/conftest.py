@@ -30,8 +30,19 @@ def thermal_state(cutoff: int, nbar: float) -> DensityMatrix:
 
 
 @pytest.fixture
-def fail_steady_state_on_call(monkeypatch):
-    """Call with n to make the n-th steady-state solve raise a plain ValueError."""
+def stacked_solves_fail(monkeypatch):
+    """Every point of a stacked grid solve fails its checks, so ``sweep.solve_points``
+    re-solves each with ``solve_point``, in grid order."""
+    import blockadesim.sweep as sweep_mod
+    monkeypatch.setattr(sweep_mod, "stacked_solutions",
+                        lambda p, deltas, cutoffs: [None] * len(deltas))
+
+
+@pytest.fixture
+def fail_steady_state_on_call(monkeypatch, stacked_solves_fail):
+    """Call with n to make the n-th per-point steady-state solve raise a plain
+    ValueError; grid points go to the per-point path (``stacked_solves_fail``),
+    so the n-th point of a serial sweep is its n-th solve."""
     import blockadesim.lindblad as lindblad_mod
     real = lindblad_mod.steady_state
 

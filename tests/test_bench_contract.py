@@ -35,8 +35,9 @@ print(json.dumps({"absent": tracer.absent,
 """
 
 SPANS = {
-    # the cutoff-4 point, layer by layer, on the grid and in the optimizer
-    "envelope": {"sweep.solve_point", "lindblad.build_liouvillian", "lindblad.steady_state_dense",
+    # the cutoff-4 point, layer by layer, in the optimizer (the seeding grid
+    # is one stacked solve, sweep.solve_points, which the tracer does not wrap)
+    "envelope": {"lindblad.build_liouvillian", "lindblad.steady_state_dense",
                  "lindblad.observables", "sweep.nelder_mead"},
     # both steady-state paths
     "oracle": {"lindblad.steady_state_dense", "lindblad.steady_state_sparse"},

@@ -14,7 +14,7 @@ import blockadesim
 from blockadesim import blas
 from blockadesim.cli import (SWEEP_COLUMNS, build_parser, default_config_path, derive_device,
                              main, system_params_from_config)
-from blockadesim.config import ConfigError, load_config, parse_run_config
+from blockadesim.config import FLUX_GRID_MAX_POINTS, ConfigError, load_config, parse_run_config
 from blockadesim.lindblad import SteadyStateError
 
 TWO_PI = 2.0 * math.pi
@@ -379,7 +379,8 @@ def test_cmd_g2_tau_exits_3_when_every_detuning_fails(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command,data", [
     ("g2-sweep", "g2_sweep.csv"), ("map", "map2d.csv"), ("envelope", "envelope.csv"),
 ])
-def test_sweep_command_exits_3_when_every_unit_fails(tmp_path, monkeypatch, command, data):
+def test_sweep_command_exits_3_when_every_unit_fails(tmp_path, monkeypatch, stacked_solves_fail,
+                                                    command, data):
     import blockadesim.sweep as sweep_mod
 
     def boom(p, cutoffs=(4, 4)):
@@ -500,10 +501,12 @@ def test_bad_port_chain_is_a_config_error(tmp_path, capsys, source, chain):
     ("flux_ratio = 0.4227 dimensionless", "flux_ratio = 0.5 dimensionless"),
     ("n_th_port2 = 6.5e-4 dimensionless",
      "n_th_port2 = 6.5e-4 dimensionless\nflux_grid = 0 1 101 dimensionless"),
+    ("n_th_port2 = 6.5e-4 dimensionless",
+     "n_th_port2 = 6.5e-4 dimensionless\nflux_grid = 0.0 0.47 10001 dimensionless"),
 ], ids=["negative-kappa_b", "zero-kappa_b", "negative-n_th_port1", "negative-n_th_box",
         "zero-L", "negative-L_s0", "negative-omega_a", "zero-omega_0",
         "fractional-flux-points", "negative-flux-points", "negative-kappa_a",
-        "half-integer-flux", "flux-grid-through-half-integer"])
+        "half-integer-flux", "flux-grid-through-half-integer", "flux-points-above-maximum"])
 def test_negative_device_input_is_a_config_error(tmp_path, capsys, old, new):
     # was exit 0 from device, which wrote the value, and exit 3 from g2-sweep;
     # L, L_s0, omega_a <= 0 were exit 3, 9.7 flux points ran as 9 and -5 was exit 3;
@@ -517,6 +520,13 @@ def test_negative_device_input_is_a_config_error(tmp_path, capsys, old, new):
     assert rc == 2
     assert f"{cfg} line {lineno}: [device] {bad.split(' = ')[0]}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "device_parameters.json").exists()
+
+
+def test_flux_grid_at_its_maximum_loads(tmp_path):
+    # one point above it is refused at its line (test_negative_device_input_is_a_config_error)
+    text = MINIMAL.replace("kappa_a =", f"flux_grid = 0.0 0.47 {FLUX_GRID_MAX_POINTS} "
+                                        "dimensionless\nkappa_a =")
+    assert load_config(write_cfg(tmp_path, text)).device.flux_grid[2] == FLUX_GRID_MAX_POINTS
 
 
 def test_flux_grid_of_zero_points_writes_the_header_alone(tmp_path):

@@ -278,7 +278,7 @@ def test_hermitian_form_matches_the_dense_superoperator(cutoffs, displaced):
     side, joint = L.side, cutoffs[0] * cutoffs[1]
     want = (dense.real.reshape(side, joint, joint)
             + dense.imag.reshape(side, joint, joint).transpose(0, 2, 1)).reshape(side, side)
-    assert np.abs(_hermitian_form(L, 1.0) - want).max() <= 1e-14 * L.max_abs
+    assert np.abs(_hermitian_form(L._layout, L.entries, 1.0) - want).max() <= 1e-14 * L.max_abs
 
 
 def _kron_sum(K, weights, jumps):

@@ -7,11 +7,12 @@ import pytest
 from scipy.optimize import minimize
 
 from blockadesim import blas
-from blockadesim.lindblad import (ConvergenceError, SteadyStateError, SystemParams,
-                                  displaced_solution, g2_gradient)
+from blockadesim.lindblad import (DENSE_SUPEROP_MAX_JOINT_DIM, ConvergenceError,
+                                  SteadyStateError, SystemParams, displaced_solution,
+                                  g2_gradient, stacked_solutions)
 from blockadesim.sweep import (G2_GRADIENT_TOL, SweepRecord, dominant_period,
                                fit_eta_to_population, map2d, minimize_g2,
-                               solve_point, sweep_detuning)
+                               solve_point, solve_points, sweep_detuning)
 
 TWO_PI = 2.0 * math.pi
 MHz = TWO_PI * 1e6
@@ -147,6 +148,88 @@ def test_map2d_single_point_reduces_to_sweep():
     assert m[0][0] == s[0]
 
 
+# --- stacked grid solves ---
+
+STACK_GRID = np.linspace(-KAPPA_A, KAPPA_A, 11).tolist()
+STACK_DELTAS = [(da, db) for da in STACK_GRID for db in STACK_GRID]
+
+
+def assert_records_match(stacked, per_point):
+    # every field within 1e-12 relative; 1e-20 absolute covers a quantity
+    # that is zero to rounding, as s (about 1e-32) at U = 0
+    assert len(stacked) == len(per_point)
+    for rec, ref in zip(stacked, per_point):
+        assert (rec.delta_a, rec.delta_b, rec.eta) == (ref.delta_a, ref.delta_b, ref.eta)
+        assert (rec.status, rec.warnings) == (ref.status, ref.warnings)
+        for name in ("n_tot", "g2", "g2_prime", "alpha", "n", "s"):
+            assert getattr(rec, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-20)
+
+
+def per_point_records(p, deltas, cutoffs):
+    return [solve_point(replace(p, delta_a=da, delta_b=db), cutoffs) for da, db in deltas]
+
+
+@pytest.mark.parametrize("p, deltas, cutoffs", [
+    (replace(sample_params(24 * MHz), U=0.0), STACK_DELTAS[::5], (4, 4)),
+    (sample_params(0.0), STACK_DELTAS[::5], (4, 4)),   # eta = 0: B = 0, the low root n = 0
+    (sample_params(48 * MHz), [(25.875 * MHz, 7.245 * MHz), (0.0, 0.0)], (4, 4)),
+    (sample_params(24 * MHz), [(-1.656 * MHz, 2.386 * MHz), (0.0, 0.0)], (6, 5)),   # GMRES
+], ids=["U=0", "eta=0", "bistable", "gmres"])
+def test_stacked_points_match_solve_point(p, deltas, cutoffs):
+    with blas.single_threaded():
+        stacked, per_point = solve_points(p, deltas, cutoffs), per_point_records(p, deltas, cutoffs)
+    assert all(rec.status == "ok" for rec in stacked)
+    assert_records_match(stacked, per_point)
+    if math.prod(cutoffs) <= DENSE_SUPEROP_MAX_JOINT_DIM:   # no point fell back
+        assert None not in stacked_solutions(p, deltas, cutoffs)
+    if p.eta_a == 48 * MHz:
+        assert stacked[0].warnings == ("bistable mean field: selected low-amplitude branch",)
+        assert stacked[1].warnings == ()
+    if cutoffs == (6, 5):   # above the dense limit every point is solve_point's
+        assert stacked == per_point
+
+
+def test_a_point_failing_a_stacked_check_is_re_solved_per_point(monkeypatch):
+    # a NaN mean-field residual at one detuning fails the stacked check there;
+    # solve_point re-solves it and flags it with the per-point message
+    import blockadesim.lindblad as lindblad_mod
+
+    p, bad = sample_params(24 * MHz), STACK_DELTAS[7]
+    with blas.single_threaded():
+        clean = solve_points(p, STACK_DELTAS[:15], (4, 4))
+    real = lindblad_mod._mean_field
+
+    def poisoned(q):
+        alpha, beta, residual, real_roots = real(q)
+        at_bad = (np.asarray(q.delta_a) == bad[0]) & (np.asarray(q.delta_b) == bad[1])
+        return alpha, beta, np.where(at_bad, np.nan, residual), real_roots
+
+    monkeypatch.setattr(lindblad_mod, "_mean_field", poisoned)
+    with blas.single_threaded():
+        records = solve_points(p, STACK_DELTAS[:15], (4, 4))
+        reference = solve_point(replace(p, delta_a=bad[0], delta_b=bad[1]), (4, 4))
+    assert [rec.status for rec in records] == ["ok"] * 7 + ["failed"] + ["ok"] * 7
+    assert records[7].warnings == reference.warnings
+    assert records[7].warnings[0].startswith("mean-field drift residual nan")
+    assert records[:7] + records[8:] == clean[:7] + clean[8:]
+
+
+def test_stacked_record_does_not_depend_on_its_batch():
+    # cutoff 4, where one (P, 14) @ basis product rounded 28 of 121 points by batch size
+    p = sample_params(24 * MHz)
+    cuts = [0, 1, 18, 19, 64, 100, 121]
+    with blas.single_threaded():
+        whole = solve_points(p, STACK_DELTAS, (4, 4))
+        alone = [solve_points(p, [d], (4, 4))[0] for d in STACK_DELTAS]
+        chunked = [rec for lo, hi in zip(cuts[:-1], cuts[1:])
+                   for rec in solve_points(p, STACK_DELTAS[lo:hi], (4, 4))]
+        one_stack = stacked_solutions(p, STACK_DELTAS, (4, 4))   # not split into blocks
+        stacked_alone = [stacked_solutions(p, [d], (4, 4))[0] for d in STACK_DELTAS]
+    assert all(rec.status == "ok" for rec in whole)
+    assert whole == alone == chunked
+    assert None not in one_stack and one_stack == stacked_alone
+
+
 @pytest.mark.slow
 def test_map2d_spans_unity_at_reference_power():
     grid_a = np.linspace(-4, 10, 8) * MHz
@@ -157,12 +240,12 @@ def test_map2d_spans_unity_at_reference_power():
 
 
 def test_parallel_workers_match_serial():
+    # a pool task is a chunk of the grid, and a point's record does not depend on its chunk
+    p = sample_params(12 * MHz)
     grid = np.linspace(-10, 10, 6) * MHz
-    serial = sweep_detuning(sample_params(12 * MHz), grid, workers=1)
-    parallel = sweep_detuning(sample_params(12 * MHz), grid, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.g2 == b.g2
-        assert a.alpha == b.alpha
+    assert sweep_detuning(p, grid, workers=2) == sweep_detuning(p, grid, workers=1)
+    grid_a, grid_d = np.linspace(-6, 8, 5) * MHz, np.linspace(-3, 3, 3) * MHz
+    assert map2d(p, grid_a, grid_d, workers=2) == map2d(p, grid_a, grid_d, workers=1)
 
 
 def test_minimize_g2_pooled_equals_serial():
@@ -314,13 +397,20 @@ def test_optimizer_hitting_maxiter_is_reported(monkeypatch):
 def test_eta_without_a_solved_grid_point_is_a_failed_record(monkeypatch):
     import blockadesim.sweep as sweep_mod
 
-    real, bad = sweep_mod.displaced_solution, 16 * MHz
+    real_grid, real_solve, bad = sweep_mod.solve_points, sweep_mod.displaced_solution, 16 * MHz
+
+    def grid_fails_at_bad_eta(p, deltas, cutoffs=(4, 4)):
+        if p.eta_a == bad:
+            return [sweep_mod._failed_record(replace(p, delta_a=da, delta_b=db), "forced failure")
+                    for da, db in deltas]
+        return real_grid(p, deltas, cutoffs)
 
     def fails_at_bad_eta(p, cutoffs=(4, 4)):
         if p.eta_a == bad:
             raise SteadyStateError("forced failure")
-        return real(p, cutoffs=cutoffs)
+        return real_solve(p, cutoffs=cutoffs)
 
+    monkeypatch.setattr(sweep_mod, "solve_points", grid_fails_at_bad_eta)
     monkeypatch.setattr(sweep_mod, "displaced_solution", fails_at_bad_eta)
     failed, solved = minimize_g2(sample_params(0.0), [bad, 24 * MHz])
     assert failed.status == "failed" and failed.eta == bad
@@ -333,8 +423,13 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
     # the final point reuses the objective's record: no point is solved twice
     import blockadesim.sweep as sweep_mod
 
+    real_grid = sweep_mod.solve_points
     real_solve, real_minimize = sweep_mod.displaced_solution, sweep_mod.minimize
-    solved_at, results = [], []
+    grids, solved_at, results = [], [], []
+
+    def recording_grid(p, deltas, cutoffs=(4, 4)):
+        grids.append((tuple(cutoffs), len(deltas)))
+        return real_grid(p, deltas, cutoffs)
 
     def counting_solve(p, cutoffs=(4, 4)):
         solved_at.append(tuple(cutoffs))
@@ -344,14 +439,16 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
         results.append(real_minimize(*args, **options))
         return results[-1]
 
+    monkeypatch.setattr(sweep_mod, "solve_points", recording_grid)
     monkeypatch.setattr(sweep_mod, "displaced_solution", counting_solve)
     monkeypatch.setattr(sweep_mod, "minimize", recording_minimize)
     etas = [16 * MHz, 24 * MHz]
     env = minimize_g2(sample_params(0.0), etas)
-    # the grid at cutoff 3 only seeds; every BFGS evaluation, the seed
-    # among them, is solved once at the configured cutoff 4
-    assert Counter(solved_at) == {(3, 3): 121 * len(etas),
-                                  (4, 4): sum(res.nfev for res in results)}
+    # the grid at cutoff 3 only seeds, as one stacked grid of its 121 points,
+    # none of them re-solved per point; every BFGS evaluation, the seed among
+    # them, is solved once at the configured cutoff 4
+    assert grids == [((3, 3), 121)] * len(etas)
+    assert Counter(solved_at) == {(4, 4): sum(res.nfev for res in results)}
     # the same record a fresh solve at the returned detunings gives, with
     # BLAS at one thread as in minimize_g2 (the LU rounds by thread count)
     for eta, point in zip(etas, env):
@@ -367,15 +464,16 @@ def test_cutoff_3_grid_picks_the_cutoff_4_seed_at_the_envelope_etas(monkeypatch)
     # the seed the cutoff-3 grid picks is the argmin a cutoff-4 grid would pick
     import blockadesim.sweep as sweep_mod
 
-    real_solve, grids = sweep_mod.solve_point, {}
+    real_grid, real_solve, grids = sweep_mod.solve_points, sweep_mod.solve_point, {}
 
-    def recording_solve(p, cutoffs=(4, 4)):
-        rec = real_solve(p, cutoffs)
+    def recording_grid(p, deltas, cutoffs=(4, 4)):
+        records = real_grid(p, deltas, cutoffs)
         if tuple(cutoffs) == (3, 3):
-            grids.setdefault(p.eta_a, []).append((p, rec))
-        return rec
+            grids.setdefault(p.eta_a, []).extend(
+                (replace(p, delta_a=da, delta_b=db), rec) for (da, db), rec in zip(deltas, records))
+        return records
 
-    monkeypatch.setattr(sweep_mod, "solve_point", recording_solve)
+    monkeypatch.setattr(sweep_mod, "solve_points", recording_grid)
     minimize_g2(sample_params(0.0), ACCEPTANCE_7_ETAS)
     assert list(grids) == [complex(eta) for eta in ACCEPTANCE_7_ETAS]
 
@@ -396,18 +494,24 @@ def test_grid_runs_at_min_cutoff_3_and_the_chain_at_the_cutoff(monkeypatch, cuto
                                                                  grid_cutoffs):
     import blockadesim.sweep as sweep_mod
 
-    real_solve, solved_at = sweep_mod.displaced_solution, []
+    real_stacked, real_solve = sweep_mod.stacked_solutions, sweep_mod.displaced_solution
+    stacked, solved_at = [], []
+
+    def recording_stacked(p, deltas, cutoffs):
+        stacked.append((tuple(cutoffs), len(deltas)))
+        return real_stacked(p, deltas, cutoffs)
 
     def recording_solve(p, cutoffs=(4, 4)):
         solved_at.append(tuple(cutoffs))
         return real_solve(p, cutoffs)
 
     monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 3)
+    monkeypatch.setattr(sweep_mod, "stacked_solutions", recording_stacked)
     monkeypatch.setattr(sweep_mod, "displaced_solution", recording_solve)
     env = minimize_g2(sample_params(0.0), [24 * MHz], cutoffs=cutoffs)[0]
     assert env.status == "ok"
-    assert solved_at[:9] == [grid_cutoffs] * 9
-    assert len(solved_at) > 9 and set(solved_at[9:]) == {cutoffs}
+    assert stacked == [(grid_cutoffs, 9)]
+    assert solved_at and set(solved_at) == {cutoffs}
 
 
 def test_minimize_requires_etas():
