@@ -34,8 +34,9 @@ DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5, the
 cutoff-4 production path among them) the steady state is one real LU in a
 Hermitian basis; above it, GMRES on the CSR superoperator, preconditioned
 by the Sylvester part of L solved in the eigenbasis of K.
-``stacked_solutions`` runs the dense path on many detunings at once, each
-step on arrays with a leading point axis but the LU, one per point.
+Each check is written once, in a kernel on a stack of points that gives
+per point the error it raises, or None: the per-point functions run it on
+a stack of one and raise that, ``stacked_solutions`` returns its message.
 Two-time correlations propagate the observable with ``expm_multiply`` on
 the adjoint of the same CSR superoperator, at any cutoff.
 """
@@ -132,27 +133,45 @@ def mean_field_steady_state(p: SystemParams) -> MeanFieldResult:
     Raises ConvergenceError when the drift at the returned point exceeds
     MEAN_FIELD_TOL relative to the pump and damping scale.
     """
-    alpha, beta, res, real_roots = _mean_field(p)
-    if not res <= MEAN_FIELD_TOL:
-        raise ConvergenceError(
-            f"mean-field drift residual {res:.2e} at the closed-form fixed point "
-            f"exceeds {MEAN_FIELD_TOL:.0e}")
-    warnings = (BISTABLE_WARNING,) if real_roots == 3 else ()
-    return MeanFieldResult(complex(alpha), complex(beta), float(res), warnings)
+    return _raised(_mean_fields(_one_point(p))[0])
 
 
+def _one_point(p: SystemParams) -> SystemParams:
+    """p as a stack of one point, for the stack kernels."""
+    return replace(p, delta_a=np.array([p.delta_a], dtype=float),
+                   delta_b=np.array([p.delta_b], dtype=float))
+
+
+def _raised(result):
+    """A stack kernel's result for one point, or the error it holds raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _mean_fields(p: SystemParams) -> list[MeanFieldResult | ConvergenceError]:
+    """``mean_field_steady_state`` at each point of p's detuning arrays, or the error it raises."""
+    alpha, beta, residual, real_roots = _mean_field(p)
+    return [MeanFieldResult(complex(a), complex(b), float(res),
+                            (BISTABLE_WARNING,) if roots == 3 else ())
+            if res <= MEAN_FIELD_TOL else ConvergenceError(
+                f"mean-field drift residual {res:.2e} at the closed-form fixed point "
+                f"exceeds {MEAN_FIELD_TOL:.0e}")
+            for a, b, res, roots in zip(alpha, beta, residual, real_roots)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_field(p: SystemParams):
     """alpha, beta, the drift residual and the number of real roots of the cubic
-    (see ``mean_field_steady_state``), elementwise where p's detunings are
-    arrays (``stacked_solutions``).  Where U = 0 the cubic is not formed and
-    n = 0; where B = 0 its low root is n = 0.
-    """
+    (see ``mean_field_steady_state``), elementwise over p's detuning arrays.
+    Where U = 0 the cubic is not formed and n = 0; where B = 0 its low root
+    is n = 0; where the cubic overflows (tiny |U|) n is NaN, as is the residual."""
     a11 = 1j * p.delta_a - 0.5 * p.kappa_a
     a12 = -1j * p.J
     a22 = 1j * p.delta_b - 0.5 * p.kappa_b
     A = a22 - a12 * a12 / a11
     B = 1j * p.eta_b - 1j * p.eta_a * a12 / a11
-    n, real_roots = 0.0, 1
+    n, real_roots = 0.0, np.ones(np.shape(A), dtype=int)
     if p.U != 0:
         # the cubic over 4U^2 is n^3 + c2 n^2 + c1 n + c0; its roots are the
         # eigenvalues of the companion matrix, which is real, so LAPACK
@@ -161,9 +180,11 @@ def _mean_field(p: SystemParams):
         companion = np.zeros(np.shape(c2) + (3, 3))
         companion[..., 0, :] = np.stack(np.broadcast_arrays(-c2, -c1, -c0), axis=-1)
         companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-        roots = np.linalg.eigvals(companion)
+        finite = np.isfinite(companion).all(axis=(-2, -1))
+        roots = np.linalg.eigvals(np.where(finite[..., None, None], companion, 0.0))
         real = roots.imag == 0
-        n, real_roots = np.where(real, roots.real, np.inf).min(axis=-1), real.sum(axis=-1)
+        n = np.where(finite, np.where(real, roots.real, np.inf).min(axis=-1), np.nan)
+        real_roots = real.sum(axis=-1)
     beta = B / (A + 2j * p.U * n)
     alpha = (1j * p.eta_a - a12 * beta) / a11
 
@@ -190,14 +211,14 @@ class Liouvillian:
 
     ``terms`` holds the (K, weights, jumps) of
     L rho = K rho + rho K' + sum_m w_m C_m rho C_m'; ``apply`` evaluates L
-    matrix-free (the steady-state residual check).  ``entries``, gathered
-    once, are the stored entries of the superoperator in the CSR order of
-    ``_superop_layout``; max_abs is their largest modulus.  The jumps are
-    real with a zero diagonal (bare ladder operators; a displaced jump
-    c + s is c with 1/2 w (conj(s) c - s c') added to K, as
-    D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]), the weighted ones have
-    disjoint supports, and the sums of L's trace rows (i, i) in ``entries``
-    are within TRACE_PRESERVATION_TOL max_abs of 0; else ValueError.
+    matrix-free, as the residual check of ``_steady_states`` does.
+    ``entries``, gathered once, are the stored entries of the superoperator
+    in the CSR order of ``_superop_layout``; max_abs is their largest
+    modulus.  The jumps are real with a zero diagonal (bare ladder
+    operators; a displaced jump c + s is c with 1/2 w (conj(s) c - s c')
+    added to K, as D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]), and the
+    weighted ones have disjoint supports; else ValueError.  L raises the
+    error of ``_superop_checks``.
     """
 
     dims: tuple[int, int]
@@ -213,12 +234,11 @@ class Liouvillian:
         layout = _superop_layout((K != 0).tobytes(), _jump_support(weights, jumps), K.shape[0])
         entries = _superop_entries(layout, K, weights, jumps)
         entries.flags.writeable = False
-        scale = float(np.abs(entries).max(initial=0.0))
+        (scale,), (error,) = _superop_checks(layout, entries[None])
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "max_abs", scale)
+        object.__setattr__(self, "max_abs", float(scale))
         object.__setattr__(self, "_layout", layout)
-        if _trace_leak(layout, entries) > TRACE_PRESERVATION_TOL * scale:
-            raise ValueError("Liouvillian is not trace preserving")
+        _raised(error)
 
     @property
     def is_sparse(self) -> bool:
@@ -353,19 +373,21 @@ def _superop_entries(layout: _SuperopLayout, K: np.ndarray, weights: np.ndarray,
     return source[layout.gather] if not lead else np.take(source, layout.gather, axis=-1)
 
 
-def _trace_leak(layout: _SuperopLayout, entries: np.ndarray) -> np.ndarray:
-    """max over columns of |sum of L's trace rows (i, i)|, per point of entries (..., nnz).
-
-    d Tr(rho)/dt = vec(I)' L vec(rho), so the leak is the sum of the trace
-    rows; one ``np.bincount`` sums each point's into its own columns.
-    """
-    values = np.ascontiguousarray(entries[..., layout.trace_entries]).view(float)
-    points = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
+def _superop_checks(layout: _SuperopLayout, entries: np.ndarray) -> tuple[np.ndarray, list]:
+    """max|L| per point of entries (P, nnz), and per point SteadyStateError for
+    a zero L (a degenerate null space), ValueError when the trace leak, max
+    over columns of |sum of L's trace rows (i, i)| (d Tr(rho)/dt = vec(I)' L
+    vec(rho)), exceeds TRACE_PRESERVATION_TOL max|L|, or None."""
+    scale = np.abs(entries).max(axis=-1, initial=0.0)
+    values = np.ascontiguousarray(entries[:, layout.trace_entries]).view(float)
     width = 2 * layout.n * layout.n
-    columns = layout.trace_columns + width * np.arange(len(points))[:, None]
-    leak = np.bincount(columns.ravel(), weights=points.ravel(), minlength=width * len(points))
-    return np.abs(leak.view(complex)).reshape(len(points), -1).max(axis=1).reshape(
-        values.shape[:-1])
+    columns = layout.trace_columns + width * np.arange(len(values))[:, None]
+    leak = np.bincount(columns.ravel(), weights=values.ravel(), minlength=width * len(values))
+    leak = np.abs(leak.view(complex)).reshape(len(values), -1).max(axis=1)
+    return scale, [SteadyStateError("zero Liouvillian has a degenerate null space") if s == 0
+                   else ValueError("Liouvillian is not trace preserving")
+                   if leak_s > TRACE_PRESERVATION_TOL * s else None
+                   for s, leak_s in zip(scale, leak)]
 
 
 def _apply(K: np.ndarray, weights: np.ndarray, jumps: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -451,12 +473,12 @@ def _jump_weights(p: SystemParams) -> np.ndarray:
                      p.kappa_b * (p.n_th_b + 1.0), p.kappa_b * p.n_th_b])
 
 
-def _k_matrix(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """coefficients (..., 14) times the real basis, flattened K (..., n^2).  Each
-    point is its own matrix-vector product, so a point's K does not depend on
-    the points stacked with it."""
-    return ((coefficients.real[..., None, :] @ basis)[..., 0, :]
-            + 1j * (coefficients.imag[..., None, :] @ basis)[..., 0, :])
+def _k_matrix(p: SystemParams, alpha, beta, weights: np.ndarray, model: _CutoffModel):
+    """K (P, n, n) at p's detuning arrays: ``_k_coefficients`` times the real
+    basis.  Each point is its own matrix-vector product, so a point's K does
+    not depend on the points stacked with it."""
+    c = _k_coefficients(p, alpha, beta, weights)[..., None, :]
+    return (c.real @ model.basis + 1j * (c.imag @ model.basis)).reshape(-1, *model.A.shape)
 
 
 def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | None = None,
@@ -474,10 +496,10 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
         raise ValueError(
             f"superoperator side {joint * joint} exceeds the {MAX_SUPEROP_SIDE} guard")
     model = _cutoff_model(n_a, n_b)
-    alpha, beta = (0.0, 0.0) if displacement is None else displacement
+    alpha, beta = np.array(displacement or (0.0, 0.0), dtype=complex)[:, None]
     weights = _jump_weights(p)
-    K = _k_matrix(_k_coefficients(p, complex(alpha), complex(beta), weights), model.basis)
-    return Liouvillian((n_a, n_b), (K.reshape(joint, joint), weights, model.jumps))
+    K = _k_matrix(_one_point(p), alpha, beta, weights, model)[0]
+    return Liouvillian((n_a, n_b), (K, weights, model.jumps))
 
 
 def _hermitian_form(layout: _SuperopLayout, entries: np.ndarray, scale: float) -> np.ndarray:
@@ -494,7 +516,7 @@ def _hermitian_form(layout: _SuperopLayout, entries: np.ndarray, scale: float) -
 
 
 def _lu_factor(layout: _SuperopLayout, entries: np.ndarray, scale: float):
-    """(lu, piv, info) of ``_hermitian_form`` with row 0 replaced by the trace.
+    """(lu, piv, SteadyStateError or None) of ``_hermitian_form``, row 0 the trace.
 
     M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
     ``dgetrs`` with trans=1 then solves M z = r.
@@ -503,7 +525,16 @@ def _lu_factor(layout: _SuperopLayout, entries: np.ndarray, scale: float):
     M = _hermitian_form(layout, entries, scale)
     M[0, :] = 0.0
     M[0, ::joint + 1] = 1.0
-    return dgetrf(M.T, overwrite_a=True)
+    lu, piv, info = dgetrf(M.T, overwrite_a=True)
+    return lu, piv, (SteadyStateError(f"LU solve failed: LAPACK info {info} (a zero pivot "
+                                      "if positive)") if info != 0 else None)
+
+
+def _from_real_form(z: np.ndarray, joint: int) -> np.ndarray:
+    """rho = ((1+i) Z + (1-i) Z.T) / 2 (``_lu_solver``) for each column-stacked
+    real Z of z (..., joint^2), as (..., joint, joint)."""
+    Z = z.reshape(z.shape[:-1] + (joint, joint)).swapaxes(-1, -2)
+    return 0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.swapaxes(-1, -2))
 
 
 def _lu_solver(L: Liouvillian):
@@ -520,9 +551,8 @@ def _lu_solver(L: Liouvillian):
     returned solve is one back-substitution for any number of right-hand
     sides (columns of r).
     """
-    lu, piv, info = _lu_factor(L._layout, L.entries, L.max_abs)
-    if info != 0:
-        raise SteadyStateError(f"LU solve failed: LAPACK info {info} (a zero pivot if positive)")
+    lu, piv, error = _lu_factor(L._layout, L.entries, L.max_abs)
+    _raised(error)
     return lambda r: dgetrs(lu, piv, r, trans=1)[0]
 
 
@@ -540,9 +570,9 @@ def _gmres_solver(L: Liouvillian):
     the same solve applied to R - S(X): ten n x n products per call.  GMRES
     takes care of the jump and trace terms.  Unrefined, the transforms'
     rounding (about cond(V)^2 eps) reaches GMRES_RTOL and can cost a second
-    restart cycle.  A denominator below eps times the largest is raised to
-    that floor, the perturbation LAPACK's triangular Sylvester solver
-    makes, as the undriven vacuum puts an eigenvalue of K at 0.  Raises
+    restart cycle.  A denominator below sqrt(eps) times the largest is
+    raised to that floor: the undriven vacuum puts an eigenvalue of K at 0,
+    and at zero occupation a weak drive only lifts it to some 1e-11.  Raises
     SteadyStateError when V is singular, as the preconditioner would then
     not invert the Sylvester part, and when GMRES does not converge.
     """
@@ -567,7 +597,7 @@ def _gmres_solver(L: Liouvillian):
                                f"to {defect:.1e}; its eigenvectors are near singular")
     Vh, V_inv_h = V.conj().T, V_inv.conj().T
     denom = lam[:, None] + lam.conj()[None, :]
-    floor = np.finfo(float).eps * np.abs(denom).max()
+    floor = np.sqrt(np.finfo(float).eps) * np.abs(denom).max()
     denom[np.abs(denom) < floor] = floor
     Ah = A.conj().T
 
@@ -602,37 +632,37 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     replaced by the trace (``_lu_solver``); above it, GMRES runs on the
     CSR superoperator with a Sylvester preconditioner (``_gmres_solver``).
     Both scale L by max_abs, its largest entry, and stay with L as its
-    ``_solve`` for ``g2_gradient``.
-    Raises SteadyStateError when the solve fails or the residual
-    |L x| / (max_abs |x|) exceeds STEADY_STATE_RESIDUAL_TOL, which
-    indicates a degenerate null space.  The residual is evaluated by
-    ``L.apply``, independently of the operator either solver used.
-    """
+    ``_solve`` for ``g2_gradient``.  Raises the solver's or
+    ``_steady_states``' error for L."""
     joint = math.prod(L.dims)
-    scale = L.max_abs
-    if scale == 0.0:
-        raise SteadyStateError("zero Liouvillian has a degenerate null space")
-
     if L.is_sparse:
-        x = L._solve(vec(np.eye(joint) / joint))
+        raw = unvec(L._solve(vec(np.eye(joint) / joint)), joint)[None]
     else:
-        e0 = np.zeros(joint * joint)
-        e0[0] = 1.0
-        Z = L._solve(e0).reshape(joint, joint, order="F")
-        x = vec(0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.T))
+        raw = _from_real_form(L._solve(np.eye(1, joint * joint)[0])[None], joint)
+    rho, (error,) = _steady_states(L.terms, raw, np.array([L.max_abs]))
+    _raised(error)
+    return DensityMatrix(L.dims, rho[0])
 
-    if not np.isfinite(x).all():
-        raise SteadyStateError("steady-state solve produced non-finite entries")
-    rho = unvec(x, joint)
-    residual = np.linalg.norm(L.apply(rho)) / (scale * np.linalg.norm(x))
-    if residual > STEADY_STATE_RESIDUAL_TOL:
-        raise SteadyStateError(
-            f"steady-state residual {residual:.2e} exceeds tolerance; "
-            "the Liouvillian null space may be degenerate")
 
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return DensityMatrix(L.dims, rho).validate()
+def _steady_states(terms: tuple, raw: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, list]:
+    """The unit-trace Hermitian part of each solution raw (P, n, n) of L = terms
+    with max|L| scale (P,), and per point SteadyStateError when raw is not
+    finite or |L raw| / (max|L| |raw|) exceeds STEADY_STATE_RESIDUAL_TOL (a
+    degenerate null space), ValueError from ``hilbert.state_errors``, or None."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        residual = (np.linalg.norm(_apply(*terms, raw), axis=(1, 2))
+                    / (scale * np.linalg.norm(raw, axis=(1, 2))))
+        rho = 0.5 * (raw + raw.conj().swapaxes(1, 2))
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    errors = [SteadyStateError("steady-state solve produced non-finite entries") if not finite
+              else SteadyStateError(f"steady-state residual {res:.2e} exceeds tolerance; "
+                                    "the Liouvillian null space may be degenerate")
+              if not res <= STEADY_STATE_RESIDUAL_TOL else None
+              for finite, res in zip(np.isfinite(raw).all(axis=(1, 2)), residual)]
+    solved = [k for k, error in enumerate(errors) if error is None]
+    for k, error in zip(solved, state_errors(rho[solved])):
+        errors[k] = None if error is None else ValueError(error)
+    return rho, errors
 
 
 @dataclass(frozen=True)
@@ -746,8 +776,12 @@ def observables(rho_displaced: DensityMatrix, alpha: complex) -> Observables:
     0.3303 at the 24 MHz envelope optimum).  So neither variant is the
     exact g2 of the solved state.
     """
-    n, s, q = _cutoff_model(*rho_displaced.dims).moments @ rho_displaced.data.ravel()
-    return _observables(alpha, n, s, q)
+    return _observables(alpha, *_moments(rho_displaced.dims, rho_displaced.data[None])[0])
+
+
+def _moments(dims: tuple[int, int], rho: np.ndarray) -> np.ndarray:
+    """The traces (n, s, q) of ``observables``' moments with each state of rho (P, n, n)."""
+    return (_cutoff_model(*dims).moments @ rho.reshape(-1, math.prod(dims) ** 2, 1))[..., 0]
 
 
 def _observables(alpha: complex, n, s, q) -> Observables:
@@ -783,22 +817,16 @@ def displaced_solution(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> Di
 
 
 def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
-                      ) -> list[tuple[MeanFieldResult, Observables] | None]:
+                      ) -> list[tuple[MeanFieldResult, Observables] | str]:
     """``displaced_solution``'s mean field and observables at each (delta_a,
-    delta_b) row of deltas, p giving every other parameter, at dense sizes.
+    delta_b) row of deltas, p giving every other parameter, at dense sizes,
+    or the message of the error it raises there.
 
-    The steps run on arrays with a leading point axis: ``_mean_field`` (one
-    stacked 3 x 3 ``eigvals``), K, one gather of L's entries per support
-    pattern of K and the trace-leak check; then per point ``_lu_factor``
-    and one back-substitution, with no (P, side, side) stack; then the
-    residual by ``_apply``, ``hilbert.state_errors`` and one moments
-    product.  Each check of ``displaced_solution`` holds per point to its
-    tolerance; a point that fails one, or whose support group raised, is
-    None, for the caller to re-solve with ``displaced_solution``, which says
-    why.  Each kernel works point by point (elementwise, or one LAPACK or
-    BLAS call per point), so a point's result does not depend on the points
-    stacked with it; it differs from ``displaced_solution``'s by rounding,
-    as numpy's complex arithmetic is not Python's.
+    The per-point kernels run on arrays with a leading point axis (one
+    stacked 3 x 3 ``eigvals``, one gather of L's entries per support pattern
+    of K, one LU per point).  Each works point by point, so a point's result
+    does not depend on the points stacked with it, and is
+    ``displaced_solution``'s.
     """
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
     joint = n_a * n_b
@@ -806,70 +834,44 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
         raise ValueError(f"joint dimension {joint} is above the dense limit "
                          f"{DENSE_SUPEROP_MAX_JOINT_DIM}")
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 2)
-    results: list = [None] * len(deltas)
-    if not results:
-        return results
-    try:
-        alpha, beta, mf_residual, real_roots = _mean_field(
-            replace(p, delta_a=deltas[:, 0], delta_b=deltas[:, 1]))
-    except ValueError:   # eigvals of a companion matrix that is not finite
-        return results
-    real_roots = np.broadcast_to(real_roots, mf_residual.shape)
-    points = np.flatnonzero(mf_residual <= MEAN_FIELD_TOL)
+    results: list = _mean_fields(replace(p, delta_a=deltas[:, 0], delta_b=deltas[:, 1]))
+    points = [k for k, mf in enumerate(results) if isinstance(mf, MeanFieldResult)]
+    alpha, beta = (np.array([getattr(results[k], name) for k in points], dtype=complex)
+                   for name in ("alpha", "beta"))
     stack = replace(p, delta_a=deltas[points, 0], delta_b=deltas[points, 1])
     model, weights = _cutoff_model(n_a, n_b), _jump_weights(p)
-    K = _k_matrix(_k_coefficients(stack, alpha[points], beta[points], weights), model.basis)
-    K = K.reshape(-1, joint, joint)
-    scale, Z = np.zeros(len(points)), np.zeros((len(points), joint * joint))
-    solved = np.zeros(len(points), dtype=bool)
-    e0 = np.zeros(joint * joint)
-    e0[0] = 1.0
+    K = _k_matrix(stack, alpha, beta, weights, model)
     # K's a, a', b, b' coefficients are the mean-field drift, rounding residue
     # that is exactly 0 at some points: their support is always stored, so a
     # grid keeps one layout (a stored zero adds nothing to M)
-    drift = (model.basis[6:10] != 0).any(axis=0).reshape(joint, joint)
     groups: dict[bytes, list[int]] = {}
-    for k, support in enumerate((K != 0) | drift):
+    for k, support in enumerate((K != 0) | (model.jumps != 0).any(axis=0)):
         groups.setdefault(support.tobytes(), []).append(k)
-    jump_support = _jump_support(weights, model.jumps)
+    scale, errors, Z = np.zeros(len(K)), [None] * len(K), np.zeros((len(K), joint * joint))
     for support, members in groups.items():
-        try:
-            layout = _superop_layout(support, jump_support, joint)
-            entries = _superop_entries(layout, K[members], weights, model.jumps)
-            scale[members] = group_scale = np.abs(entries).max(axis=-1, initial=0.0)
-            nonzero_and_trace_preserving = (group_scale > 0) & (
-                _trace_leak(layout, entries) <= TRACE_PRESERVATION_TOL * group_scale)
-            for i in np.flatnonzero(nonzero_and_trace_preserving).tolist():
-                k = members[i]
-                lu, piv, info = _lu_factor(layout, entries[i], scale[k])
-                if info == 0:
-                    Z[k], solved[k] = dgetrs(lu, piv, e0, trans=1)[0], True
-        except ValueError:
-            solved[members] = False
-
-    # Z holds the columns of the real Z of each point; rho = ((1+i) Z + (1-i) Z.T) / 2
-    Zs = Z.reshape(-1, joint, joint).transpose(0, 2, 1)
-    raw = 0.5 * ((1.0 + 1.0j) * Zs + (1.0 - 1.0j) * Zs.transpose(0, 2, 1))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        residual = (np.linalg.norm(_apply(K, weights, model.jumps, raw), axis=(1, 2))
-                    / (scale * np.linalg.norm(raw, axis=(1, 2))))
-    keep = np.flatnonzero(solved & np.isfinite(raw).all(axis=(1, 2))
-                          & (residual <= STEADY_STATE_RESIDUAL_TOL))
-    rho = 0.5 * (raw[keep] + raw[keep].conj().transpose(0, 2, 1))
-    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    moments = (model.moments @ rho.reshape(len(keep), joint * joint, 1))[..., 0]
-    for k, error, (n, s, q) in zip(keep, state_errors(rho), moments):
-        if error is not None:
-            continue
-        point = points[k]
-        a, b = complex(alpha[point]), complex(beta[point])
-        try:
-            obs = _observables(a, n, s, q)
-        except ValueError:   # no population
-            continue
-        warnings = (BISTABLE_WARNING,) if real_roots[point] == 3 else ()
-        results[point] = (MeanFieldResult(a, b, float(mf_residual[point]), warnings), obs)
-    return results
+        layout = _superop_layout(support, _jump_support(weights, model.jumps), joint)
+        entries = _superop_entries(layout, K[members], weights, model.jumps)
+        scale[members], checks = _superop_checks(layout, entries)
+        for k, row, error in zip(members, entries, checks):
+            if error is None:
+                lu, piv, error = _lu_factor(layout, row, scale[k])
+            if error is None:
+                Z[k] = dgetrs(lu, piv, np.eye(1, joint * joint)[0], trans=1)[0]
+            errors[k] = error
+    solved = [k for k, error in enumerate(errors) if error is None]
+    rho, checks = _steady_states((K[solved], weights, model.jumps),
+                                 _from_real_form(Z[solved], joint), scale[solved])
+    for k, error, moments in zip(solved, checks, _moments((n_a, n_b), rho)):
+        errors[k] = error
+        if error is None:
+            mean_field = results[points[k]]
+            try:
+                results[points[k]] = (mean_field, _observables(mean_field.alpha, *moments))
+            except ValueError as exc:   # no population
+                errors[k] = exc
+    for k, error in zip(points, errors):
+        results[k] = error or results[k]
+    return [str(r) if isinstance(r, Exception) else r for r in results]
 
 
 def mode_occupation(rho: DensityMatrix, mode: int) -> float:
@@ -937,8 +939,7 @@ def g2_gradient(p: SystemParams, sol: DisplacedSolution) -> np.ndarray:
         rhs = (d_liouvillian(Z).real + d_liouvillian(Z.T).imag).transpose(0, 2, 1)
         rhs = -rhs.reshape(2, -1).T / L.max_abs
         rhs[0] = 0.0
-        dZ = L._solve(rhs).T.reshape(2, joint, joint).transpose(0, 2, 1)
-        d_rho = 0.5 * ((1.0 + 1.0j) * dZ + (1.0 - 1.0j) * dZ.transpose(0, 2, 1))
+        d_rho = _from_real_form(L._solve(rhs).T, joint)
     d_n, d_s = model.moments[:2] @ d_rho.reshape(2, -1).T
     d_n = d_n.real
 

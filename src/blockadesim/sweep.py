@@ -2,16 +2,16 @@
 
 The detunings of a grid (a ``g2-sweep`` scan, a ``map``, an envelope's
 seeding grid) are solved together by ``solve_points``: at dense sizes one
-stacked solve per block of STACK_POINTS points (``lindblad.stacked_solutions``),
-at GMRES sizes one ``displaced_solution`` per point.  A pump strength (one
-BFGS optimization, on g2 and its gradient from the factorization of each
-solve) and a g2(tau) detuning are solved point by point.  Each sweep is
-one ``blas.pool_map``, whose tasks are contiguous chunks of a grid's
-points, a pump strength or a detuning; it keeps order and runs BLAS at one
-thread, and a point's stacked result does not depend on the points solved
-with it, so serial and pooled sweeps give the same rows.  Every point or
-unit gives one ``SweepRecord``, with status "failed" and the reason instead
-of aborting the sweep when it raises one of ``SOLVE_ERRORS``.
+stacked solve per block of STACK_POINTS points (``lindblad.stacked_solutions``,
+the per-point checks on a stack), at GMRES sizes one ``displaced_solution``
+per point.  A pump strength (one BFGS optimization, on g2 and its gradient
+from the factorization of each solve) and a g2(tau) detuning are solved
+point by point.  Each sweep is one ``blas.pool_map``, whose tasks are
+contiguous chunks of a grid's points, a pump strength or a detuning; it
+keeps order and runs BLAS at one thread, and a point's stacked result does
+not depend on the points solved with it, so serial and pooled sweeps give
+the same rows.  Every point or unit gives one ``SweepRecord``, with status
+"failed" and the reason instead of aborting the sweep when its solve fails.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ COARSE_GRID_POINTS = 11
 # 0.8 MB at cutoff 3, as one per-point cutoff-4 solve does (128 points:
 # 2.6 MB, for 15 % less time)
 STACK_POINTS = 32
-# what fails one unit of a sweep; ValueError covers the checks of
-# ``DensityMatrix.validate`` and ``observables`` (and numpy's LinAlgError)
+# what fails one unit of a sweep (a stacked grid gives their messages);
+# ValueError covers the trace, state and population checks and LinAlgError
 SOLVE_ERRORS = (ConvergenceError, SteadyStateError, ValueError)
 
 
@@ -84,12 +84,10 @@ def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepReco
 def solve_points(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)) -> list[SweepRecord]:
     """``solve_point`` at each (delta_a, delta_b) of deltas, p giving every other parameter.
 
-    At dense sizes the points are solved STACK_POINTS at a time by
-    ``lindblad.stacked_solutions``, and a point that fails one of its
-    checks is re-solved by ``solve_point``, so a failed record carries the
-    per-point reason.  Above DENSE_SUPEROP_MAX_JOINT_DIM every point goes
-    to ``solve_point``.  A point's record does not depend on the points
-    solved with it, and matches ``solve_point``'s to rounding.
+    At dense sizes STACK_POINTS at a time by ``lindblad.stacked_solutions``,
+    whose message for a failed point is the record's reason; above
+    DENSE_SUPEROP_MAX_JOINT_DIM by ``solve_point``.  A point's record does
+    not depend on the points solved with it, and is ``solve_point``'s.
     """
     points = [replace(p, delta_a=float(da), delta_b=float(db)) for da, db in deltas]
     if math.prod(cutoffs) > DENSE_SUPEROP_MAX_JOINT_DIM:
@@ -98,7 +96,7 @@ def solve_points(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)) -> 
     for start in range(0, len(points), STACK_POINTS):
         block = points[start:start + STACK_POINTS]
         solved = stacked_solutions(p, [(q.delta_a, q.delta_b) for q in block], cutoffs)
-        records += [solve_point(q, cutoffs) if sol is None else _solved_record(q, *sol)
+        records += [_failed_record(q, sol) if isinstance(sol, str) else _solved_record(q, *sol)
                     for q, sol in zip(block, solved)]
     return records
 

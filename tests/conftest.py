@@ -30,31 +30,25 @@ def thermal_state(cutoff: int, nbar: float) -> DensityMatrix:
 
 
 @pytest.fixture
-def stacked_solves_fail(monkeypatch):
-    """Every point of a stacked grid solve fails its checks, so ``sweep.solve_points``
-    re-solves each with ``solve_point``, in grid order."""
-    import blockadesim.sweep as sweep_mod
-    monkeypatch.setattr(sweep_mod, "stacked_solutions",
-                        lambda p, deltas, cutoffs: [None] * len(deltas))
-
-
-@pytest.fixture
-def fail_steady_state_on_call(monkeypatch, stacked_solves_fail):
-    """Call with n to make the n-th per-point steady-state solve raise a plain
-    ValueError; grid points go to the per-point path (``stacked_solves_fail``),
-    so the n-th point of a serial sweep is its n-th solve."""
+def fail_steady_state_on_call(monkeypatch):
+    """Call with n to make the n-th point through the post-solve kernel
+    ``lindblad._steady_states``, which ``steady_state`` and the stacked grid
+    solve share, fail with a plain ValueError; with None, every point.  The
+    points of a serial sweep reach it in order, so the n-th is its n-th point."""
     import blockadesim.lindblad as lindblad_mod
-    real = lindblad_mod.steady_state
+    real = lindblad_mod._steady_states
 
-    def arm(bad_call: int):
-        calls = []
+    def arm(bad_point: int | None):
+        seen = []
 
-        def flaky(L):
-            calls.append(L)
-            if len(calls) == bad_call:
-                raise ValueError("forced invalid density matrix")
-            return real(L)
+        def flaky(*args):
+            rho, errors = real(*args)
+            for k in range(len(errors)):
+                seen.append(k)
+                if bad_point is None or len(seen) == bad_point:
+                    errors[k] = ValueError("forced invalid density matrix")
+            return rho, errors
 
-        monkeypatch.setattr(lindblad_mod, "steady_state", flaky)
+        monkeypatch.setattr(lindblad_mod, "_steady_states", flaky)
 
     return arm

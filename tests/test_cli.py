@@ -378,15 +378,38 @@ def test_cmd_g2_tau_exits_3_when_every_detuning_fails(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command,data", [
     ("g2-sweep", "g2_sweep.csv"), ("map", "map2d.csv"), ("envelope", "envelope.csv"),
+    ("g2-tau", "g2_tau.csv"),
 ])
-def test_sweep_command_exits_3_when_every_unit_fails(tmp_path, monkeypatch, stacked_solves_fail,
+def test_a_tiny_finite_kerr_gives_flagged_rows(tmp_path, command, data):
+    # U = 1e-165 MHz loads, but the mean-field cubic's coefficients overflow:
+    # every point fails its drift residual check and no OverflowError escapes
+    text = SMALL_RUN.replace("U = 0.25 MHz_over_2pi", "U = 1e-165 MHz_over_2pi")
+    assert text != SMALL_RUN
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    rows = list(csv.DictReader(open(out / data)))
+    assert rows
+    for row in rows:
+        if command == "envelope":
+            assert row["warnings"] == "no valid coarse-grid point"
+        elif command == "g2-tau":
+            assert math.isnan(float(row["g2"]))
+        else:
+            assert row["status"] == "failed"
+            assert row["warnings"].startswith("mean-field drift residual nan")
+    if command == "g2-tau":
+        manifest = json.loads((out / "g2_tau_manifest.json").read_text())
+        assert all(reason.startswith("mean-field drift residual nan")
+                   for reason in manifest["failed_detunings"].values())
+
+
+@pytest.mark.parametrize("command,data", [
+    ("g2-sweep", "g2_sweep.csv"), ("map", "map2d.csv"), ("envelope", "envelope.csv"),
+])
+def test_sweep_command_exits_3_when_every_unit_fails(tmp_path, fail_steady_state_on_call,
                                                     command, data):
-    import blockadesim.sweep as sweep_mod
-
-    def boom(p, cutoffs=(4, 4)):
-        raise SteadyStateError("forced failure")
-
-    monkeypatch.setattr(sweep_mod, "displaced_solution", boom)
+    fail_steady_state_on_call(None)
     cfg = write_cfg(tmp_path, SMALL_RUN)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3

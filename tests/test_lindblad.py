@@ -514,19 +514,20 @@ def test_dense_gmres_crossover_at_joint_dimension_25(cutoffs, sparse):
 
 
 def test_gmres_solve_applies_l_once_for_the_residual(monkeypatch):
-    # GMRES runs on the CSR superoperator; L.apply is left to the residual check
+    # GMRES runs on the CSR superoperator; the matrix-free apply is left to
+    # the residual check, on the solution as a stack of one
     calls = []
-    real = Liouvillian.apply
+    real = lindblad_mod._apply
 
-    def counting(self, rho):
+    def counting(K, weights, jumps, rho):
         calls.append(rho.shape)
-        return real(self, rho)
+        return real(K, weights, jumps, rho)
 
-    monkeypatch.setattr(Liouvillian, "apply", counting)
+    monkeypatch.setattr(lindblad_mod, "_apply", counting)
     L = build_liouvillian(sample_params(eta=0.5 * MHz, da=1 * MHz, db=1 * MHz), cutoffs=(9, 8))
     assert L.is_sparse
     steady_state(L)
-    assert calls == [(72, 72)]
+    assert calls == [(1, 72, 72)]
 
 
 def _terms_at(p, cutoffs, displacement=None):
@@ -653,6 +654,20 @@ def test_undriven_vacuum_on_the_matrix_free_path():
     L = build_liouvillian(p, cutoffs=(9, 8))
     assert L.is_sparse
     assert steady_state(L).data[0, 0].real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("da, db", [(0.0, 0.0), (14.339 * MHz, -1.140 * MHz)],
+                         ids=["resonant", "48MHz-optimum"])
+def test_gmres_at_zero_bath_occupation_matches_dense(da, db):
+    # with no thermal jump only the weak drive lifts the displaced vacuum's
+    # Sylvester denominator off 0, to about 1e-11 of the largest; an eps
+    # floor there stalled GMRES
+    p = sample_params(eta=0.5 * MHz, da=da, db=db, n_th_a=0.0)
+    gmres_obs = displaced_solution(p, cutoffs=(6, 6)).obs
+    dense_obs = displaced_solution(p, cutoffs=(5, 5)).obs
+    assert build_liouvillian(p, cutoffs=(6, 6)).is_sparse
+    assert gmres_obs.g2_gaussian == pytest.approx(dense_obs.g2_gaussian, rel=1e-8)
+    assert gmres_obs.n_tot == pytest.approx(dense_obs.n_tot, rel=1e-8)
 
 
 def test_preconditioner_inverts_the_sylvester_part(monkeypatch):

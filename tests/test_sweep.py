@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import blockadesim.lindblad as lindblad_mod
 from blockadesim import blas
-from blockadesim.lindblad import (DENSE_SUPEROP_MAX_JOINT_DIM, ConvergenceError,
-                                  SteadyStateError, SystemParams, displaced_solution,
-                                  g2_gradient, stacked_solutions)
+from blockadesim.lindblad import (ConvergenceError, SteadyStateError, SystemParams,
+                                  displaced_solution, g2_gradient, stacked_solutions)
 from blockadesim.sweep import (G2_GRADIENT_TOL, SweepRecord, dominant_period,
                                fit_eta_to_population, map2d, minimize_g2,
                                solve_point, solve_points, sweep_detuning)
@@ -180,8 +180,6 @@ def test_stacked_points_match_solve_point(p, deltas, cutoffs):
         stacked, per_point = solve_points(p, deltas, cutoffs), per_point_records(p, deltas, cutoffs)
     assert all(rec.status == "ok" for rec in stacked)
     assert_records_match(stacked, per_point)
-    if math.prod(cutoffs) <= DENSE_SUPEROP_MAX_JOINT_DIM:   # no point fell back
-        assert None not in stacked_solutions(p, deltas, cutoffs)
     if p.eta_a == 48 * MHz:
         assert stacked[0].warnings == ("bistable mean field: selected low-amplitude branch",)
         assert stacked[1].warnings == ()
@@ -189,29 +187,101 @@ def test_stacked_points_match_solve_point(p, deltas, cutoffs):
         assert stacked == per_point
 
 
-def test_a_point_failing_a_stacked_check_is_re_solved_per_point(monkeypatch):
-    # a NaN mean-field residual at one detuning fails the stacked check there;
-    # solve_point re-solves it and flags it with the per-point message
-    import blockadesim.lindblad as lindblad_mod
-
-    p, bad = sample_params(24 * MHz), STACK_DELTAS[7]
-    with blas.single_threaded():
-        clean = solve_points(p, STACK_DELTAS[:15], (4, 4))
+def _poison_mean_field(monkeypatch, bad_delta, bad_point):
+    # a NaN mean-field residual at the bad detuning
     real = lindblad_mod._mean_field
 
     def poisoned(q):
         alpha, beta, residual, real_roots = real(q)
-        at_bad = (np.asarray(q.delta_a) == bad[0]) & (np.asarray(q.delta_b) == bad[1])
+        at_bad = (q.delta_a == bad_delta[0]) & (q.delta_b == bad_delta[1])
         return alpha, beta, np.where(at_bad, np.nan, residual), real_roots
 
     monkeypatch.setattr(lindblad_mod, "_mean_field", poisoned)
+
+
+def _points_of(calls, stack):
+    """The ordinals, counted across calls, of the points of one stacked call."""
+    first = len(calls) + 1
+    calls.extend(range(len(stack)))
+    return range(first, first + len(stack))
+
+
+def _fail_lu(monkeypatch, bad_delta, bad_point):
+    # LAPACK reports a zero pivot at the bad point's factorization
+    real, calls = lindblad_mod.dgetrf, []
+
+    def dgetrf(a, **options):
+        lu, piv, info = real(a, **options)
+        calls.append(None)
+        return lu, piv, 1 if len(calls) == bad_point else info
+
+    monkeypatch.setattr(lindblad_mod, "dgetrf", dgetrf)
+
+
+def _fail_residual(monkeypatch, bad_delta, bad_point):
+    # L applied to the bad point's solution is far from 0
+    real, calls = lindblad_mod._apply, []
+
+    def spoiled(K, weights, jumps, rho):
+        out = real(K, weights, jumps, rho)
+        for k, point in enumerate(_points_of(calls, rho)):
+            if point == bad_point:
+                out[k] += np.abs(K).max()
+        return out
+
+    monkeypatch.setattr(lindblad_mod, "_apply", spoiled)
+
+
+def _fail_state(monkeypatch, bad_delta, bad_point):
+    # the bad point's state is not Hermitian
+    real, calls = lindblad_mod.state_errors, []
+
+    def spoiled(data):
+        data = data.copy()
+        for k, point in enumerate(_points_of(calls, data)):
+            if point == bad_point:
+                data[k, 0, 1] += 1.0
+        return real(data)
+
+    monkeypatch.setattr(lindblad_mod, "state_errors", spoiled)
+
+
+@pytest.mark.parametrize("params, fail, reason", [
+    (sample_params(24 * MHz), _poison_mean_field, "mean-field drift residual nan"),
+    (sample_params(24 * MHz), _fail_lu, "LU solve failed: LAPACK info 1"),
+    (sample_params(24 * MHz), _fail_residual, "steady-state residual"),
+    (sample_params(24 * MHz), _fail_state, "density matrix not Hermitian"),
+    # unpatched, every point fails: the vacuum has no population
+    (sample_params(0.0, n_th_a=0.0), None, "total population must be > 0"),
+    # unpatched: U = 1e-165 MHz overflows the mean-field cubic at every point
+    (replace(sample_params(24 * MHz), U=1e-165 * MHz), None, "mean-field drift residual nan"),
+], ids=["mean-field", "lu-info", "residual", "state", "zero-population", "tiny-U"])
+def test_a_failed_point_has_solve_points_reason(monkeypatch, params, fail, reason):
+    # solve_points fails a point with the reason solve_point gives, without
+    # solving it again: every record, failed or solved, is solve_point's
+    import blockadesim.sweep as sweep_mod
+
+    deltas, bad = STACK_DELTAS[:15], 8
+    real_solve, per_point_calls = sweep_mod.displaced_solution, []
+
+    def counting(q, cutoffs=(4, 4)):
+        per_point_calls.append(q)
+        return real_solve(q, cutoffs=cutoffs)
+
+    monkeypatch.setattr(sweep_mod, "displaced_solution", counting)
     with blas.single_threaded():
-        records = solve_points(p, STACK_DELTAS[:15], (4, 4))
-        reference = solve_point(replace(p, delta_a=bad[0], delta_b=bad[1]), (4, 4))
-    assert [rec.status for rec in records] == ["ok"] * 7 + ["failed"] + ["ok"] * 7
-    assert records[7].warnings == reference.warnings
-    assert records[7].warnings[0].startswith("mean-field drift residual nan")
-    assert records[:7] + records[8:] == clean[:7] + clean[8:]
+        if fail:
+            fail(monkeypatch, deltas[bad - 1], bad)
+        records = solve_points(params, deltas, (4, 4))
+        assert per_point_calls == []
+        if fail:
+            fail(monkeypatch, deltas[bad - 1], bad)
+        reference = per_point_records(params, deltas, (4, 4))
+    assert len(per_point_calls) == len(deltas)
+    assert [repr(rec) for rec in records] == [repr(rec) for rec in reference]
+    failed = [k for k, rec in enumerate(records) if rec.status == "failed"]
+    assert failed == ([bad - 1] if fail else list(range(len(deltas))))
+    assert all(records[k].warnings[0].startswith(reason) for k in failed)
 
 
 def test_stacked_record_does_not_depend_on_its_batch():
@@ -227,7 +297,7 @@ def test_stacked_record_does_not_depend_on_its_batch():
         stacked_alone = [stacked_solutions(p, [d], (4, 4))[0] for d in STACK_DELTAS]
     assert all(rec.status == "ok" for rec in whole)
     assert whole == alone == chunked
-    assert None not in one_stack and one_stack == stacked_alone
+    assert all(isinstance(sol, tuple) for sol in one_stack) and one_stack == stacked_alone
 
 
 @pytest.mark.slow
