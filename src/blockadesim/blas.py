@@ -3,23 +3,29 @@
 The dense problems of the production path are small (256x256 at cutoff 4),
 where a multi-threaded BLAS spends more time waking and spin-waiting its
 threads than computing, and OpenBLAS's LU rounds differently at different
-thread counts.  So the CLI runs each command inside ``single_threaded()``
-and ``pool_map`` runs every task at one thread, serial or pooled; other
-library calls leave BLAS as they find it.  Setting any of ``BLAS_ENV`` turns
-the pin off everywhere.  The thread counts are process-wide, so two threads
-of one process must not run pinned blocks at the same time.
+thread counts.  So each solver entry point of ``lindblad`` runs inside
+``single_threaded()``, used as a decorator, and so does each CLI command;
+``pool_map`` runs every task at one thread, serial or pooled.  A library
+solve thus gives the CLI's bits whatever the caller's thread count, and
+leaves that count as it found it.  ``single_threaded`` is re-entrant and
+safe for threads: the first block to enter pins, nested and concurrent
+blocks only count themselves, and the last to leave restores the counts
+the first one found.  Setting any of ``BLAS_ENV`` turns the pin off
+everywhere.
 
-threadpoolctl is used when it imports.  Without it, the
-``*_set_num_threads`` entry points of every OpenBLAS mapped into the
-process are called through ctypes; the libraries are found in
-``/proc/self/maps``, so on systems without it nothing is pinned and
-``single_threaded`` reports ``"none"``.
+The libraries are found once per process (``_blas_libraries``), through
+threadpoolctl when it imports.  Without it, the ``*_set_num_threads``
+entry points of every OpenBLAS mapped into the process are called through
+ctypes; the libraries are found in ``/proc/self/maps``, so on systems
+without it nothing is pinned and ``single_threaded`` reports ``"none"``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
@@ -27,19 +33,20 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # OpenBLAS builds export their thread API under these prefixes and suffixes
 _SYMBOL_PREFIXES = ("openblas", "scipy_openblas")
 _SYMBOL_SUFFIXES = ("", "64_")
+# scipy's LAPACK extension: once it is loaded, scipy's OpenBLAS is mapped beside numpy's
+_SCIPY_LAPACK = "scipy.linalg._flapack"
+
+# The thread counts are process-wide, so the pin's state is too: the number
+# of open single_threaded blocks and the restore of the first one's pin.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore = None
+_libraries: dict | None = None   # the kept discovery of ``_blas_libraries``
 
 
 def env_pinned() -> bool:
     """True when the user set the BLAS thread count through the environment."""
     return any(v in os.environ for v in BLAS_ENV)
-
-
-def _threadpoolctl():
-    try:
-        import threadpoolctl
-    except ImportError:
-        return None
-    return threadpoolctl
 
 
 def _openblas_entry_points() -> dict:
@@ -65,13 +72,35 @@ def _openblas_entry_points() -> dict:
     return out
 
 
+def _blas_libraries() -> dict:
+    """{library file name: (get_num_threads, set_num_threads)} of every loaded BLAS.
+
+    From threadpoolctl's controllers when it imports, else
+    ``_openblas_entry_points``.  A discovery reads the process's mapped
+    libraries (about 0.6 ms without threadpoolctl), so the first one made
+    after scipy's LAPACK is loaded is kept for the process; an earlier one,
+    such as a pool worker's pin before it imports numpy, is not, so that
+    the worker still finds both libraries later.
+    """
+    global _libraries
+    if _libraries is not None:
+        return _libraries
+    try:
+        import threadpoolctl
+    except ImportError:
+        found = _openblas_entry_points()
+    else:
+        found = {os.path.basename(lib.filepath): (lib.get_num_threads, lib.set_num_threads)
+                 for lib in threadpoolctl.ThreadpoolController().select(
+                     user_api="blas").lib_controllers}
+    if _SCIPY_LAPACK in sys.modules:
+        _libraries = found
+    return found
+
+
 def thread_counts() -> dict[str, int]:
     """Thread count currently in effect, by loaded BLAS library file name."""
-    tpc = _threadpoolctl()
-    if tpc is not None:
-        return {os.path.basename(info["filepath"]): int(info["num_threads"])
-                for info in tpc.threadpool_info() if info["user_api"] == "blas"}
-    return {name: int(get()) for name, (get, _) in _openblas_entry_points().items()}
+    return {name: int(get()) for name, (get, _) in _blas_libraries().items()}
 
 
 def _pin_to_one_thread():
@@ -80,13 +109,10 @@ def _pin_to_one_thread():
     Returns a callable that restores the previous counts, or None when no
     library could be controlled.
     """
-    tpc = _threadpoolctl()
-    if tpc is not None:
-        return tpc.threadpool_limits(limits=1, user_api="blas").restore_original_limits
-    entry_points = _openblas_entry_points()
-    if not entry_points:
+    libraries = _blas_libraries()
+    if not libraries:
         return None
-    previous = [(set_threads, get()) for get, set_threads in entry_points.values()]
+    previous = [(set_threads, get()) for get, set_threads in libraries.values()]
     for set_threads, _ in previous:
         set_threads(1)
 
@@ -101,19 +127,32 @@ def _pin_to_one_thread():
 def single_threaded():
     """Limit every loaded BLAS to one thread inside the block, then restore it.
 
+    Also a decorator (``@single_threaded()``).  Re-entrant and safe for
+    threads: only the outermost block in the process reads BLAS_ENV and
+    pins, and the last one to leave restores, so a nested block costs a
+    few microseconds.
     Yields who set the thread counts in effect: ``"env"`` when one of
-    BLAS_ENV is set (nothing is changed), ``"cli"`` when this block pinned
-    the libraries, ``"none"`` when it found no library to pin.
+    BLAS_ENV is set (nothing is changed), ``"cli"`` when the outermost
+    block pinned the libraries, ``"none"`` when it found no library to pin.
     """
-    if env_pinned():
-        yield "env"
-        return
-    restore = _pin_to_one_thread()
+    global _pin_depth, _pin_restore
+    with _pin_lock:
+        if _pin_depth == 0 and env_pinned():
+            pinned_by = "env"
+        else:
+            if _pin_depth == 0:
+                _pin_restore = _pin_to_one_thread()
+            _pin_depth += 1
+            pinned_by = "none" if _pin_restore is None else "cli"
     try:
-        yield "none" if restore is None else "cli"
+        yield pinned_by
     finally:
-        if restore is not None:
-            restore()
+        if pinned_by != "env":
+            with _pin_lock:
+                _pin_depth -= 1
+                if _pin_depth == 0 and _pin_restore is not None:
+                    _pin_restore()
+                    _pin_restore = None
 
 
 def pin_worker():

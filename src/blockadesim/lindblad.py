@@ -39,13 +39,18 @@ per point the error it raises, or None: the per-point functions run it on
 a stack of one and raise that, ``stacked_solutions`` returns its message.
 Two-time correlations propagate the observable with ``expm_multiply`` on
 the adjoint of the same CSR superoperator, at any cutoff.
+The solver entry points (``steady_state``, ``displaced_solution``,
+``stacked_solutions``, ``two_time_correlations``, ``g2_gradient``) run with
+every loaded BLAS at one thread (``blas.single_threaded``, re-entrant), so
+a library call gives the CLI's bits, as OpenBLAS's LU rounds by thread
+count, and hands the caller's thread count back unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -53,6 +58,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
 
+from .blas import single_threaded
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
 from .hilbert import DensityMatrix, state_errors, two_mode_annihilators
 
@@ -217,21 +223,24 @@ class Liouvillian:
     modulus.  The jumps are real with a zero diagonal (bare ladder
     operators; a displaced jump c + s is c with 1/2 w (conj(s) c - s c')
     added to K, as D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]), and the
-    weighted ones have disjoint supports; else ValueError.  L raises the
-    error of ``_superop_checks``.
+    weighted ones have disjoint supports; else ValueError.  ``displaced``
+    says K was formed at a mean-field displacement, which keys the layout
+    (``_k_support``).  L raises the error of ``_superop_checks``.
     """
 
     dims: tuple[int, int]
     terms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    displaced: InitVar[bool] = False
     entries: np.ndarray = field(init=False, repr=False)
     max_abs: float = field(init=False, repr=False)
     _layout: _SuperopLayout = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, displaced):
         K, weights, jumps = self.terms
         if np.iscomplexobj(jumps) or jumps.diagonal(0, 1, 2).any():
             raise ValueError("jumps must be real with a zero diagonal (bare ladder operators)")
-        layout = _superop_layout((K != 0).tobytes(), _jump_support(weights, jumps), K.shape[0])
+        layout = _superop_layout(_k_support(K, jumps, displaced).tobytes(),
+                                 _jump_support(weights, jumps), K.shape[0])
         entries = _superop_entries(layout, K, weights, jumps)
         entries.flags.writeable = False
         (scale,), (error,) = _superop_checks(layout, entries[None])
@@ -345,6 +354,18 @@ def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLa
     for array in arrays:
         array.flags.writeable = False
     return _SuperopLayout(n, *arrays)
+
+
+def _k_support(K: np.ndarray, jumps: np.ndarray, displaced: bool) -> np.ndarray:
+    """The support of K (..., n, n) that keys ``_superop_layout``, on the
+    per-point and the stacked path alike.  Displaced, K's a, a', b, b'
+    coefficients are the mean-field drift, rounding residue that is exactly
+    0 at some points, so the jumps' support is stored with K's and the
+    points of a sweep keep one layout (a stored zero adds nothing to any
+    form of L).  Undisplaced, they are the pumps, and a zero one stores
+    nothing."""
+    support = K != 0
+    return support | (jumps != 0).any(axis=0) if displaced else support
 
 
 def _jump_support(weights: np.ndarray, jumps: np.ndarray) -> bytes:
@@ -499,7 +520,7 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
     alpha, beta = np.array(displacement or (0.0, 0.0), dtype=complex)[:, None]
     weights = _jump_weights(p)
     K = _k_matrix(_one_point(p), alpha, beta, weights, model)[0]
-    return Liouvillian((n_a, n_b), (K, weights, model.jumps))
+    return Liouvillian((n_a, n_b), (K, weights, model.jumps), displaced=displacement is not None)
 
 
 def _hermitian_form(layout: _SuperopLayout, entries: np.ndarray, scale: float) -> np.ndarray:
@@ -624,6 +645,7 @@ def _gmres_solver(L: Liouvillian):
     return solve
 
 
+@single_threaded()
 def steady_state(L: Liouvillian) -> DensityMatrix:
     """Null vector of L with unit trace.
 
@@ -701,6 +723,7 @@ def _seeded_legacy_rng():
         np.random.set_state(state)
 
 
+@single_threaded()
 def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
                           tau_grid) -> TwoTimeCorrelation:
     """Quantum-regression evaluation of n(tau), s(tau) on a uniform tau grid.
@@ -807,6 +830,7 @@ class DisplacedSolution:
         return self.mean_field.warnings
 
 
+@single_threaded()
 def displaced_solution(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> DisplacedSolution:
     """Mean field -> displaced Liouvillian -> steady state -> observables."""
     mf = mean_field_steady_state(p)
@@ -816,6 +840,7 @@ def displaced_solution(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> Di
     return DisplacedSolution(mf, L, rho, obs)
 
 
+@single_threaded()
 def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
                       ) -> list[tuple[MeanFieldResult, Observables] | str]:
     """``displaced_solution``'s mean field and observables at each (delta_a,
@@ -841,11 +866,8 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
     stack = replace(p, delta_a=deltas[points, 0], delta_b=deltas[points, 1])
     model, weights = _cutoff_model(n_a, n_b), _jump_weights(p)
     K = _k_matrix(stack, alpha, beta, weights, model)
-    # K's a, a', b, b' coefficients are the mean-field drift, rounding residue
-    # that is exactly 0 at some points: their support is always stored, so a
-    # grid keeps one layout (a stored zero adds nothing to M)
     groups: dict[bytes, list[int]] = {}
-    for k, support in enumerate((K != 0) | (model.jumps != 0).any(axis=0)):
+    for k, support in enumerate(_k_support(K, model.jumps, displaced=True)):
         groups.setdefault(support.tobytes(), []).append(k)
     scale, errors, Z = np.zeros(len(K)), [None] * len(K), np.zeros((len(K), joint * joint))
     for support, members in groups.items():
@@ -881,6 +903,7 @@ def mode_occupation(rho: DensityMatrix, mode: int) -> float:
     return np.trace(op.T @ op @ rho.data).real
 
 
+@single_threaded()
 def g2_gradient(p: SystemParams, sol: DisplacedSolution) -> np.ndarray:
     """d g2_gaussian / d(delta_a, delta_b) at the solved point ``sol`` of ``p``.
 

@@ -386,6 +386,21 @@ def test_one_superop_layout_per_support_in_a_sweep(tmp_path, command, layouts):
     assert _superop_layout.cache_info().misses <= layouts
 
 
+def test_a_zero_drift_shares_the_layout_of_a_nonzero_one():
+    # displaced, K's a and a' coefficients are the a drift, rounding residue
+    # that is exactly 0 at (-18, -18) MHz.  That point keys its layout as the
+    # stacked grid does, so it shares the layout of a point whose drift is not 0
+    def displaced_at(delta_mhz):
+        p = sample_params(eta=15 * MHz, da=delta_mhz * MHz, db=delta_mhz * MHz)
+        mf = mean_field_steady_state(p)
+        return build_liouvillian(p, displacement=(mf.alpha, mf.beta))
+
+    zero_drift, drift = displaced_at(-18.0), displaced_at(-17.0)
+    a = _cutoff_model(4, 4).A
+    assert not zero_drift.terms[0][a != 0].any() and drift.terms[0][a != 0].all()
+    assert zero_drift._layout is drift._layout
+
+
 def test_jumps_must_be_real_with_a_zero_diagonal():
     K, weights, jumps = build_liouvillian(sample_params(), cutoffs=(3, 3)).terms
     diagonal = jumps.copy()

@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import minimize
 
 import blockadesim.lindblad as lindblad_mod
-from blockadesim import blas
 from blockadesim.lindblad import (ConvergenceError, SteadyStateError, SystemParams,
                                   displaced_solution, g2_gradient, stacked_solutions)
 from blockadesim.sweep import (G2_GRADIENT_TOL, SweepRecord, dominant_period,
@@ -176,8 +175,7 @@ def per_point_records(p, deltas, cutoffs):
     (sample_params(24 * MHz), [(-1.656 * MHz, 2.386 * MHz), (0.0, 0.0)], (6, 5)),   # GMRES
 ], ids=["U=0", "eta=0", "bistable", "gmres"])
 def test_stacked_points_match_solve_point(p, deltas, cutoffs):
-    with blas.single_threaded():
-        stacked, per_point = solve_points(p, deltas, cutoffs), per_point_records(p, deltas, cutoffs)
+    stacked, per_point = solve_points(p, deltas, cutoffs), per_point_records(p, deltas, cutoffs)
     assert all(rec.status == "ok" for rec in stacked)
     assert_records_match(stacked, per_point)
     if p.eta_a == 48 * MHz:
@@ -269,14 +267,13 @@ def test_a_failed_point_has_solve_points_reason(monkeypatch, params, fail, reaso
         return real_solve(q, cutoffs=cutoffs)
 
     monkeypatch.setattr(sweep_mod, "displaced_solution", counting)
-    with blas.single_threaded():
-        if fail:
-            fail(monkeypatch, deltas[bad - 1], bad)
-        records = solve_points(params, deltas, (4, 4))
-        assert per_point_calls == []
-        if fail:
-            fail(monkeypatch, deltas[bad - 1], bad)
-        reference = per_point_records(params, deltas, (4, 4))
+    if fail:
+        fail(monkeypatch, deltas[bad - 1], bad)
+    records = solve_points(params, deltas, (4, 4))
+    assert per_point_calls == []
+    if fail:
+        fail(monkeypatch, deltas[bad - 1], bad)
+    reference = per_point_records(params, deltas, (4, 4))
     assert len(per_point_calls) == len(deltas)
     assert [repr(rec) for rec in records] == [repr(rec) for rec in reference]
     failed = [k for k, rec in enumerate(records) if rec.status == "failed"]
@@ -288,13 +285,12 @@ def test_stacked_record_does_not_depend_on_its_batch():
     # cutoff 4, where one (P, 14) @ basis product rounded 28 of 121 points by batch size
     p = sample_params(24 * MHz)
     cuts = [0, 1, 18, 19, 64, 100, 121]
-    with blas.single_threaded():
-        whole = solve_points(p, STACK_DELTAS, (4, 4))
-        alone = [solve_points(p, [d], (4, 4))[0] for d in STACK_DELTAS]
-        chunked = [rec for lo, hi in zip(cuts[:-1], cuts[1:])
-                   for rec in solve_points(p, STACK_DELTAS[lo:hi], (4, 4))]
-        one_stack = stacked_solutions(p, STACK_DELTAS, (4, 4))   # not split into blocks
-        stacked_alone = [stacked_solutions(p, [d], (4, 4))[0] for d in STACK_DELTAS]
+    whole = solve_points(p, STACK_DELTAS, (4, 4))
+    alone = [solve_points(p, [d], (4, 4))[0] for d in STACK_DELTAS]
+    chunked = [rec for lo, hi in zip(cuts[:-1], cuts[1:])
+               for rec in solve_points(p, STACK_DELTAS[lo:hi], (4, 4))]
+    one_stack = stacked_solutions(p, STACK_DELTAS, (4, 4))   # not split into blocks
+    stacked_alone = [stacked_solutions(p, [d], (4, 4))[0] for d in STACK_DELTAS]
     assert all(rec.status == "ok" for rec in whole)
     assert whole == alone == chunked
     assert all(isinstance(sol, tuple) for sol in one_stack) and one_stack == stacked_alone
@@ -416,8 +412,7 @@ def test_envelope_optima_are_stationary(monkeypatch):
         assert res.success and np.linalg.norm(res.jac) <= G2_GRADIENT_TOL
         assert point.warnings == () and point.status == "ok"
         at = replace(p, eta_a=complex(eta), delta_a=point.delta_a, delta_b=point.delta_b)
-        with blas.single_threaded():
-            gradient = KAPPA_A * g2_gradient(at, displaced_solution(at))
+        gradient = KAPPA_A * g2_gradient(at, displaced_solution(at))
         assert np.linalg.norm(gradient) <= G2_GRADIENT_TOL, eta / MHz
 
 
@@ -519,12 +514,11 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
     # them, is solved once at the configured cutoff 4
     assert grids == [((3, 3), 121)] * len(etas)
     assert Counter(solved_at) == {(4, 4): sum(res.nfev for res in results)}
-    # the same record a fresh solve at the returned detunings gives, with
-    # BLAS at one thread as in minimize_g2 (the LU rounds by thread count)
+    # the same record a fresh solve at the returned detunings gives: the
+    # solve pins BLAS to one thread itself (the LU rounds by thread count)
     for eta, point in zip(etas, env):
-        with blas.single_threaded():
-            fresh = solve_point(replace(sample_params(0.0), eta_a=complex(eta),
-                                        delta_a=point.delta_a, delta_b=point.delta_b))
+        fresh = solve_point(replace(sample_params(0.0), eta_a=complex(eta),
+                                    delta_a=point.delta_a, delta_b=point.delta_b))
         assert (point.n_tot, point.g2, point.delta_a, point.delta_b) == (
             fresh.n_tot, fresh.g2, fresh.delta_a, fresh.delta_b)
         assert [type(v) for v in (point.delta_a, point.delta_b)] == [float, float]
@@ -553,8 +547,7 @@ def test_cutoff_3_grid_picks_the_cutoff_4_seed_at_the_envelope_etas(monkeypatch)
 
     for eta, points in grids.items():
         assert len(points) == sweep_mod.COARSE_GRID_POINTS ** 2
-        with blas.single_threaded():
-            at_4 = [real_solve(p, (4, 4)) for p, _ in points]
+        at_4 = [real_solve(p, (4, 4)) for p, _ in points]
         assert seed(rec for _, rec in points) == seed(at_4), eta / MHz
 
 
