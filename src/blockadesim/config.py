@@ -331,18 +331,18 @@ def parse_run_config(text: str, name: str = "<config>") -> RunConfig:
     )
 
     cal_keys = ("G_X", "G_Y", "epsilon", "n_h")
+    truth_keys = ("truth_alpha_re", "truth_alpha_im", "truth_n", "truth_s_re", "truth_s_im")
     measurement = MeasurementConfig(
         cal=library_call("measurement", cal_keys, CalibrationConstants,
                     *(q("measurement", key, "dimensionless", default)
                       for key, default in zip(cal_keys, (1.0, 1.0, 0.0, 12.5)))),
-        # only finiteness is checked: an unphysical truth (n = 0, s = 0.5) runs, with a truth
-        # g2 of 2281; only a covariance that is not PSD fails, in the synthesizer (exit 3)
-        truth=GaussianState(
+        truth=library_call("measurement", truth_keys, GaussianState(
             complex(q("measurement", "truth_alpha_re", "dimensionless", default=0.1),
                     q("measurement", "truth_alpha_im", "dimensionless", default=0.0)),
             q("measurement", "truth_n", "dimensionless", default=1e-3),
             complex(q("measurement", "truth_s_re", "dimensionless", default=0.0),
-                    q("measurement", "truth_s_im", "dimensionless", default=0.0))),
+                    q("measurement", "truth_s_im", "dimensionless", default=0.0))
+        ).assert_physical),
         packet_size=positive_count("measurement", "packet_size", default=1_000_000),
         n_packets=positive_count("measurement", "n_packets", default=25),
         n_th=q("measurement", "n_th", "dimensionless", 7.8e-4, nonnegative),

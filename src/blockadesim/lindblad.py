@@ -29,11 +29,14 @@ cutoff, dense or GMRES, K is one coefficient vector, formed from the
 parameters, the weights and the displacement, times that cached basis.
 Each Liouvillian gathers the stored entries of its superoperator once, in
 the CSR order of a layout cached per support pattern (``_superop_layout``);
-every other form of L and its trace check are read from them.  Up to
-DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5, the
-cutoff-4 production path among them) the steady state is one real LU in a
-Hermitian basis; above it, GMRES on the CSR superoperator, preconditioned
-by the Sylvester part of L solved in the eigenbasis of K.
+every other form of L and its trace check are read from them.  Every
+solve with L is ``Liouvillian._solve(R, trace)``: X with L X / max|L| = R
+and Tr X = trace, for Hermitian R of zero trace, whichever solver runs.
+Up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5,
+the cutoff-4 production path among them) it is one real LU in a
+Hermitian basis (``_lu_solve``); above it, GMRES on the CSR
+superoperator, preconditioned by the Sylvester part of L solved in the
+eigenbasis of K.
 Each check is written once, in a kernel on a stack of points that gives
 per point the error it raises, or None: the per-point functions run it on
 a stack of one and raise that, ``stacked_solutions`` returns its message.
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -275,12 +278,22 @@ class Liouvillian:
         return csr_array((self.entries, self._layout.indices, self._layout.indptr),
                          shape=(side, side))
 
-    @cached_property
-    def _solve(self):
-        """The solver of L's steady-state system, set up at its first call and
-        dropped with L, so ``steady_state`` and ``g2_gradient`` share one LU
-        (``_lu_solver``) or one preconditioner (``_gmres_solver``)."""
-        return _gmres_solver(self) if self.is_sparse else _lu_solver(self)
+    def _solve(self, R: np.ndarray, trace: float) -> np.ndarray:
+        """X (..., n, n) with L X / max_abs = R and Tr X = trace, for Hermitian
+        R (..., n, n) of zero trace, by the LU (``_lu_solve``) or the GMRES
+        (``_gmres_solver``) set up at the first call and kept in ``__dict__``,
+        not by a ``cached_property``, whose lock on Python 3.11 is shared by
+        every Liouvillian."""
+        solver = self.__dict__.get("_solver")
+        if solver is None:
+            if self.is_sparse:
+                solver = _gmres_solver(self)
+            else:
+                lu, piv, error = _lu_factor(self._layout, self.entries, self.max_abs)
+                _raised(error)
+                solver = partial(_lu_solve, lu, piv)
+            self.__dict__["_solver"] = solver
+        return solver(R, trace)
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,37 +564,33 @@ def _lu_factor(layout: _SuperopLayout, entries: np.ndarray, scale: float):
                                       "if positive)") if info != 0 else None)
 
 
-def _from_real_form(z: np.ndarray, joint: int) -> np.ndarray:
-    """rho = ((1+i) Z + (1-i) Z.T) / 2 (``_lu_solver``) for each column-stacked
-    real Z of z (..., joint^2), as (..., joint, joint)."""
-    Z = z.reshape(z.shape[:-1] + (joint, joint)).swapaxes(-1, -2)
+def _lu_solve(lu: np.ndarray, piv: np.ndarray, R: np.ndarray, trace: float) -> np.ndarray:
+    """X (..., n, n) with L X / max_abs = R and Tr X = trace, for Hermitian R
+    (..., n, n) of zero trace, from the LU of ``_lu_factor``.
+
+    Hermitian X = ((1+i) Z + (1-i) Z.T) / 2 for real Z = Re X + Im X; the
+    map is an isometry (the basis E_ii, (E_ij+E_ji)/sqrt2, i(E_ij-E_ji)/sqrt2
+    rotated by 45 degrees within each (ij, ji) pair).  In it L becomes the
+    real matrix M = Re L + Im L P, P the transpose permutation, so M vec(Z)
+    = vec(Re L(Z) + Im L(Z.T)) is the Re Y + Im Y of Y = L(X);
+    ``_hermitian_form`` places it from L's entries, scaled by 1 / max_abs.
+    Row 0 of M is the trace, sum_i Z_ii, so row 0 of vec(Re R + Im R) is
+    set to the trace: the equation it drops follows from Tr R = 0.  One
+    back-substitution solves every R of the stack.
+    """
+    n = R.shape[-1]
+    r = (R.real + R.imag).swapaxes(-1, -2).reshape(R.shape[:-2] + (n * n,))
+    r[..., 0] = trace
+    Z = dgetrs(lu, piv, r.T, trans=1)[0].T.reshape(R.shape).swapaxes(-1, -2)
     return 0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.swapaxes(-1, -2))
 
 
-def _lu_solver(L: Liouvillian):
-    """r -> solution z of M z = r, M the real form of L with its trace row, by one LU.
-
-    Hermitian rho = ((1+i) Z + (1-i) Z.T) / 2 for real Z; the map is an
-    isometry (the basis E_ii, (E_ij+E_ji)/sqrt2, i(E_ij-E_ji)/sqrt2 rotated
-    by 45 degrees within each (ij, ji) pair).  In it L becomes the real
-    matrix M = Re L + Im L P, P the transpose permutation, so
-    M vec(Z) = vec(Re L(Z) + Im L(Z.T)); ``_hermitian_form`` places it from
-    L's entries, scaled by 1 / max_abs, without forming the complex dense
-    L, and the LU runs on joint^2 real unknowns.  Row 0 is replaced by the
-    trace, sum_i Z_ii, so r = e_0 gives the unit-trace null vector.  The
-    returned solve is one back-substitution for any number of right-hand
-    sides (columns of r).
-    """
-    lu, piv, error = _lu_factor(L._layout, L.entries, L.max_abs)
-    _raised(error)
-    return lambda r: dgetrs(lu, piv, r, trans=1)[0]
-
-
 def _gmres_solver(L: Liouvillian):
-    """r -> solution x of L x / max_abs + v Tr(x) = r, by preconditioned GMRES.
+    """(R, trace) -> X of ``Liouvillian._solve``, by preconditioned GMRES.
 
-    With v = vec(I/n) and r = v, Tr(L x) = 0 for a trace-preserving L gives
-    Tr(x) = 1 and L x = 0: the unit-trace null vector.  L x / scale is
+    Each x = vec(X) solves L x / max_abs + v Tr(x) = vec(R) + v trace with
+    v = vec(I/n): Tr(L x) = 0 for a trace-preserving L and Tr R = 0 give
+    Tr(x) = trace, and then L x / max_abs = R.  L x / scale is
     applied as the CSR ``L.superoperator()`` times x / scale, so the CSR
     kept with L is not copied (it is about 6-10x faster per product than
     ``L.apply`` at cutoffs 9-10).  The preconditioner, built once per L,
@@ -634,34 +643,33 @@ def _gmres_solver(L: Liouvillian):
     operator = LinearOperator((side, side), matvec, dtype=complex)
     preconditioner = LinearOperator((side, side), sylvester_solve, dtype=complex)
 
-    def solve(r):
-        x, info = gmres(operator, r, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                        maxiter=GMRES_MAX_CYCLES, M=preconditioner)
-        if info != 0:
-            raise SteadyStateError(f"GMRES did not reach rtol {GMRES_RTOL:.0e} "
-                                   f"(info {info}) in {GMRES_MAX_CYCLES} restart cycles")
-        return x
+    def solve(R, trace):
+        X = np.empty(R.shape, dtype=complex)
+        for index in np.ndindex(R.shape[:-2]):
+            x, info = gmres(operator, vec(R[index]) + v * trace, rtol=GMRES_RTOL, atol=0.0,
+                            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=preconditioner)
+            if info != 0:
+                raise SteadyStateError(f"GMRES did not reach rtol {GMRES_RTOL:.0e} "
+                                       f"(info {info}) in {GMRES_MAX_CYCLES} restart cycles")
+            X[index] = unvec(x, joint)
+        return X
 
     return solve
 
 
 @single_threaded()
 def steady_state(L: Liouvillian) -> DensityMatrix:
-    """Null vector of L with unit trace.
+    """Null vector of L with unit trace: ``L._solve`` of R = 0 at trace 1.
 
-    Up to DENSE_SUPEROP_MAX_JOINT_DIM, L is solved as a real system in a
-    Hermitian basis, placed from its entries, by one LU with a row
-    replaced by the trace (``_lu_solver``); above it, GMRES runs on the
-    CSR superoperator with a Sylvester preconditioner (``_gmres_solver``).
-    Both scale L by max_abs, its largest entry, and stay with L as its
-    ``_solve`` for ``g2_gradient``.  Raises the solver's or
-    ``_steady_states``' error for L."""
+    Up to DENSE_SUPEROP_MAX_JOINT_DIM the solver is one real LU in a
+    Hermitian basis, placed from L's entries, with a row replaced by the
+    trace (``_lu_solve``); above it, GMRES on the CSR superoperator with a
+    Sylvester preconditioner (``_gmres_solver``).  Both scale L by max_abs,
+    its largest entry, and stay with L for ``g2_gradient``.  Raises the
+    solver's or ``_steady_states``' error for L."""
     joint = math.prod(L.dims)
-    if L.is_sparse:
-        raw = unvec(L._solve(vec(np.eye(joint) / joint)), joint)[None]
-    else:
-        raw = _from_real_form(L._solve(np.eye(1, joint * joint)[0])[None], joint)
-    rho, (error,) = _steady_states(L.terms, raw, np.array([L.max_abs]))
+    raw = L._solve(np.zeros((joint, joint)), 1.0)
+    rho, (error,) = _steady_states(L.terms, raw[None], np.array([L.max_abs]))
     _raised(error)
     return DensityMatrix(L.dims, rho[0])
 
@@ -825,10 +833,6 @@ class DisplacedSolution:
     rho: DensityMatrix
     obs: Observables
 
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return self.mean_field.warnings
-
 
 @single_threaded()
 def displaced_solution(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> DisplacedSolution:
@@ -849,7 +853,9 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
 
     The per-point kernels run on arrays with a leading point axis (one
     stacked 3 x 3 ``eigvals``, one gather of L's entries per support pattern
-    of K, one LU per point).  Each works point by point, so a point's result
+    of K) but the LU: per point, one factorization and the ``_lu_solve`` of
+    R = 0 at trace 1 that ``L._solve`` runs for ``steady_state``, into one
+    buffer of raw states.  Each works point by point, so a point's result
     does not depend on the points stacked with it, and is
     ``displaced_solution``'s.
     """
@@ -869,7 +875,8 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
     groups: dict[bytes, list[int]] = {}
     for k, support in enumerate(_k_support(K, model.jumps, displaced=True)):
         groups.setdefault(support.tobytes(), []).append(k)
-    scale, errors, Z = np.zeros(len(K)), [None] * len(K), np.zeros((len(K), joint * joint))
+    scale, errors, raw = np.zeros(len(K)), [None] * len(K), np.zeros(K.shape, dtype=complex)
+    zero = np.zeros((joint, joint))
     for support, members in groups.items():
         layout = _superop_layout(support, _jump_support(weights, model.jumps), joint)
         entries = _superop_entries(layout, K[members], weights, model.jumps)
@@ -878,11 +885,10 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
             if error is None:
                 lu, piv, error = _lu_factor(layout, row, scale[k])
             if error is None:
-                Z[k] = dgetrs(lu, piv, np.eye(1, joint * joint)[0], trans=1)[0]
+                raw[k] = _lu_solve(lu, piv, zero, 1.0)
             errors[k] = error
     solved = [k for k, error in enumerate(errors) if error is None]
-    rho, checks = _steady_states((K[solved], weights, model.jumps),
-                                 _from_real_form(Z[solved], joint), scale[solved])
+    rho, checks = _steady_states((K[solved], weights, model.jumps), raw[solved], scale[solved])
     for k, error, moments in zip(solved, checks, _moments((n_a, n_b), rho)):
         errors[k] = error
         if error is None:
@@ -917,12 +923,12 @@ def g2_gradient(p: SystemParams, sol: DisplacedSolution) -> np.ndarray:
       ``mean_field_steady_state``;
     - of K's coefficients (``_k_coefficients``) only a'a, b'b, b'b'b,
       b'bb, b'b' and bb move, as the a, a', b, b' ones are the drift;
-    - L x = 0 gives L dx = -dL(x), with dL(X) = dK X + X dK'.  On the dense
-      path that is M dz = -(Re dL(Z) + Im dL(Z.T)) / max_abs with row 0 (the
-      trace) zero, one back-substitution in the kept LU; on the GMRES path
-      the same preconditioned GMRES solves for -dL(x) / max_abs, and
-      Tr dx = 0 follows from trace preservation.  A change of max_abs
-      scales only rows that vanish at the solution;
+    - L rho = 0 gives L d_rho = -dL(rho), with dL(X) = dK X + X dK', so
+      d_rho is ``L._solve`` of R = -dL(rho) / max_abs at trace 0 (one
+      back-substitution in the kept LU for both detunings, or the same
+      preconditioned GMRES), then its Hermitian part.  R is Hermitian with
+      Tr R = 0, as dK + dK' = 0.  A change of max_abs scales only rows that
+      vanish at the solution;
     - the chain rule through n, s, alpha and ``g2_zero``.
     """
     alpha, beta = sol.mean_field.alpha, sol.mean_field.beta
@@ -947,22 +953,9 @@ def g2_gradient(p: SystemParams, sol: DisplacedSolution) -> np.ndarray:
     joint = math.prod(L.dims)
     dK = (d_coefficients.real @ model.basis
           + 1j * (d_coefficients.imag @ model.basis)).reshape(2, joint, joint)
-    dK_h = dK.conj().transpose(0, 2, 1)
-
-    def d_liouvillian(X):
-        return dK @ X + X @ dK_h
-
     rho = sol.rho.data
-    if L.is_sparse:
-        rhs = -d_liouvillian(rho).transpose(0, 2, 1).reshape(2, -1) / L.max_abs
-        d_rho = np.array([unvec(L._solve(r), joint) for r in rhs])
-        d_rho = 0.5 * (d_rho + d_rho.conj().transpose(0, 2, 1))
-    else:
-        Z = rho.real + rho.imag
-        rhs = (d_liouvillian(Z).real + d_liouvillian(Z.T).imag).transpose(0, 2, 1)
-        rhs = -rhs.reshape(2, -1).T / L.max_abs
-        rhs[0] = 0.0
-        d_rho = _from_real_form(L._solve(rhs).T, joint)
+    d_rho = L._solve(-(dK @ rho + rho @ dK.conj().transpose(0, 2, 1)) / L.max_abs, 0.0)
+    d_rho = 0.5 * (d_rho + d_rho.conj().transpose(0, 2, 1))
     d_n, d_s = model.moments[:2] @ d_rho.reshape(2, -1).T
     d_n = d_n.real
 

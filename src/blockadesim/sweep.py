@@ -72,13 +72,19 @@ def _solved_record(p: SystemParams, mean_field, obs) -> SweepRecord:
                        obs.g2_prime, mean_field.alpha, obs.n, obs.s, mean_field.warnings)
 
 
-def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepRecord:
-    """Displaced-frame solve wrapped so failures become flagged records."""
+def _solve_record(p: SystemParams, cutoffs: tuple[int, int], then) -> tuple[SweepRecord, object]:
+    """``displaced_solution`` at p as a record, and then(solution); when either
+    raises one of SOLVE_ERRORS, a failed record with the reason, and None."""
     try:
         sol = displaced_solution(p, cutoffs=cutoffs)
-        return _solved_record(p, sol.mean_field, sol.obs)
+        return _solved_record(p, sol.mean_field, sol.obs), then(sol)
     except SOLVE_ERRORS as exc:
-        return _failed_record(p, str(exc))
+        return _failed_record(p, str(exc)), None
+
+
+def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepRecord:
+    """Displaced-frame solve wrapped so failures become flagged records."""
+    return _solve_record(p, cutoffs, lambda sol: None)[0]
 
 
 def solve_points(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)) -> list[SweepRecord]:
@@ -251,13 +257,8 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepReco
     def objective(x):
         da, db = key = tuple((x * span).tolist())
         point = replace(base, delta_a=da, delta_b=db)
-        try:
-            sol = displaced_solution(point, cutoffs=cutoffs)
-            solved[key] = _solved_record(point, sol.mean_field, sol.obs)
-            gradient = span * g2_gradient(point, sol)
-        except SOLVE_ERRORS as exc:
-            solved[key], gradient = _failed_record(point, str(exc)), np.full(2, math.nan)
-        return solved[key].g2, gradient
+        solved[key], gradient = _solve_record(point, cutoffs, partial(g2_gradient, point))
+        return solved[key].g2, np.full(2, math.nan) if gradient is None else span * gradient
 
     res = minimize(objective, np.array([best.delta_a, best.delta_b]) / span,
                    gtol=G2_GRADIENT_TOL, maxiter=BFGS_MAX_ITER)
@@ -294,15 +295,12 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
 
 def _g2_tau_point(p: SystemParams, cutoffs: tuple[int, int], tau, delta_a):
     """One ``sweep_g2_tau`` detuning: its record, and (correlations, curve, period) or None."""
-    p = replace(p, delta_a=delta_a, delta_b=delta_a)
-    try:
-        sol = displaced_solution(p, cutoffs=cutoffs)
+    def curves(sol):
         corr = two_time_correlations(sol.liouvillian, sol.rho, tau)
         curve = g2_tau(sol.mean_field.alpha, corr)
-        return _solved_record(p, sol.mean_field, sol.obs), (corr, curve,
-                                                             dominant_period(tau, curve))
-    except SOLVE_ERRORS as exc:
-        return _failed_record(p, str(exc)), None
+        return corr, curve, dominant_period(tau, curve)
+
+    return _solve_record(replace(p, delta_a=delta_a, delta_b=delta_a), cutoffs, curves)
 
 
 def sweep_g2_tau(p: SystemParams, delta_a_values, tau, cutoffs: tuple[int, int] = (4, 4),

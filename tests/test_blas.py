@@ -243,8 +243,7 @@ def test_solver_entry_points_give_the_pinned_bits(caller_at_two_threads):
 def test_concurrent_solves_share_one_pin(monkeypatch, caller_at_two_threads):
     # two threads inside steady_state at once: the first to leave must not
     # restore the caller's count while the second is still solving.  They
-    # meet in the post-solve checks, as on Python 3.11 the factorization
-    # (a cached_property) holds a lock shared by every Liouvillian
+    # meet in the post-solve checks, after each has solved its own L
     both_inside = threading.Barrier(2, timeout=60)
     first_entered, first_done = threading.Event(), threading.Event()
     real = lindblad_mod._steady_states
@@ -283,6 +282,34 @@ def test_concurrent_solves_share_one_pin(monkeypatch, caller_at_two_threads):
     assert not any(thread.is_alive() for thread in threads) and errors == []
     assert len(inside) == 3 and all(set(counts.values()) == {1} for counts in inside)
     assert blas.thread_counts() == caller_at_two_threads
+
+
+def test_two_threads_factor_two_liouvillians_at_once(monkeypatch):
+    # each thread waits inside its own LU factorization for the other; a lock
+    # shared by every Liouvillian around the factorization (Python 3.11's
+    # cached_property) would keep the second out until the barrier breaks
+    both_factoring = threading.Barrier(2, timeout=10)
+    real = lindblad_mod.dgetrf
+
+    def dgetrf(*args, **kwargs):
+        both_factoring.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad_mod, "dgetrf", dgetrf)
+    errors = []
+
+    def solve(delta_mhz):
+        try:
+            steady_state(build_liouvillian(sample_params(delta_mhz)))
+        except Exception as exc:   # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=solve, args=(delta,)) for delta in (0.0, 9.0)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
 
 
 def test_pin_depth_survives_many_threads(caller_at_two_threads):

@@ -694,15 +694,35 @@ def test_overflow_says_what_the_value_must_be(tmp_path, capsys, old, new):
 
 
 def test_cmd_measure_demo_pipeline_failure_exit_code(tmp_path, capsys):
-    # unphysical truth covariance is rejected by the synthesizer -> exit 3
+    # a physical truth (|s|^2 = 1.96 <= n(n+1) = 2) whose measured covariance,
+    # at this amplifier noise, is not PSD: the synthesizer rejects it -> exit 3
     cfg = write_cfg(tmp_path, MINIMAL + """
 [measurement]
-truth_n = -20 dimensionless
+n_h = 0.01 dimensionless
+truth_n = 1 dimensionless
+truth_s_re = 1.4 dimensionless
+truth_s_im = 0 dimensionless
 packet_size = 1000 count
 """)
     rc = main(["measure-demo", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 3
-    assert "pipeline failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pipeline failure" in err and "covariance is not positive semidefinite" in err
+
+
+@pytest.mark.parametrize("lines", [
+    ("truth_n = -20 dimensionless",),                                 # was exit 3, in the synthesizer
+    ("truth_n = 0 dimensionless", "truth_s_re = 0.5 dimensionless"),  # was exit 0, truth g2 2281.3
+], ids=["negative-n", "s-above-n(n+1)"])
+def test_unphysical_truth_state_is_a_config_error(tmp_path, capsys, lines):
+    text = MINIMAL + "\n[measurement]\n" + "\n".join(lines) + "\n"
+    cfg = write_cfg(tmp_path, text)
+    numbers = ", ".join(str(text.splitlines().index(line) + 1) for line in lines)
+    rc = main(["measure-demo", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    keys = ", ".join(line.split(" = ")[0] for line in lines)
+    assert (f"{cfg} line{'s' * (len(lines) > 1)} {numbers}: [measurement] {keys}"
+            in capsys.readouterr().err)
 
 
 def test_cmd_measure_demo_writes_null_g2_for_a_draw_without_population(tmp_path):

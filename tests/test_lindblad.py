@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csr_array, kron
 
 import blockadesim.lindblad as lindblad_mod
+from blockadesim.blas import single_threaded
 from blockadesim.cli import main
 from blockadesim.hilbert import DensityMatrix, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
@@ -528,6 +529,40 @@ def test_dense_gmres_crossover_at_joint_dimension_25(cutoffs, sparse):
     assert build_liouvillian(sample_params(), cutoffs=cutoffs).is_sparse is sparse
 
 
+SOLVE_CONTRACT_TOL = 1e-11   # measured: about 1e-15 (LU) and 2e-13 (GMRES) relative
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 4), (5, 6)], ids=["lu", "gmres"])
+def test_solve_meets_one_contract_on_both_paths(cutoffs, monkeypatch):
+    # L._solve(R, trace) is X with L X / max|L| = R and Tr X = trace for
+    # Hermitian R of zero trace, whichever solver runs; the residual is
+    # relative to max|R| and the trace error to max|X|
+    p = sample_params(eta=24 * MHz, da=-2 * MHz, db=2 * MHz)
+    mf = mean_field_steady_state(p)
+    L = build_liouvillian(p, displacement=(mf.alpha, mf.beta), cutoffs=cutoffs)
+    assert L.is_sparse is (cutoffs == (5, 6))
+    n = math.prod(cutoffs)
+    rng = np.random.default_rng(30)
+    A = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    R = A + A.conj().swapaxes(1, 2)
+    R -= np.trace(R, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n
+    for trace in (0.0, 0.7):
+        X = L._solve(R, trace)
+        assert X.shape == R.shape
+        assert np.abs(L.apply(X) / L.max_abs - R).max() <= SOLVE_CONTRACT_TOL * np.abs(R).max()
+        assert (np.abs(np.trace(X, axis1=1, axis2=2) - trace).max()
+                <= SOLVE_CONTRACT_TOL * np.abs(X).max())
+
+    # steady_state checks the solve of R = 0 at trace 1, bit for bit (at the
+    # one BLAS thread steady_state runs at, as GMRES's products round by count)
+    checked, real = [], lindblad_mod._steady_states
+    monkeypatch.setattr(lindblad_mod, "_steady_states",
+                        lambda terms, raw, scale: checked.append(raw) or real(terms, raw, scale))
+    steady_state(L)
+    with single_threaded():
+        assert np.array_equal(checked[0], L._solve(np.zeros((n, n)), 1.0)[None])
+
+
 def test_gmres_solve_applies_l_once_for_the_residual(monkeypatch):
     # GMRES runs on the CSR superoperator; the matrix-free apply is left to
     # the residual check, on the solution as a stack of one
@@ -998,7 +1033,8 @@ def test_g2_gradient_matches_central_differences(eta, da, db, cutoffs):
     p = sample_params(eta=eta * MHz, da=da * MHz, db=db * MHz)
     sol = displaced_solution(p, cutoffs=cutoffs)
     assert sol.liouvillian.is_sparse is (cutoffs == (5, 6))
-    assert ("bistable mean field: selected low-amplitude branch" in sol.warnings) is (da > 20)
+    assert ("bistable mean field: selected low-amplitude branch"
+            in sol.mean_field.warnings) is (da > 20)
     got = KAPPA_A * lindblad_mod.g2_gradient(p, sol)
 
     def g2(step):
