@@ -68,15 +68,18 @@ def g2_from_normal_moments(alpha: complex, n: float, s: complex, m12: complex,
                    + 4 Re(conj(alpha) m12) + m22,
 
     where 2 |alpha|^2 |s| cos(phi) appears as 2 Re(conj(alpha)^2 s), which
-    has no branch cut at alpha = 0.
+    has no branch cut at alpha = 0.  Elementwise on arrays, which give an
+    array; scalars give a float.  Raises ZeroPopulationError when a
+    population |alpha|^2 + n is <= 0 (a NaN one gives NaN).
     """
     a2 = abs(alpha) ** 2
     n_tot = a2 + n
-    if n_tot <= 0:
+    if np.any(n_tot <= 0):
         raise ZeroPopulationError("total population must be > 0")
     num = (a2 * a2 + 4.0 * a2 * n + 2.0 * (np.conj(alpha) ** 2 * s).real
            + 4.0 * (np.conj(alpha) * m12).real + m22)
-    return float(num / n_tot**2)
+    g2 = num / n_tot**2
+    return float(g2) if np.ndim(g2) == 0 else g2
 
 
 def g2_zero(g: GaussianState) -> float:

@@ -17,7 +17,9 @@ point, found in closed form from a real cubic in |beta|^2), which cancels
 the linear drive terms and lets tiny Fock cutoffs (4 per mode) represent
 the state.  The jumps stay the bare, real ladder operators: the shift of
 each dissipator goes into the coherent part through the exact identity
-D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].
+D[c + s] = D[c] + 1/2 [conj(s) c - s c', .].  Linearized around the
+same fixed point, the fluctuations are Gaussian, and ``linearized_g2``
+gives their g2 with no Fock cutoff, on the mean field's detuning arrays.
 
 L is kept as its generator terms (K, weights, jumps).  Everything about a
 cutoff pair that no parameter point changes is built once, at its first
@@ -202,6 +204,58 @@ def _mean_field(p: SystemParams):
     scale = np.maximum(max(abs(p.eta_a), abs(p.eta_b)),
                        np.maximum(p.kappa_a * (1.0 + abs(alpha)), p.kappa_b * (1.0 + abs(beta))))
     return alpha, beta, np.hypot(abs(drift_a), abs(drift_b)) / scale, real_roots
+
+
+@np.errstate(invalid="ignore")
+def linearized_g2(p: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g2(0), n and s of mode a in the linearized (Gaussian) fluctuation model,
+    elementwise over p's detuning arrays; NaN where the mean field fails its
+    residual check (or is NaN), where the linearized drift has an eigenvalue
+    with real part >= 0, or where the population is not positive.
+
+    Around the mean field (alpha, beta), the fluctuations v = (da, db) obey
+    dv/dt = A v + K conj(v) + noise with
+    A = [[i delta_a - kappa_a/2, -iJ], [-iJ, i delta_b - kappa_b/2 + 4iU|beta|^2]]
+    and K = 2iU beta^2 at (b, b) alone: the Bogoliubov model, with no Fock
+    cutoff, in which the unconventional blockade is a squeezing effect
+    (Lemonde et al., PRA 90, 063824 (2014)).  In the real quadratures
+    y = (Re da, Re db, Im da, Im db), dy/dt = R y with
+    R = [[Re(A+K), -Im(A-K)], [Im(A+K), Re(A-K)]], and the symmetrized
+    covariance C solves the Lyapunov equation R C + C R^T = -D, D diagonal
+    with kappa (n_th + 1/2) / 2 on each mode's two quadratures, as one
+    stacked 16 x 16 real solve.  Then n = C_xx + C_pp - 1/2 and
+    s = C_xx - C_pp + 2i C_xp of mode a, and g2 is ``g2_from_normal_moments``
+    with the Gaussian <d'dd> = 0 and <d'd'dd> = 2 n^2 + |s|^2.  The failed
+    points are masked before ``eigvals`` and the stable ones before the solve.
+    """
+    alpha, beta, residual, _ = _mean_field(p)
+    n, s = np.full(np.shape(alpha), np.nan), np.full(np.shape(alpha), np.nan, dtype=complex)
+    valid = np.flatnonzero(residual <= MEAN_FIELD_TOL)
+    delta_a, delta_b = (np.broadcast_to(d, np.shape(alpha)).ravel()[valid]
+                        for d in (p.delta_a, p.delta_b))
+    b = beta.ravel()[valid]
+    A = np.zeros((b.size, 2, 2), dtype=complex)
+    A[:, 0, 0] = 1j * delta_a - 0.5 * p.kappa_a
+    A[:, 0, 1] = A[:, 1, 0] = -1j * p.J
+    A[:, 1, 1] = 1j * delta_b - 0.5 * p.kappa_b + 4j * p.U * abs(b) ** 2
+    K = np.zeros_like(A)
+    K[:, 1, 1] = 2j * p.U * b ** 2
+    R = np.concatenate((np.concatenate(((A + K).real, -(A - K).imag), axis=2),
+                        np.concatenate(((A + K).imag, (A - K).real), axis=2)), axis=1)
+    stable = (np.linalg.eigvals(R).real < 0).all(axis=1)
+    valid, R = valid[stable], R[stable]
+    # vec(R C + C R^T) = (kron(R, I) + kron(I, R)) vec(C), row-major vec
+    eye = np.eye(4)
+    M = (R[:, :, None, :, None] * eye[None, None, :, None, :]
+         + eye[None, :, None, :, None] * R[:, None, :, None, :]).reshape(-1, 16, 16)
+    d = np.array([p.kappa_a * (p.n_th_a + 0.5), p.kappa_b * (p.n_th_b + 0.5)] * 2) / 2
+    C = np.linalg.solve(M, np.broadcast_to(-np.diag(d).reshape(16, 1), (len(M), 16, 1)))
+    C = C.reshape(-1, 4, 4)
+    n.flat[valid] = C[:, 0, 0] + C[:, 2, 2] - 0.5
+    s.flat[valid] = C[:, 0, 0] - C[:, 2, 2] + 2j * C[:, 0, 2]
+    unpopulated = ~(abs(alpha) ** 2 + n > 0)
+    n[unpopulated], s[unpopulated] = np.nan, np.nan
+    return g2_from_normal_moments(alpha, n, s, 0.0, 2.0 * n ** 2 + abs(s) ** 2), n, s
 
 
 # --- superoperator plumbing (column-stacking convention) ---

@@ -1,12 +1,13 @@
 """Parameter sweeps, g2 minimization and g2(tau) over detunings.
 
-The detunings of a grid (a ``g2-sweep`` scan, a ``map``, an envelope's
-seeding grid) are solved together by ``solve_points``: at dense sizes one
-stacked solve per block of STACK_POINTS points (``lindblad.stacked_solutions``,
-the per-point checks on a stack), at GMRES sizes one ``displaced_solution``
-per point.  A pump strength (one BFGS optimization, on g2 and its gradient
-from the factorization of each solve) and a g2(tau) detuning are solved
-point by point.  Each sweep is one ``blas.pool_map``, whose tasks are
+The detunings of a grid (a ``g2-sweep`` scan, a ``map``) are solved
+together by ``solve_points``: at dense sizes one stacked solve per block of
+STACK_POINTS points (``lindblad.stacked_solutions``, the per-point checks on
+a stack), at GMRES sizes one ``displaced_solution`` per point.  A pump
+strength (one BFGS optimization, on g2 and its gradient from the
+factorization of each solve, seeded by the linearized model
+``lindblad.linearized_g2``) and a g2(tau) detuning are solved point by
+point.  Each sweep is one ``blas.pool_map``, whose tasks are
 contiguous chunks of a grid's points, a pump strength or a detuning; it
 keeps order and runs BLAS at one thread, and a point's stacked result does
 not depend on the points solved with it, so serial and pooled sweeps give
@@ -25,8 +26,8 @@ import numpy as np
 from . import blas
 from .gaussian import g2_tau
 from .lindblad import (DENSE_SUPEROP_MAX_JOINT_DIM, ConvergenceError, SteadyStateError,
-                       SystemParams, displaced_solution, g2_gradient, mean_field_steady_state,
-                       stacked_solutions, two_time_correlations)
+                       SystemParams, displaced_solution, g2_gradient, linearized_g2,
+                       mean_field_steady_state, stacked_solutions, two_time_correlations)
 
 ETA_FIT_TOL = 1e-2
 ETA_FIT_MAX_ITER = 40
@@ -35,9 +36,9 @@ ETA_FIT_MAX_ITER = 40
 G2_GRADIENT_TOL = 1e-6
 BFGS_MAX_ITER = 50
 COARSE_GRID_POINTS = 11
-# points per stacked solve: its temporaries, mostly L's entries, peak at
-# 0.8 MB at cutoff 3, as one per-point cutoff-4 solve does (128 points:
-# 2.6 MB, for 15 % less time)
+# points per stacked solve: at cutoff 4, the map and g2-sweep default, its
+# temporaries, mostly L's entries, peak at 3.4 MB (tracemalloc), against
+# 0.7 MB for one per-point solve (128 points: 11.8 MB, for 3-7 % less time)
 STACK_POINTS = 32
 # what fails one unit of a sweep (a stacked grid gives their messages);
 # ValueError covers the trace, state and population checks and LinAlgError
@@ -234,24 +235,23 @@ def minimize(fun, x0, gtol: float, maxiter: int) -> MinimizeResult:
 
 
 def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepRecord:
-    """One pump strength of ``minimize_g2``: coarse grid, BFGS chain, accepted iterate.
+    """One pump strength of ``minimize_g2``: linearized seed, BFGS chain, accepted iterate.
 
-    The grid runs at min(cutoff, 3) per mode and only picks the seed; the
+    The seed is the argmin of ``linearized_g2`` over the coarse grid; the
     chain and so the returned record are at ``cutoffs``.  The objective
     returns g2 and its gradient in kappa_a units (``g2_gradient``, from the
     solve's own factorization) and keeps each point's record, so the result
     is the record solved at the accepted iterate.
     """
     span = p.kappa_a
-    grid = np.linspace(-span, span, COARSE_GRID_POINTS).tolist()
-    grid_cutoffs = (min(cutoffs[0], 3), min(cutoffs[1], 3))
+    grid = np.linspace(-span, span, COARSE_GRID_POINTS)
+    delta_a, delta_b = (d.ravel() for d in np.meshgrid(grid, grid, indexing="ij"))
     base = replace(p, eta_a=complex(eta))
-    records = solve_points(base, [(da, db) for da in grid for db in grid], grid_cutoffs)
-    ok = [r for r in records if r.status == "ok"]
-    if not ok:
+    g2 = linearized_g2(replace(base, delta_a=delta_a, delta_b=delta_b))[0]
+    if np.isnan(g2).all():
         return _failed_record(replace(base, delta_a=math.nan, delta_b=math.nan),
                               "no valid coarse-grid point")
-    best = min(ok, key=lambda r: r.g2)
+    best = np.nanargmin(g2)
     solved = {}
 
     def objective(x):
@@ -260,7 +260,7 @@ def _envelope_point(p: SystemParams, cutoffs: tuple[int, int], eta) -> SweepReco
         solved[key], gradient = _solve_record(point, cutoffs, partial(g2_gradient, point))
         return solved[key].g2, np.full(2, math.nan) if gradient is None else span * gradient
 
-    res = minimize(objective, np.array([best.delta_a, best.delta_b]) / span,
+    res = minimize(objective, np.array([delta_a[best], delta_b[best]]) / span,
                    gtol=G2_GRADIENT_TOL, maxiter=BFGS_MAX_ITER)
     final = solved[tuple((res.x * span).tolist())]
     if not res.success:
@@ -275,17 +275,20 @@ def minimize_g2(p: SystemParams, eta_values, cutoffs: tuple[int, int] = (4, 4),
     BFGS (``minimize``) in units of kappa_a, on g2 and its gradient from
     the LU of each solve (``g2_gradient``), seeded from the best point of a
     COARSE_GRID_POINTS-square grid spanning +/- kappa_a around zero
-    detuning.  The grid is one ``solve_points`` call at min(cutoff, 3) per
-    mode and only picks the seed (at the acceptance etas a cutoff-3 grid picks the seed a
-    cutoff-4 grid picks; a cutoff-2 grid seeds at a corner).  The chain
-    stops when |grad g2| <= G2_GRADIENT_TOL (kappa_a units), a stationary
-    point; every iterate is solved at ``cutoffs`` and the result is the
-    record solved at the accepted one, so every written value comes from
-    the configured cutoff.  A chain that stops short (BFGS_MAX_ITER steps,
+    detuning.  The grid is scored by the linearized Gaussian model
+    (``linearized_g2``, one stacked 16 x 16 Lyapunov solve, no Fock
+    cutoff) and only picks the seed (at the acceptance etas it picks the
+    seed a cutoff-4 grid picks).  The chain stops when
+    |grad g2| <= G2_GRADIENT_TOL (kappa_a units), a stationary point; every
+    iterate is solved at ``cutoffs`` and the result is the record solved at
+    the accepted one, so every written value comes from the configured
+    cutoff.  A chain that stops short (BFGS_MAX_ITER steps,
     a line search without decrease, or a seed that fails at ``cutoffs``)
     puts "optimizer stagnation: <reason>" first in its warnings.  Without a
-    solved grid point the result is failed, at NaN detunings.  One pump
-    strength is one serial ``blas.pool_map`` task.
+    grid point the linearized model scores (a failed mean field, an
+    unstable linearization or no population at all of them) the result is
+    failed, at NaN detunings.  One pump strength is one serial
+    ``blas.pool_map`` task.
     """
     etas = list(np.atleast_1d(eta_values))
     if not etas:

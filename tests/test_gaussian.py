@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadesim.gaussian import (CalibrationFailure, GaussianState, ZeroPopulationError,
-                                  g2_tau, g2_zero, g2prime_from_fourth_moments,
-                                  gaussian_params_from_moments)
+                                  g2_from_normal_moments, g2_tau, g2_zero,
+                                  g2prime_from_fourth_moments, gaussian_params_from_moments)
 from blockadesim.hilbert import two_mode_annihilators
 from blockadesim.lindblad import (SystemParams, displaced_solution, two_time_correlations,
                                   vec)
@@ -52,6 +52,23 @@ def test_minimal_uncertainty_oscillation():
 def test_zero_population_raises():
     with pytest.raises(ZeroPopulationError):
         g2_zero(GaussianState(0.0, 0.0, 0.0))
+
+
+def test_g2_from_normal_moments_is_elementwise_on_arrays():
+    rng = np.random.default_rng(7)
+    alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
+    n, m22 = rng.uniform(0, 1, 5), rng.uniform(0, 1, 5)
+    s, m12 = (rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(2))
+    g2 = g2_from_normal_moments(alpha, n, s, m12, m22)
+    assert isinstance(g2, np.ndarray) and g2.shape == (5,)
+    for k in range(5):
+        one = g2_from_normal_moments(complex(alpha[k]), n[k], complex(s[k]), complex(m12[k]),
+                                     m22[k])
+        assert type(one) is float and one == pytest.approx(g2[k], rel=1e-14)
+    n[2] = math.nan
+    assert np.isnan(g2_from_normal_moments(alpha, n, s, m12, m22)[2])
+    with pytest.raises(ZeroPopulationError):
+        g2_from_normal_moments(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2), 0.0, 0.0)
 
 
 def test_thermal_dominated_limit():

@@ -14,9 +14,9 @@ from blockadesim.cli import main
 from blockadesim.hilbert import DensityMatrix, two_mode_annihilators
 from blockadesim.lindblad import (Liouvillian, SteadyStateError, SystemParams,
                                   _cutoff_model, _hermitian_form, _superop_layout,
-                                  build_liouvillian, displaced_solution, mean_field_steady_state,
-                                  mode_occupation, observables, steady_state,
-                                  two_time_correlations, unvec, vec)
+                                  build_liouvillian, displaced_solution, linearized_g2,
+                                  mean_field_steady_state, mode_occupation, observables,
+                                  steady_state, two_time_correlations, unvec, vec)
 from conftest import ptrace, thermal_state
 
 TWO_PI = 2.0 * math.pi
@@ -175,6 +175,54 @@ def test_mean_field_zeroes_the_drift_with_both_modes_pumped():
     mf = mean_field_steady_state(p)
     assert abs(mf.alpha) > 0 and abs(mf.beta) > 0
     assert mean_field_drift_residual(p, mf) <= 1e-12
+
+
+# --- linearized fluctuations ---
+
+def test_linearized_model_is_exact_without_kerr():
+    # at U = 0 the master equation is linear, so its fluctuations are the
+    # linearized model's: thermal, with no anomalous moment
+    p = sample_params(eta=24 * MHz, U_=0.0)
+    deltas = np.array([[0.0, 0.0], [-3 * MHz, 5 * MHz]])
+    g2, n, s = linearized_g2(replace(p, delta_a=deltas[:, 0], delta_b=deltas[:, 1]))
+    for (da, db), g2_k, n_k, s_k in zip(deltas, g2, n, s):
+        dense = displaced_solution(replace(p, delta_a=da, delta_b=db), cutoffs=(5, 5)).obs
+        assert abs(n_k - dense.n) <= 1e-10 * dense.n
+        assert abs(s_k) <= 1e-15
+        assert g2_k == pytest.approx(dense.g2_gaussian, rel=1e-10)
+
+
+def test_linearized_model_masks_points_without_a_value(monkeypatch):
+    # a failed mean field, an unstable linearization and a zero population
+    # give NaN, and neither reaches eigvals or the solve
+    tiny_kerr = sample_params(eta=24 * MHz, U_=1e-165 * MHz)
+    g2, n, s = linearized_g2(replace(tiny_kerr, delta_a=np.zeros(2), delta_b=np.zeros(2)))
+    assert np.isnan(g2).all() and np.isnan(n).all() and np.isnan(s).all()
+    unpumped = sample_params(eta=0.0, n_th_a=0.0)
+    g2, n, s = linearized_g2(replace(unpumped, delta_a=np.zeros(1), delta_b=np.zeros(1)))
+    assert np.isnan(g2).all() and np.isnan(n).all()
+    # with 2U|beta|^2 above kappa_b / 2 at an effective detuning of 0,
+    # mode b amplifies its own fluctuations
+    real_mean_field, reached = lindblad_mod._mean_field, []
+    unstable_beta = math.sqrt(KAPPA_B / U)
+
+    def patched(p):
+        alpha, beta, residual, roots = real_mean_field(p)
+        beta[1], residual[2] = unstable_beta, math.nan
+        return alpha, beta, residual, roots
+
+    def recording(real):
+        return lambda a, *rest: reached.append(a.shape) or real(a, *rest)
+
+    monkeypatch.setattr(lindblad_mod, "_mean_field", patched)
+    monkeypatch.setattr(np.linalg, "eigvals", recording(np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
+    db = np.array([0.0, -4 * U * unstable_beta ** 2, 0.0])
+    g2, n, s = linearized_g2(replace(sample_params(eta=24 * MHz), delta_a=np.zeros(3),
+                                     delta_b=db))
+    assert np.isfinite(g2[0]) and np.isnan(g2[1:]).all()
+    # the mean field's companion matrices, then R and the Lyapunov system
+    assert reached == [(3, 3, 3), (2, 4, 4), (1, 16, 16)]
 
 
 # --- Liouvillian construction ---

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import minimize
 
 import blockadesim.lindblad as lindblad_mod
-from blockadesim.lindblad import (ConvergenceError, SteadyStateError, SystemParams,
-                                  displaced_solution, g2_gradient, stacked_solutions)
+from blockadesim.lindblad import (ConvergenceError, SystemParams, displaced_solution,
+                                  g2_gradient, linearized_g2, stacked_solutions)
 from blockadesim.sweep import (G2_GRADIENT_TOL, SweepRecord, dominant_period,
                                fit_eta_to_population, map2d, minimize_g2,
                                solve_point, solve_points, sweep_detuning)
@@ -462,21 +462,13 @@ def test_optimizer_hitting_maxiter_is_reported(monkeypatch):
 def test_eta_without_a_solved_grid_point_is_a_failed_record(monkeypatch):
     import blockadesim.sweep as sweep_mod
 
-    real_grid, real_solve, bad = sweep_mod.solve_points, sweep_mod.displaced_solution, 16 * MHz
+    real_seed, bad = sweep_mod.linearized_g2, 16 * MHz
 
-    def grid_fails_at_bad_eta(p, deltas, cutoffs=(4, 4)):
-        if p.eta_a == bad:
-            return [sweep_mod._failed_record(replace(p, delta_a=da, delta_b=db), "forced failure")
-                    for da, db in deltas]
-        return real_grid(p, deltas, cutoffs)
+    def seed_fails_at_bad_eta(p):
+        g2, n, s = real_seed(p)
+        return (np.full_like(g2, math.nan), n, s) if p.eta_a == bad else (g2, n, s)
 
-    def fails_at_bad_eta(p, cutoffs=(4, 4)):
-        if p.eta_a == bad:
-            raise SteadyStateError("forced failure")
-        return real_solve(p, cutoffs=cutoffs)
-
-    monkeypatch.setattr(sweep_mod, "solve_points", grid_fails_at_bad_eta)
-    monkeypatch.setattr(sweep_mod, "displaced_solution", fails_at_bad_eta)
+    monkeypatch.setattr(sweep_mod, "linearized_g2", seed_fails_at_bad_eta)
     failed, solved = minimize_g2(sample_params(0.0), [bad, 24 * MHz])
     assert failed.status == "failed" and failed.eta == bad
     assert failed.warnings == ("no valid coarse-grid point",)
@@ -488,13 +480,8 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
     # the final point reuses the objective's record: no point is solved twice
     import blockadesim.sweep as sweep_mod
 
-    real_grid = sweep_mod.solve_points
     real_solve, real_minimize = sweep_mod.displaced_solution, sweep_mod.minimize
-    grids, solved_at, results = [], [], []
-
-    def recording_grid(p, deltas, cutoffs=(4, 4)):
-        grids.append((tuple(cutoffs), len(deltas)))
-        return real_grid(p, deltas, cutoffs)
+    solved_at, results = [], []
 
     def counting_solve(p, cutoffs=(4, 4)):
         solved_at.append(tuple(cutoffs))
@@ -504,15 +491,12 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
         results.append(real_minimize(*args, **options))
         return results[-1]
 
-    monkeypatch.setattr(sweep_mod, "solve_points", recording_grid)
     monkeypatch.setattr(sweep_mod, "displaced_solution", counting_solve)
     monkeypatch.setattr(sweep_mod, "minimize", recording_minimize)
     etas = [16 * MHz, 24 * MHz]
     env = minimize_g2(sample_params(0.0), etas)
-    # the grid at cutoff 3 only seeds, as one stacked grid of its 121 points,
-    # none of them re-solved per point; every BFGS evaluation, the seed among
-    # them, is solved once at the configured cutoff 4
-    assert grids == [((3, 3), 121)] * len(etas)
+    # every BFGS evaluation, the seed among them, is solved once at the
+    # configured cutoff 4
     assert Counter(solved_at) == {(4, 4): sum(res.nfev for res in results)}
     # the same record a fresh solve at the returned detunings gives: the
     # solve pins BLAS to one thread itself (the LU rounds by thread count)
@@ -524,56 +508,54 @@ def test_envelope_point_is_the_solved_best_vertex(monkeypatch):
         assert [type(v) for v in (point.delta_a, point.delta_b)] == [float, float]
 
 
-def test_cutoff_3_grid_picks_the_cutoff_4_seed_at_the_envelope_etas(monkeypatch):
-    # the seed the cutoff-3 grid picks is the argmin a cutoff-4 grid would pick
+def test_linearized_seed_is_the_cutoff_4_grid_seed_at_the_envelope_etas(monkeypatch):
+    # the seed the linearized model picks is the argmin a cutoff-4 grid would pick
     import blockadesim.sweep as sweep_mod
 
-    real_grid, real_solve, grids = sweep_mod.solve_points, sweep_mod.solve_point, {}
+    real_seed, seeds = sweep_mod.linearized_g2, {}
 
-    def recording_grid(p, deltas, cutoffs=(4, 4)):
-        records = real_grid(p, deltas, cutoffs)
-        if tuple(cutoffs) == (3, 3):
-            grids.setdefault(p.eta_a, []).extend(
-                (replace(p, delta_a=da, delta_b=db), rec) for (da, db), rec in zip(deltas, records))
-        return records
+    def recording_seed(p):
+        seeds[p.eta_a] = p, real_seed(p)[0]
+        return real_seed(p)
 
-    monkeypatch.setattr(sweep_mod, "solve_points", recording_grid)
+    monkeypatch.setattr(sweep_mod, "linearized_g2", recording_seed)
     minimize_g2(sample_params(0.0), ACCEPTANCE_7_ETAS)
-    assert list(grids) == [complex(eta) for eta in ACCEPTANCE_7_ETAS]
-
-    def seed(records):
-        best = min((r for r in records if r.status == "ok"), key=lambda r: r.g2)
-        return best.delta_a, best.delta_b
-
-    for eta, points in grids.items():
-        assert len(points) == sweep_mod.COARSE_GRID_POINTS ** 2
-        at_4 = [real_solve(p, (4, 4)) for p, _ in points]
-        assert seed(rec for _, rec in points) == seed(at_4), eta / MHz
+    assert list(seeds) == [complex(eta) for eta in ACCEPTANCE_7_ETAS]
+    for eta, (p, g2) in seeds.items():
+        assert g2.shape == (sweep_mod.COARSE_GRID_POINTS ** 2,) and np.isfinite(g2).all()
+        at_4 = solve_points(p, np.column_stack((p.delta_a, p.delta_b)), (4, 4))
+        assert all(r.status == "ok" for r in at_4)
+        assert np.argmin(g2) == np.argmin([r.g2 for r in at_4]), eta / MHz
 
 
-@pytest.mark.parametrize("cutoffs, grid_cutoffs", [
-    ((2, 2), (2, 2)), ((3, 3), (3, 3)), ((5, 5), (3, 3)), ((2, 5), (2, 3))])
-def test_grid_runs_at_min_cutoff_3_and_the_chain_at_the_cutoff(monkeypatch, cutoffs,
-                                                                 grid_cutoffs):
+def test_linearized_g2_is_within_1_percent_of_cutoff_6_at_the_envelope_optima():
+    # a cutoff-free cross-check of the displaced solve: the linearized model
+    # against the cutoff-6 Gaussian g2 at the six optima
+    p = sample_params(0.0)
+    for point in minimize_g2(p, ACCEPTANCE_7_ETAS):
+        at = replace(p, eta_a=point.eta, delta_a=np.array([point.delta_a]),
+                     delta_b=np.array([point.delta_b]))
+        linearized = linearized_g2(at)[0][0]
+        at_6 = solve_point(replace(at, delta_a=point.delta_a, delta_b=point.delta_b), (6, 6))
+        assert linearized == pytest.approx(at_6.g2, rel=1e-2), point.eta / MHz
+
+
+@pytest.mark.parametrize("cutoffs", [(2, 2), (3, 3), (5, 5), (2, 5)])
+def test_seed_solves_nothing_and_the_chain_runs_at_the_cutoff(monkeypatch, cutoffs):
     import blockadesim.sweep as sweep_mod
 
-    real_stacked, real_solve = sweep_mod.stacked_solutions, sweep_mod.displaced_solution
-    stacked, solved_at = [], []
-
-    def recording_stacked(p, deltas, cutoffs):
-        stacked.append((tuple(cutoffs), len(deltas)))
-        return real_stacked(p, deltas, cutoffs)
+    real_solve, stacked, solved_at = sweep_mod.displaced_solution, [], []
 
     def recording_solve(p, cutoffs=(4, 4)):
         solved_at.append(tuple(cutoffs))
         return real_solve(p, cutoffs)
 
     monkeypatch.setattr(sweep_mod, "COARSE_GRID_POINTS", 3)
-    monkeypatch.setattr(sweep_mod, "stacked_solutions", recording_stacked)
+    monkeypatch.setattr(sweep_mod, "stacked_solutions", lambda *args: stacked.append(args))
     monkeypatch.setattr(sweep_mod, "displaced_solution", recording_solve)
     env = minimize_g2(sample_params(0.0), [24 * MHz], cutoffs=cutoffs)[0]
     assert env.status == "ok"
-    assert stacked == [(grid_cutoffs, 9)]
+    assert stacked == []
     assert solved_at and set(solved_at) == {cutoffs}
 
 
