@@ -32,7 +32,6 @@ ANGULAR = {
     "GHz_over_2pi": 2.0 * math.pi * 1e9,
 }
 INDUCTANCE = {"H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12}
-CAPACITANCE = {"F": 1.0, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12, "fF": 1e-15}
 TEMPERATURE = {"K": 1.0, "mK": 1e-3}
 TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 DIMENSIONLESS = {"dimensionless": 1.0}
@@ -41,7 +40,6 @@ COUNT = {"count": 1.0}
 KIND_UNITS = {
     "angular": ANGULAR,
     "inductance": INDUCTANCE,
-    "capacitance": CAPACITANCE,
     "temperature": TEMPERATURE,
     "time": TIME,
     "dimensionless": DIMENSIONLESS,

@@ -30,8 +30,9 @@ the thermal jumps), and the d'd, dd, d'd'dd of ``observables``.  At every
 cutoff, dense or GMRES, K is one coefficient vector, formed from the
 parameters, the weights and the displacement, times that cached basis.
 Each Liouvillian gathers the stored entries of its superoperator once, in
-the CSR order of a layout cached per support pattern (``_superop_layout``);
-every other form of L and its trace check are read from them.  Every
+the CSR order of a cached layout (``_superop_layout``), displaced the one
+of its cutoff pair and jump weights (``_CutoffModel.k_support``); every
+other form of L and its trace check are read from them.  Every
 solve with L is ``Liouvillian._solve(R, trace)``: X with L X / max|L| = R
 and Tr X = trace, for Hermitian R of zero trace, whichever solver runs.
 Up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5,
@@ -281,8 +282,10 @@ class Liouvillian:
     operators; a displaced jump c + s is c with 1/2 w (conj(s) c - s c')
     added to K, as D[c + s] = D[c] + 1/2 [conj(s) c - s c', .]), and the
     weighted ones have disjoint supports; else ValueError.  ``displaced``
-    says K was formed at a mean-field displacement, which keys the layout
-    (``_k_support``).  L raises the error of ``_superop_checks``.
+    says K was formed on its cutoff pair's basis, whose support
+    (``_CutoffModel.k_support``) then keys the layout instead of K != 0 (a
+    stored zero adds nothing to any form of L).  L raises the error of
+    ``_superop_checks``.
     """
 
     dims: tuple[int, int]
@@ -296,8 +299,8 @@ class Liouvillian:
         K, weights, jumps = self.terms
         if np.iscomplexobj(jumps) or jumps.diagonal(0, 1, 2).any():
             raise ValueError("jumps must be real with a zero diagonal (bare ladder operators)")
-        layout = _superop_layout(_k_support(K, jumps, displaced).tobytes(),
-                                 _jump_support(weights, jumps), K.shape[0])
+        support = _cutoff_model(*self.dims).k_support if displaced else K != 0
+        layout = _superop_layout(support.tobytes(), _jump_support(weights, jumps), K.shape[0])
         entries = _superop_entries(layout, K, weights, jumps)
         entries.flags.writeable = False
         (scale,), (error,) = _superop_checks(layout, entries[None])
@@ -323,14 +326,12 @@ class Liouvillian:
 
         Shared by the GMRES solve and the two-time correlations of a point;
         its data is ``entries`` and its index arrays the layout's, all read-only.
+        Kept in ``__dict__``, as ``_solve`` keeps its solver.
         """
-        return self._csr
-
-    @cached_property
-    def _csr(self) -> csr_array:
-        side = self.side
-        return csr_array((self.entries, self._layout.indices, self._layout.indptr),
-                         shape=(side, side))
+        if "_csr" not in self.__dict__:
+            self.__dict__["_csr"] = csr_array(
+                (self.entries, self._layout.indices, self._layout.indptr), shape=(self.side,) * 2)
+        return self.__dict__["_csr"]
 
     def _solve(self, R: np.ndarray, trace: float) -> np.ndarray:
         """X (..., n, n) with L X / max_abs = R and Tr X = trace, for Hermitian
@@ -380,7 +381,7 @@ class _SuperopLayout:
 
 @lru_cache(maxsize=16)
 def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLayout:
-    """The layout of L for the supports (K != 0, w_m C_m != 0) as bytes.
+    """The layout of L for the supports of K and of the w_m C_m != 0, as bytes.
 
     Column stacking, vec(X rho Y) = kron(Y.T, X) vec(rho), so
     L = kron(I, K) + kron(conj K, I) + sum_m kron(w_m C_m, C_m), with row
@@ -389,7 +390,7 @@ def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLa
     [K, conj K, D, jump products]: K[k, l] (i = j, k != l), conj K[i, j]
     (k = l, i != j), D[i, k] = K[k, k] + conj K[i, i], or
     (w_m C_m[i, j]) C_m[k, l].  The trace rows (i = k) are r = i (n + 1).
-    Keyed by the supports, so the points of a sweep share one layout.
+    Keyed by the supports, so the displaced points of a sweep share one layout.
     Raises ValueError when two weighted jumps would add into one stored entry.
     """
     k_nonzero = np.frombuffer(k_support, dtype=bool).reshape(n, n)
@@ -421,18 +422,6 @@ def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLa
     for array in arrays:
         array.flags.writeable = False
     return _SuperopLayout(n, *arrays)
-
-
-def _k_support(K: np.ndarray, jumps: np.ndarray, displaced: bool) -> np.ndarray:
-    """The support of K (..., n, n) that keys ``_superop_layout``, on the
-    per-point and the stacked path alike.  Displaced, K's a, a', b, b'
-    coefficients are the mean-field drift, rounding residue that is exactly
-    0 at some points, so the jumps' support is stored with K's and the
-    points of a sweep keep one layout (a stored zero adds nothing to any
-    form of L).  Undisplaced, they are the pumps, and a zero one stores
-    nothing."""
-    support = K != 0
-    return support | (jumps != 0).any(axis=0) if displaced else support
 
 
 def _jump_support(weights: np.ndarray, jumps: np.ndarray) -> bytes:
@@ -494,9 +483,10 @@ class _CutoffModel:
     All arrays are real and read-only.  ``basis`` stacks the flattened
     products K is linear in, in the order of ``_k_coefficients``;
     ``jumps`` (a, a', b, b') are its rows 6-9 and A, B views of them, and
-    the jumps' C'C are its rows 0-3.  ``moments`` holds the transposes of
-    d'd, dd and d'd'dd for the measured mode d = a, flattened, so that
-    Tr(X rho) = X.T.ravel() @ rho.ravel().
+    the jumps' C'C are its rows 0-3.  ``k_support`` (n, n, bool) is where
+    any of them is nonzero, every entry a K on the basis can reach.
+    ``moments`` holds the transposes of d'd, dd and d'd'dd for the measured
+    mode d = a, flattened, so that Tr(X rho) = X.T.ravel() @ rho.ravel().
     """
 
     A: np.ndarray
@@ -504,6 +494,7 @@ class _CutoffModel:
     basis: np.ndarray
     jumps: np.ndarray
     moments: np.ndarray
+    k_support: np.ndarray
 
 
 @lru_cache(maxsize=16)
@@ -517,9 +508,10 @@ def _cutoff_model(n_a: int, n_b: int) -> _CutoffModel:
     basis = np.array([At @ A, A @ At, Bt @ B, B @ Bt, Bt2 @ B2, At @ B + Bt @ A,
                       A, At, B, Bt, Bt2 @ B, Bt @ B2, Bt2, B2]).reshape(-1, n * n)
     moments = np.array([(At @ A).T, (A @ A).T, (At @ At @ A @ A).T]).reshape(3, n * n)
-    basis.flags.writeable = moments.flags.writeable = False
+    k_support = (basis != 0).any(axis=0).reshape(n, n)
+    basis.flags.writeable = moments.flags.writeable = k_support.flags.writeable = False
     jumps = basis[6:10].reshape(4, n, n)
-    return _CutoffModel(jumps[0], jumps[2], basis, jumps, moments)
+    return _CutoffModel(jumps[0], jumps[2], basis, jumps, moments, k_support)
 
 
 def _k_coefficients(p: SystemParams, alpha, beta, weights: np.ndarray) -> np.ndarray:
@@ -906,12 +898,12 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
     or the message of the error it raises there.
 
     The per-point kernels run on arrays with a leading point axis (one
-    stacked 3 x 3 ``eigvals``, one gather of L's entries per support pattern
-    of K) but the LU: per point, one factorization and the ``_lu_solve`` of
-    R = 0 at trace 1 that ``L._solve`` runs for ``steady_state``, into one
-    buffer of raw states.  Each works point by point, so a point's result
-    does not depend on the points stacked with it, and is
-    ``displaced_solution``'s.
+    stacked 3 x 3 ``eigvals``, one gather of L's entries in the layout of
+    a displaced L) but the LU: per point, one factorization and the
+    ``_lu_solve`` of R = 0 at trace 1 that ``L._solve`` runs for
+    ``steady_state``, into one buffer of raw states.  Each works point by
+    point, so a point's result does not depend on the points stacked with
+    it, and is ``displaced_solution``'s.
     """
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
     joint = n_a * n_b
@@ -923,24 +915,20 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
     points = [k for k, mf in enumerate(results) if isinstance(mf, MeanFieldResult)]
     alpha, beta = (np.array([getattr(results[k], name) for k in points], dtype=complex)
                    for name in ("alpha", "beta"))
+    if not points:
+        return [str(r) for r in results]
     stack = replace(p, delta_a=deltas[points, 0], delta_b=deltas[points, 1])
     model, weights = _cutoff_model(n_a, n_b), _jump_weights(p)
     K = _k_matrix(stack, alpha, beta, weights, model)
-    groups: dict[bytes, list[int]] = {}
-    for k, support in enumerate(_k_support(K, model.jumps, displaced=True)):
-        groups.setdefault(support.tobytes(), []).append(k)
-    scale, errors, raw = np.zeros(len(K)), [None] * len(K), np.zeros(K.shape, dtype=complex)
-    zero = np.zeros((joint, joint))
-    for support, members in groups.items():
-        layout = _superop_layout(support, _jump_support(weights, model.jumps), joint)
-        entries = _superop_entries(layout, K[members], weights, model.jumps)
-        scale[members], checks = _superop_checks(layout, entries)
-        for k, row, error in zip(members, entries, checks):
-            if error is None:
-                lu, piv, error = _lu_factor(layout, row, scale[k])
-            if error is None:
-                raw[k] = _lu_solve(lu, piv, zero, 1.0)
-            errors[k] = error
+    layout = _superop_layout(model.k_support.tobytes(), _jump_support(weights, model.jumps), joint)
+    entries = _superop_entries(layout, K, weights, model.jumps)
+    scale, errors = _superop_checks(layout, entries)
+    raw, zero = np.zeros(K.shape, dtype=complex), np.zeros((joint, joint))
+    for k, row in enumerate(entries):
+        if errors[k] is None:
+            lu, piv, errors[k] = _lu_factor(layout, row, scale[k])
+        if errors[k] is None:
+            raw[k] = _lu_solve(lu, piv, zero, 1.0)
     solved = [k for k, error in enumerate(errors) if error is None]
     rho, checks = _steady_states((K[solved], weights, model.jumps), raw[solved], scale[solved])
     for k, error, moments in zip(solved, checks, _moments((n_a, n_b), rho)):

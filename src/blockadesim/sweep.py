@@ -1,14 +1,14 @@
 """Parameter sweeps, g2 minimization and g2(tau) over detunings.
 
-The detunings of a grid (a ``g2-sweep`` scan, a ``map``) are solved
-together by ``solve_points``: at dense sizes one stacked solve per block of
-STACK_POINTS points (``lindblad.stacked_solutions``, the per-point checks on
-a stack), at GMRES sizes one ``displaced_solution`` per point.  A pump
-strength (one BFGS optimization, on g2 and its gradient from the
-factorization of each solve, seeded by the linearized model
-``lindblad.linearized_g2``) and a g2(tau) detuning are solved point by
-point.  Each sweep is one ``blas.pool_map``, whose tasks are
-contiguous chunks of a grid's points, a pump strength or a detuning; it
+The detunings of a grid (a ``g2-sweep`` scan, a ``map``) are cut once into
+blocks, of STACK_POINTS points at dense sizes and of one at GMRES sizes;
+``solve_points`` solves a block, at dense sizes as one stacked solve
+(``lindblad.stacked_solutions``, the per-point checks on a stack), else by
+one ``displaced_solution`` per point.  A pump strength (one BFGS
+optimization, on g2 and its gradient from the factorization of each solve,
+seeded by the linearized model ``lindblad.linearized_g2``) and a g2(tau)
+detuning are solved point by point.  Each sweep is one ``blas.pool_map``,
+whose items are a grid's blocks, the pump strengths or the detunings; it
 keeps order and runs BLAS at one thread, and a point's stacked result does
 not depend on the points solved with it, so serial and pooled sweeps give
 the same rows.  Every point or unit gives one ``SweepRecord``, with status
@@ -36,9 +36,10 @@ ETA_FIT_MAX_ITER = 40
 G2_GRADIENT_TOL = 1e-6
 BFGS_MAX_ITER = 50
 COARSE_GRID_POINTS = 11
-# points per stacked solve: at cutoff 4, the map and g2-sweep default, its
-# temporaries, mostly L's entries, peak at 3.4 MB (tracemalloc), against
-# 0.7 MB for one per-point solve (128 points: 11.8 MB, for 3-7 % less time)
+# points per block of a dense grid, one stacked solve and one pool_map item:
+# at cutoff 4, the map and g2-sweep default, its temporaries, mostly L's
+# entries, peak at 3.4 MB (tracemalloc), against 0.7 MB for one per-point
+# solve (128 points: 11.8 MB, for 3-7 % less time)
 STACK_POINTS = 32
 # what fails one unit of a sweep (a stacked grid gives their messages);
 # ValueError covers the trace, state and population checks and LinAlgError
@@ -91,32 +92,29 @@ def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepReco
 def solve_points(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)) -> list[SweepRecord]:
     """``solve_point`` at each (delta_a, delta_b) of deltas, p giving every other parameter.
 
-    At dense sizes STACK_POINTS at a time by ``lindblad.stacked_solutions``,
-    whose message for a failed point is the record's reason; above
+    At dense sizes by one ``lindblad.stacked_solutions`` call, whose message
+    for a failed point is the record's reason; above
     DENSE_SUPEROP_MAX_JOINT_DIM by ``solve_point``.  A point's record does
     not depend on the points solved with it, and is ``solve_point``'s.
     """
     points = [replace(p, delta_a=float(da), delta_b=float(db)) for da, db in deltas]
     if math.prod(cutoffs) > DENSE_SUPEROP_MAX_JOINT_DIM:
         return [solve_point(point, cutoffs) for point in points]
-    records = []
-    for start in range(0, len(points), STACK_POINTS):
-        block = points[start:start + STACK_POINTS]
-        solved = stacked_solutions(p, [(q.delta_a, q.delta_b) for q in block], cutoffs)
-        records += [_failed_record(q, sol) if isinstance(sol, str) else _solved_record(q, *sol)
-                    for q, sol in zip(block, solved)]
-    return records
+    solved = stacked_solutions(p, [(q.delta_a, q.delta_b) for q in points], cutoffs)
+    return [_failed_record(q, sol) if isinstance(sol, str) else _solved_record(q, *sol)
+            for q, sol in zip(points, solved)]
 
 
 def _solve_grid(p: SystemParams, deltas: list, cutoffs: tuple[int, int],
                 workers: int) -> list[SweepRecord]:
-    """``solve_points`` over deltas, one ``blas.pool_map`` task per contiguous
-    chunk: one chunk when serial, else 4 per worker."""
-    n_chunks = 1 if workers <= 1 else min(len(deltas), 4 * workers)
-    bounds = np.linspace(0, len(deltas), n_chunks + 1).astype(int)
-    chunks = [deltas[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    solved = blas.pool_map(partial(solve_points, p, cutoffs=cutoffs), chunks, workers)
-    return [record for chunk in solved for record in chunk]
+    """``solve_points`` over deltas cut into contiguous blocks, each one
+    ``blas.pool_map`` item: STACK_POINTS points at dense sizes, one at GMRES
+    sizes.  The blocks depend on the grid's length and cutoffs alone; a
+    grid of fewer than 4 blocks runs serially."""
+    size = STACK_POINTS if math.prod(cutoffs) <= DENSE_SUPEROP_MAX_JOINT_DIM else 1
+    blocks = [deltas[start:start + size] for start in range(0, len(deltas), size)]
+    solved = blas.pool_map(partial(solve_points, p, cutoffs=cutoffs), blocks, workers)
+    return [record for block in solved for record in block]
 
 
 def fit_eta_to_population(p: SystemParams, target_population: float) -> SystemParams:

@@ -35,8 +35,8 @@ print(json.dumps({"absent": tracer.absent,
 """
 
 SPANS = {
-    # the cutoff-4 point, layer by layer, in the optimizer (the seeding grid
-    # is one stacked solve, sweep.solve_points, which the tracer does not wrap)
+    # the cutoff-4 point, layer by layer, in the optimizer (the seed comes
+    # from lindblad.linearized_g2, which the tracer does not wrap)
     "envelope": {"lindblad.build_liouvillian", "lindblad.steady_state_dense",
                  "lindblad.observables", "sweep.nelder_mead"},
     # both steady-state paths

@@ -312,6 +312,35 @@ def test_two_threads_factor_two_liouvillians_at_once(monkeypatch):
     assert not any(thread.is_alive() for thread in threads) and errors == []
 
 
+def test_two_threads_build_two_csr_superoperators_at_once(monkeypatch):
+    # as for the factorization: each thread waits inside its own CSR build
+    # for the other, which a lock shared by every Liouvillian would prevent
+    both_building = threading.Barrier(2, timeout=5)
+    real = lindblad_mod.csr_array
+
+    def csr_array(*args, **kwargs):
+        both_building.wait()
+        return real(*args, **kwargs)
+
+    liouvillians = [build_liouvillian(sample_params(delta_mhz)) for delta_mhz in (0.0, 9.0)]
+    monkeypatch.setattr(lindblad_mod, "csr_array", csr_array)
+    errors = []
+
+    def build(L):
+        try:
+            L.superoperator()
+        except Exception as exc:   # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build, args=(L,)) for L in liouvillians]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert all(L.superoperator() is L.superoperator() for L in liouvillians)
+
+
 def test_pin_depth_survives_many_threads(caller_at_two_threads):
     # more threads than cores entering and leaving pins with a short switch
     # interval: a lost update of the depth would restore the caller's count

@@ -426,19 +426,20 @@ def test_superoperator_build_allocates_little_beyond_its_csr():
     assert peak <= 1.5 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
-@pytest.mark.parametrize("command,layouts", [("envelope", 4), ("map", 2)])
-def test_one_superop_layout_per_support_in_a_sweep(tmp_path, command, layouts):
-    # the packaged config's cutoff-3 grid and cutoff-4 points repeat their
-    # supports, so a whole sweep builds a handful of layouts
+@pytest.mark.parametrize("command", ["envelope", "map", "g2-sweep"])
+def test_one_superop_layout_per_cutoff_pair_in_a_sweep(tmp_path, command):
+    # the packaged config solves every point displaced at cutoff 4 with one
+    # set of jump weights, so a whole sweep builds one layout
     _superop_layout.cache_clear()
     assert main([command, "--out", str(tmp_path), "--workers", "1"]) == 0
-    assert _superop_layout.cache_info().misses <= layouts
+    assert _superop_layout.cache_info().misses == 1
 
 
 def test_a_zero_drift_shares_the_layout_of_a_nonzero_one():
     # displaced, K's a and a' coefficients are the a drift, rounding residue
-    # that is exactly 0 at (-18, -18) MHz.  That point keys its layout as the
-    # stacked grid does, so it shares the layout of a point whose drift is not 0
+    # that is exactly 0 at (-18, -18) MHz.  A displaced L keys its layout by
+    # the cutoff pair's structural support, as the stacked grid does, so that
+    # point shares the layout of a point whose drift is not 0
     def displaced_at(delta_mhz):
         p = sample_params(eta=15 * MHz, da=delta_mhz * MHz, db=delta_mhz * MHz)
         mf = mean_field_steady_state(p)
@@ -448,6 +449,23 @@ def test_a_zero_drift_shares_the_layout_of_a_nonzero_one():
     a = _cutoff_model(4, 4).A
     assert not zero_drift.terms[0][a != 0].any() and drift.terms[0][a != 0].all()
     assert zero_drift._layout is drift._layout
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 4), (6, 6)], ids=["lu", "gmres"])
+@pytest.mark.parametrize("p", [sample_params(eta=15 * MHz, da=3 * MHz, db=3 * MHz, U_=0.0),
+                               sample_params(eta=0.0, da=3 * MHz, db=3 * MHz)],
+                         ids=["U=0", "eta=0"])
+def test_the_structural_layout_stores_zeros_that_change_nothing(p, cutoffs):
+    # at U = 0 or eta = 0 part of K's basis has a zero coefficient; a
+    # displaced L stores those zeros, the L of K != 0 does not, and both
+    # give the same superoperator and the same steady state, bit for bit
+    mf = mean_field_steady_state(p)
+    structural = build_liouvillian(p, displacement=(mf.alpha, mf.beta), cutoffs=cutoffs)
+    plain = Liouvillian(cutoffs, structural.terms)
+    assert plain.entries.size < structural.entries.size
+    assert structural.is_sparse == (cutoffs == (6, 6))
+    assert (structural.superoperator() != plain.superoperator()).nnz == 0
+    assert np.array_equal(steady_state(structural).data, steady_state(plain).data)
 
 
 def test_jumps_must_be_real_with_a_zero_diagonal():
@@ -687,7 +705,7 @@ def test_cached_k_matches_the_explicit_products(cutoffs, displaced):
 def test_cutoff_model_is_shared_and_read_only():
     model = _cutoff_model(4, 3)
     assert _cutoff_model(4, 3) is model
-    arrays = (model.A, model.B, model.basis, model.jumps, model.moments)
+    arrays = (model.A, model.B, model.basis, model.jumps, model.moments, model.k_support)
     assert not any(array.flags.writeable for array in arrays)
     L0 = build_liouvillian(sample_params(eta=1 * MHz), cutoffs=(4, 3))
     L1 = build_liouvillian(sample_params(eta=2 * MHz, da=1 * MHz), cutoffs=(4, 3))

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import blockadesim.lindblad as lindblad_mod
+from blockadesim import blas
 from blockadesim.lindblad import (ConvergenceError, SystemParams, displaced_solution,
                                   g2_gradient, linearized_g2, stacked_solutions)
 from blockadesim.sweep import (G2_GRADIENT_TOL, SweepRecord, dominant_period,
@@ -305,13 +306,41 @@ def test_map2d_spans_unity_at_reference_power():
     assert g2.min() < 1.0 < g2.max()
 
 
-def test_parallel_workers_match_serial():
-    # a pool task is a chunk of the grid, and a point's record does not depend on its chunk
+def test_parallel_workers_match_serial(monkeypatch):
+    # a pool item is a block of the grid, and a point's record does not
+    # depend on its block: serial runs solve each grid as one block, pooled
+    # ones as blocks of 2 points, at least 4 of them, so a pool opens
+    import blockadesim.sweep as sweep_mod
+
     p = sample_params(12 * MHz)
-    grid = np.linspace(-10, 10, 6) * MHz
-    assert sweep_detuning(p, grid, workers=2) == sweep_detuning(p, grid, workers=1)
+    grid = np.linspace(-10, 10, 8) * MHz
     grid_a, grid_d = np.linspace(-6, 8, 5) * MHz, np.linspace(-3, 3, 3) * MHz
-    assert map2d(p, grid_a, grid_d, workers=2) == map2d(p, grid_a, grid_d, workers=1)
+    serial = sweep_detuning(p, grid, workers=1), map2d(p, grid_a, grid_d, workers=1)
+    opened, real_pool = [], blas.ProcessPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        opened.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "STACK_POINTS", 2)
+    monkeypatch.setattr(blas, "ProcessPoolExecutor", recording_pool)
+    assert sweep_detuning(p, grid, workers=2) == serial[0]
+    assert map2d(p, grid_a, grid_d, workers=2) == serial[1]
+    assert len(opened) == 2
+
+
+def test_a_grid_is_cut_by_its_length_and_cutoffs_alone(monkeypatch):
+    # STACK_POINTS-point blocks at dense sizes, one-point blocks at GMRES
+    # sizes, whatever the worker count
+    import blockadesim.sweep as sweep_mod
+
+    blocks = []
+    monkeypatch.setattr(blas, "pool_map", lambda fn, items, workers: (
+        blocks.append([len(block) for block in items]) or [[] for _ in items]))
+    for workers in (1, 2, 8):
+        sweep_mod._solve_grid(sample_params(12 * MHz), [(0.0, 0.0)] * 70, (4, 4), workers)
+        sweep_mod._solve_grid(sample_params(12 * MHz), [(0.0, 0.0)] * 3, (6, 5), workers)
+    assert blocks == [[32, 32, 6], [1, 1, 1]] * 3
 
 
 def test_minimize_g2_pooled_equals_serial():
