@@ -43,8 +43,9 @@ eigenbasis of K.
 Each check is written once, in a kernel on a stack of points that gives
 per point the error it raises, or None: the per-point functions run it on
 a stack of one and raise that, ``stacked_solutions`` returns its message.
-Two-time correlations propagate the observable with ``expm_multiply`` on
-the adjoint of the same CSR superoperator, at any cutoff.
+Two-time correlations propagate the observable on the adjoint of the same
+CSR superoperator, at any cutoff, by a Taylor series on steps that each
+cover several points of the uniform tau grid (``_propagate``).
 The solver entry points (``steady_state``, ``displaced_solution``,
 ``stacked_solutions``, ``two_time_correlations``, ``g2_gradient``) run with
 every loaded BLAS at one thread (``blas.single_threaded``, re-entrant), so
@@ -55,14 +56,13 @@ count, and hands the caller's thread count back unchanged.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .blas import single_threaded
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
@@ -79,6 +79,13 @@ GMRES_RESTART = 60
 GMRES_MAX_CYCLES = 20
 CAUCHY_SCHWARZ_TOL = 1e-9          # slack of the two-time correlator bounds
 EIGENBASIS_TOL = 1e-8              # max|V diag(lam) V^-1 - K/s| the preconditioner accepts
+# The propagator's steps keep |A H| <= TAYLOR_THETA, so its Taylor term k is at
+# most THETA^k / k! of the step's start: 9^55 / 55! = 2.4e-21, below the 2^-53
+# stopping test, so the cap binds only on a non-finite series (THETA <= 10.9
+# would keep that), and cancellation among the terms costs at most
+# e^THETA eps = 1.8e-12 of the start, far less in practice (~1e-15).
+TAYLOR_THETA = 9.0
+TAYLOR_MAX_TERMS = 55
 BISTABLE_WARNING = "bistable mean field: selected low-amplitude branch"
 
 
@@ -761,20 +768,46 @@ class TwoTimeCorrelation:
         return float(np.abs(self.s_tau - self.s_tau_alt).max())
 
 
-@contextmanager
-def _seeded_legacy_rng():
-    """Seed numpy's global RNG inside the block and restore its state after.
+def _propagate(A: csr_array, v: np.ndarray, h: float, num: int) -> np.ndarray:
+    """The rows e^{A i h} v, i = 0 .. num-1, by Taylor series on the uniform grid
+    (the scheme of Al-Mohy & Higham, SISC 33, 488 (2011), with exact norms).
 
-    expm_multiply picks its Taylor degree and step count from onenormest,
-    which draws from the global RNG; a fixed seed makes the correlators
-    depend on their inputs alone.
+    A step of length H = j h covers j = floor(TAYLOR_THETA / (|A| h)) grid
+    points, or one point in s = ceil(|A| h / TAYLOR_THETA) substeps, so that
+    |A| H <= TAYLOR_THETA, with |A| the infinity norm (largest absolute row
+    sum) that bounds the series' terms.  Point i of a step is
+    sum_k (i/j)^k P_k over the powers P_k of its start, one (j x m)(m x side)
+    product.
     """
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        yield
-    finally:
-        np.random.set_state(state)
+    norm_h = float(abs(A).sum(axis=1).max()) * h
+    per_step = max(1, int(TAYLOR_THETA / norm_h)) if norm_h * num > TAYLOR_THETA else num
+    substeps = max(1, math.ceil(norm_h / TAYLOR_THETA))
+    out = np.empty((num, v.size), dtype=complex)
+    out[0] = F = v
+    for first in range(1, num, per_step):
+        j = min(per_step, num - first)
+        for _ in range(substeps - 1):
+            F = _taylor_terms(A, F, h / substeps).sum(axis=0)
+        terms = _taylor_terms(A, F, j * h / substeps)
+        out[first:first + j] = (np.arange(1, j + 1) / j)[:, None] ** np.arange(len(terms)) @ terms
+        F = out[first + j - 1]
+    return out
+
+
+def _taylor_terms(A: csr_array, F: np.ndarray, H: float) -> np.ndarray:
+    """The terms P_k = (H A)^k F / k! of e^{H A} F, stacked (m, side), up to the
+    first k with |P_{k-1}| + |P_k| <= 2^-53 |F| in the infinity norm (scipy's
+    test); SteadyStateError if that has not happened by TAYLOR_MAX_TERMS."""
+    terms, previous = [F], np.abs(F).max()
+    tol = 2.0 ** -53 * previous
+    for k in range(1, TAYLOR_MAX_TERMS + 1):
+        terms.append(A @ terms[-1] * (H / k))
+        size = np.abs(terms[-1]).max()
+        if previous + size <= tol:
+            return np.array(terms)
+        previous = size
+    raise SteadyStateError(f"Taylor series of the propagator did not converge in "
+                           f"{TAYLOR_MAX_TERMS} terms")
 
 
 @single_threaded()
@@ -786,9 +819,10 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     Heisenberg-picture observable w(tau) = e^{L^H tau} vec(d'), L^H the
     conjugate transpose of ``L.superoperator()``: X = d rho gives
     s(tau), rho d gives s_alt(tau) and rho d' gives n(tau).  So one
-    ``expm_multiply`` call (Al-Mohy & Higham, SISC 33, 488 (2011)) on the
+    Taylor propagation of w over the grid (``_propagate``) with the
     adjoint, converted back to CSR for its faster product, yields all
-    three at any cutoff.  Raises SteadyStateError when n(0) is not real and
+    three at any cutoff.  The grid must be finite, start at 0 and increase
+    in equal steps.  Raises SteadyStateError when n(0) is not real and
     >= 0 or |s(0)|^2 > n(0) (n(0) + 1), to CAUCHY_SCHWARZ_TOL, or when
     |n(tau)| <= n(0) or |s(tau)|^2 <= n(0) (n(0) + 1) (Cauchy-Schwarz) fails
     by more than CAUCHY_SCHWARZ_TOL relative.
@@ -798,20 +832,15 @@ def two_time_correlations(L: Liouvillian, rho_ss: DensityMatrix,
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0 or tau[0] != 0.0:
         raise ValueError("tau grid must be 1-d and start at 0")
-    if tau[-1] < 0 or np.abs(tau - np.linspace(0.0, tau[-1], tau.size)).max() > 1e-12 * tau[-1]:
+    if (not np.isfinite(tau).all() or (tau.size > 1 and not tau[-1] > 0)
+            or np.abs(tau - np.linspace(0.0, tau[-1], tau.size)).max() > 1e-12 * tau[-1]):
         raise ValueError("tau grid must increase in equal steps")
 
     d = _cutoff_model(*L.dims).A
     rho = rho_ss.data
 
-    observable = vec(d.conj().T)
-    if tau.size == 1:   # expm_multiply needs two time points
-        W = observable[None, :]
-    else:
-        with _seeded_legacy_rng():
-            W = expm_multiply(L.superoperator().conj().T.tocsr(), observable, start=0.0,
-                              stop=tau[-1], num=tau.size, endpoint=True)
-    W = W.conj()
+    W = _propagate(L.superoperator().conj().T.tocsr(), vec(d.conj().T),
+                   tau[-1] / max(tau.size - 1, 1), tau.size).conj()
     n_tau, s_tau, s_alt = W @ vec(rho @ d.conj().T), W @ vec(d @ rho), W @ vec(rho @ d)
 
     n0 = n_tau[0]

@@ -222,7 +222,7 @@ def test_solver_entry_points_pin_blas_and_restore_the_caller(monkeypatch, caller
 
     calls = _entry_point_calls()
     monkeypatch.setattr(lindblad_mod, "dgetrf", recording(lindblad_mod.dgetrf))
-    monkeypatch.setattr(lindblad_mod, "expm_multiply", recording(lindblad_mod.expm_multiply))
+    monkeypatch.setattr(lindblad_mod, "_propagate", recording(lindblad_mod._propagate))
     monkeypatch.setattr(np.linalg, "eig", recording(np.linalg.eig))
     for name, call in calls:
         seen.clear()

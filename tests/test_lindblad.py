@@ -972,8 +972,12 @@ def test_qrt_requires_tau_from_zero():
 
 def test_qrt_requires_equal_tau_steps():
     sol = displaced_solution(sample_params(eta=1 * MHz))
-    with pytest.raises(ValueError, match="equal steps"):
-        two_time_correlations(sol.liouvillian, sol.rho, np.array([0.0, 1e-9, 3e-9]))
+    for tau in ([0.0, 1e-9, 3e-9],                  # unequal steps
+                [0.0, 0.0, 0.0],                    # no step at all
+                [0.0, -1e-9, -2e-9],                # decreasing
+                [0.0, math.nan], [0.0, math.inf], [0.0, math.nan, 2e-9]):   # not finite
+        with pytest.raises(ValueError, match="equal steps"):
+            two_time_correlations(sol.liouvillian, sol.rho, np.array(tau))
 
 
 def test_qrt_on_the_zero_tau_point_alone():
@@ -981,10 +985,14 @@ def test_qrt_on_the_zero_tau_point_alone():
     corr = two_time_correlations(sol.liouvillian, sol.rho, [0.0])
     assert corr.n_tau[0].real == pytest.approx(sol.obs.n, rel=1e-12)
     assert abs(corr.s_tau[0] - sol.obs.s) <= 1e-12 * abs(sol.obs.s)
+    # a subnormal step, on which theta / (|L| h) would overflow, moves nothing
+    tiny = two_time_correlations(sol.liouvillian, sol.rho, [0.0, 1e-320])
+    assert np.allclose(tiny.n_tau, corr.n_tau[0], rtol=1e-12, atol=0.0)
 
 
 def test_qrt_output_ignores_global_rng():
-    # expm_multiply's norm estimates draw from numpy's legacy global RNG
+    # the correlators depend on their inputs alone: the propagator's norms are
+    # exact, and nothing draws from numpy's legacy global RNG
     p = sample_params(eta=8 * MHz, da=7 * MHz, db=7 * MHz)
     sol = displaced_solution(p, cutoffs=(6, 6))
     tau = np.linspace(0.0, 120e-9, 241)
@@ -1002,26 +1010,26 @@ def test_qrt_output_ignores_global_rng():
 
 def test_qrt_propagates_once(monkeypatch):
     # one Heisenberg-picture propagation of d' yields n, s and s_alt
-    real = lindblad_mod.expm_multiply
+    real = lindblad_mod._propagate
     calls = []
 
-    def counting(A, B, **kwargs):
-        calls.append(B.shape)
-        return real(A, B, **kwargs)
+    def counting(A, v, h, num):
+        calls.append(v.shape)
+        return real(A, v, h, num)
 
-    monkeypatch.setattr(lindblad_mod, "expm_multiply", counting)
+    monkeypatch.setattr(lindblad_mod, "_propagate", counting)
     sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
     two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 10e-9, 11))
     assert calls == [(sol.liouvillian.side,)]
 
 
 def test_qrt_cauchy_schwarz_violation_raises(monkeypatch):
-    real = lindblad_mod.expm_multiply
+    real = lindblad_mod._propagate
 
-    def growing(A, B, **kwargs):
-        return real(A, B, **kwargs) * np.linspace(1.0, 2.0, kwargs["num"])[:, None]
+    def growing(A, v, h, num):
+        return real(A, v, h, num) * np.linspace(1.0, 2.0, num)[:, None]
 
-    monkeypatch.setattr(lindblad_mod, "expm_multiply", growing)
+    monkeypatch.setattr(lindblad_mod, "_propagate", growing)
     sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
     with pytest.raises(SteadyStateError, match="Cauchy-Schwarz"):
         two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 1e-9, 11))
@@ -1033,12 +1041,45 @@ def test_qrt_cauchy_schwarz_violation_raises(monkeypatch):
     (20.0, "physicality"),                 # |s(0)|^2 > n(0) (n(0) + 1), as |s(0)| > n(0) here
 ], ids=["n0-not-real", "n0-negative", "s0-unphysical"])
 def test_qrt_correlators_at_tau_0_are_checked(monkeypatch, factor, match):
-    real = lindblad_mod.expm_multiply
-    monkeypatch.setattr(lindblad_mod, "expm_multiply",
-                        lambda A, B, **kwargs: factor * real(A, B, **kwargs))
+    real = lindblad_mod._propagate
+    monkeypatch.setattr(lindblad_mod, "_propagate",
+                        lambda A, v, h, num: factor * real(A, v, h, num))
     sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
     with pytest.raises(SteadyStateError, match=match):
         two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 1e-9, 11))
+
+
+@pytest.mark.parametrize("cutoffs,num,stop,eta,detuning,substeps", [
+    ((4, 4), 401, 200e-9, 30 * MHz, 0.0, False),     # the packaged g2-tau grid: 8 points a step
+    ((6, 6), 241, 120e-9, 8 * MHz, 7 * MHz, False),  # the bench oracle's grid: 4 points a step
+    ((9, 8), 21, 100e-9, 30 * MHz, 0.0, True),       # |A| h = 30 > theta: 4 substeps a point
+], ids=["4-401", "6-241", "9x8-21"])
+def test_propagator_matches_scipy_expm_multiply(cutoffs, num, stop, eta, detuning, substeps):
+    # scipy's Al-Mohy & Higham propagator as an independent oracle; measured
+    # agreement 2.0e-15 to 4.7e-15 of each row's largest entry
+    from scipy.sparse.linalg import expm_multiply
+    sol = displaced_solution(sample_params(eta=eta, da=detuning, db=detuning), cutoffs=cutoffs)
+    A = sol.liouvillian.superoperator().conj().T.tocsr()
+    v = vec(_cutoff_model(*cutoffs).A.conj().T)
+    h = stop / (num - 1)
+    assert (abs(A).sum(axis=1).max() * h > lindblad_mod.TAYLOR_THETA) == substeps
+    W = lindblad_mod._propagate(A, v, h, num)
+    np.random.seed(0)   # expm_multiply's norm estimates draw from the global RNG
+    reference = expm_multiply(A, v, start=0.0, stop=stop, num=num, endpoint=True)
+    assert np.array_equal(W[0], v)
+    assert np.all(np.abs(W - reference).max(axis=1) <= 1e-13 * np.abs(reference).max(axis=1))
+
+
+def test_propagator_series_past_the_term_cap_raises(monkeypatch):
+    sol = displaced_solution(sample_params(eta=15 * MHz, da=2 * MHz, db=2 * MHz))
+    A = sol.liouvillian.superoperator().conj().T.tocsr()
+    v = vec(_cutoff_model(*sol.liouvillian.dims).A.conj().T)
+    with pytest.raises(SteadyStateError, match="did not converge"):   # a non-finite start
+        lindblad_mod._propagate(A, v * np.nan, 1e-9, 3)
+    # steps of |A H| up to 60, whose terms still exceed 2^-53 of the start after 55
+    monkeypatch.setattr(lindblad_mod, "TAYLOR_THETA", 60.0)
+    with pytest.raises(SteadyStateError, match="did not converge"):
+        two_time_correlations(sol.liouvillian, sol.rho, np.linspace(0.0, 100e-9, 101))
 
 
 def test_ordering_discrepancy_reported():
