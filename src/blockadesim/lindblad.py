@@ -37,9 +37,10 @@ solve with L is ``Liouvillian._solve(R, trace)``: X with L X / max|L| = R
 and Tr X = trace, for Hermitian R of zero trace, whichever solver runs.
 Up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5,
 the cutoff-4 production path among them) it is one real LU in a
-Hermitian basis (``_lu_solve``); above it, GMRES on the CSR
-superoperator, preconditioned by the Sylvester part of L solved in the
-eigenbasis of K.
+Hermitian basis (``_lu_solve``); above it, restarted GMRES of this
+module (``_gmres``) on the CSR superoperator, preconditioned from the
+right by the Sylvester part of L solved in the eigenbasis of K, so that
+it stops on the true residual.
 Each check is written once, in a kernel on a stack of points that gives
 per point the error it raises, or None: the per-point functions run it on
 a stack of one and raise that, ``stacked_solutions`` returns its message.
@@ -62,7 +63,6 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .blas import single_threaded
 from .gaussian import GaussianState, g2_from_normal_moments, g2_zero
@@ -638,8 +638,69 @@ def _lu_solve(lu: np.ndarray, piv: np.ndarray, R: np.ndarray, trace: float) -> n
     return 0.5 * ((1.0 + 1.0j) * Z + (1.0 - 1.0j) * Z.swapaxes(-1, -2))
 
 
+def _gmres(matvec, precondition, b: np.ndarray) -> np.ndarray:
+    """x with |b - A x| <= GMRES_RTOL |b|, A = ``matvec``, by restarted GMRES
+    (Saad & Schultz, SISC 7, 856 (1986)) with right preconditioning by M =
+    ``precondition`` (Saad, Iterative Methods for Sparse Linear Systems, 9.3).
+
+    A cycle of at most GMRES_RESTART steps builds an Arnoldi basis Q of the
+    Krylov space of A M from the residual r, by modified Gram-Schmidt, and
+    tracks min |r - A M Q y| over y with Givens rotations of the Hessenberg
+    matrix; that is the true residual, so M's rounding costs iterations but
+    not accuracy.  The cycle ends when it falls to the tolerance, at a
+    breakdown (a zero new basis vector) or after GMRES_RESTART steps, and
+    then x += M (Q y) for the one triangular solve's y.  Convergence is
+    confirmed on b - A x at each cycle's end.  Raises SteadyStateError at
+    once on a non-finite residual, and after GMRES_MAX_CYCLES cycles.
+    """
+    tol = GMRES_RTOL * np.linalg.norm(b)
+    m = GMRES_RESTART
+    x, r = np.zeros_like(b), b
+    for cycle in range(GMRES_MAX_CYCLES + 1):
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x
+        if not np.isfinite(beta):
+            raise SteadyStateError("GMRES residual is not finite")
+        if cycle == GMRES_MAX_CYCLES:
+            break
+        Q = np.empty((m, b.size), dtype=complex)
+        H = np.zeros((m, m), dtype=complex)
+        c, s = [], []                   # the rotations, as Python numbers
+        g = [complex(beta)]             # Q' r, rotated; |g[k]| is the residual after step k
+        Q[0] = r / beta
+        for k in range(1, m + 1):
+            w = matvec(precondition(Q[k - 1]))
+            column = []
+            for i in range(k):
+                column.append(complex(np.vdot(Q[i], w)))
+                w -= column[i] * Q[i]
+            h = float(np.linalg.norm(w))
+            for i in range(k - 1):
+                column[i], column[i + 1] = (c[i] * column[i] + s[i] * column[i + 1],
+                                            c[i] * column[i + 1] - s[i].conjugate() * column[i])
+            a = column[-1]
+            rho = math.hypot(abs(a), h)
+            c.append(abs(a) / rho if a else 0.0)
+            s.append(a / abs(a) * h / rho if a else 1.0 + 0j)
+            column[-1] = c[-1] * a + s[-1] * h
+            H[:k, k - 1] = column
+            g.append(-s[-1].conjugate() * g[-1])
+            g[-2] *= c[-1]
+            if not math.isfinite(abs(g[-1])):
+                raise SteadyStateError("GMRES residual is not finite")
+            if h == 0 or abs(g[-1]) <= tol or k == m:
+                break
+            Q[k] = w / h
+        y = np.linalg.solve(H[:k, :k], np.array(g[:k]))
+        x = x + precondition(y @ Q[:k])
+        r = b - matvec(x)
+    raise SteadyStateError(f"GMRES did not reach rtol {GMRES_RTOL:.0e} "
+                           f"in {GMRES_MAX_CYCLES} restart cycles")
+
+
 def _gmres_solver(L: Liouvillian):
-    """(R, trace) -> X of ``Liouvillian._solve``, by preconditioned GMRES.
+    """(R, trace) -> X of ``Liouvillian._solve``, by ``_gmres``.
 
     Each x = vec(X) solves L x / max_abs + v Tr(x) = vec(R) + v trace with
     v = vec(I/n): Tr(L x) = 0 for a trace-preserving L and Tr R = 0 give
@@ -649,15 +710,15 @@ def _gmres_solver(L: Liouvillian):
     ``L.apply`` at cutoffs 9-10).  The preconditioner, built once per L,
     inverts the Sylvester part S(X) = K X + X K' of L / scale in the
     eigenbasis K / scale = V diag(lam) V^-1,
-    X = V [(V^-1 R V^-') / (lam_i + conj lam_j)] V', and refines X once by
-    the same solve applied to R - S(X): ten n x n products per call.  GMRES
-    takes care of the jump and trace terms.  Unrefined, the transforms'
-    rounding (about cond(V)^2 eps) reaches GMRES_RTOL and can cost a second
-    restart cycle.  A denominator below sqrt(eps) times the largest is
-    raised to that floor: the undriven vacuum puts an eigenvalue of K at 0,
-    and at zero occupation a weak drive only lifts it to some 1e-11.  Raises
-    SteadyStateError when V is singular, as the preconditioner would then
-    not invert the Sylvester part, and when GMRES does not converge.
+    X = V [(V^-1 R V^-') / (lam_i + conj lam_j)] V', four n x n products
+    per call; GMRES takes care of the jump and trace terms.  As it
+    preconditions from the right, the transforms' rounding (about
+    cond(V)^2 eps) moves only its iteration count.  A denominator below
+    sqrt(eps) times the largest is raised to that floor: the undriven
+    vacuum puts an eigenvalue of K at 0, and at zero occupation a weak
+    drive only lifts it to some 1e-11.  Raises SteadyStateError when V is
+    singular, as the preconditioner would then not invert the Sylvester
+    part, and when GMRES does not converge.
     """
     joint, scale = math.prod(L.dims), L.max_abs
     v = vec(np.eye(joint) / joint)
@@ -682,29 +743,14 @@ def _gmres_solver(L: Liouvillian):
     denom = lam[:, None] + lam.conj()[None, :]
     floor = np.sqrt(np.finfo(float).eps) * np.abs(denom).max()
     denom[np.abs(denom) < floor] = floor
-    Ah = A.conj().T
 
-    def eigenbasis_solve(R):
-        return V @ ((V_inv @ R @ V_inv_h) / denom) @ Vh
-
-    def sylvester_solve(r):
-        R = unvec(r, joint)
-        X = eigenbasis_solve(R)
-        return vec(X + eigenbasis_solve(R - A @ X - X @ Ah))
-
-    side = joint * joint
-    operator = LinearOperator((side, side), matvec, dtype=complex)
-    preconditioner = LinearOperator((side, side), sylvester_solve, dtype=complex)
+    def precondition(r):
+        return vec(V @ ((V_inv @ unvec(r, joint) @ V_inv_h) / denom) @ Vh)
 
     def solve(R, trace):
         X = np.empty(R.shape, dtype=complex)
         for index in np.ndindex(R.shape[:-2]):
-            x, info = gmres(operator, vec(R[index]) + v * trace, rtol=GMRES_RTOL, atol=0.0,
-                            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=preconditioner)
-            if info != 0:
-                raise SteadyStateError(f"GMRES did not reach rtol {GMRES_RTOL:.0e} "
-                                       f"(info {info}) in {GMRES_MAX_CYCLES} restart cycles")
-            X[index] = unvec(x, joint)
+            X[index] = unvec(_gmres(matvec, precondition, vec(R[index]) + v * trace), joint)
         return X
 
     return solve
@@ -716,8 +762,9 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
 
     Up to DENSE_SUPEROP_MAX_JOINT_DIM the solver is one real LU in a
     Hermitian basis, placed from L's entries, with a row replaced by the
-    trace (``_lu_solve``); above it, GMRES on the CSR superoperator with a
-    Sylvester preconditioner (``_gmres_solver``).  Both scale L by max_abs,
+    trace (``_lu_solve``); above it, GMRES on the CSR superoperator, right-
+    preconditioned by one eigenbasis solve of its Sylvester part, to a true
+    residual of GMRES_RTOL (``_gmres_solver``).  Both scale L by max_abs,
     its largest entry, and stay with L for ``g2_gradient``.  Raises the
     solver's or ``_steady_states``' error for L."""
     joint = math.prod(L.dims)

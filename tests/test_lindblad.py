@@ -757,10 +757,59 @@ def test_matrix_free_trace_preservation_guard():
 
 
 def test_gmres_failure_raises(monkeypatch):
-    monkeypatch.setattr(lindblad_mod, "gmres", lambda A, b, **kwargs: (b, 7))
+    # one cycle of two steps cannot solve the (9, 8) steady state
+    monkeypatch.setattr(lindblad_mod, "GMRES_RESTART", 2)
+    monkeypatch.setattr(lindblad_mod, "GMRES_MAX_CYCLES", 1)
     L = build_liouvillian(sample_params(eta=0.5 * MHz), cutoffs=(9, 8))
     with pytest.raises(SteadyStateError, match="GMRES"):
         steady_state(L)
+
+
+def _nonnormal_system(side=40, seed=35):
+    """A dense non-normal A, b, and an inexact preconditioner: the inverse of A's
+    upper triangle with its entries perturbed by 1 %."""
+    rng = np.random.default_rng(seed)
+    A = (np.diag(np.linspace(1.0, 10.0, side) * np.exp(1j * np.linspace(0.0, 1.0, side)))
+         + np.triu(rng.normal(size=(side, side)), 1)
+         + 0.3 * np.tril(rng.normal(size=(side, side)), -1))
+    M = np.linalg.inv(np.triu(A) * (1.0 + 0.01 * rng.normal(size=(side, side))))
+    b = rng.normal(size=side) + 1j * rng.normal(size=side)
+    return A, M, b
+
+
+def test_gmres_reaches_the_true_residual_with_an_inexact_preconditioner():
+    A, M, b = _nonnormal_system()
+    # far from normal, and far from inverted by M: measured 0.13 and 9.6
+    assert np.linalg.norm(A @ A.conj().T - A.conj().T @ A) > 0.1 * np.linalg.norm(A) ** 2
+    assert np.linalg.norm(np.eye(40) - A @ M, 2) > 1.0
+    for precondition in (lambda r: M @ r, lambda r: r):
+        x = lindblad_mod._gmres(lambda v: A @ v, precondition, b)
+        assert np.linalg.norm(b - A @ x) <= lindblad_mod.GMRES_RTOL * np.linalg.norm(b)
+    assert not lindblad_mod._gmres(lambda v: A @ v, lambda r: M @ r, np.zeros(40, complex)).any()
+
+
+def test_gmres_raises_when_its_cycles_run_out(monkeypatch):
+    A, M, b = _nonnormal_system()
+    monkeypatch.setattr(lindblad_mod, "GMRES_RESTART", 3)
+    monkeypatch.setattr(lindblad_mod, "GMRES_MAX_CYCLES", 2)
+    calls = []
+    with pytest.raises(SteadyStateError, match="GMRES did not reach"):
+        lindblad_mod._gmres(lambda v: calls.append(1) or A @ v, lambda r: M @ r, b)
+    # each cycle: three Arnoldi steps and the true residual at its end
+    assert len(calls) == 2 * (3 + 1)
+
+
+def test_gmres_raises_at_once_on_a_nan_matvec():
+    A, M, b = _nonnormal_system()
+    calls = []
+
+    def nan_matvec(v):
+        calls.append(1)
+        return np.full_like(v, np.nan)
+
+    with pytest.raises(SteadyStateError, match="GMRES residual is not finite"):
+        lindblad_mod._gmres(nan_matvec, lambda r: M @ r, b)
+    assert len(calls) == 1
 
 
 def test_undriven_vacuum_on_the_matrix_free_path():
@@ -787,23 +836,23 @@ def test_gmres_at_zero_bath_occupation_matches_dense(da, db):
 
 
 def test_preconditioner_inverts_the_sylvester_part(monkeypatch):
-    real = lindblad_mod.gmres
+    real = lindblad_mod._gmres
     captured = []
 
-    def capturing(A, b, **kwargs):
-        captured.append(kwargs["M"])
-        return real(A, b, **kwargs)
+    def capturing(matvec, precondition, b):
+        captured.append(precondition)
+        return real(matvec, precondition, b)
 
-    monkeypatch.setattr(lindblad_mod, "gmres", capturing)
+    monkeypatch.setattr(lindblad_mod, "_gmres", capturing)
     L = build_liouvillian(_real_form_params("full", 1 * MHz), cutoffs=(9, 8))
     steady_state(L)
     K = L.terms[0]
     rng = np.random.default_rng(5)
     for _ in range(3):
         X = rng.normal(size=(72, 72)) + 1j * rng.normal(size=(72, 72))
-        got = unvec(captured[0].matvec(vec(K @ X + X @ K.conj().T) / L.max_abs), 72)
-        # the refinement step takes the eigenbasis solve from ~1e-12 to ~1e-15 here
-        assert np.abs(got - X).max() <= 1e-13 * np.abs(X).max()
+        got = unvec(captured[0](vec(K @ X + X @ K.conj().T) / L.max_abs), 72)
+        # one eigenbasis solve, cond(V) about 5 here: measured 8.5e-13 to 1.1e-12
+        assert np.abs(got - X).max() <= 1e-11 * np.abs(X).max()
 
 
 def test_singular_eigenvectors_of_k_raise(monkeypatch):
