@@ -765,10 +765,10 @@ def test_gmres_failure_raises(monkeypatch):
         steady_state(L)
 
 
-def _nonnormal_system(side=40, seed=35):
-    """A dense non-normal A, b, and an inexact preconditioner: the inverse of A's
-    upper triangle with its entries perturbed by 1 %."""
-    rng = np.random.default_rng(seed)
+def _nonnormal_system():
+    """A dense non-normal A (40 x 40), b, and an inexact preconditioner: the
+    inverse of A's upper triangle with its entries perturbed by 1 %."""
+    side, rng = 40, np.random.default_rng(35)
     A = (np.diag(np.linspace(1.0, 10.0, side) * np.exp(1j * np.linspace(0.0, 1.0, side)))
          + np.triu(rng.normal(size=(side, side)), 1)
          + 0.3 * np.tril(rng.normal(size=(side, side)), -1))
