@@ -33,14 +33,15 @@ Each Liouvillian gathers the stored entries of its superoperator once, in
 the CSR order of a cached layout (``_superop_layout``), displaced the one
 of its cutoff pair and jump weights (``_CutoffModel.k_support``); every
 other form of L and its trace check are read from them.  Every
-solve with L is ``Liouvillian._solve(R, trace)``: X with L X / max|L| = R
-and Tr X = trace, for Hermitian R of zero trace, whichever solver runs.
-Up to DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5,
-the cutoff-4 production path among them) it is one real LU in a
-Hermitian basis (``_lu_solve``); above it, restarted GMRES of this
-module (``_gmres``) on the CSR superoperator, preconditioned from the
-right by the Sylvester part of L solved in the eigenbasis of K, so that
-it stops on the true residual.
+solve with L, in ``Liouvillian._solve`` or at a point of
+``stacked_solutions``, is X with L X / max|L| = R and Tr X = trace, for
+Hermitian R of zero trace, by the solver ``_solver`` sets up.  Up to
+DENSE_SUPEROP_MAX_JOINT_DIM (joint dimension 25: cutoffs up to 5, the
+cutoff-4 production path among them) it is one real LU in a Hermitian
+basis (``_lu_solve``); above it, restarted GMRES of this module
+(``_gmres``) on the CSR superoperator, preconditioned from the right by
+the Sylvester part of L solved in the eigenbasis of K, so that it stops
+on the true residual.
 Each check is written once, in a kernel on a stack of points that gives
 per point the error it raises, or None: the per-point functions run it on
 a stack of one and raise that, ``stacked_solutions`` returns its message.
@@ -72,7 +73,7 @@ TRACE_PRESERVATION_TOL = 1e-8
 STEADY_STATE_RESIDUAL_TOL = 1e-9
 MEAN_FIELD_TOL = 1e-12
 DENSE_SUPEROP_MAX_JOINT_DIM = 25   # above this the steady state comes from GMRES
-# caps the CSR L, the layout's int32 index arrays (real-form positions < side^2 < 2^31)
+# caps the CSR L with its int32 indices, the int32 real-form positions (< side^2 < 2^31)
 MAX_SUPEROP_SIDE = 25_000          # and the GMRES basis of GMRES_RESTART side-long vectors
 GMRES_RTOL = 1e-13                 # on the scaled, trace-fixed system
 GMRES_RESTART = 60
@@ -329,33 +330,22 @@ class Liouvillian:
         return _apply(*self.terms, rho)
 
     def superoperator(self) -> csr_array:
-        """The side x side superoperator in CSR form, built at the first call.
-
-        Shared by the GMRES solve and the two-time correlations of a point;
-        its data is ``entries`` and its index arrays the layout's, all read-only.
-        Kept in ``__dict__``, as ``_solve`` keeps its solver.
-        """
+        """The side x side superoperator in CSR form (``_csr``), read-only, built
+        at the first call and kept in ``__dict__``, as ``_solve`` keeps its
+        solver; shared by the GMRES solve and the two-time correlations."""
         if "_csr" not in self.__dict__:
-            self.__dict__["_csr"] = csr_array(
-                (self.entries, self._layout.indices, self._layout.indptr), shape=(self.side,) * 2)
+            self.__dict__["_csr"] = _csr(self._layout, self.entries)
         return self.__dict__["_csr"]
 
     def _solve(self, R: np.ndarray, trace: float) -> np.ndarray:
         """X (..., n, n) with L X / max_abs = R and Tr X = trace, for Hermitian
-        R (..., n, n) of zero trace, by the LU (``_lu_solve``) or the GMRES
-        (``_gmres_solver``) set up at the first call and kept in ``__dict__``,
-        not by a ``cached_property``, whose lock on Python 3.11 is shared by
-        every Liouvillian."""
-        solver = self.__dict__.get("_solver")
-        if solver is None:
-            if self.is_sparse:
-                solver = _gmres_solver(self)
-            else:
-                lu, piv, error = _lu_factor(self._layout, self.entries, self.max_abs)
-                _raised(error)
-                solver = partial(_lu_solve, lu, piv)
-            self.__dict__["_solver"] = solver
-        return solver(R, trace)
+        R (..., n, n) of zero trace, by the ``_solver`` set up at the first
+        call and kept in ``__dict__``, not by a ``cached_property``, whose
+        lock on Python 3.11 is shared by every Liouvillian."""
+        if "_solver" not in self.__dict__:
+            self.__dict__["_solver"] = _solver(self._layout, self.entries, self.max_abs,
+                                               self.terms[0], self.superoperator)
+        return self.__dict__["_solver"](R, trace)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +353,8 @@ class _SuperopLayout:
     """The stored entries of L in CSR order (see ``_superop_layout``): ``gather``
     indexes their source values, ``left`` and ``right`` the jump products'
     factors, ``trace_entries`` the entries of the trace rows and ``trace_columns``
-    their columns, doubled for ``view(float)``.  All are int32 and read-only."""
+    their columns, doubled for ``view(float)``.  All are read-only; the CSR's
+    ``indptr`` and ``indices`` are int32, the rest intp, so no gather casts them."""
 
     n: int
     indptr: np.ndarray
@@ -423,9 +414,9 @@ def _superop_layout(k_support: bytes, jump_support: bytes, n: int) -> _SuperopLa
     rows, cols = rows[order], cols[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=square))))
     trace = np.flatnonzero(rows % (n + 1) == 0)
-    arrays = [array.astype(np.int32) for array in
-              (indptr, cols, sources[order], flat[a], flat[b], trace,
-               np.stack((2 * cols[trace], 2 * cols[trace] + 1), 1).ravel())]
+    columns = np.stack((2 * cols[trace], 2 * cols[trace] + 1), 1).ravel()
+    gathers = [sources[order], flat[a], flat[b], trace, columns]
+    arrays = [indptr.astype(np.int32), cols.astype(np.int32)] + [x.astype(np.intp) for x in gathers]
     for array in arrays:
         array.flags.writeable = False
     return _SuperopLayout(n, *arrays)
@@ -452,9 +443,15 @@ def _superop_entries(layout: _SuperopLayout, K: np.ndarray, weights: np.ndarray,
         (diagonal[..., None, :] + diagonal.conj()[..., :, None]).reshape(lead + (-1,)),
         np.broadcast_to(products, lead + products.shape),
     ), axis=-1)
-    # one point indexes with the int32 gather as it is; a stack takes an intp
-    # copy of it, which keeps each point's entries contiguous for view(float)
+    # np.take keeps each point of a stack contiguous for view(float), but
+    # copies a read-only index array: one point indexes with the gather as it is
     return source[layout.gather] if not lead else np.take(source, layout.gather, axis=-1)
+
+
+def _csr(layout: _SuperopLayout, entries: np.ndarray) -> csr_array:
+    """L in CSR form, on its entries and the layout's index arrays, not copied."""
+    side = layout.n * layout.n
+    return csr_array((entries, layout.indices, layout.indptr), shape=(side, side))
 
 
 def _superop_checks(layout: _SuperopLayout, entries: np.ndarray) -> tuple[np.ndarray, list]:
@@ -578,15 +575,19 @@ def build_liouvillian(p: SystemParams, displacement: tuple[complex, complex] | N
     coefficient vector times the cached basis of ``_cutoff_model``.
     """
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
-    joint = n_a * n_b
-    if joint * joint > MAX_SUPEROP_SIDE:
-        raise ValueError(
-            f"superoperator side {joint * joint} exceeds the {MAX_SUPEROP_SIDE} guard")
+    _raised(_side_error(n_a * n_b))
     model = _cutoff_model(n_a, n_b)
     alpha, beta = np.array(displacement or (0.0, 0.0), dtype=complex)[:, None]
     weights = _jump_weights(p)
     K = _k_matrix(_one_point(p), alpha, beta, weights, model)[0]
     return Liouvillian((n_a, n_b), (K, weights, model.jumps), displaced=displacement is not None)
+
+
+def _side_error(joint: int) -> ValueError | None:
+    """ValueError when the superoperator side joint^2 exceeds MAX_SUPEROP_SIDE, else None."""
+    side = joint * joint
+    if side > MAX_SUPEROP_SIDE:
+        return ValueError(f"superoperator side {side} exceeds the {MAX_SUPEROP_SIDE} guard")
 
 
 def _hermitian_form(layout: _SuperopLayout, entries: np.ndarray, scale: float) -> np.ndarray:
@@ -602,8 +603,17 @@ def _hermitian_form(layout: _SuperopLayout, entries: np.ndarray, scale: float) -
     return M.reshape(side, side)
 
 
+def _solver(layout: _SuperopLayout, entries: np.ndarray, scale: float, K: np.ndarray, csr):
+    """``Liouvillian._solve``'s (R, trace) -> X for L with these entries, max|L| =
+    scale, K term K and CSR form csr(): up to DENSE_SUPEROP_MAX_JOINT_DIM
+    ``_lu_solve`` on the LU of ``_lu_factor``, above it ``_gmres_solver``."""
+    if layout.n <= DENSE_SUPEROP_MAX_JOINT_DIM:
+        return partial(_lu_solve, *_lu_factor(layout, entries, scale))
+    return _gmres_solver(csr(), scale, K)
+
+
 def _lu_factor(layout: _SuperopLayout, entries: np.ndarray, scale: float):
-    """(lu, piv, SteadyStateError or None) of ``_hermitian_form``, row 0 the trace.
+    """(lu, piv) of ``_hermitian_form``, row 0 the trace; SteadyStateError at a zero pivot.
 
     M.T is Fortran-ordered, so LAPACK factors it in place with no copy;
     ``dgetrs`` with trans=1 then solves M z = r.
@@ -613,8 +623,9 @@ def _lu_factor(layout: _SuperopLayout, entries: np.ndarray, scale: float):
     M[0, :] = 0.0
     M[0, ::joint + 1] = 1.0
     lu, piv, info = dgetrf(M.T, overwrite_a=True)
-    return lu, piv, (SteadyStateError(f"LU solve failed: LAPACK info {info} (a zero pivot "
-                                      "if positive)") if info != 0 else None)
+    if info != 0:
+        raise SteadyStateError(f"LU solve failed: LAPACK info {info} (a zero pivot if positive)")
+    return lu, piv
 
 
 def _lu_solve(lu: np.ndarray, piv: np.ndarray, R: np.ndarray, trace: float) -> np.ndarray:
@@ -699,16 +710,16 @@ def _gmres(matvec, precondition, b: np.ndarray) -> np.ndarray:
                            f"in {GMRES_MAX_CYCLES} restart cycles")
 
 
-def _gmres_solver(L: Liouvillian):
-    """(R, trace) -> X of ``Liouvillian._solve``, by ``_gmres``.
+def _gmres_solver(generator: csr_array, scale: float, K: np.ndarray):
+    """(R, trace) -> X of ``_solver``, by ``_gmres``, for L = generator in CSR
+    form, scale = max|L| and K the K term of L.
 
-    Each x = vec(X) solves L x / max_abs + v Tr(x) = vec(R) + v trace with
+    Each x = vec(X) solves L x / scale + v Tr(x) = vec(R) + v trace with
     v = vec(I/n): Tr(L x) = 0 for a trace-preserving L and Tr R = 0 give
-    Tr(x) = trace, and then L x / max_abs = R.  L x / scale is
-    applied as the CSR ``L.superoperator()`` times x / scale, so the CSR
-    kept with L is not copied (it is about 6-10x faster per product than
-    ``L.apply`` at cutoffs 9-10).  The preconditioner, built once per L,
-    inverts the Sylvester part S(X) = K X + X K' of L / scale in the
+    Tr(x) = trace, and then L x / scale = R.  L x / scale is the CSR, not
+    copied, times x / scale (about 6-10x faster per product than
+    ``L.apply`` at cutoffs 9-10).  The preconditioner, built once per
+    solver, inverts the Sylvester part S(X) = K X + X K' of L / scale in the
     eigenbasis K / scale = V diag(lam) V^-1,
     X = V [(V^-1 R V^-') / (lam_i + conj lam_j)] V', four n x n products
     per call; GMRES takes care of the jump and trace terms.  As it
@@ -720,15 +731,14 @@ def _gmres_solver(L: Liouvillian):
     singular, as the preconditioner would then not invert the Sylvester
     part, and when GMRES does not converge.
     """
-    joint, scale = math.prod(L.dims), L.max_abs
+    joint = K.shape[0]
     v = vec(np.eye(joint) / joint)
     diagonal = np.arange(joint) * (joint + 1)
-    generator = L.superoperator()
 
     def matvec(x):
         return generator @ (x / scale) + v * x[diagonal].sum()
 
-    A = L.terms[0] / scale
+    A = K / scale
     lam, V = np.linalg.eig(A)
     try:
         V_inv = np.linalg.inv(V)
@@ -758,15 +768,9 @@ def _gmres_solver(L: Liouvillian):
 
 @single_threaded()
 def steady_state(L: Liouvillian) -> DensityMatrix:
-    """Null vector of L with unit trace: ``L._solve`` of R = 0 at trace 1.
-
-    Up to DENSE_SUPEROP_MAX_JOINT_DIM the solver is one real LU in a
-    Hermitian basis, placed from L's entries, with a row replaced by the
-    trace (``_lu_solve``); above it, GMRES on the CSR superoperator, right-
-    preconditioned by one eigenbasis solve of its Sylvester part, to a true
-    residual of GMRES_RTOL (``_gmres_solver``).  Both scale L by max_abs,
-    its largest entry, and stay with L for ``g2_gradient``.  Raises the
-    solver's or ``_steady_states``' error for L."""
+    """Null vector of L with unit trace: ``L._solve`` of R = 0 at trace 1, by
+    the LU or the GMRES of ``_solver``, which stays with L for ``g2_gradient``.
+    Raises the solver's or ``_steady_states``' error for L."""
     joint = math.prod(L.dims)
     raw = L._solve(np.zeros((joint, joint)), 1.0)
     rho, (error,) = _steady_states(L.terms, raw[None], np.array([L.max_abs]))
@@ -970,29 +974,27 @@ def displaced_solution(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> Di
 def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
                       ) -> list[tuple[MeanFieldResult, Observables] | str]:
     """``displaced_solution``'s mean field and observables at each (delta_a,
-    delta_b) row of deltas, p giving every other parameter, at dense sizes,
-    or the message of the error it raises there.
+    delta_b) row of deltas, p giving every other parameter, at any cutoff
+    pair, or the message of the error it raises there.
 
     The per-point kernels run on arrays with a leading point axis (one
     stacked 3 x 3 ``eigvals``, one gather of L's entries in the layout of
-    a displaced L) but the LU: per point, one factorization and the
-    ``_lu_solve`` of R = 0 at trace 1 that ``L._solve`` runs for
-    ``steady_state``, into one buffer of raw states.  Each works point by
-    point, so a point's result does not depend on the points stacked with
-    it, and is ``displaced_solution``'s.
+    a displaced L) but the solve: per point, the ``_solver`` that
+    ``L._solve`` sets up, an LU or a GMRES, and its solution of R = 0 at
+    trace 1 for ``steady_state``, into one buffer of raw states.  Each
+    works point by point, so a point's result does not depend on the
+    points stacked with it, and is ``displaced_solution``'s.
     """
     n_a, n_b = int(cutoffs[0]), int(cutoffs[1])
     joint = n_a * n_b
-    if joint > DENSE_SUPEROP_MAX_JOINT_DIM:
-        raise ValueError(f"joint dimension {joint} is above the dense limit "
-                         f"{DENSE_SUPEROP_MAX_JOINT_DIM}")
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 2)
     results: list = _mean_fields(replace(p, delta_a=deltas[:, 0], delta_b=deltas[:, 1]))
     points = [k for k, mf in enumerate(results) if isinstance(mf, MeanFieldResult)]
+    side_error = _side_error(joint)
+    if side_error or not points:
+        return [str(side_error if isinstance(r, MeanFieldResult) else r) for r in results]
     alpha, beta = (np.array([getattr(results[k], name) for k in points], dtype=complex)
                    for name in ("alpha", "beta"))
-    if not points:
-        return [str(r) for r in results]
     stack = replace(p, delta_a=deltas[points, 0], delta_b=deltas[points, 1])
     model, weights = _cutoff_model(n_a, n_b), _jump_weights(p)
     K = _k_matrix(stack, alpha, beta, weights, model)
@@ -1002,9 +1004,10 @@ def stacked_solutions(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)
     raw, zero = np.zeros(K.shape, dtype=complex), np.zeros((joint, joint))
     for k, row in enumerate(entries):
         if errors[k] is None:
-            lu, piv, errors[k] = _lu_factor(layout, row, scale[k])
-        if errors[k] is None:
-            raw[k] = _lu_solve(lu, piv, zero, 1.0)
+            try:
+                raw[k] = _solver(layout, row, scale[k], K[k], partial(_csr, layout, row))(zero, 1.0)
+            except (SteadyStateError, np.linalg.LinAlgError) as exc:
+                errors[k] = exc
     solved = [k for k, error in enumerate(errors) if error is None]
     rho, checks = _steady_states((K[solved], weights, model.jumps), raw[solved], scale[solved])
     for k, error, moments in zip(solved, checks, _moments((n_a, n_b), rho)):

@@ -2,16 +2,16 @@
 
 The detunings of a grid (a ``g2-sweep`` scan, a ``map``) are cut once into
 blocks, of STACK_POINTS points at dense sizes and of one at GMRES sizes;
-``solve_points`` solves a block, at dense sizes as one stacked solve
-(``lindblad.stacked_solutions``, the per-point checks on a stack), else by
-one ``displaced_solution`` per point.  A pump strength (one BFGS
-optimization, on g2 and its gradient from the factorization of each solve,
-seeded by the linearized model ``lindblad.linearized_g2``) and a g2(tau)
-detuning are solved point by point.  Each sweep is one ``blas.pool_map``,
-whose items are a grid's blocks, the pump strengths or the detunings; it
-keeps order and runs BLAS at one thread, and a point's stacked result does
-not depend on the points solved with it, so serial and pooled sweeps give
-the same rows.  Every point or unit gives one ``SweepRecord``, with status
+``solve_points`` solves a block as one stacked solve at any cutoffs
+(``lindblad.stacked_solutions``: the per-point checks on a stack, each
+point's LU or GMRES set up as for ``displaced_solution``).  A pump strength
+(one BFGS optimization, on g2 and its gradient from the factorization of
+each solve, seeded by ``lindblad.linearized_g2``) and a g2(tau) detuning
+are solved point by point.  Each sweep is one ``blas.pool_map``, whose
+items are a grid's blocks, the pump strengths or the detunings; it keeps
+order and runs BLAS at one thread, and a point's stacked result does not
+depend on the points solved with it, so serial and pooled sweeps give the
+same rows.  Every point or unit gives one ``SweepRecord``, with status
 "failed" and the reason instead of aborting the sweep when its solve fails.
 """
 
@@ -92,14 +92,11 @@ def solve_point(p: SystemParams, cutoffs: tuple[int, int] = (4, 4)) -> SweepReco
 def solve_points(p: SystemParams, deltas, cutoffs: tuple[int, int] = (4, 4)) -> list[SweepRecord]:
     """``solve_point`` at each (delta_a, delta_b) of deltas, p giving every other parameter.
 
-    At dense sizes by one ``lindblad.stacked_solutions`` call, whose message
-    for a failed point is the record's reason; above
-    DENSE_SUPEROP_MAX_JOINT_DIM by ``solve_point``.  A point's record does
-    not depend on the points solved with it, and is ``solve_point``'s.
+    By one ``lindblad.stacked_solutions`` call at any cutoffs, whose message
+    for a failed point is the record's reason.  A point's record does not
+    depend on the points solved with it, and is ``solve_point``'s.
     """
     points = [replace(p, delta_a=float(da), delta_b=float(db)) for da, db in deltas]
-    if math.prod(cutoffs) > DENSE_SUPEROP_MAX_JOINT_DIM:
-        return [solve_point(point, cutoffs) for point in points]
     solved = stacked_solutions(p, [(q.delta_a, q.delta_b) for q in points], cutoffs)
     return [_failed_record(q, sol) if isinstance(sol, str) else _solved_record(q, *sol)
             for q, sol in zip(points, solved)]

@@ -451,6 +451,35 @@ cutoff = 9 count
     assert all(math.isfinite(float(row["g2"])) for row in rows)
 
 
+def test_cmd_g2_sweep_pooled_equals_serial_at_a_gmres_size(tmp_path, monkeypatch):
+    # cutoff 6 (joint dimension 36) cuts the grid into one-point blocks, each
+    # a stacked GMRES solve, so 5 points open a pool
+    cfg = write_cfg(tmp_path, MINIMAL + """
+[sweep]
+delta_a_start = -6 MHz_over_2pi
+delta_a_stop = 6 MHz_over_2pi
+delta_a_points = 5 count
+cutoff = 6 count
+""")
+    opened, real_pool = [], blas.ProcessPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        opened.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(blas, "ProcessPoolExecutor", recording_pool)
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert main(["g2-sweep", "--config", str(cfg), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        runs.append((out / "g2_sweep.csv").read_bytes())
+    assert len(opened) == 1
+    assert runs[0] == runs[1]
+    rows = list(csv.DictReader(open(tmp_path / "out1" / "g2_sweep.csv")))
+    assert [row["status"] for row in rows] == ["ok"] * 5
+
+
 def test_cmd_g2_tau_pooled_equals_serial_with_a_failed_detuning(tmp_path, monkeypatch, caplog):
     # fails by detuning value: a forked worker would keep a call counter of its own
     import blockadesim.sweep as sweep_mod

@@ -426,6 +426,17 @@ def test_superoperator_build_allocates_little_beyond_its_csr():
     assert peak <= 1.5 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
+def test_the_layout_gathers_with_intp_and_keeps_int32_for_the_csr():
+    # an int32 index costs a cast to intp at every gather
+    L = build_liouvillian(sample_params(eta=15 * MHz), cutoffs=(4, 4))
+    layout = L._layout
+    assert layout.indptr.dtype == layout.indices.dtype == np.int32
+    gathers = (layout.gather, layout.left, layout.right, layout.trace_entries,
+               layout.trace_columns)
+    assert all(index.dtype == np.intp and not index.flags.writeable for index in gathers)
+    assert np.shares_memory(L.superoperator().indices, layout.indices)
+
+
 @pytest.mark.parametrize("command", ["envelope", "map", "g2-sweep"])
 def test_one_superop_layout_per_cutoff_pair_in_a_sweep(tmp_path, command):
     # the packaged config solves every point displaced at cutoff 4 with one

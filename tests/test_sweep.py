@@ -182,7 +182,7 @@ def test_stacked_points_match_solve_point(p, deltas, cutoffs):
     if p.eta_a == 48 * MHz:
         assert stacked[0].warnings == ("bistable mean field: selected low-amplitude branch",)
         assert stacked[1].warnings == ()
-    if cutoffs == (6, 5):   # above the dense limit every point is solve_point's
+    if cutoffs == (6, 5):   # the GMRES of a stacked point is solve_point's, bit for bit
         assert stacked == per_point
 
 
@@ -217,6 +217,19 @@ def _fail_lu(monkeypatch, bad_delta, bad_point):
     monkeypatch.setattr(lindblad_mod, "dgetrf", dgetrf)
 
 
+def _fail_gmres(monkeypatch, bad_delta, bad_point):
+    # the bad point's GMRES meets a NaN product at its first step
+    real, calls = lindblad_mod._gmres, []
+
+    def failing(matvec, precondition, b):
+        calls.append(None)
+        if len(calls) == bad_point:
+            return real(lambda x: np.full_like(x, np.nan), precondition, b)
+        return real(matvec, precondition, b)
+
+    monkeypatch.setattr(lindblad_mod, "_gmres", failing)
+
+
 def _fail_residual(monkeypatch, bad_delta, bad_point):
     # L applied to the bad point's solution is far from 0
     real, calls = lindblad_mod._apply, []
@@ -245,17 +258,25 @@ def _fail_state(monkeypatch, bad_delta, bad_point):
     monkeypatch.setattr(lindblad_mod, "state_errors", spoiled)
 
 
-@pytest.mark.parametrize("params, fail, reason", [
-    (sample_params(24 * MHz), _poison_mean_field, "mean-field drift residual nan"),
-    (sample_params(24 * MHz), _fail_lu, "LU solve failed: LAPACK info 1"),
-    (sample_params(24 * MHz), _fail_residual, "steady-state residual"),
-    (sample_params(24 * MHz), _fail_state, "density matrix not Hermitian"),
+@pytest.mark.parametrize("params, cutoffs, fail, reason", [
+    (sample_params(24 * MHz), (4, 4), _poison_mean_field, "mean-field drift residual nan"),
+    (sample_params(24 * MHz), (4, 4), _fail_lu, "LU solve failed: LAPACK info 1"),
+    (sample_params(24 * MHz), (4, 4), _fail_residual, "steady-state residual"),
+    (sample_params(24 * MHz), (4, 4), _fail_state, "density matrix not Hermitian"),
     # unpatched, every point fails: the vacuum has no population
-    (sample_params(0.0, n_th_a=0.0), None, "total population must be > 0"),
+    (sample_params(0.0, n_th_a=0.0), (4, 4), None, "total population must be > 0"),
     # unpatched: U = 1e-165 MHz overflows the mean-field cubic at every point
-    (replace(sample_params(24 * MHz), U=1e-165 * MHz), None, "mean-field drift residual nan"),
-], ids=["mean-field", "lu-info", "residual", "state", "zero-population", "tiny-U"])
-def test_a_failed_point_has_solve_points_reason(monkeypatch, params, fail, reason):
+    (replace(sample_params(24 * MHz), U=1e-165 * MHz), (4, 4), None,
+     "mean-field drift residual nan"),
+    (sample_params(24 * MHz), (6, 5), _fail_gmres, "GMRES residual is not finite"),
+    # unpatched: side 169^2 = 28561 is over MAX_SUPEROP_SIDE at every point,
+    # checked after the mean field, whose failure comes first
+    (sample_params(24 * MHz), (13, 13), None, "superoperator side 28561 exceeds the 25000 guard"),
+    (replace(sample_params(24 * MHz), U=1e-165 * MHz), (13, 13), None,
+     "mean-field drift residual nan"),
+], ids=["mean-field", "lu-info", "residual", "state", "zero-population", "tiny-U", "gmres",
+        "size-guard", "tiny-U-over-size-guard"])
+def test_a_failed_point_has_solve_points_reason(monkeypatch, params, cutoffs, fail, reason):
     # solve_points fails a point with the reason solve_point gives, without
     # solving it again: every record, failed or solved, is solve_point's
     import blockadesim.sweep as sweep_mod
@@ -270,11 +291,11 @@ def test_a_failed_point_has_solve_points_reason(monkeypatch, params, fail, reaso
     monkeypatch.setattr(sweep_mod, "displaced_solution", counting)
     if fail:
         fail(monkeypatch, deltas[bad - 1], bad)
-    records = solve_points(params, deltas, (4, 4))
+    records = solve_points(params, deltas, cutoffs)
     assert per_point_calls == []
     if fail:
         fail(monkeypatch, deltas[bad - 1], bad)
-    reference = per_point_records(params, deltas, (4, 4))
+    reference = per_point_records(params, deltas, cutoffs)
     assert len(per_point_calls) == len(deltas)
     assert [repr(rec) for rec in records] == [repr(rec) for rec in reference]
     failed = [k for k, rec in enumerate(records) if rec.status == "failed"]
