@@ -5,11 +5,11 @@ gets its numbers from ``device``, ``sweep`` or ``measurement``, writes its
 data files atomically (temp file + rename) and returns its exit code, those
 files and its manifest entries.  ``main`` loads the config, derives the
 device and the base SystemParams once before any command runs, writes the
-run's one JSON manifest (parameters, grids, seed, workers, toolkit version,
-BLAS thread counts) and maps errors to exit codes: 0 success, 2
-configuration error, 3 pipeline failure.  A command runs with every loaded
-BLAS pinned to one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS is set; the previous counts are restored.
+run's one JSON manifest (parameters, grids, Fock cutoff, seed, workers,
+toolkit version, BLAS thread counts) and maps errors to exit codes: 0
+success, 2 configuration error, 3 pipeline failure.  A command runs with
+every loaded BLAS pinned to one thread unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS is set; the previous counts are restored.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .device import (attenuation_chain_population, capacitance_from_resonance,
                      resonance_frequency, squid_inductance)
 from .gaussian import CalibrationFailure, g2_zero
 from .lindblad import SystemParams
-from .measurement import run_synthetic_experiment
+from .measurement import ESTIMATES, estimate_values, run_synthetic_experiment
 from .sweep import (SOLVE_ERRORS, SweepRecord, fit_eta_to_population, map2d, minimize_g2,
                     sweep_detuning, sweep_g2_tau)
 
@@ -175,6 +175,11 @@ def _exit_code(records: list[SweepRecord]) -> int:
     return 3 if records and all(r.status != "ok" for r in records) else 0
 
 
+def _grid_entry(grid: np.ndarray) -> list:
+    """A grid as its manifest entry [start, stop, points], null ends for no point."""
+    return [*(grid[[0, -1]].tolist() if grid.size else (None, None)), grid.size]
+
+
 def cmd_device(cfg: RunConfig, derived: dict, p: SystemParams, args):
     json_path = args.out / "device_parameters.json"
     write_json(json_path, derived)
@@ -203,9 +208,7 @@ def cmd_g2_sweep(cfg: RunConfig, derived: dict, p: SystemParams, args):
     csv_path = args.out / "g2_sweep.csv"
     write_csv(csv_path, SWEEP_COLUMNS, [_record_row(r) for r in records])
     return (_exit_code(records), [csv_path],
-            {"delta_a_grid_rad_per_s": [float(grid[0]) if grid.size else None,
-                                        float(grid[-1]) if grid.size else None,
-                                        int(grid.size)]})
+            {"delta_a_grid_rad_per_s": _grid_entry(grid), "cutoff": cfg.sweep.cutoff})
 
 
 def cmd_g2_tau(cfg: RunConfig, derived: dict, p: SystemParams, args):
@@ -237,7 +240,8 @@ def cmd_g2_tau(cfg: RunConfig, derived: dict, p: SystemParams, args):
     write_csv(csv_path, TAU_COLUMNS, rows)
     return (_exit_code([rec for rec, _ in results]), [csv_path],
             {"dominant_period_s": periods, "eta_a_rad_per_s": eta,
-             "anomalous_ordering_discrepancy": ordering, "failed_detunings": failed})
+             "anomalous_ordering_discrepancy": ordering, "failed_detunings": failed,
+             "cutoff": cfg.sweep.cutoff})
 
 
 def cmd_map(cfg: RunConfig, derived: dict, p: SystemParams, args):
@@ -251,7 +255,9 @@ def cmd_map(cfg: RunConfig, derived: dict, p: SystemParams, args):
             for i, row in enumerate(matrix) for j, rec in enumerate(row)]
     csv_path = args.out / "map2d.csv"
     write_csv(csv_path, MAP_COLUMNS, rows)
-    return _exit_code([r for row in matrix for r in row]), [csv_path], {}
+    return (_exit_code([r for row in matrix for r in row]), [csv_path],
+            {"delta_a_grid_rad_per_s": _grid_entry(grid_a),
+             "delta_diff_grid_rad_per_s": _grid_entry(grid_d), "cutoff": cfg.sweep.cutoff})
 
 
 def cmd_envelope(cfg: RunConfig, derived: dict, p: SystemParams, args):
@@ -263,7 +269,7 @@ def cmd_envelope(cfg: RunConfig, derived: dict, p: SystemParams, args):
             for r in records]
     csv_path = args.out / "envelope.csv"
     write_csv(csv_path, ENVELOPE_COLUMNS, rows)
-    return _exit_code(records), [csv_path], {}
+    return _exit_code(records), [csv_path], {"cutoff": cfg.sweep.cutoff}
 
 
 def cmd_measure_demo(cfg: RunConfig, derived: dict, p: SystemParams, args):
@@ -271,21 +277,13 @@ def cmd_measure_demo(cfg: RunConfig, derived: dict, p: SystemParams, args):
     truth = meas.truth
     stats = run_synthetic_experiment(truth, meas.cal, meas.n_th, meas.n_packets,
                                      meas.packet_size, seed=args.seed, workers=args.workers)
-    truth_values = {"alpha_re": truth.alpha.real, "alpha_im": truth.alpha.imag, "n": truth.n,
-                    "s_re": truth.s.real, "s_im": truth.s.imag, "g2": g2_zero(truth)}
-    estimates = {
-        "alpha_re": stats.state.alpha.real, "alpha_im": stats.state.alpha.imag,
-        "alpha_re_stderr": stats.alpha_stderr.real,
-        "alpha_im_stderr": stats.alpha_stderr.imag,
-        "n": stats.state.n, "n_stderr": stats.n_stderr,
-        "s_re": stats.state.s.real, "s_im": stats.state.s.imag,
-        "s_re_stderr": stats.s_stderr.real, "s_im_stderr": stats.s_stderr.imag,
-        "g2": stats.g2_mean, "g2_stderr": stats.g2_stderr,
-        "g2_prime": stats.g2_prime_mean, "g2_prime_stderr": stats.g2_prime_stderr,
-    }
+    # g2' estimates the truth's g2 without assuming a Gaussian state: it has no truth of its own
+    truth_values = dict(zip(ESTIMATES, estimate_values(truth, g2_zero(truth), math.nan).tolist()))
+    del truth_values["g2_prime"]
+    estimates = {**stats.estimate, **{f"{key}_stderr": err for key, err in stats.stderr.items()}}
 
     def pull(key):
-        value, err = estimates[key], estimates[f"{key}_stderr"]
+        value, err = stats.estimate[key], stats.stderr[key]
         if math.isnan(value) or math.isnan(err):
             return None
         return (value - truth_values[key]) / err if err > 0 else 0.0

@@ -443,9 +443,10 @@ def _superop_entries(layout: _SuperopLayout, K: np.ndarray, weights: np.ndarray,
         (diagonal[..., None, :] + diagonal.conj()[..., :, None]).reshape(lead + (-1,)),
         np.broadcast_to(products, lead + products.shape),
     ), axis=-1)
-    # np.take keeps each point of a stack contiguous for view(float), but
-    # copies a read-only index array: one point indexes with the gather as it is
-    return source[layout.gather] if not lead else np.take(source, layout.gather, axis=-1)
+    # np.take keeps each point of a stack contiguous for view(float) but copies the
+    # read-only index; up to one point, plain indexing is contiguous and copies none
+    gather = layout.gather
+    return source[..., gather] if math.prod(lead) < 2 else np.take(source, gather, axis=-1)
 
 
 def _csr(layout: _SuperopLayout, entries: np.ndarray) -> csr_array:

@@ -214,25 +214,29 @@ def apply_mixer_to_moments(ideal: MomentSet, cal: CalibrationConstants) -> Momen
     return _mix(ideal, cal.mixer)
 
 
+# the estimates of packet_statistics, by name, in the jackknife's column order
+ESTIMATES = ("alpha_re", "alpha_im", "n", "s_re", "s_im", "g2", "g2_prime")
+
+
 @dataclass(frozen=True)
 class PacketStatistics:
-    """Packet-averaged estimates with jackknife standard errors."""
+    """Packet-averaged estimates and their jackknife stderrs, keyed by ESTIMATES."""
 
-    g2_mean: float
-    g2_stderr: float
-    state: GaussianState
-    alpha_stderr: complex
-    n_stderr: float
-    s_stderr: complex
-    g2_prime_mean: float
-    g2_prime_stderr: float
+    estimate: dict[str, float]
+    stderr: dict[str, float]
     warnings: tuple[str, ...] = ()
 
 
+def estimate_values(state: GaussianState, g2: float, g2_prime: float) -> np.ndarray:
+    """The estimates of ESTIMATES, in its order, of a state and its g2 and g2'."""
+    return np.array([state.alpha.real, state.alpha.imag, state.n, state.s.real, state.s.imag,
+                     g2, g2_prime])
+
+
 def _estimates(m: np.ndarray, dc: np.ndarray, counts: np.ndarray, n_packets: int,
-               n_th: float):
-    """(state, g2, g2', failure) from on/off sums over n_packets packets of the
-    moment arrays m (2, 5, 5), the DC pairs dc (2, 2) and the sample counts (2,).
+               n_th: float) -> tuple[np.ndarray, str | None]:
+    """(``estimate_values``, failure) from on/off sums over n_packets packets of
+    the moment arrays m (2, 5, 5), the DC pairs dc (2, 2) and the sample counts (2,).
 
     A state whose population came out non-positive, as noise allows, has no
     g2: then g2 and g2' are NaN and failure is the reason, else it is None.
@@ -241,9 +245,10 @@ def _estimates(m: np.ndarray, dc: np.ndarray, counts: np.ndarray, n_packets: int
                for k in range(2))
     state = gaussian_params_from_moments(on, off, n_th)
     try:
-        return state, g2_zero(state), g2prime_from_fourth_moments(on, off, state), None
+        g2, g2p, failure = g2_zero(state), g2prime_from_fourth_moments(on, off, state), None
     except ZeroPopulationError as exc:
-        return state, math.nan, math.nan, str(exc)
+        g2, g2p, failure = math.nan, math.nan, str(exc)
+    return estimate_values(state, g2, g2p), failure
 
 
 def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
@@ -254,11 +259,12 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
     before evaluating it; the spread comes from a jackknife over packets.
     The packets' moment arrays, DC pairs and sample counts are stacked once,
     and leave-one-out replica i is (total - packet i) / (P - 1), so the P
-    replicas cost O(P).  Below MIN_PACKETS packets the g2 sampling
-    distribution can be visibly non-Gaussian, which is flagged rather than
-    refused.  Where the full estimate or a replica has no g2 (non-positive
-    population), g2 and g2' come out NaN in the mean or the stderr, and
-    warnings give the reason.
+    replicas cost O(P); each, as the full estimate, is one ``estimate_values``
+    row.  Below MIN_PACKETS packets the g2 sampling distribution can be
+    visibly non-Gaussian, which is flagged rather than refused.  Where the
+    full estimate or a replica has no g2 (non-positive population), g2 and
+    g2' come out NaN in the estimate or the stderr, and warnings give the
+    reason.
     """
     n_p = len(packets)
     if n_p < 1:
@@ -272,30 +278,22 @@ def packet_statistics(packets: list[tuple[MomentSet, MomentSet]],
               np.array([[on.dc, off.dc] for on, off in packets]),                  # (P, 2, 2)
               np.array([[on.n_samples, off.n_samples] for on, off in packets])]    # (P, 2)
     totals = [stack.sum(axis=0) for stack in stacks]
-    state, g2, g2p, failure = _estimates(*totals, n_p, n_th)
+    values, failure = _estimates(*totals, n_p, n_th)
+    estimate = dict(zip(ESTIMATES, values.tolist()))
     if failure:
         warnings.append(f"g2 and g2' are NaN: {failure} in the {n_p}-packet estimate")
     if n_p == 1:
-        return PacketStatistics(g2, 0.0, state, 0.0, 0.0, 0.0, g2p, 0.0, tuple(warnings))
+        return PacketStatistics(estimate, dict.fromkeys(ESTIMATES, 0.0), tuple(warnings))
 
-    rows, failures = [], []
-    for i in range(n_p):
-        st_i, g2_i, g2p_i, failure = _estimates(
-            *(total - stack[i] for total, stack in zip(totals, stacks)), n_p - 1, n_th)
-        rows.append([g2_i, st_i.alpha.real, st_i.alpha.imag, st_i.n,
-                     st_i.s.real, st_i.s.imag, g2p_i])
-        if failure:
-            failures.append(failure)
+    replicas = [_estimates(*(total - stack[i] for total, stack in zip(totals, stacks)),
+                           n_p - 1, n_th) for i in range(n_p)]
+    failures = [failure for _, failure in replicas if failure]
     if failures:
         warnings.append(f"g2 and g2' stderr are NaN: {failures[0]} in {len(failures)} "
                         f"of {n_p} jackknife replicas")
-    rows = np.array(rows)
+    rows = np.array([row for row, _ in replicas])
     jk = math.sqrt((n_p - 1) / n_p) * np.sqrt(np.sum((rows - rows.mean(axis=0)) ** 2, axis=0))
-    return PacketStatistics(
-        g2_mean=float(g2), g2_stderr=float(jk[0]), state=state,
-        alpha_stderr=complex(jk[1], jk[2]), n_stderr=float(jk[3]),
-        s_stderr=complex(jk[4], jk[5]), g2_prime_mean=float(g2p),
-        g2_prime_stderr=float(jk[6]), warnings=tuple(warnings))
+    return PacketStatistics(estimate, dict(zip(ESTIMATES, jk.tolist())), tuple(warnings))
 
 
 def _packet_pair(truth: GaussianState, cal: CalibrationConstants, n_th: float,
@@ -313,6 +311,7 @@ def run_synthetic_experiment(truth: GaussianState, cal: CalibrationConstants,
                              seed, workers: int = 1) -> PacketStatistics:
     """Full pipeline: synthesize on/off packets, calibrate per pair, correct, aggregate.
 
+    Returns ``packet_statistics``' estimates and stderrs, keyed by ESTIMATES.
     The calibration is re-estimated from every pump-off packet, mirroring
     the per-point recalibration that absorbs slow drifts.  Packets are
     independent (one spawned seed each) and run through ``blas.pool_map``;

@@ -199,22 +199,22 @@ def test_criterion_10_end_to_end_measurement():
         stats = run_synthetic_experiment(truth, cal, n_th, n_packets=25,
                                          packet_size=10**6, seed=(777, k))
         pulls = [
-            (stats.state.alpha.real - truth.alpha.real) / stats.alpha_stderr.real,
-            (stats.state.alpha.imag - truth.alpha.imag) / stats.alpha_stderr.imag,
-            (stats.state.n - truth.n) / stats.n_stderr,
-            (stats.state.s.real - truth.s.real) / stats.s_stderr.real,
-            (stats.state.s.imag - truth.s.imag) / stats.s_stderr.imag,
-            (stats.g2_mean - g2_zero(truth)) / stats.g2_stderr,
+            (stats.estimate["alpha_re"] - truth.alpha.real) / stats.stderr["alpha_re"],
+            (stats.estimate["alpha_im"] - truth.alpha.imag) / stats.stderr["alpha_im"],
+            (stats.estimate["n"] - truth.n) / stats.stderr["n"],
+            (stats.estimate["s_re"] - truth.s.real) / stats.stderr["s_re"],
+            (stats.estimate["s_im"] - truth.s.imag) / stats.stderr["s_im"],
+            (stats.estimate["g2"] - g2_zero(truth)) / stats.stderr["g2"],
         ]
         worst_pull = max(worst_pull, max(abs(z) for z in pulls))
     coherent = GaussianState(0.3, 0.0, 0.0)
     stats_c = run_synthetic_experiment(coherent, cal, n_th, n_packets=25,
                                        packet_size=10**6, seed=778)
-    coh_dev = abs(stats_c.g2_mean - 1.0) / stats_c.g2_stderr
+    coh_dev = abs(stats_c.estimate["g2"] - 1.0) / stats_c.stderr["g2"]
     ok = worst_pull < 5.0 and coh_dev < 3.0
     report(10, "end-to-end pipeline recovers 20 truth states within 5 sigma", ok,
-           f"worst pull {worst_pull:.2f}, coherent g2 = {stats_c.g2_mean:.3f} "
-           f"+/- {stats_c.g2_stderr:.3f} ({coh_dev:.2f} sigma from 1)")
+           f"worst pull {worst_pull:.2f}, coherent g2 = {stats_c.estimate['g2']:.3f} "
+           f"+/- {stats_c.stderr['g2']:.3f} ({coh_dev:.2f} sigma from 1)")
 
 
 def test_criterion_11_oracle_equivalence():

@@ -930,6 +930,31 @@ def test_one_derivation_and_one_manifest_per_run(tmp_path, monkeypatch, command)
         "n_th_a": derived["n_th_a"], "n_th_b": derived["n_th_b"]}
 
 
+@pytest.mark.parametrize("command", ["g2-sweep", "g2-tau", "map", "envelope"])
+def test_solver_manifests_record_the_cutoff_and_map_its_grids(tmp_path, command):
+    cfg_path = write_cfg(tmp_path, SMALL_RUN.replace("[sweep]\n", "[sweep]\ncutoff = 5 count\n"))
+    sweep = load_config(cfg_path).sweep
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--workers", "1"]) == 0
+    manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+    assert manifest["cutoff"] == 5
+    if command == "map":
+        assert manifest["delta_a_grid_rad_per_s"] == [sweep.delta_a_start, sweep.delta_a_stop, 3]
+        assert manifest["delta_diff_grid_rad_per_s"] == [sweep.delta_diff_start,
+                                                         sweep.delta_diff_stop, 3]
+
+
+def test_measure_demo_report_names_each_estimate_and_its_stderr(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    out = tmp_path / "out"
+    assert main(["measure-demo", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    report = json.loads((out / "measure_demo_report.json").read_text())
+    names = {"alpha_re", "alpha_im", "n", "s_re", "s_im", "g2"}
+    assert set(report["truth"]) == set(report["pulls"]) == names
+    assert set(report["estimates"]) == {name + suffix for name in names | {"g2_prime"}
+                                        for suffix in ("", "_stderr")}
+
+
 @pytest.mark.parametrize("command", ["envelope", "g2-tau"])
 def test_one_process_pool_per_command(tmp_path, monkeypatch, command):
     # the packaged six etas or four detunings go to one pool, not one pool per eta

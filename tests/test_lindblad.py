@@ -426,6 +426,25 @@ def test_superoperator_build_allocates_little_beyond_its_csr():
     assert peak <= 1.5 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
+def test_a_one_point_stack_gathers_as_a_single_point():
+    # np.take would copy the layout's read-only gather index (1.4 MB at
+    # displaced (10, 10)); a stack of one point indexes as a single point does
+    L = build_liouvillian(sample_params(eta=15 * MHz), displacement=(0.1 + 0.2j, 0.05j),
+                          cutoffs=(10, 10))
+    K, weights, jumps = L.terms
+
+    def gather_peak(K):
+        tracemalloc.start()
+        try:
+            lindblad_mod._superop_entries(L._layout, K, weights, jumps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single, stack = gather_peak(K), gather_peak(K[None])
+    assert stack - single < 0.01 * L._layout.gather.nbytes
+
+
 def test_the_layout_gathers_with_intp_and_keeps_int32_for_the_csr():
     # an int32 index costs a cast to intp at every gather
     L = build_liouvillian(sample_params(eta=15 * MHz), cutoffs=(4, 4))

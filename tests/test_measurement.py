@@ -310,10 +310,10 @@ def test_packet_statistics_identical_packets():
     pair = _corrected_pair(truth, cal, 7.8e-4, 20_000, rng)
     stats = packet_statistics([pair] * 25, 7.8e-4)
     # identical packets: spread is zero up to averaging roundoff
-    assert stats.g2_stderr <= 1e-12 * abs(stats.g2_mean)
-    assert stats.n_stderr <= 1e-12 * abs(stats.state.n)
+    assert stats.stderr["g2"] <= 1e-12 * abs(stats.estimate["g2"])
+    assert stats.stderr["n"] <= 1e-12 * abs(stats.estimate["n"])
     single = packet_statistics([pair], 7.8e-4)
-    assert stats.g2_mean == pytest.approx(single.g2_mean, rel=1e-12)
+    assert stats.estimate["g2"] == pytest.approx(single.estimate["g2"], rel=1e-12)
 
 
 def test_packet_statistics_warns_below_twenty():
@@ -334,17 +334,17 @@ def test_packet_statistics_without_population_is_nan_with_a_reason():
     low = (second_moment_set(N_H - 2e-3, 0.0, N_H - 2e-3), off)    # n = -2e-3
     high = (second_moment_set(N_H + 1e-2, 0.0, N_H + 1e-2), off)   # n = +1e-2
     stats = packet_statistics([low] * 3, 0.0)
-    assert math.isnan(stats.g2_mean) and math.isnan(stats.g2_prime_mean)
-    assert math.isnan(stats.g2_stderr) and math.isnan(stats.g2_prime_stderr)
-    assert stats.state.n == pytest.approx(-2e-3) and stats.n_stderr == pytest.approx(0.0)
+    assert math.isnan(stats.estimate["g2"]) and math.isnan(stats.estimate["g2_prime"])
+    assert math.isnan(stats.stderr["g2"]) and math.isnan(stats.stderr["g2_prime"])
+    assert stats.estimate["n"] == pytest.approx(-2e-3) and stats.stderr["n"] == pytest.approx(0.0)
     assert any("NaN: total population must be > 0 in the 3-packet estimate" in w
                for w in stats.warnings)
     assert any("in 3 of 3 jackknife replicas" in w for w in stats.warnings)
     # the full estimate resolves, the replica without the high packet does not
     mixed = packet_statistics([high, low, low], 0.0)
-    assert math.isfinite(mixed.g2_mean) and math.isfinite(mixed.g2_prime_mean)
-    assert math.isnan(mixed.g2_stderr) and math.isnan(mixed.g2_prime_stderr)
-    assert math.isfinite(mixed.n_stderr)
+    assert math.isfinite(mixed.estimate["g2"]) and math.isfinite(mixed.estimate["g2_prime"])
+    assert math.isnan(mixed.stderr["g2"]) and math.isnan(mixed.stderr["g2_prime"])
+    assert math.isfinite(mixed.stderr["n"])
     assert any("in 1 of 3 jackknife replicas" in w for w in mixed.warnings)
     assert not any("-packet estimate" in w for w in mixed.warnings)
 
@@ -378,8 +378,8 @@ def test_jackknife_matches_re_averaged_replicas(n_packets):
                for s in np.random.SeedSequence((90, n_packets)).spawn(n_packets)]
     stats = packet_statistics(packets, 7.8e-4)
     want = _leave_one_out_stderr(packets, 7.8e-4)
-    got = [stats.g2_stderr, stats.alpha_stderr.real, stats.alpha_stderr.imag, stats.n_stderr,
-           stats.s_stderr.real, stats.s_stderr.imag, stats.g2_prime_stderr]
+    got = [stats.stderr[name]
+           for name in ("g2", "alpha_re", "alpha_im", "n", "s_re", "s_im", "g2_prime")]
     assert np.all(want > 0)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -395,10 +395,10 @@ def test_stderr_scales_with_packet_size():
     for rep in range(reps):
         pairs_big = [_corrected_pair(truth, cal, 7.8e-4, 20_000, s)
                      for s in np.random.SeedSequence((50, rep)).spawn(8)]
-        big.append(packet_statistics(pairs_big, 7.8e-4).g2_stderr)
+        big.append(packet_statistics(pairs_big, 7.8e-4).stderr["g2"])
         pairs_small = [_corrected_pair(truth, cal, 7.8e-4, 10_000, s)
                        for s in np.random.SeedSequence((51, rep)).spawn(8)]
-        small.append(packet_statistics(pairs_small, 7.8e-4).g2_stderr)
+        small.append(packet_statistics(pairs_small, 7.8e-4).stderr["g2"])
     ratio = np.mean(small) / np.mean(big)
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.2)
 
@@ -410,11 +410,11 @@ def test_end_to_end_coherent_truth_unbiased():
                                      packet_size=100_000, seed=s)
             for s in (60, 61, 62)]
     for stats in runs:
-        assert abs(stats.g2_mean - 1.0) < 3 * stats.g2_stderr
+        assert abs(stats.estimate["g2"] - 1.0) < 3 * stats.stderr["g2"]
     # bias check: the seed-averaged jackknife mean sits within one combined
     # standard error of the truth
-    mean = np.mean([s.g2_mean for s in runs])
-    err = np.mean([s.g2_stderr for s in runs]) / math.sqrt(len(runs))
+    mean = np.mean([s.estimate["g2"] for s in runs])
+    err = np.mean([s.stderr["g2"] for s in runs]) / math.sqrt(len(runs))
     assert abs(mean - 1.0) < err
 
 
@@ -425,8 +425,8 @@ def test_experiment_workers_match_serial():
                                       packet_size=20_000, seed=80, workers=1)
     parallel = run_synthetic_experiment(truth, cal, 7.8e-4, n_packets=6,
                                         packet_size=20_000, seed=80, workers=2)
-    assert parallel.g2_mean == serial.g2_mean
-    assert parallel.state == serial.state
+    assert parallel.estimate["g2"] == serial.estimate["g2"]
+    assert parallel.estimate == serial.estimate
 
 
 def test_end_to_end_recovers_gaussian_state():
@@ -434,10 +434,10 @@ def test_end_to_end_recovers_gaussian_state():
     cal = CalibrationConstants(1.7, 0.8, 0.08, N_H)
     stats = run_synthetic_experiment(truth, cal, 7.8e-4, n_packets=25,
                                      packet_size=200_000, seed=61)
-    assert abs(stats.state.alpha.real - truth.alpha.real) < 5 * stats.alpha_stderr.real
-    assert abs(stats.state.alpha.imag - truth.alpha.imag) < 5 * stats.alpha_stderr.imag
-    assert abs(stats.state.n - truth.n) < 5 * stats.n_stderr
-    assert abs(stats.state.s.real - truth.s.real) < 5 * stats.s_stderr.real
-    assert abs(stats.state.s.imag - truth.s.imag) < 5 * stats.s_stderr.imag
+    assert abs(stats.estimate["alpha_re"] - truth.alpha.real) < 5 * stats.stderr["alpha_re"]
+    assert abs(stats.estimate["alpha_im"] - truth.alpha.imag) < 5 * stats.stderr["alpha_im"]
+    assert abs(stats.estimate["n"] - truth.n) < 5 * stats.stderr["n"]
+    assert abs(stats.estimate["s_re"] - truth.s.real) < 5 * stats.stderr["s_re"]
+    assert abs(stats.estimate["s_im"] - truth.s.imag) < 5 * stats.stderr["s_im"]
     g2_t = g2_zero(truth)
-    assert abs(stats.g2_mean - g2_t) < 5 * stats.g2_stderr
+    assert abs(stats.estimate["g2"] - g2_t) < 5 * stats.stderr["g2"]
